@@ -12,9 +12,13 @@ before reporting times.
 """
 
 import argparse
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from mildsim import CoefficientModel, Grid, GridFunction, ModeFunction, NoiseConfig, kernels
 from mildsim.noise import increment_block
@@ -44,8 +48,7 @@ def _workload(n_nodes, n_paths, n_steps):
     args = (
         v0, tail0, dW, 1, float(np.exp(-g.alpha * dt)), dt, 0,
         ka["profiles"], ka["profile_tails"], ka["level_codes"], ka["caps"],
-        ka["drift_code"], ka["drift_c"], ka["drift_table"], ka["drift_table_tail"],
-        ka["alpha_corr"], lam, E, amb, b, denom,
+        ka["drift_code"], ka["drift_c"], ka["alpha_corr"], lam, E, amb, b, denom,
         g.spacing, g.weights, g.tail_weight, 1e12,
         np.array([n_steps], dtype=np.int64),
     )

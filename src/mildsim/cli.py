@@ -25,11 +25,13 @@ from . import __version__, kernels
 from .coefficients import estimate_positivity_constant
 from .config import (
     EXPERIMENTS,
+    Config,
     ConfigError,
-    apply_override,
+    as_json,
     build_grid,
     build_initial,
     build_model,
+    build_modes,
     load_config,
 )
 from .hjm import HJMModelSpec, build_hjm, simulate_forward_rates
@@ -61,18 +63,6 @@ def _write_manifest(outdir: Path, payload: dict) -> None:
     (outdir / "manifest.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _run_config(cfg: dict) -> SolverConfig:
-    r = cfg["run"]
-    return SolverConfig(
-        dt=float(r["dt"]),
-        t_final=float(r["t_final"]),
-        scheme=r.get("scheme", "shift-then-react"),
-        lam=float(r.get("lam", 0.0)),
-        snapshot_stride=int(r.get("snapshot_stride", 0)),
-        blow_threshold=float(r.get("blow_threshold", 1e12)),
-    )
-
-
 def _stats_rows(stats):
     cols = [stats.times, stats.neg_energy_mean, stats.neg_energy_p95,
             stats.min_value_min, stats.supermartingale_mean]
@@ -90,11 +80,9 @@ _STATS_HEADER = [
 
 
 def _curve_rows(ens):
-    if (ens.aborted >= 0).any():
-        ok = ens.aborted < 0
-        vals = ens.final_values[ok]
-    else:
-        vals = ens.final_values
+    vals = ens.final_values[ens.aborted < 0]
+    if len(vals) == 0:  # every path aborted
+        return np.column_stack([ens.grid.nodes] + [np.full(ens.grid.n, np.nan)] * 3)
     mean = vals.mean(axis=0)
     p5 = np.percentile(vals, 5, axis=0)
     p95 = np.percentile(vals, 95, axis=0)
@@ -104,30 +92,30 @@ def _curve_rows(ens):
 _CURVE_HEADER = ["x", "u_mean", "u_p5", "u_p95"]
 
 
-def _exp_simulate(cfg: dict, outdir: Path) -> tuple[dict, bool, bool]:
-    grid = build_grid(cfg)
-    model = build_model(cfg, grid)
-    u0 = build_initial(cfg["model"], grid)
-    suite = OperatorSuite(grid, shifted=True)
-    r = cfg["run"]
-    scfg = _run_config(cfg)
-    ens = run_ensemble(
-        u0, suite, model, scfg,
-        n_paths=int(r.get("n_paths", 100)),
-        seed=int(r.get("seed", 1234)),
-        stream_base=int(r.get("stream_base", 0)),
-        chunk_size=int(r.get("chunk_size", 2048)),
-    )
-    if "c_const" in r:
-        c_const = float(r["c_const"])
-    elif "check" in cfg:
-        ck = cfg["check"]
-        rep = estimate_positivity_constant(
-            model, n_samples=int(ck.get("n_samples", 200)), seed=int(ck.get("seed", 1))
-        )
+def _check_results(rep) -> dict:
+    return {
+        "samples": rep.samples,
+        "worst_ratio": rep.worst_ratio,
+        "estimated_c": rep.estimated_c if np.isfinite(rep.estimated_c) else "inf",
+        "violations": rep.violations,
+    }
+
+
+def _model_and_initial(cfg: Config):
+    grid = build_grid(cfg.grid)
+    return build_model(cfg.model, grid), build_initial(cfg.model.initial, grid)
+
+
+def _exp_simulate(cfg: Config, outdir: Path) -> tuple[dict, bool, bool]:
+    model, u0 = _model_and_initial(cfg)
+    suite = OperatorSuite(model.grid, shifted=True)
+    r = cfg.run
+    scfg = SolverConfig(r.dt, r.t_final, r.scheme, r.lam, r.snapshot_stride, r.blow_threshold)
+    ens = run_ensemble(u0, suite, model, scfg, r.n_paths, r.seed, r.stream_base, r.chunk_size)
+    c_const = r.c_const
+    if c_const is None:  # the check section asks for the estimate (parse_config)
+        rep = estimate_positivity_constant(model, n_samples=cfg.check.n_samples, seed=cfg.check.seed)
         c_const = rep.estimated_c if np.isfinite(rep.estimated_c) else 0.0
-    else:
-        c_const = 0.0
     stats = ensemble_stats(ens, c_const=c_const, thresholds=_THRESHOLDS)
     _write_csv(outdir / "ensemble.csv", _STATS_HEADER, _stats_rows(stats))
     results = {
@@ -141,46 +129,19 @@ def _exp_simulate(cfg: dict, outdir: Path) -> tuple[dict, bool, bool]:
     return {"results": results, "outputs": ["ensemble.csv"]}, not aborted, aborted
 
 
-def _exp_hjm(cfg: dict, outdir: Path) -> tuple[dict, bool, bool]:
-    g = cfg["grid"]
-    m = cfg["model"]
-    grid = build_grid(cfg)
-    modes = build_model(cfg, grid).modes
-    spec = HJMModelSpec(
-        x_max=float(g["x_max"]),
-        n_nodes=int(g["n_nodes"]),
-        alpha=float(g["alpha"]),
-        modes=modes,
-        initial_curve=build_initial(m, grid),
-        alpha_in_drift=bool(m.get("alpha_in_drift", True)),
-    )
-    ck = cfg.get("check", {})
-    built = build_hjm(
-        spec, check_samples=int(ck.get("n_samples", 200)), check_seed=int(ck.get("seed", 1))
-    )
-    r = cfg["run"]
-    run = simulate_forward_rates(
-        built,
-        dt=float(r["dt"]),
-        t_final=float(r["t_final"]),
-        n_paths=int(r.get("n_paths", 100)),
-        seed=int(r.get("seed", 1234)),
-        scheme=r.get("scheme", "shift-then-react"),
-        snapshot_stride=int(r.get("snapshot_stride", 0)),
-        thresholds=_THRESHOLDS,
-        chunk_size=int(r.get("chunk_size", 2048)),
-    )
+def _exp_hjm(cfg: Config, outdir: Path) -> tuple[dict, bool, bool]:
+    g, m, r = cfg.grid, cfg.model, cfg.run
+    grid = build_grid(g)
+    modes, u0 = build_modes(m, grid), build_initial(m.initial, grid)
+    spec = HJMModelSpec(g.x_max, g.n_nodes, g.alpha, modes, u0, m.alpha_in_drift)
+    built = build_hjm(spec, check_samples=cfg.check.n_samples, check_seed=cfg.check.seed)
+    run = simulate_forward_rates(built, r.dt, r.t_final, r.n_paths, r.seed, r.scheme,
+                                 r.snapshot_stride, _THRESHOLDS, chunk_size=r.chunk_size)
     _write_csv(outdir / "ensemble.csv", _STATS_HEADER, _stats_rows(run.stats))
     _write_csv(outdir / "curve.csv", _CURVE_HEADER, _curve_rows(run.ensemble))
-    rep = built.report
     results = {
         "verdict": run.verdict,
-        "check": {
-            "samples": rep.samples,
-            "worst_ratio": rep.worst_ratio,
-            "estimated_c": rep.estimated_c if np.isfinite(rep.estimated_c) else "inf",
-            "violations": rep.violations,
-        },
+        "check": _check_results(built.report),
         "c_const": built.c_const,
         "n_paths": run.ensemble.n_paths,
         "n_aborted": run.ensemble.n_aborted,
@@ -189,37 +150,23 @@ def _exp_hjm(cfg: dict, outdir: Path) -> tuple[dict, bool, bool]:
     }
     aborted = run.ensemble.n_aborted > 0
     passed = not aborted
-    expect = cfg.get("expect_verdict")
-    if expect is not None:
-        passed = passed and (run.verdict == expect)
+    if cfg.expect_verdict is not None:
+        passed = passed and (run.verdict == cfg.expect_verdict)
     return {"results": results, "outputs": ["ensemble.csv", "curve.csv"]}, passed, aborted
 
 
-def _exp_coeff_check(cfg: dict, outdir: Path) -> tuple[dict, bool, bool]:
-    grid = build_grid(cfg)
-    model = build_model(cfg, grid)
-    ck = cfg.get("check", {})
-    rep = estimate_positivity_constant(
-        model, n_samples=int(ck.get("n_samples", 200)), seed=int(ck.get("seed", 1))
-    )
-    results = {
-        "samples": rep.samples,
-        "worst_ratio": rep.worst_ratio,
-        "estimated_c": rep.estimated_c if np.isfinite(rep.estimated_c) else "inf",
-        "violations": rep.violations,
-        "admissible": rep.admissible,
-    }
-    expect = bool(ck.get("expect_admissible", True))
-    return {"results": results, "outputs": []}, rep.admissible == expect, False
+def _exp_coeff_check(cfg: Config, outdir: Path) -> tuple[dict, bool, bool]:
+    grid = build_grid(cfg.grid)
+    model = build_model(cfg.model, grid)
+    ck = cfg.check
+    rep = estimate_positivity_constant(model, n_samples=ck.n_samples, seed=ck.seed)
+    results = {**_check_results(rep), "admissible": rep.admissible}
+    return {"results": results, "outputs": []}, rep.admissible == ck.expect_admissible, False
 
 
-def _exp_operator_tests(cfg: dict, outdir: Path) -> tuple[dict, bool, bool]:
-    grid = build_grid(cfg)
-    suite = OperatorSuite(grid, shifted=True)
-    ck = cfg.get("check", {})
-    n = int(ck.get("n_samples", 100))
-    seed = int(ck.get("seed", 1))
-    tol = float(ck.get("tol", 1e-8))
+def _exp_operator_tests(cfg: Config, outdir: Path) -> tuple[dict, bool, bool]:
+    suite = OperatorSuite(build_grid(cfg.grid), shifted=True)
+    n, seed, tol = cfg.check.n_samples, cfg.check.seed, cfg.check.tol
     reports = [
         run_submarkov_battery(suite, n, seed, tol=tol),
         run_contraction_battery(suite, n, seed + 1, tol=tol),
@@ -244,16 +191,13 @@ def _exp_operator_tests(cfg: dict, outdir: Path) -> tuple[dict, bool, bool]:
     return {"results": results, "outputs": ["operator_tests.csv"]}, passed, False
 
 
-def _exp_lambda_study(cfg: dict, outdir: Path) -> tuple[dict, bool, bool]:
-    grid = build_grid(cfg)
-    model = build_model(cfg, grid)
-    u0 = build_initial(cfg["model"], grid)
-    suite = OperatorSuite(grid, shifted=True)
-    scfg = _run_config(cfg)
-    ls = cfg["lambda_study"]
-    lams = tuple(float(x) for x in ls.get("lams", (0.2, 0.1, 0.05, 0.025)))
-    n_seeds = int(ls.get("n_seeds", 10))
-    seed0 = int(cfg["run"].get("seed", 1234))
+def _exp_lambda_study(cfg: Config, outdir: Path) -> tuple[dict, bool, bool]:
+    model, u0 = _model_and_initial(cfg)
+    suite = OperatorSuite(model.grid, shifted=True)
+    r = cfg.run
+    # the study sets lam and snapshot_stride itself
+    scfg = SolverConfig(r.dt, r.t_final, r.scheme, blow_threshold=r.blow_threshold)
+    lams, n_seeds, seed0 = cfg.lambda_study.lams, cfg.lambda_study.n_seeds, r.seed
     rows = []
     all_monotone = True
     sums = np.zeros(len(lams))
@@ -276,16 +220,10 @@ def _exp_lambda_study(cfg: dict, outdir: Path) -> tuple[dict, bool, bool]:
     return {"results": results, "outputs": ["lambda_study.csv"]}, all_monotone, False
 
 
-def _exp_ito_check(cfg: dict, outdir: Path) -> tuple[dict, bool, bool]:
-    grid = build_grid(cfg)
-    model = build_model(cfg, grid)
-    u0 = build_initial(cfg["model"], grid)
-    it = cfg["ito"]
-    n = float(it.get("n", 50.0))
-    dts = [float(x) for x in it.get("dt_values", (1e-2, 5e-3, 2.5e-3))]
-    t_final = float(it.get("t_final", 1.0))
-    n_paths = int(it.get("n_paths", 200))
-    seed = int(it.get("seed", 1234))
+def _exp_ito_check(cfg: Config, outdir: Path) -> tuple[dict, bool, bool]:
+    model, u0 = _model_and_initial(cfg)
+    it = cfg.ito
+    n, dts, t_final, n_paths, seed = it.n, it.dt_values, it.t_final, it.n_paths, it.seed
     drift = model.drift_eval(u0)
     modes = [model.diffusion_mode(k, u0) for k in range(model.n_modes)]
     det_tot = []
@@ -354,20 +292,12 @@ def main(argv=None) -> int:
                         help="check the configuration and exit")
     args = parser.parse_args(argv)
 
+    overrides = list(args.set)
+    for key, value in (("seed", args.seed), ("n_paths", args.paths), ("dt", args.dt)):
+        if value is not None:
+            overrides.append(f"run.{key}={value}")
     try:
-        cfg = load_config(args.config, args.experiment)
-        for item in args.set:
-            apply_override(cfg, item)
-        if args.seed is not None:
-            apply_override(cfg, f"run.seed={args.seed}")
-        if args.paths is not None:
-            apply_override(cfg, f"run.n_paths={args.paths}")
-        if args.dt is not None:
-            apply_override(cfg, f"run.dt={args.dt}")
-        if args.set or args.seed is not None or args.paths is not None or args.dt is not None:
-            from .config import parse_config
-
-            cfg = parse_config(cfg, args.experiment)
+        cfg = load_config(args.config, args.experiment, overrides)
     except ConfigError as e:
         for line in e.problems:
             print(f"config error: {line}", file=sys.stderr)
@@ -379,29 +309,24 @@ def main(argv=None) -> int:
 
     outdir = Path(
         args.out
-        or cfg.get("output", {}).get("dir")
+        or cfg.output.dir
         or os.environ.get("MILDSIM_OUT")
         or "mildsim-out"
     )
     outdir.mkdir(parents=True, exist_ok=True)
 
-    try:
-        payload, passed, aborted = _RUNNERS[cfg["experiment"]](cfg, outdir)
-    except ConfigError as e:
-        for line in e.problems:
-            print(f"config error: {line}", file=sys.stderr)
-        return 2
+    payload, passed, aborted = _RUNNERS[cfg.experiment](cfg, outdir)
     manifest = {
         "tool": "mildsim",
         "version": __version__,
         "backend": kernels.BACKEND,
-        "experiment": cfg["experiment"],
-        "config": cfg,
+        "experiment": cfg.experiment,
+        "config": as_json(cfg),
         "passed": passed,
         **payload,
     }
     _write_manifest(outdir, manifest)
-    print(f"experiment {cfg['experiment']}: {'pass' if passed else 'FAIL'} "
+    print(f"experiment {cfg.experiment}: {'pass' if passed else 'FAIL'} "
           f"(outputs in {outdir})")
     if aborted:
         print("at least one path aborted", file=sys.stderr)

@@ -43,14 +43,13 @@ MODE_KINDS = (
     "custom",
 )
 
-DRIFT_KINDS = ("zero", "linear-decay", "hjm", "table")
+DRIFT_KINDS = ("zero", "linear-decay", "hjm")
 
 _NEEDS_CAP = {"proportional-capped", "level-scaled"}
 _DRIFT_CODE = {
     "zero": kernels.DRIFT_ZERO,
     "linear-decay": kernels.DRIFT_DECAY,
     "hjm": kernels.DRIFT_HJM,
-    "table": kernels.DRIFT_TABLE,
 }
 
 
@@ -135,14 +134,11 @@ class CoefficientModel:
     modes: tuple[ModeFunction, ...] = ()
     drift: str = "zero"
     drift_c: float = 0.0
-    drift_table: GridFunction | None = None
     alpha_correction: float = 0.0
 
     def __post_init__(self) -> None:
         if self.drift not in DRIFT_KINDS:
             raise ValueError(f"unknown drift kind: {self.drift!r}")
-        if self.drift == "table" and self.drift_table is None:
-            raise ValueError("table drift needs drift_table")
         object.__setattr__(self, "modes", tuple(self.modes))
 
     @property
@@ -159,7 +155,7 @@ class CoefficientModel:
             out = GridFunction(g, np.zeros(g.n), 0.0)
         elif self.drift == "linear-decay":
             out = GridFunction(g, -self.drift_c * u.values, -self.drift_c * u.tail_value)
-        elif self.drift == "hjm":
+        else:
             acc = np.zeros(g.n)
             acct = 0.0
             for mode in self.modes:
@@ -167,8 +163,6 @@ class CoefficientModel:
                 acc += part.values
                 acct += part.tail_value
             out = GridFunction(g, acc, acct)
-        else:
-            out = self.drift_table.copy()
         if self.alpha_correction != 0.0:
             out = out + self.alpha_correction * u
         return out
@@ -185,12 +179,6 @@ class CoefficientModel:
             profiles[k], ptails[k] = mode.profile(g)
             codes[k] = mode.level_code
             caps[k] = 0.0 if mode.cap is None else float(mode.cap)
-        if self.drift_table is not None:
-            table = self.drift_table.values.copy()
-            table_tail = self.drift_table.tail_value
-        else:
-            table = np.zeros(g.n)
-            table_tail = 0.0
         return dict(
             profiles=profiles,
             profile_tails=ptails,
@@ -198,8 +186,6 @@ class CoefficientModel:
             caps=caps,
             drift_code=_DRIFT_CODE[self.drift],
             drift_c=float(self.drift_c),
-            drift_table=table,
-            drift_table_tail=float(table_tail),
             alpha_corr=float(self.alpha_correction),
         )
 

@@ -1,42 +1,42 @@
-"""JSON run configuration: schema validation and object building.
+"""JSON run configuration: one typed, resolved config per run.
 
-Configs are plain JSON with nested sections.  Validation is strict:
-unknown keys anywhere are errors, as are type mismatches, and every
-problem found is reported at once with its dotted path.  Experiments
-declare which sections they need; builders turn validated sections
-into grids, models and initial states.
+Each config section is a frozen dataclass whose fields carry the type,
+the one default and the range check of each key, and the experiments
+that read it.  ``parse_config`` derives from them the allowed keys, the
+types (list element types included) and the missing-key errors, runs
+the checks that relate several keys, and reports every problem at once
+under its dotted path.  A key the chosen experiment does not read is an
+error.  The resolved ``Config`` holds every default, and None in each
+field the experiment does not read.  Builders turn its sections into
+grids, models and initial states.
 """
 
 from __future__ import annotations
 
+import functools
 import json
+import math
+import sys
+import types
+import typing
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
-from .coefficients import CoefficientModel, ModeFunction
-from .grids import Grid, GridFunction
+from .coefficients import DRIFT_KINDS, CoefficientModel, ModeFunction
+from .grids import Grid, GridFunction, whole_multiple
+from .hjm import VERDICTS
+from .solver import SCHEMES
 
 __all__ = [
-    "ConfigError",
-    "EXPERIMENTS",
-    "load_config",
-    "parse_config",
-    "apply_override",
-    "build_grid",
-    "build_modes",
-    "build_initial",
-    "build_model",
+    "ConfigError", "EXPERIMENTS", "Config", "load_config", "parse_config", "apply_override",
+    "as_json", "build_grid", "build_modes", "build_initial", "build_model",
 ]
 
-EXPERIMENTS = (
-    "simulate",
-    "hjm",
-    "coeff-check",
-    "operator-tests",
-    "lambda-study",
-    "ito-check",
-)
+EXPERIMENTS = ("simulate", "hjm", "coeff-check", "operator-tests", "lambda-study", "ito-check")
+
+_U64 = 1 << 64
 
 
 class ConfigError(Exception):
@@ -45,82 +45,267 @@ class ConfigError(Exception):
         super().__init__("; ".join(self.problems))
 
 
-_GRID_KEYS = {"x_max": float, "n_nodes": int, "alpha": float}
-_MODE_KEYS = {"kind": str, "c": float, "cap": float, "decay": float, "table": list, "tail": float}
-_INITIAL_KEYS = {"flat": float, "exp-decay": dict, "table": list, "tail": float}
-_EXPDECAY_KEYS = {"base": float, "amp": float, "decay": float}
-_MODEL_KEYS = {
-    "modes": list,
-    "drift": str,
-    "drift_c": float,
-    "alpha_correction": float,
-    "alpha_in_drift": bool,
-    "initial": dict,
-}
-_RUN_KEYS = {
-    "dt": float,
-    "t_final": float,
-    "n_paths": int,
-    "seed": int,
-    "scheme": str,
-    "snapshot_stride": int,
-    "chunk_size": int,
-    "stream_base": int,
-    "blow_threshold": float,
-    "lam": float,
-    "c_const": float,
-}
-_CHECK_KEYS = {"n_samples": int, "seed": int, "tol": float, "expect_admissible": bool}
-_LAMBDA_KEYS = {"lams": list, "n_seeds": int}
-_ITO_KEYS = {"n": float, "dt_values": list, "t_final": float, "n_paths": int, "seed": int}
-_OUTPUT_KEYS = {"dir": str}
-_TOP_KEYS = {
-    "experiment": str,
-    "grid": dict,
-    "model": dict,
-    "run": dict,
-    "check": dict,
-    "lambda_study": dict,
-    "ito": dict,
-    "output": dict,
-    "expect_verdict": str,
-}
-
-_REQUIRED_SECTIONS = {
-    "simulate": ("grid", "model", "run"),
-    "hjm": ("grid", "model", "run"),
-    "coeff-check": ("grid", "model"),
-    "operator-tests": ("grid",),
-    "lambda-study": ("grid", "model", "run", "lambda_study"),
-    "ito-check": ("grid", "model", "ito"),
-}
+# range checks: (predicate, what the value must be)
+_POSITIVE = (lambda v: v > 0, "must be positive")
+_NONNEG = (lambda v: v >= 0, "must be nonnegative")
+_AT_LEAST_ONE = (lambda v: v >= 1, "must be at least 1")
+_SEED = (lambda v: 0 <= v < _U64, "must be in [0, 2**64)")
+_POSITIVE_LIST = (lambda v: len(v) > 0 and all(x > 0 for x in v),
+                  "must be a non-empty list of positive numbers")
 
 
-def _type_ok(value, want) -> bool:
-    if want is float:
-        return isinstance(value, (int, float)) and not isinstance(value, bool)
-    if want is int:
-        return isinstance(value, int) and not isinstance(value, bool)
-    return isinstance(value, want)
+def _one_of(choices):
+    return (lambda v: v in choices, "must be one of " + ", ".join(choices))
 
 
-def _check_keys(section, allowed, where, problems) -> None:
-    if not isinstance(section, dict):
-        problems.append(f"{where}: expected an object")
-        return
-    for key, value in section.items():
-        if key not in allowed:
-            problems.append(f"{where}.{key}: unknown key")
-        elif not _type_ok(value, allowed[key]):
-            problems.append(f"{where}.{key}: expected {allowed[key].__name__}")
+def _field(default=MISSING, check=None, *, read_by=EXPERIMENTS, by_experiment=None,
+           optional=False, key=None):
+    """A config key.  No default means required; an absent optional section
+    takes all its defaults.  by_experiment holds experiment-specific defaults."""
+    meta = {"check": check, "read_by": read_by, "by_experiment": by_experiment or {},
+            "optional": optional, "key": key}
+    return field(default=default, metadata=meta)
 
 
-def parse_config(obj: dict, experiment: str | None = None) -> dict:
-    """Validate a config object; returns it with the experiment filled in."""
-    problems: list[str] = []
+@dataclass(frozen=True)
+class GridConfig:
+    x_max: float = _field(check=_POSITIVE)
+    n_nodes: int = _field(check=(lambda v: v >= 2, "must be at least 2"))
+    alpha: float = _field(check=_POSITIVE)
+
+    def _check(self, where, problems):
+        if self.x_max / (self.n_nodes - 1) < sys.float_info.min:
+            problems.append(f"{where}.x_max: the node spacing x_max/(n_nodes-1) underflows")
+
+
+@dataclass(frozen=True)
+class ModeConfig:
+    kind: str = _field()
+    c: float = _field(1.0)
+    cap: float | None = _field(None)
+    decay: float = _field(1.0)
+    table: tuple[float, ...] | None = _field(None)
+    tail: float | None = _field(None)
+
+    def _check(self, where, problems):
+        try:  # ModeFunction's own checks (kind, cap); here the table only has to be present
+            ModeFunction(self.kind, self.c, self.cap, self.decay, self.table)
+        except ValueError as e:
+            problems.append(f"{where}: {e}")
+
+
+@dataclass(frozen=True)
+class ExpDecayConfig:
+    base: float = _field(0.0)
+    amp: float = _field(1.0)
+    decay: float = _field(1.0)
+
+
+@dataclass(frozen=True)
+class InitialConfig:
+    flat: float | None = _field(None)
+    exp_decay: ExpDecayConfig | None = _field(None, key="exp-decay")
+    table: tuple[float, ...] | None = _field(None)
+    tail: float | None = _field(None)
+
+    def _check(self, where, problems):
+        if sum(x is not None for x in (self.flat, self.exp_decay, self.table)) != 1:
+            problems.append(f"{where}: give exactly one of flat, exp-decay, table")
+
+
+_NOT_HJM = ("simulate", "coeff-check", "lambda-study", "ito-check")
+_ENSEMBLES = ("simulate", "hjm")
+
+
+@dataclass(frozen=True)
+class ModelConfig:
+    initial: InitialConfig | None = _field(
+        read_by=("simulate", "hjm", "lambda-study", "ito-check"))
+    modes: tuple[ModeConfig, ...] = _field(())
+    # the hjm experiment always uses the no-arbitrage drift (see parse_config)
+    drift: str = _field("zero", _one_of(DRIFT_KINDS), read_by=_NOT_HJM)
+    drift_c: float = _field(0.0, read_by=_NOT_HJM)
+    alpha_correction: float = _field(0.0, read_by=_NOT_HJM)
+    alpha_in_drift: bool = _field(True, read_by=("hjm",))
+
+
+@dataclass(frozen=True)
+class RunConfig:
+    dt: float = _field(check=_POSITIVE)
+    t_final: float = _field(check=_POSITIVE)
+    seed: int = _field(1234, _SEED)
+    scheme: str = _field("shift-then-react", _one_of(SCHEMES))
+    n_paths: int = _field(100, _AT_LEAST_ONE, read_by=_ENSEMBLES)
+    chunk_size: int = _field(2048, _AT_LEAST_ONE, read_by=_ENSEMBLES)
+    snapshot_stride: int = _field(0, _NONNEG, read_by=_ENSEMBLES)
+    blow_threshold: float = _field(1e12, _POSITIVE, read_by=("simulate", "lambda-study"))
+    lam: float = _field(0.0, _NONNEG, read_by=("simulate",))
+    stream_base: int = _field(0, _SEED, read_by=("simulate",))
+    # None: estimated by the coefficient check (simulate, see parse_config)
+    c_const: float | None = _field(None, read_by=("simulate",))
+
+    def _check(self, where, problems):
+        if whole_multiple(self.t_final, self.dt) is None:
+            problems.append(f"{where}.t_final: {self.t_final} is not a whole number "
+                            f"of steps of dt={self.dt}")
+        if self.stream_base is not None and self.stream_base + self.n_paths > _U64:
+            problems.append(f"{where}.stream_base: stream_base + n_paths exceeds 2**64")
+
+
+@dataclass(frozen=True)
+class CheckConfig:
+    n_samples: int = _field(200, _NONNEG, by_experiment={"operator-tests": 100})
+    seed: int = _field(1, _SEED)
+    tol: float = _field(1e-8, _NONNEG, read_by=("operator-tests",))
+    expect_admissible: bool = _field(True, read_by=("coeff-check",))
+
+
+@dataclass(frozen=True)
+class LambdaStudyConfig:
+    lams: tuple[float, ...] = _field((0.2, 0.1, 0.05, 0.025), _POSITIVE_LIST)
+    n_seeds: int = _field(10, _AT_LEAST_ONE)
+
+
+@dataclass(frozen=True)
+class ItoConfig:
+    n: float = _field(50.0, _POSITIVE)
+    dt_values: tuple[float, ...] = _field((1e-2, 5e-3, 2.5e-3), _POSITIVE_LIST)
+    t_final: float = _field(1.0, _POSITIVE)
+    n_paths: int = _field(200, _AT_LEAST_ONE)
+    seed: int = _field(1234, _SEED)
+
+    def _check(self, where, problems):
+        for i, dt in enumerate(self.dt_values):
+            if whole_multiple(self.t_final, dt) is None:
+                problems.append(f"{where}.dt_values[{i}]: t_final={self.t_final} is not "
+                                f"a whole number of steps of {dt}")
+
+
+@dataclass(frozen=True)
+class OutputConfig:
+    dir: str | None = _field(None)
+
+
+@dataclass(frozen=True)
+class Config:
+    experiment: str = _field()
+    grid: GridConfig = _field()
+    model: ModelConfig | None = _field(
+        read_by=("simulate", "hjm", "coeff-check", "lambda-study", "ito-check"))
+    run: RunConfig | None = _field(read_by=("simulate", "hjm", "lambda-study"))
+    # simulate runs the coefficient check only when this section is given
+    check: CheckConfig | None = _field(
+        optional=True, by_experiment={"simulate": None},
+        read_by=("simulate", "hjm", "coeff-check", "operator-tests"))
+    lambda_study: LambdaStudyConfig | None = _field(read_by=("lambda-study",))
+    ito: ItoConfig | None = _field(read_by=("ito-check",))
+    output: OutputConfig = _field(optional=True)
+    expect_verdict: str | None = _field(None, _one_of(VERDICTS), read_by=("hjm",))
+
+    def _check(self, where, problems):
+        g = self.grid
+        spacing = g.x_max / (g.n_nodes - 1)
+        if self.run is not None and not whole_multiple(self.run.dt, spacing):
+            problems.append(f"run.dt: {self.run.dt} is not a whole number of "
+                            f"grid cells of {spacing}")
+        if self.model is not None:
+            tables = [(f"model.modes[{i}]", m) for i, m in enumerate(self.model.modes)]
+            if self.model.initial is not None:
+                tables.append(("model.initial", self.model.initial))
+            for path, sec in tables:
+                if sec.table is not None and len(sec.table) != g.n_nodes:
+                    problems.append(f"{path}.table: needs {g.n_nodes} values")
+        if self.lambda_study is not None and self.run.seed + self.lambda_study.n_seeds > _U64:
+            problems.append("lambda_study.n_seeds: run.seed + n_seeds exceeds 2**64")
+
+
+_BAD = object()
+_type_hints = functools.cache(typing.get_type_hints)  # the sections' field types
+
+
+def _bad(problems, message):
+    problems.append(message)
+    return _BAD
+
+
+def _value(tp, raw, path, exp, problems):
+    """raw as a value of type tp, or _BAD after recording why not."""
+    if typing.get_origin(tp) is types.UnionType:
+        tp = typing.get_args(tp)[0]  # X | None; JSON null is never a valid value
+    if is_dataclass(tp):
+        return _parse(tp, raw, path, exp, problems)
+    if typing.get_origin(tp) is tuple:
+        if not isinstance(raw, list):
+            return _bad(problems, f"{path}: expected a list")
+        elem = typing.get_args(tp)[0]
+        vals = [_value(elem, x, f"{path}[{i}]", exp, problems) for i, x in enumerate(raw)]
+        return _BAD if any(v is _BAD for v in vals) else tuple(vals)
+    if isinstance(raw, bool) and tp is not bool:
+        return _bad(problems, f"{path}: expected {tp.__name__}")
+    if tp is float and isinstance(raw, int):
+        try:
+            raw = float(raw)
+        except OverflowError:
+            raw = math.inf
+    if not isinstance(raw, tp):
+        return _bad(problems, f"{path}: expected {tp.__name__}")
+    if tp is float and not math.isfinite(raw):
+        return _bad(problems, f"{path}: must be finite")
+    if tp is int and not -_U64 < raw < _U64:
+        return _bad(problems, f"{path}: must fit in 64 bits")
+    return raw
+
+
+def _parse(cls, raw, where, exp, problems):
+    """An instance of the section cls from raw, or _BAD after recording why not."""
+    if not isinstance(raw, dict):
+        return _bad(problems, f"{where}: expected an object")
+    n = len(problems)
+    hints = _type_hints(cls)
+    by_key = {f.metadata["key"] or f.name: f for f in fields(cls)}
+    problems += [f"{where}.{k}: unknown key" for k in raw if k not in by_key]
+    kw = {}
+    for key, f in by_key.items():
+        meta = f.metadata
+        path = f"{where}.{key}"
+        # sections below the top level are named without the "config." prefix
+        sub = path.removeprefix("config.")
+        read = exp in meta["read_by"]
+        if key in raw:
+            if not read:
+                problems.append(f"{path}: not read by experiment {exp!r}")
+                continue
+            val = _value(hints[f.name], raw[key], sub, exp, problems)
+        elif not read:
+            val = None
+        elif exp in meta["by_experiment"]:
+            val = meta["by_experiment"][exp]
+        elif f.default is not MISSING:
+            val = f.default
+        elif meta["optional"]:
+            val = _value(hints[f.name], {}, sub, exp, problems)
+        else:
+            problems.append(f"{path}: missing")
+            continue
+        if val is _BAD:
+            continue
+        if val is not None and meta["check"] and not meta["check"][0](val):
+            problems.append(f"{path}: {meta['check'][1]}")
+            continue
+        kw[f.name] = val
+    if len(problems) > n:
+        return _BAD
+    obj = cls(**kw)
+    if hasattr(obj, "_check"):
+        obj._check(where, problems)
+    return obj
+
+
+def parse_config(obj: dict, experiment: str | None = None) -> Config:
+    """Validate a config object and resolve it; raises ConfigError listing every problem."""
     if not isinstance(obj, dict):
         raise ConfigError(["top level: expected an object"])
-    _check_keys(obj, _TOP_KEYS, "config", problems)
+    problems: list[str] = []
     exp = obj.get("experiment", experiment)
     if exp is None:
         problems.append("config.experiment: missing (and none given on the command line)")
@@ -130,52 +315,40 @@ def parse_config(obj: dict, experiment: str | None = None) -> dict:
         problems.append(
             f"config.experiment: config says {exp!r} but the command line says {experiment!r}"
         )
-    for name, keys in (
-        ("grid", _GRID_KEYS),
-        ("model", _MODEL_KEYS),
-        ("run", _RUN_KEYS),
-        ("check", _CHECK_KEYS),
-        ("lambda_study", _LAMBDA_KEYS),
-        ("ito", _ITO_KEYS),
-        ("output", _OUTPUT_KEYS),
-    ):
-        if name in obj:
-            _check_keys(obj[name], keys, name, problems)
-    if isinstance(obj.get("model"), dict):
-        model = obj["model"]
-        for i, m in enumerate(model.get("modes", [])):
-            _check_keys(m, _MODE_KEYS, f"model.modes[{i}]", problems)
-            if isinstance(m, dict) and "kind" not in m:
-                problems.append(f"model.modes[{i}].kind: missing")
-        if "initial" in model and isinstance(model["initial"], dict):
-            init = model["initial"]
-            _check_keys(init, _INITIAL_KEYS, "model.initial", problems)
-            forms = [k for k in ("flat", "exp-decay", "table") if k in init]
-            if len(forms) != 1:
-                problems.append("model.initial: give exactly one of flat, exp-decay, table")
-            if "exp-decay" in init:
-                _check_keys(init["exp-decay"], _EXPDECAY_KEYS, "model.initial.exp-decay", problems)
-    if exp in _REQUIRED_SECTIONS:
-        for sec in _REQUIRED_SECTIONS[exp]:
-            if sec not in obj:
-                problems.append(f"config.{sec}: required by experiment {exp!r}")
     if problems:
         raise ConfigError(problems)
-    out = dict(obj)
-    out["experiment"] = exp
-    return out
+    cfg = _parse(Config, dict(obj, experiment=exp), "config", exp, problems)
+    if problems:
+        raise ConfigError(problems)
+    if exp == "simulate" and cfg.run.c_const is None and cfg.check is None:
+        cfg = replace(cfg, run=replace(cfg.run, c_const=0.0))  # no discount
+    if exp == "hjm":  # no-arbitrage drift, compensating the weight when alpha_in_drift
+        m = cfg.model
+        alpha_corr = cfg.grid.alpha if m.alpha_in_drift else 0.0
+        cfg = replace(cfg, model=replace(m, drift="hjm", drift_c=0.0, alpha_correction=alpha_corr))
+    return cfg
 
 
-def load_config(path: str, experiment: str | None = None) -> dict:
-    p = Path(path)
+def as_json(obj):
+    """A resolved config (or section) as JSON data, leaving out fields that are None."""
+    if is_dataclass(obj):
+        return {f.metadata["key"] or f.name: as_json(getattr(obj, f.name))
+                for f in fields(obj) if getattr(obj, f.name) is not None}
+    if isinstance(obj, tuple):
+        return [as_json(x) for x in obj]
+    return obj
+
+
+def load_config(path: str, experiment: str | None = None, overrides=()) -> Config:
+    """Read a JSON config file, apply KEY.PATH=VALUE overrides, parse it."""
     try:
-        text = p.read_text()
+        obj = json.loads(Path(path).read_text())
     except OSError as e:
         raise ConfigError([f"config file: {e}"])
-    try:
-        obj = json.loads(text)
     except json.JSONDecodeError as e:
         raise ConfigError([f"config file: invalid JSON ({e})"])
+    for item in overrides:
+        apply_override(obj, item)
     return parse_config(obj, experiment)
 
 
@@ -191,78 +364,42 @@ def apply_override(obj: dict, dotted: str) -> None:
         value = json.loads(raw)
     except json.JSONDecodeError:
         value = raw
-    here = obj
+    parent, here = "top level", obj
     for k in keys[:-1]:
-        nxt = here.setdefault(k, {})
-        if not isinstance(nxt, dict):
-            raise ConfigError([f"override {dotted!r}: {k} is not a section"])
-        here = nxt
+        if not isinstance(here, dict):
+            break
+        parent, here = k, here.setdefault(k, {})
+    if not isinstance(here, dict):
+        raise ConfigError([f"override {dotted!r}: {parent} is not a section"])
     here[keys[-1]] = value
 
 
-def build_grid(cfg: dict) -> Grid:
-    g = cfg["grid"]
-    try:
-        return Grid.uniform(float(g["x_max"]), int(g["n_nodes"]), float(g["alpha"]))
-    except KeyError as e:
-        raise ConfigError([f"grid.{e.args[0]}: missing"])
-    except ValueError as e:
-        raise ConfigError([f"grid: {e}"])
+def build_grid(g: GridConfig) -> Grid:
+    return Grid.uniform(g.x_max, g.n_nodes, g.alpha)
 
 
-def build_modes(model_cfg: dict, grid: Grid) -> tuple:
-    modes = []
-    for i, m in enumerate(model_cfg.get("modes", [])):
-        kw = dict(m)
-        kind = kw.pop("kind")
-        table = kw.pop("table", None)
-        tail = kw.pop("tail", None)
-        if table is not None:
-            vals = np.asarray(table, dtype=np.float64)
-            if vals.shape != grid.nodes.shape:
-                raise ConfigError([f"model.modes[{i}].table: needs {grid.n} values"])
-            kw["table"] = GridFunction(grid, vals, float(tail) if tail is not None else float(vals[-1]))
-        try:
-            modes.append(ModeFunction(kind=kind, **kw))
-        except (ValueError, TypeError) as e:
-            raise ConfigError([f"model.modes[{i}]: {e}"])
-    return tuple(modes)
+def _table(grid: Grid, table, tail) -> GridFunction:
+    vals = np.asarray(table, dtype=np.float64)
+    return GridFunction(grid, vals, tail if tail is not None else float(vals[-1]))
 
 
-def build_initial(model_cfg: dict, grid: Grid) -> GridFunction:
-    init = model_cfg.get("initial")
-    if init is None:
-        raise ConfigError(["model.initial: missing"])
-    if "flat" in init:
-        return GridFunction.constant(grid, float(init["flat"]))
-    if "exp-decay" in init:
-        d = init["exp-decay"]
-        base = float(d.get("base", 0.0))
-        amp = float(d.get("amp", 1.0))
-        decay = float(d.get("decay", 1.0))
-        vals = base + amp * np.exp(-decay * grid.nodes)
+def build_modes(m: ModelConfig, grid: Grid) -> tuple:
+    return tuple(
+        ModeFunction(mode.kind, mode.c, mode.cap, mode.decay,
+                     None if mode.table is None else _table(grid, mode.table, mode.tail))
+        for mode in m.modes
+    )
+
+
+def build_initial(init: InitialConfig, grid: Grid) -> GridFunction:
+    if init.flat is not None:
+        return GridFunction.constant(grid, init.flat)
+    if init.exp_decay is not None:
+        d = init.exp_decay
+        vals = d.base + d.amp * np.exp(-d.decay * grid.nodes)
         return GridFunction(grid, vals, float(vals[-1]))
-    vals = np.asarray(init["table"], dtype=np.float64)
-    if vals.shape != grid.nodes.shape:
-        raise ConfigError([f"model.initial.table: needs {grid.n} values"])
-    tail = init.get("tail")
-    return GridFunction(grid, vals, float(tail) if tail is not None else float(vals[-1]))
+    return _table(grid, init.table, init.tail)
 
 
-def build_model(cfg: dict, grid: Grid) -> CoefficientModel:
-    m = cfg["model"]
-    modes = build_modes(m, grid)
-    drift = m.get("drift", "hjm" if cfg["experiment"] == "hjm" else "zero")
-    alpha_corr = float(m.get("alpha_correction", 0.0))
-    if cfg["experiment"] == "hjm" and m.get("alpha_in_drift", True):
-        alpha_corr = grid.alpha
-    try:
-        return CoefficientModel(
-            grid=grid,
-            modes=modes,
-            drift=drift,
-            drift_c=float(m.get("drift_c", 0.0)),
-            alpha_correction=alpha_corr,
-        )
-    except ValueError as e:
-        raise ConfigError([f"model: {e}"])
+def build_model(m: ModelConfig, grid: Grid) -> CoefficientModel:
+    return CoefficientModel(grid, build_modes(m, grid), m.drift, m.drift_c, m.alpha_correction)

@@ -10,6 +10,7 @@ smooth functions converge at second order in the spacing.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -23,7 +24,17 @@ __all__ = [
     "weighted_inner",
     "norm",
     "lattice_parts",
+    "whole_multiple",
 ]
+
+
+def whole_multiple(t: float, unit: float) -> int | None:
+    """t / unit when that is a whole number (to 1e-9 relative), else None."""
+    m = t / unit if unit > 0.0 else math.nan
+    if not math.isfinite(m):
+        return None
+    k = round(m)
+    return k if abs(m - k) <= 1e-9 * max(1.0, abs(m)) else None
 
 
 def hat_weights(nodes: np.ndarray, a: float) -> np.ndarray:

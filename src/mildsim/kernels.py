@@ -30,7 +30,6 @@ __all__ = [
     "DRIFT_ZERO",
     "DRIFT_DECAY",
     "DRIFT_HJM",
-    "DRIFT_TABLE",
     "resolvent_coeffs",
     "resolvent_sweep",
     "resolvent_sweep_numpy",
@@ -50,7 +49,6 @@ LEVEL_CAPPED = 2
 DRIFT_ZERO = 0
 DRIFT_DECAY = 1
 DRIFT_HJM = 2
-DRIFT_TABLE = 3
 
 HAVE_NUMBA = False
 if not os.environ.get("MILDSIM_NO_NUMBA", ""):
@@ -143,32 +141,10 @@ def _shift_numpy(v, tail, m_shift, damp):
 
 
 def simulate_batch_numpy(
-    v0,
-    tail0,
-    dW,
-    m_shift,
-    damp,
-    dt,
-    scheme,
-    profiles,
-    profile_tails,
-    level_codes,
-    caps,
-    drift_code,
-    drift_c,
-    drift_table,
-    drift_table_tail,
-    alpha_corr,
-    lam_reg,
-    E,
-    amb,
-    b,
-    denom,
-    spacing,
-    weights,
-    tail_weight,
-    blow_threshold,
-    snap_steps,
+    v0, tail0, dW, m_shift, damp, dt, scheme,
+    profiles, profile_tails, level_codes, caps, drift_code, drift_c, alpha_corr,
+    lam_reg, E, amb, b, denom,
+    spacing, weights, tail_weight, blow_threshold, snap_steps,
 ):
     """Advance a batch of paths through the splitting scheme.
 
@@ -236,9 +212,6 @@ def simulate_batch_numpy(
                     )
                     buf += sig[k] * integ
                     btail += sigt[k] * integ[:, -1]
-            elif drift_code == DRIFT_TABLE:
-                buf[:] = drift_table
-                btail = np.full(P, drift_table_tail)
             if alpha_corr != 0.0:
                 buf += alpha_corr * v
                 btail = btail + alpha_corr * tail
@@ -336,32 +309,10 @@ if HAVE_NUMBA:
 
     @njit(cache=True)
     def simulate_batch_numba(
-        v0,
-        tail0,
-        dW,
-        m_shift,
-        damp,
-        dt,
-        scheme,
-        profiles,
-        profile_tails,
-        level_codes,
-        caps,
-        drift_code,
-        drift_c,
-        drift_table,
-        drift_table_tail,
-        alpha_corr,
-        lam_reg,
-        E,
-        amb,
-        b,
-        denom,
-        spacing,
-        weights,
-        tail_weight,
-        blow_threshold,
-        snap_steps,
+        v0, tail0, dW, m_shift, damp, dt, scheme,
+        profiles, profile_tails, level_codes, caps, drift_code, drift_c, alpha_corr,
+        lam_reg, E, amb, b, denom,
+        spacing, weights, tail_weight, blow_threshold, snap_steps,
     ):
         P, N = v0.shape
         n_steps = dW.shape[1]
@@ -444,10 +395,6 @@ if HAVE_NUMBA:
                         for i in range(N):
                             buf[i] += sig[k, i] * integ[i]
                         btail += sigt[k] * integ[N - 1]
-                elif drift_code == DRIFT_TABLE:
-                    for i in range(N):
-                        buf[i] = drift_table[i]
-                    btail = drift_table_tail
                 else:
                     for i in range(N):
                         buf[i] = 0.0
@@ -521,14 +468,12 @@ def warm_up() -> None:
     ptails = np.ones(1)
     codes = np.zeros(1, dtype=np.int64)
     caps = np.ones(1)
-    table = np.zeros(4)
     w = np.full(4, 0.25)
     snap = np.array([1], dtype=np.int64)
     for scheme in (0, 1):
         simulate_batch(
             v0, tail0, dW, 1, 0.99, 0.1, scheme,
             profiles, ptails, codes, caps,
-            DRIFT_HJM, 0.0, table, 0.0,
-            0.01, 0.5, E, amb, b, denom,
+            DRIFT_HJM, 0.0, 0.01, 0.5, E, amb, b, denom,
             0.25, w, 0.1, 1e12, snap,
         )

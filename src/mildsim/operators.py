@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .grids import Grid, GridFunction, norm
+from .grids import Grid, GridFunction, norm, whole_multiple
 
 __all__ = [
     "OperatorSuite",
@@ -46,12 +46,10 @@ class OperatorSuite:
         """
         if t < 0.0:
             raise ValueError("t must be nonnegative")
-        h = self.grid.spacing
-        m = t / h
-        m_round = round(m)
-        if abs(m - m_round) > 1e-9 * max(1.0, abs(m)):
-            raise ValueError(f"t={t} is not a multiple of the grid spacing {h}")
-        return int(m_round)
+        m = whole_multiple(t, self.grid.spacing)
+        if m is None:
+            raise ValueError(f"t={t} is not a multiple of the grid spacing {self.grid.spacing}")
+        return m
 
     def damping(self, t: float) -> float:
         return float(np.exp(-self.alpha_eff * t)) if self.shifted else 1.0

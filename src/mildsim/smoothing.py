@@ -54,6 +54,7 @@ def penalty_eval(n: float, r, order: int = 0):
         raise ValueError("n must be positive")
     if order not in (0, 1, 2):
         raise ValueError("order must be 0, 1 or 2")
+    n = np.float64(n)  # extreme n gives inf or 0, not a Python float exception
     arr = np.asarray(r, dtype=np.float64)
     out = np.zeros_like(arr)
     knee = -1.0 / n
@@ -250,7 +251,8 @@ def ito_residual(
         dw_term = 0.0
         for kk in range(k):
             m = modes[kk]
-            ds_term += 0.5 * (float(np.dot(w, d2 * m.values**2)) + tw * d2t * m.tail_value**2)
+            mt = np.float64(m.tail_value)  # overflows to inf, not to a Python exception
+            ds_term += 0.5 * (float(np.dot(w, d2 * m.values**2)) + tw * d2t * mt**2)
             dw_term += (float(np.dot(w, d1 * m.values)) + tw * d1t * m.tail_value) * dW[j, kk]
         v = v + drift.values * dt
         tail = tail + drift.tail_value * dt

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import kernels
 from .coefficients import CoefficientModel
-from .grids import Grid, GridFunction, norm
+from .grids import Grid, GridFunction, norm, whole_multiple
 from .noise import NoiseConfig, gaussian_block
 from .operators import OperatorSuite
 from .smoothing import supermartingale_stat
@@ -65,8 +65,7 @@ class SolverConfig:
             raise ValueError("lam must be nonnegative")
         if self.snapshot_stride < 0:
             raise ValueError("snapshot_stride must be nonnegative")
-        steps = self.t_final / self.dt
-        if abs(steps - round(steps)) > 1e-9 * max(1.0, steps):
+        if whole_multiple(self.t_final, self.dt) is None:
             raise ValueError("t_final must be a whole number of steps")
 
     @property
@@ -105,29 +104,11 @@ def _kernel_call(u0, suite, model, cfg, dW):
         np.ascontiguousarray(u0[0], dtype=np.float64),
         np.ascontiguousarray(u0[1], dtype=np.float64),
         np.ascontiguousarray(dW, dtype=np.float64),
-        m_shift,
-        damp,
-        float(cfg.dt),
-        scheme,
-        ka["profiles"],
-        ka["profile_tails"],
-        ka["level_codes"],
-        ka["caps"],
-        ka["drift_code"],
-        ka["drift_c"],
-        ka["drift_table"],
-        ka["drift_table_tail"],
-        ka["alpha_corr"],
-        float(cfg.lam),
-        E,
-        amb,
-        b,
-        denom,
-        g.spacing,
-        g.weights,
-        g.tail_weight,
-        float(cfg.blow_threshold),
-        cfg.snapshot_steps(),
+        m_shift, damp, float(cfg.dt), scheme,
+        ka["profiles"], ka["profile_tails"], ka["level_codes"], ka["caps"],
+        ka["drift_code"], ka["drift_c"], ka["alpha_corr"],
+        float(cfg.lam), E, amb, b, denom,
+        g.spacing, g.weights, g.tail_weight, float(cfg.blow_threshold), cfg.snapshot_steps(),
     )
 
 
@@ -248,6 +229,8 @@ def run_ensemble(
     """
     if n_paths < 1:
         raise ValueError("n_paths must be positive")
+    if chunk_size < 1:
+        raise ValueError("chunk_size must be positive")
     g = u0.grid
     n_steps = cfg.n_steps
     K = model.n_modes

@@ -1,12 +1,17 @@
+import copy
 import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from mildsim.cli import main
 from mildsim.config import (
+    EXPERIMENTS,
     ConfigError,
     apply_override,
+    as_json,
     build_grid,
     build_initial,
     build_model,
@@ -29,7 +34,7 @@ def _hjm_cfg():
 
 def test_parse_config_accepts_valid():
     cfg = parse_config(_hjm_cfg(), "hjm")
-    assert cfg["experiment"] == "hjm"
+    assert cfg.experiment == "hjm"
 
 
 def test_parse_config_rejects_unknown_keys():
@@ -62,7 +67,7 @@ def test_parse_config_experiment_cross_check():
     no_exp = _hjm_cfg()
     del no_exp["experiment"]
     cfg = parse_config(no_exp, "hjm")
-    assert cfg["experiment"] == "hjm"
+    assert cfg.experiment == "hjm"
     with pytest.raises(ConfigError):
         parse_config(no_exp, None)
 
@@ -104,41 +109,43 @@ def test_apply_override():
 
 def test_builders():
     cfg = parse_config(_hjm_cfg(), "hjm")
-    grid = build_grid(cfg)
+    grid = build_grid(cfg.grid)
     assert grid.n == 201
-    model = build_model(cfg, grid)
+    model = build_model(cfg.model, grid)
     # hjm experiment defaults: no-arbitrage drift with the weight
     # exponent compensated in the drift
     assert model.drift == "hjm"
     assert model.alpha_correction == 0.5
-    u0 = build_initial(cfg["model"], grid)
+    u0 = build_initial(cfg.model.initial, grid)
     assert np.all(u0.values == 4e-4)
 
 
+def _hjm_model(**model):
+    raw = _hjm_cfg()
+    raw["model"].update(model)
+    return parse_config(raw, "hjm")
+
+
 def test_build_initial_forms():
-    cfg = parse_config(_hjm_cfg(), "hjm")
-    grid = build_grid(cfg)
-    m = dict(cfg["model"])
-    m["initial"] = {"exp-decay": {"base": 0.02, "amp": 0.01, "decay": 2.0}}
-    u = build_initial(m, grid)
+    grid = build_grid(parse_config(_hjm_cfg(), "hjm").grid)
+    cfg = _hjm_model(initial={"exp-decay": {"base": 0.02, "amp": 0.01, "decay": 2.0}})
+    u = build_initial(cfg.model.initial, grid)
     assert u.values[0] == pytest.approx(0.03, rel=1e-15)
-    m["initial"] = {"table": [0.01] * grid.n, "tail": 0.02}
-    u2 = build_initial(m, grid)
+    cfg = _hjm_model(initial={"table": [0.01] * grid.n, "tail": 0.02})
+    u2 = build_initial(cfg.model.initial, grid)
     assert u2.tail_value == 0.02
-    m["initial"] = {"table": [0.01] * 5}
     with pytest.raises(ConfigError):
-        build_initial(m, grid)
+        _hjm_model(initial={"table": [0.01] * 5})
+    no_initial = _hjm_cfg()
+    del no_initial["model"]["initial"]
     with pytest.raises(ConfigError):
-        build_initial({}, grid)
+        parse_config(no_initial, "hjm")
 
 
 def test_build_modes_table_mismatch():
-    cfg = parse_config(_hjm_cfg(), "hjm")
-    grid = build_grid(cfg)
-    m = dict(cfg["model"])
-    m["modes"] = [{"kind": "custom", "table": [1.0, 2.0]}]
-    with pytest.raises(ConfigError):
-        build_model({**cfg, "model": m}, grid)
+    with pytest.raises(ConfigError) as ei:
+        _hjm_model(modes=[{"kind": "custom", "table": [1.0, 2.0]}])
+    assert ei.value.problems == ["model.modes[0].table: needs 201 values"]
 
 
 def _write_cfg(tmp_path, cfg, name="run.json"):
@@ -179,6 +186,9 @@ def test_cli_hjm_run_writes_artifacts(tmp_path, capsys):
     assert main(["hjm", "--config", path, "--out", str(out)]) == 0
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["tool"] == "mildsim"
+    # the resolved config, every default applied
+    assert manifest["config"] == as_json(parse_config(_hjm_cfg(), "hjm"))
+    assert manifest["config"]["run"]["chunk_size"] == 2048
     assert manifest["experiment"] == "hjm"
     assert manifest["results"]["verdict"] == "consistent-with-theorem"
     assert manifest["results"]["n_aborted"] == 0
@@ -336,4 +346,273 @@ def test_cli_out_dir_from_env(tmp_path, capsys, monkeypatch):
     path = _write_cfg(tmp_path, _hjm_cfg())
     assert main(["hjm", "--config", path]) == 0
     assert (target / "manifest.json").exists()
+    capsys.readouterr()
+
+
+def _small_cfgs():
+    """One small valid config per experiment."""
+    model = {
+        "modes": [{"kind": "constant", "c": 0.1}],
+        "drift": "linear-decay",
+        "drift_c": 0.2,
+        "initial": {"flat": 0.01},
+    }
+    return {
+        "simulate": {
+            "experiment": "simulate",
+            "grid": {"x_max": 1.0, "n_nodes": 11, "alpha": 0.5},
+            "model": model,
+            "run": {"dt": 0.1, "t_final": 0.3, "n_paths": 3, "seed": 1},
+        },
+        "hjm": {
+            "experiment": "hjm",
+            "grid": {"x_max": 1.0, "n_nodes": 11, "alpha": 0.5},
+            "model": {
+                "modes": [{"kind": "proportional-capped", "c": 8.0, "cap": 2e-4}],
+                "initial": {"flat": 4e-4},
+            },
+            "run": {"dt": 0.1, "t_final": 0.3, "n_paths": 3, "seed": 1},
+            "check": {"n_samples": 5},
+        },
+        "coeff-check": {
+            "experiment": "coeff-check",
+            "grid": {"x_max": 1.0, "n_nodes": 11, "alpha": 0.5},
+            "model": {"modes": [{"kind": "constant", "c": 0.2}], "drift": "hjm"},
+            "check": {"n_samples": 5},
+        },
+        "operator-tests": {
+            "experiment": "operator-tests",
+            "grid": {"x_max": 1.0, "n_nodes": 11, "alpha": 1.0},
+            "check": {"n_samples": 2},
+        },
+        "lambda-study": {
+            "experiment": "lambda-study",
+            "grid": {"x_max": 1.0, "n_nodes": 11, "alpha": 0.5},
+            "model": model,
+            "run": {"dt": 0.1, "t_final": 0.3, "seed": 1},
+            "lambda_study": {"lams": [0.2, 0.1], "n_seeds": 1},
+        },
+        "ito-check": {
+            "experiment": "ito-check",
+            "grid": {"x_max": 1.0, "n_nodes": 11, "alpha": 0.5},
+            "model": model,
+            "ito": {"dt_values": [0.1, 0.05], "t_final": 0.2, "n_paths": 2},
+        },
+    }
+
+
+def _run_expecting_errors(tmp_path, capsys, experiment, cfg, overrides=()):
+    path = _write_cfg(tmp_path, cfg)
+    out = tmp_path / "out"
+    argv = [experiment, "--config", path, "--out", str(out)]
+    for item in overrides:
+        argv += ["--set", item]
+    assert main(argv) == 2
+    assert not out.exists()
+    lines = capsys.readouterr().err.splitlines()
+    assert all(line.startswith("config error: ") for line in lines)
+    return [line.removeprefix("config error: ") for line in lines]
+
+
+@pytest.mark.parametrize(
+    "experiment, override, path",
+    [
+        ("simulate", "run.chunk_size=0", "run.chunk_size"),
+        ("simulate", "run.chunk_size=-1", "run.chunk_size"),
+        ("hjm", "run.chunk_size=0", "run.chunk_size"),
+        ("simulate", "run.dt=0.05", "run.dt"),
+        ("simulate", "run.dt=-0.1", "run.dt"),
+        ("simulate", "run.t_final=0.25", "run.t_final"),
+        ("simulate", "run.n_paths=0", "run.n_paths"),
+        ("simulate", "run.scheme=leapfrog", "run.scheme"),
+        ("simulate", "run.lam=-0.1", "run.lam"),
+        ("simulate", "run.snapshot_stride=-1", "run.snapshot_stride"),
+        ("simulate", "run.seed=-1", "run.seed"),
+        ("simulate", "model.drift=table", "model.drift"),
+        ("simulate", "model.modes=[{\"kind\": \"custom\"}]", "model.modes[0]"),
+        ("simulate", "model.modes=[{\"kind\": \"proportional-capped\"}]", "model.modes[0]"),
+        ("hjm", "grid.n_nodes=1", "grid.n_nodes"),
+        ("hjm", "expect_verdict=maybe", "config.expect_verdict"),
+        ("lambda-study", "lambda_study.lams=[]", "lambda_study.lams"),
+        ("lambda-study", "lambda_study.lams=[0.1, 0]", "lambda_study.lams"),
+        ("lambda-study", "lambda_study.n_seeds=0", "lambda_study.n_seeds"),
+        ("ito-check", "ito.n=0", "ito.n"),
+        ("ito-check", "ito.n_paths=0", "ito.n_paths"),
+        ("ito-check", "ito.dt_values=[]", "ito.dt_values"),
+        ("ito-check", "ito.dt_values=[0.1, 0.15]", "ito.dt_values[1]"),
+        ("operator-tests", "check.n_samples=-1", "check.n_samples"),
+    ],
+)
+def test_cli_semantic_errors_exit_2(tmp_path, capsys, experiment, override, path):
+    cfg = _small_cfgs()[experiment]
+    problems = _run_expecting_errors(tmp_path, capsys, experiment, cfg, [override])
+    assert len(problems) == 1 and problems[0].startswith(f"{path}: "), problems
+
+
+_HJM_UNREAD = [
+    "model.drift=zero",
+    "model.drift_c=50",
+    "model.alpha_correction=5",
+    "run.lam=0.1",
+    "run.blow_threshold=1e3",
+    "run.stream_base=7",
+    "run.c_const=1.0",
+    "check.tol=1e-6",
+    "check.expect_admissible=false",
+]
+
+
+@pytest.mark.parametrize(
+    "experiment, overrides",
+    [
+        ("simulate", ["model.alpha_in_drift=false"]),
+        ("hjm", _HJM_UNREAD),
+        ("coeff-check", ["model.initial={\"flat\": 0.01}", "check.tol=1e-6"]),
+        ("operator-tests", ["check.expect_admissible=true", "model={}"]),
+        ("lambda-study", ["run.n_paths=10", "run.lam=0.1", "check={}"]),
+        ("ito-check", ["run={}", "expect_verdict=inconclusive"]),
+    ],
+)
+def test_cli_unread_key_exits_2(tmp_path, capsys, experiment, overrides):
+    cfg = _small_cfgs()[experiment]
+    problems = _run_expecting_errors(tmp_path, capsys, experiment, cfg, overrides)
+    keys = [item.partition("=")[0] for item in overrides]
+    want = [
+        f"{'config.' if '.' not in key else ''}{key}: not read by experiment {experiment!r}"
+        for key in keys
+    ]
+    assert sorted(problems) == sorted(want)
+
+
+def test_cli_reports_every_bad_field_of_a_section(tmp_path, capsys):
+    cfg = _small_cfgs()["simulate"]
+    cfg["run"].update({"chunk_size": 0, "n_paths": "many", "scheme": "leapfrog"})
+    problems = _run_expecting_errors(tmp_path, capsys, "simulate", cfg)
+    assert sorted(problems) == [
+        "run.chunk_size: must be at least 1",
+        "run.n_paths: expected int",
+        "run.scheme: must be one of shift-then-react, react-then-shift",
+    ]
+
+
+def test_small_configs_validate(tmp_path, capsys):
+    for experiment, cfg in _small_cfgs().items():
+        path = _write_cfg(tmp_path, cfg)
+        assert main([experiment, "--config", path, "--validate-only"]) == 0
+    capsys.readouterr()
+
+
+def test_parse_config_resolves_defaults():
+    small = _small_cfgs()
+    ops = parse_config(small["operator-tests"])
+    assert ops.check.n_samples == 2 and ops.check.tol == 1e-8
+    del small["operator-tests"]["check"]
+    assert parse_config(small["operator-tests"]).check.n_samples == 100
+    assert parse_config(small["coeff-check"]).check.n_samples == 5
+    # simulate runs the coefficient check only when the section is given
+    sim = parse_config(small["simulate"])
+    assert sim.check is None and sim.run.c_const == 0.0
+    assert sim.run.chunk_size == 2048 and sim.run.scheme == "shift-then-react"
+    small["simulate"]["check"] = {}
+    sim = parse_config(small["simulate"])
+    assert sim.check.n_samples == 200 and sim.run.c_const is None
+    hjm = parse_config(small["hjm"])
+    assert (hjm.model.drift, hjm.model.alpha_correction) == ("hjm", 0.5)
+    small["hjm"]["model"]["alpha_in_drift"] = False
+    assert parse_config(small["hjm"]).model.alpha_correction == 0.0
+    # fields an experiment does not read stay None and out of the manifest
+    assert hjm.run.lam is None and hjm.lambda_study is None
+    assert "lam" not in as_json(hjm)["run"]
+    assert "run" not in as_json(parse_config(small["coeff-check"]))
+
+
+# Property tests: mutate random fields of the small configs to random JSON.
+# Nearby values keep many mutants valid, so the run itself gets exercised.
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=4),
+    lambda kids: st.lists(kids, max_size=3) | st.dictionaries(st.text(max_size=4), kids, max_size=3),
+    max_leaves=6,
+)
+_NEAR = st.sampled_from([
+    0, 1, 2, 3, -1, 0.0, 0.05, 0.1, 0.2, 0.3, 1.0, -0.1, 1e-300, 1e300, True, False,
+    "hjm", "zero", "linear-decay", "constant", "proportional", "proportional-capped",
+    "level-scaled", "custom", "react-then-shift", [], [0.1], [0.1, 0.05], [0.0] * 11, {},
+    {"flat": 0.01}, {"table": [0.01] * 11}, {"kind": "custom", "table": [0.1] * 11},
+])
+_DELETE = object()
+
+
+def _leaf_paths(obj, prefix=()):
+    if isinstance(obj, dict):
+        for k, v in obj.items():
+            yield prefix + (k,)
+            yield from _leaf_paths(v, prefix + (k,))
+    elif isinstance(obj, list):
+        for i, v in enumerate(obj):
+            yield prefix + (i,)
+            yield from _leaf_paths(v, prefix + (i,))
+
+
+# per experiment, every key it reads (defaults included) and the list entries
+_PATHS = {
+    exp: sorted(set(_leaf_paths(as_json(parse_config(cfg))))
+                | {("expect_verdict",), ("run", "c_const"), ("model", "modes", 0, "cap")}, key=str)
+    for exp, cfg in _small_cfgs().items()
+}
+_ALL_PATHS = sorted({p for paths in _PATHS.values() for p in paths}, key=str)
+
+
+def _mutate(cfg, path, value):
+    here = cfg
+    for k in path[:-1]:
+        if isinstance(here, dict):
+            here = here.setdefault(k, {})
+        elif isinstance(here, list) and isinstance(k, int) and k < len(here):
+            here = here[k]
+        else:
+            return
+    last = path[-1]
+    if isinstance(here, dict) and value is _DELETE:
+        here.pop(last, None)
+    elif isinstance(here, dict) or (isinstance(here, list) and isinstance(last, int)
+                                    and last < len(here) and value is not _DELETE):
+        here[last] = value
+
+
+@st.composite
+def _mutants(draw):
+    experiment = draw(st.sampled_from(EXPERIMENTS))
+    cfg = copy.deepcopy(_small_cfgs()[experiment])
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(_PATHS[experiment]) | st.sampled_from(_ALL_PATHS))
+        value = draw(st.just(_DELETE) | _NEAR | _JSON)
+        _mutate(cfg, path, value if value is _DELETE else copy.deepcopy(value))
+    return experiment, cfg
+
+
+def _is_small(cfg):
+    """At most 51 nodes and a few steps, paths and samples."""
+    r, ck, ls, it = cfg.run, cfg.check, cfg.lambda_study, cfg.ito
+    return (
+        cfg.grid.n_nodes <= 51
+        and (cfg.model is None or len(cfg.model.modes) <= 4)
+        and (r is None or (r.t_final / r.dt <= 50 and (r.n_paths or 0) <= 20))
+        and (ck is None or ck.n_samples <= 20)
+        and (ls is None or (ls.n_seeds <= 3 and len(ls.lams) <= 4))
+        and (it is None or (it.n_paths <= 5 and len(it.dt_values) <= 4
+                            and all(it.t_final / dt <= 50 for dt in it.dt_values)))
+    )
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+@given(_mutants())
+def test_no_json_config_raises(tmp_path, capsys, mutant):
+    experiment, cfg = mutant
+    path = _write_cfg(tmp_path, cfg)
+    rc = main([experiment, "--config", path, "--validate-only"])
+    assert rc in (0, 2)
+    if rc == 0 and _is_small(parse_config(cfg, experiment)):
+        out = tmp_path / "out"
+        assert main([experiment, "--config", path, "--out", str(out), "--assert"]) in (0, 3, 4)
     capsys.readouterr()

@@ -93,8 +93,6 @@ def test_hjm_drift_exponential_profile():
 def test_model_validation(grid):
     with pytest.raises(ValueError):
         CoefficientModel(grid, drift="nope")
-    with pytest.raises(ValueError):
-        CoefficientModel(grid, drift="table")
 
 
 def test_drift_eval_kinds(grid):
@@ -103,9 +101,6 @@ def test_drift_eval_kinds(grid):
     assert np.all(zero.values == 0.0) and zero.tail_value == 0.0
     dec = CoefficientModel(grid, drift="linear-decay", drift_c=0.4).drift_eval(u)
     assert np.array_equal(dec.values, -0.4 * u.values)
-    table = GridFunction.constant(grid, 0.2)
-    tab = CoefficientModel(grid, drift="table", drift_table=table).drift_eval(u)
-    assert np.all(tab.values == 0.2)
     # the weight correction adds alpha u on top of the base drift
     corr = CoefficientModel(grid, drift="zero", alpha_correction=0.5).drift_eval(u)
     assert np.allclose(corr.values, 0.5 * u.values, rtol=1e-15)
@@ -120,7 +115,6 @@ def test_drift_eval_hjm_sums_modes(grid):
 
 
 def test_kernel_args_encoding(grid):
-    table = GridFunction.constant(grid, 0.2)
     model = CoefficientModel(
         grid,
         modes=(
@@ -129,15 +123,14 @@ def test_kernel_args_encoding(grid):
             ModeFunction("proportional-capped", c=1.0, cap=0.1),
             ModeFunction("exponential-decay", c=0.2, decay=2.0),
         ),
-        drift="table",
-        drift_table=table,
+        drift="linear-decay",
+        drift_c=0.4,
         alpha_correction=0.5,
     )
     ka = model.kernel_args()
     assert ka["profiles"].shape == (4, grid.n)
     assert list(ka["level_codes"]) == [0, 1, 2, 0]
     assert list(ka["caps"]) == [0.0, 0.0, 0.1, 0.0]
-    assert np.all(ka["drift_table"] == 0.2)
     assert ka["alpha_corr"] == 0.5
     assert np.allclose(ka["profiles"][3], 0.2 * np.exp(-2.0 * grid.nodes), rtol=1e-15)
 

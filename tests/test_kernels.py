@@ -113,8 +113,7 @@ def _rich_args(scheme, lam=0.05, blow=1e12):
     args = (
         v0, tail0, dW, 1, float(np.exp(-g.alpha * 0.01)), 0.01, scheme,
         ka["profiles"], ka["profile_tails"], ka["level_codes"], ka["caps"],
-        ka["drift_code"], ka["drift_c"], ka["drift_table"], ka["drift_table_tail"],
-        ka["alpha_corr"], lam, E, amb, b, denom,
+        ka["drift_code"], ka["drift_c"], ka["alpha_corr"], lam, E, amb, b, denom,
         g.spacing, g.weights, g.tail_weight, blow, snap,
     )
     return g, args
@@ -174,8 +173,7 @@ def test_simulate_batch_pure_shift_is_exact():
     args = (
         v0, tail0, dW, 3, 1.0, 0.03, 0,
         np.zeros((0, g.n)), np.zeros(0), np.zeros(0, dtype=np.int64), np.zeros(0),
-        kernels.DRIFT_ZERO, 0.0, np.zeros(g.n), 0.0,
-        0.0, 0.0, 0.0, 0.0, 0.0, 1.0,
+        kernels.DRIFT_ZERO, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0,
         g.spacing, g.weights, g.tail_weight, 1e12, np.zeros(0, dtype=np.int64),
     )
     out = kernels.simulate_batch_numpy(*args)
@@ -200,8 +198,7 @@ def _exploding_args(blow):
     return (
         v0, tail0, dW, 0, 1.0, 0.02, 0,
         np.zeros((0, g.n)), np.zeros(0), np.zeros(0, dtype=np.int64), np.zeros(0),
-        kernels.DRIFT_DECAY, -10.0, np.zeros(g.n), 0.0,
-        0.0, 0.0, 0.0, 0.0, 0.0, 1.0,
+        kernels.DRIFT_DECAY, -10.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0,
         g.spacing, g.weights, g.tail_weight, blow, np.zeros(0, dtype=np.int64),
     )
 

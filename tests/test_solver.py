@@ -249,6 +249,14 @@ def test_ensemble_validation():
         run_ensemble(u0, suite, model, cfg, n_paths=0, seed=1)
 
 
+@pytest.mark.parametrize("chunk_size", [0, -1])
+def test_ensemble_rejects_chunk_size_below_one(chunk_size):
+    grid, suite, model, u0 = _setup(n=101)
+    cfg = SolverConfig(dt=0.04, t_final=0.2)
+    with pytest.raises(ValueError, match="chunk_size"):
+        run_ensemble(u0, suite, model, cfg, n_paths=3, seed=1, chunk_size=chunk_size)
+
+
 def test_ensemble_stats_frac_below_is_running():
     times = np.array([0.0, 0.1, 0.2])
     grid = Grid.uniform(1.0, 11, 1.0)
