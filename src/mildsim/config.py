@@ -78,6 +78,17 @@ class GridConfig:
             problems.append(f"{where}.x_max: the node spacing x_max/(n_nodes-1) underflows")
 
 
+# the keys each mode kind reads besides its kind
+_MODE_KEYS = {
+    "constant": ("c",),
+    "proportional": ("c",),
+    "proportional-capped": ("c", "cap"),
+    "exponential-decay": ("c", "decay"),
+    "level-scaled": ("c", "cap", "decay"),
+    "custom": ("c", "table", "tail"),
+}
+
+
 @dataclass(frozen=True)
 class ModeConfig:
     kind: str = _field()
@@ -92,6 +103,11 @@ class ModeConfig:
             ModeFunction(self.kind, self.c, self.cap, self.decay, self.table)
         except ValueError as e:
             problems.append(f"{where}: {e}")
+
+    def _reads(self):
+        if self.kind in _MODE_KEYS:
+            return ("kind", *_MODE_KEYS[self.kind]), f"mode kind {self.kind!r}"
+        return None
 
 
 @dataclass(frozen=True)
@@ -111,6 +127,13 @@ class InitialConfig:
     def _check(self, where, problems):
         if sum(x is not None for x in (self.flat, self.exp_decay, self.table)) != 1:
             problems.append(f"{where}: give exactly one of flat, exp-decay, table")
+
+    def _reads(self):  # tail completes a table only
+        if self.flat is not None and self.exp_decay is None and self.table is None:
+            return ("flat",), "initial form 'flat'"
+        if self.exp_decay is not None and self.flat is None and self.table is None:
+            return ("exp-decay",), "initial form 'exp-decay'"
+        return None
 
 
 _NOT_HJM = ("simulate", "coeff-check", "lambda-study", "ito-check")
@@ -217,6 +240,41 @@ class Config:
                     problems.append(f"{path}.table: needs {g.n_nodes} values")
         if self.lambda_study is not None and self.run.seed + self.lambda_study.n_seeds > _U64:
             problems.append("lambda_study.n_seeds: run.seed + n_seeds exceeds 2**64")
+        for count, path, noun in self._oversized():
+            problems.append(f"{path}: {float(count):.3g} {noun} would need an array "
+                            f"of 2**63 bytes or more")
+
+    def _oversized(self):
+        """For each float64 array of 2**63 bytes or more that the run would
+        allocate, its largest count as (count, path, noun), each path once."""
+        nodes = (self.grid.n_nodes, "grid.n_nodes", "nodes")
+        arrays = [(nodes,)]
+        r = self.run
+        if r is not None:
+            steps = whole_multiple(r.t_final, r.dt)
+            paths = (r.n_paths or 1, "run.n_paths", "paths")  # lambda-study: one at a time
+            modes = (len(self.model.modes), "model.modes", "modes")
+            arrays += [
+                (paths, (steps + 1, "run.dt", "steps")),  # records
+                (paths, nodes),  # final states
+                ((min(r.chunk_size or 1, paths[0]), "run.chunk_size", "paths per chunk"),
+                 (steps, "run.dt", "steps"), modes),  # noise increments
+            ]
+            if r.snapshot_stride:
+                snaps = -(-steps // r.snapshot_stride) + 1
+                arrays.append(((snaps, "run.snapshot_stride", "snapshots"), paths, nodes))
+        if self.ito is not None:
+            modes = (len(self.model.modes), "model.modes", "modes")
+            for i, dt in enumerate(self.ito.dt_values):
+                steps = whole_multiple(self.ito.t_final, dt)
+                path = f"ito.dt_values[{i}]"
+                arrays += [((steps + 1, path, "steps"),), ((steps, path, "steps"), modes)]
+        too_big = {}
+        for dims in arrays:
+            if 8 * math.prod(d[0] for d in dims) >= 1 << 63:
+                count, path, noun = max(dims)
+                too_big.setdefault(path, (count, path, noun))
+        return list(too_big.values())
 
 
 _BAD = object()
@@ -298,6 +356,10 @@ def _parse(cls, raw, where, exp, problems):
     obj = cls(**kw)
     if hasattr(obj, "_check"):
         obj._check(where, problems)
+    # keys that the section's own values leave unread; keys given, not defaults
+    reads = obj._reads() if hasattr(obj, "_reads") else None
+    if reads is not None:
+        problems += [f"{where}.{k}: not read by {reads[1]}" for k in raw if k not in reads[0]]
     return obj
 
 

@@ -8,10 +8,21 @@ which is what the benchmark script compares.
 Kernels operate on raw arrays.  Higher layers own validation, shapes
 are trusted here.  Within one backend every kernel is deterministic;
 across backends results agree to floating-point roundoff only, since
-reduction order differs.  Within the numpy flavor, every reduction in
-the batched integrator runs along a single path's row, so a path's
-results do not depend on the batch it is simulated in; this is what
-makes ensembles independent of chunk size.
+reduction order differs.
+
+The numpy integrator runs its time loop over blocks of rows, each
+(rows, N) float64 array about BLOCK_BYTES in size, so that the
+elementwise passes of a step stay in the L2 cache and reuse the same
+scratch arrays; a batch of at most one block runs on the whole arrays
+directly.  The work that does not depend on the state is done once per
+call, with the same operations on a single row: the diffusion columns
+of constant-level modes, their resolvent when lam > 0, and the HJM
+drift when every mode has a constant level.  Every reduction runs along
+a single path's row, so a path's results do not depend on the batch or
+the block it is simulated in, and the numbers are bit for bit those of
+the plain whole-batch loop; this is what makes ensembles independent of
+chunk size.  scipy.signal, used only by the resolvent sweeps, is
+imported on first use, since it dominates the import time.
 """
 
 from __future__ import annotations
@@ -19,10 +30,10 @@ from __future__ import annotations
 import os
 
 import numpy as np
-from scipy.signal import lfilter
 
 __all__ = [
     "BACKEND",
+    "BLOCK_BYTES",
     "HAVE_NUMBA",
     "LEVEL_CONST",
     "LEVEL_LINEAR",
@@ -49,6 +60,10 @@ LEVEL_CAPPED = 2
 DRIFT_ZERO = 0
 DRIFT_DECAY = 1
 DRIFT_HJM = 2
+
+# bytes of one (rows, N) float64 array of a numpy-integrator row block;
+# a step's half dozen such arrays then fit in a 2 MiB L2 cache
+BLOCK_BYTES = 256 * 1024
 
 HAVE_NUMBA = False
 if not os.environ.get("MILDSIM_NO_NUMBA", ""):
@@ -99,6 +114,8 @@ def resolvent_sweep_numpy(f, ftail, E, amb, b, denom):
     Implemented as a linear IIR filter on the reversed cell
     contributions, which scipy evaluates in C.
     """
+    from scipy.signal import lfilter
+
     f = np.asarray(f, dtype=np.float64)
     y = np.empty_like(f)
     ytail = ftail / denom
@@ -112,6 +129,8 @@ def resolvent_sweep_numpy(f, ftail, E, amb, b, denom):
 
 def _resolvent_rows_numpy(F, Ftail, E, amb, b, denom):
     """Row-wise resolvent sweep on a (paths, nodes) block."""
+    from scipy.signal import lfilter
+
     Y = np.empty_like(F)
     ytail = Ftail / denom
     Y[:, -1] = ytail
@@ -121,11 +140,15 @@ def _resolvent_rows_numpy(F, Ftail, E, amb, b, denom):
     return Y, ytail
 
 
-def _records_numpy(v, tail, weights, tail_weight):
+def _records_numpy(v, tail, weights, tail_weight, tmp):
     # row-wise sums, not `@`: BLAS gemv orders its sums by batch height
-    tot = (v * v * weights).sum(axis=1) + tail_weight * tail * tail
-    nv = np.minimum(v, 0.0)
-    nege = (nv * nv * weights).sum(axis=1) + tail_weight * np.minimum(tail, 0.0) ** 2
+    np.multiply(v, v, out=tmp)
+    tmp *= weights
+    tot = tmp.sum(axis=1) + tail_weight * tail * tail
+    np.minimum(v, 0.0, out=tmp)
+    np.multiply(tmp, tmp, out=tmp)
+    tmp *= weights
+    nege = tmp.sum(axis=1) + tail_weight * np.minimum(tail, 0.0) ** 2
     mn = np.minimum(v.min(axis=1), tail)
     return nege, mn, tot
 
@@ -138,6 +161,22 @@ def _shift_numpy(v, tail, m_shift, damp):
         v *= damp
         tail *= damp
     return tail
+
+
+def _hjm_drift_numpy(sig, sigt, spacing, buf, btail, integ, tmp):
+    """Accumulate sum_k sig_k * (trapezoid integral of sig_k) into buf, btail.
+
+    integ[:, 0] must hold 0; the (1, N) rows of constant modes broadcast.
+    """
+    buf.fill(0.0)
+    btail.fill(0.0)
+    for s, st in zip(sig, sigt):
+        np.add(s[:, 1:], s[:, :-1], out=tmp[:, 1:])
+        np.multiply(tmp[:, 1:], 0.5 * spacing, out=tmp[:, 1:])
+        np.cumsum(tmp[:, 1:], axis=1, out=integ[:, 1:])
+        np.multiply(s, integ, out=tmp)
+        buf += tmp
+        btail += st * integ[:, -1]
 
 
 def simulate_batch_numpy(
@@ -169,81 +208,102 @@ def simulate_batch_numpy(
     aborted = np.full(P, -1, dtype=np.int64)
     snaps = np.empty((S, P, N))
     snap_tails = np.empty((S, P))
-    active = np.ones(P, dtype=bool)
-    frozen_v = np.zeros((P, N))
-    frozen_tail = np.zeros(P)
-    sig = np.empty((K, P, N))
-    sigt = np.empty((K, P))
+    rows = max(1, min(P, BLOCK_BYTES // (8 * N)))
+    tmp = np.empty((rows, N))
+    buf = np.empty((rows, N))
+    integ = np.zeros((rows, N))  # column 0 stays 0
+    frozen_v = np.empty((rows, N))
+    varying = [k for k in range(K) if level_codes[k] != LEVEL_CONST]
+    # constant modes are (1, N) rows that broadcast against a block; the
+    # varying ones get (rows, N) scratch, refilled every step
+    sig = [np.empty((rows, N)) if k in varying else profiles[k][None, :] for k in range(K)]
+    sigt = [profile_tails[k : k + 1] for k in range(K)]
     with np.errstate(all="ignore"):
-        nege, mn, _ = _records_numpy(v, tail, weights, tail_weight)
-        neg_e[:, 0] = nege
-        min_v[:, 0] = mn
-        si = 0
-        while si < S and snap_steps[si] == 0:
-            snaps[si] = v
-            snap_tails[si] = tail
-            si += 1
-        for j in range(n_steps):
-            if scheme == 0:
-                tail = _shift_numpy(v, tail, m_shift, damp)
+        drift_row = None
+        if drift_code == DRIFT_ZERO:
+            drift_row = (np.zeros((1, N)), np.zeros(1))
+        elif drift_code == DRIFT_HJM and not varying:
+            drift_row = (np.empty((1, N)), np.empty(1))
+            _hjm_drift_numpy(sig, sigt, spacing, *drift_row, integ[:1], tmp[:1])
+        # diffusion columns after the resolvent
+        noise, noise_t = sig, sigt
+        if lam_reg > 0.0:
+            noise, noise_t = list(sig), list(sigt)
             for k in range(K):
-                code = level_codes[k]
-                if code == LEVEL_CONST:
-                    sig[k] = profiles[k]
-                    sigt[k] = profile_tails[k]
-                elif code == LEVEL_LINEAR:
-                    np.multiply(v, profiles[k], out=sig[k])
-                    sigt[k] = profile_tails[k] * tail
-                else:
-                    np.multiply(np.clip(v, 0.0, caps[k]), profiles[k], out=sig[k])
-                    sigt[k] = profile_tails[k] * np.clip(tail, 0.0, caps[k])
-            buf = np.zeros((P, N))
-            btail = np.zeros(P)
-            if drift_code == DRIFT_DECAY:
-                np.multiply(v, -drift_c, out=buf)
-                btail = -drift_c * tail
-            elif drift_code == DRIFT_HJM:
-                integ = np.zeros((P, N))
-                for k in range(K):
-                    np.cumsum(
-                        0.5 * spacing * (sig[k][:, 1:] + sig[k][:, :-1]),
-                        axis=1,
-                        out=integ[:, 1:],
-                    )
-                    buf += sig[k] * integ
-                    btail += sigt[k] * integ[:, -1]
-            if alpha_corr != 0.0:
-                buf += alpha_corr * v
-                btail = btail + alpha_corr * tail
-            if lam_reg > 0.0:
-                buf, btail = _resolvent_rows_numpy(buf, btail, E, amb, b, denom)
-                for k in range(K):
-                    sig[k], sigt[k] = _resolvent_rows_numpy(sig[k], sigt[k], E, amb, b, denom)
-            v += buf * dt
-            tail = tail + btail * dt
-            for k in range(K):
-                v += sig[k] * dW[:, j, k][:, None]
-                tail = tail + sigt[k] * dW[:, j, k]
-            if scheme == 1:
-                tail = _shift_numpy(v, tail, m_shift, damp)
-            nege, mn, tot = _records_numpy(v, tail, weights, tail_weight)
-            bad = (~np.isfinite(tot)) | (tot > blow_threshold)
-            newly = bad & active
-            if newly.any():
-                aborted[newly] = j
-                frozen_v[newly] = v[newly]
-                frozen_tail[newly] = tail[newly]
-                active = active & ~bad
-            neg_e[:, j + 1] = np.where(active, nege, np.nan)
-            min_v[:, j + 1] = np.where(active, mn, np.nan)
-            while si < S and snap_steps[si] == j + 1:
-                snaps[si] = np.where(active[:, None], v, np.nan)
-                snap_tails[si] = np.where(active, tail, np.nan)
+                if k not in varying:
+                    noise[k], noise_t[k] = _resolvent_rows_numpy(sig[k], sigt[k], E, amb, b, denom)
+        for lo in range(0, P, rows):
+            hi = min(lo + rows, P)
+            n = hi - lo
+            vb, tb, dWb = v[lo:hi], tail[lo:hi], dW[lo:hi]
+            tmp_b, buf_b, integ_b, frozen_b = tmp[:n], buf[:n], integ[:n], frozen_v[:n]
+            sig_b = [s[:n] for s in sig]
+            noise_b = list(noise) if lam_reg > 0.0 else sig_b
+            btail = np.empty(n)
+            active = np.ones(n, dtype=bool)
+            frozen_tail = np.zeros(n)
+            nege, mn, _ = _records_numpy(vb, tb, weights, tail_weight, tmp_b)
+            neg_e[lo:hi, 0] = nege
+            min_v[lo:hi, 0] = mn
+            si = 0
+            while si < S and snap_steps[si] == 0:
+                snaps[si, lo:hi] = vb
+                snap_tails[si, lo:hi] = tb
                 si += 1
-        dead = ~active
-        if dead.any():
-            v[dead] = frozen_v[dead]
-            tail = np.where(dead, frozen_tail, tail)
+            for j in range(n_steps):
+                if scheme == 0:
+                    tb = _shift_numpy(vb, tb, m_shift, damp)
+                for k in varying:
+                    if level_codes[k] == LEVEL_LINEAR:
+                        np.multiply(vb, profiles[k], out=sig_b[k])
+                        sigt[k] = profile_tails[k] * tb
+                    else:
+                        np.clip(vb, 0.0, caps[k], out=sig_b[k])
+                        sig_b[k] *= profiles[k]
+                        sigt[k] = profile_tails[k] * np.clip(tb, 0.0, caps[k])
+                if drift_row is not None:
+                    drift, dtail = drift_row
+                elif drift_code == DRIFT_DECAY:
+                    drift, dtail = np.multiply(vb, -drift_c, out=buf_b), -drift_c * tb
+                else:
+                    _hjm_drift_numpy(sig_b, sigt, spacing, buf_b, btail, integ_b, tmp_b)
+                    drift, dtail = buf_b, btail
+                if alpha_corr != 0.0:
+                    np.multiply(vb, alpha_corr, out=tmp_b)
+                    drift = np.add(drift, tmp_b, out=buf_b)
+                    dtail = dtail + alpha_corr * tb
+                if lam_reg > 0.0:
+                    drift, dtail = _resolvent_rows_numpy(drift, dtail, E, amb, b, denom)
+                    for k in varying:
+                        noise_b[k], noise_t[k] = _resolvent_rows_numpy(
+                            sig_b[k], sigt[k], E, amb, b, denom)
+                vb += np.multiply(drift, dt, out=tmp_b[: len(drift)])
+                tb = tb + dtail * dt
+                for k in range(K):
+                    dw = dWb[:, j, k]
+                    vb += np.multiply(noise_b[k], dw[:, None], out=tmp_b)
+                    tb = tb + noise_t[k] * dw
+                if scheme == 1:
+                    tb = _shift_numpy(vb, tb, m_shift, damp)
+                nege, mn, tot = _records_numpy(vb, tb, weights, tail_weight, tmp_b)
+                bad = (~np.isfinite(tot)) | (tot > blow_threshold)
+                newly = bad & active
+                if newly.any():
+                    aborted[lo:hi][newly] = j
+                    frozen_b[newly] = vb[newly]
+                    frozen_tail[newly] = tb[newly]
+                    active = active & ~bad
+                neg_e[lo:hi, j + 1] = np.where(active, nege, np.nan)
+                min_v[lo:hi, j + 1] = np.where(active, mn, np.nan)
+                while si < S and snap_steps[si] == j + 1:
+                    snaps[si, lo:hi] = np.where(active[:, None], vb, np.nan)
+                    snap_tails[si, lo:hi] = np.where(active, tb, np.nan)
+                    si += 1
+            dead = ~active
+            if dead.any():
+                vb[dead] = frozen_b[dead]
+                tb = np.where(dead, frozen_tail, tb)
+            tail[lo:hi] = tb
     return v, tail, neg_e, min_v, aborted, snaps, snap_tails
 
 

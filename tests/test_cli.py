@@ -440,6 +440,10 @@ def _run_expecting_errors(tmp_path, capsys, experiment, cfg, overrides=()):
         ("ito-check", "ito.n_paths=0", "ito.n_paths"),
         ("ito-check", "ito.dt_values=[]", "ito.dt_values"),
         ("ito-check", "ito.dt_values=[0.1, 0.15]", "ito.dt_values[1]"),
+        ("ito-check", "ito.dt_values=[1e-300]", "ito.dt_values[0]"),
+        ("hjm", "run.n_paths=4611686018427387904", "run.n_paths"),
+        ("simulate", "run.t_final=1e300", "run.dt"),
+        ("operator-tests", "grid.n_nodes=2305843009213693952", "grid.n_nodes"),
         ("operator-tests", "check.n_samples=-1", "check.n_samples"),
     ],
 )
@@ -482,6 +486,50 @@ def test_cli_unread_key_exits_2(tmp_path, capsys, experiment, overrides):
         for key in keys
     ]
     assert sorted(problems) == sorted(want)
+
+
+@pytest.mark.parametrize(
+    "section, unread, reader",
+    [
+        ({"kind": "constant", "cap": 0.1}, ["cap"], "mode kind 'constant'"),
+        ({"kind": "proportional", "decay": 1.0}, ["decay"], "mode kind 'proportional'"),
+        ({"kind": "proportional-capped", "cap": 0.1, "decay": 2.0, "table": [0.0] * 11},
+         ["decay", "table"], "mode kind 'proportional-capped'"),
+        ({"kind": "exponential-decay", "cap": 0.1, "tail": 0.0},
+         ["cap", "tail"], "mode kind 'exponential-decay'"),
+        ({"kind": "level-scaled", "cap": 0.1, "tail": 0.0}, ["tail"], "mode kind 'level-scaled'"),
+        ({"kind": "custom", "table": [0.1] * 11, "cap": 0.1, "decay": 1.0},
+         ["cap", "decay"], "mode kind 'custom'"),
+        ({"flat": 0.01, "tail": 0.0}, ["tail"], "initial form 'flat'"),
+        ({"exp-decay": {"amp": 0.01}, "tail": 0.0}, ["tail"], "initial form 'exp-decay'"),
+    ],
+)
+def test_cli_unread_mode_and_initial_keys_exit_2(tmp_path, capsys, section, unread, reader):
+    # decay has a default, so a given key counts, not a value that differs from it
+    cfg = _small_cfgs()["simulate"]
+    where = "model.initial" if "kind" not in section else "model.modes[0]"
+    if "kind" in section:
+        cfg["model"]["modes"] = [section]
+    else:
+        cfg["model"]["initial"] = section
+    problems = _run_expecting_errors(tmp_path, capsys, "simulate", cfg)
+    assert sorted(problems) == [f"{where}.{key}: not read by {reader}" for key in unread]
+
+
+def test_mode_and_initial_keys_that_are_read_pass():
+    cfg = _small_cfgs()["simulate"]
+    cfg["model"]["modes"] = [
+        {"kind": "constant", "c": 0.1},
+        {"kind": "proportional", "c": 0.1},
+        {"kind": "proportional-capped", "c": 0.1, "cap": 0.2},
+        {"kind": "exponential-decay", "c": 0.1, "decay": 2.0},
+        {"kind": "level-scaled", "c": 0.1, "cap": 0.2, "decay": 2.0},
+        {"kind": "custom", "c": 0.1, "table": [0.1] * 11, "tail": 0.1},
+    ]
+    cfg["model"]["initial"] = {"table": [0.01] * 11, "tail": 0.01}
+    parse_config(cfg)
+    cfg["model"]["initial"] = {"exp-decay": {"amp": 0.01}}
+    parse_config(cfg)
 
 
 def test_cli_reports_every_bad_field_of_a_section(tmp_path, capsys):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mildsim import kernels
 from mildsim.coefficients import CoefficientModel, ModeFunction
@@ -83,22 +85,27 @@ def test_resolvent_sweep_backends_agree():
     np.testing.assert_allclose(y1, y2, rtol=0.0, atol=1e-12)
 
 
-def _rich_args(scheme, lam=0.05, blow=1e12):
-    g = Grid.uniform(3.0, 301, 0.5)
+def _rich_args(scheme, lam=0.05, blow=1e12, n_paths=4, n_nodes=301, modes="mixed",
+               alpha_corr=None):
+    # modes "mixed" has state-dependent levels; "constant" only constant
+    # ones, whose diffusion columns and HJM drift the numpy kernel hoists
+    g = Grid.uniform(3.0, n_nodes, 0.5)
     table = GridFunction.from_callable(g, lambda x: 0.1 * np.cos(x))
+    decaying = ModeFunction("exponential-decay", c=0.2, decay=0.8)
+    custom = ModeFunction("custom", c=1.0, table=table)
+    if modes == "mixed":
+        capped = ModeFunction("proportional-capped", c=0.4, cap=0.05)
+        mode_fns = (capped, decaying, ModeFunction("proportional", c=0.1), custom)
+    else:
+        mode_fns = (ModeFunction("constant", c=0.1), decaying, custom)
     model = CoefficientModel(
         grid=g,
-        modes=(
-            ModeFunction("proportional-capped", c=0.4, cap=0.05),
-            ModeFunction("exponential-decay", c=0.2, decay=0.8),
-            ModeFunction("proportional", c=0.1),
-            ModeFunction("custom", c=1.0, table=table),
-        ),
+        modes=mode_fns,
         drift="hjm",
-        alpha_correction=g.alpha,
+        alpha_correction=g.alpha if alpha_corr is None else alpha_corr,
     )
     ka = model.kernel_args()
-    P, n_steps, K = 4, 40, model.n_modes
+    P, n_steps, K = n_paths, 40, model.n_modes
     rng = np.random.default_rng(17)
     v0 = 0.05 + 0.02 * rng.normal(size=(P, g.n))
     tail0 = 0.05 + 0.02 * rng.normal(size=P)
@@ -141,6 +148,97 @@ def test_simulate_batch_numpy_deterministic():
         assert np.array_equal(a, b)
 
 
+def _reference_simulate_batch(
+    v0, tail0, dW, m_shift, damp, dt, scheme,
+    profiles, profile_tails, level_codes, caps, drift_code, drift_c, alpha_corr,
+    lam_reg, E, amb, b, denom,
+    spacing, weights, tail_weight, blow_threshold, snap_steps,
+):
+    # the numpy kernel before row blocking and hoisting: the whole batch
+    # every step, every mode and the drift recomputed from scratch
+    P, N = v0.shape
+    n_steps, K, S = dW.shape[1], profiles.shape[0], snap_steps.shape[0]
+    v, tail = v0.copy(), tail0.copy()
+    neg_e, min_v = np.empty((P, n_steps + 1)), np.empty((P, n_steps + 1))
+    aborted = np.full(P, -1, dtype=np.int64)
+    snaps, snap_tails = np.empty((S, P, N)), np.empty((S, P))
+    active = np.ones(P, dtype=bool)
+    frozen_v, frozen_tail = np.zeros((P, N)), np.zeros(P)
+    sig, sigt = np.empty((K, P, N)), np.empty((K, P))
+
+    def records():
+        nv = np.minimum(v, 0.0)
+        return (
+            (nv * nv * weights).sum(axis=1) + tail_weight * np.minimum(tail, 0.0) ** 2,
+            np.minimum(v.min(axis=1), tail),
+            (v * v * weights).sum(axis=1) + tail_weight * tail * tail,
+        )
+
+    def shift(tail):
+        if m_shift > 0:
+            v[:, :-m_shift] = v[:, m_shift:]
+            v[:, -m_shift:] = tail[:, None]
+        if damp != 1.0:
+            v[:] *= damp
+            tail = tail * damp
+        return tail
+
+    with np.errstate(all="ignore"):
+        neg_e[:, 0], min_v[:, 0], _ = records()
+        si = 0
+        while si < S and snap_steps[si] == 0:
+            snaps[si], snap_tails[si] = v, tail
+            si += 1
+        for j in range(n_steps):
+            if scheme == 0:
+                tail = shift(tail)
+            for k in range(K):
+                if level_codes[k] == kernels.LEVEL_CONST:
+                    sig[k], sigt[k] = profiles[k], profile_tails[k]
+                elif level_codes[k] == kernels.LEVEL_LINEAR:
+                    sig[k], sigt[k] = v * profiles[k], profile_tails[k] * tail
+                else:
+                    sig[k] = np.clip(v, 0.0, caps[k]) * profiles[k]
+                    sigt[k] = profile_tails[k] * np.clip(tail, 0.0, caps[k])
+            buf, btail = np.zeros((P, N)), np.zeros(P)
+            if drift_code == kernels.DRIFT_DECAY:
+                buf, btail = v * -drift_c, -drift_c * tail
+            elif drift_code == kernels.DRIFT_HJM:
+                integ = np.zeros((P, N))
+                for k in range(K):
+                    integ[:, 1:] = np.cumsum(0.5 * spacing * (sig[k][:, 1:] + sig[k][:, :-1]), axis=1)
+                    buf += sig[k] * integ
+                    btail += sigt[k] * integ[:, -1]
+            if alpha_corr != 0.0:
+                buf, btail = buf + alpha_corr * v, btail + alpha_corr * tail
+            if lam_reg > 0.0:
+                buf, btail = kernels._resolvent_rows_numpy(buf, btail, E, amb, b, denom)
+                for k in range(K):
+                    sig[k], sigt[k] = kernels._resolvent_rows_numpy(sig[k], sigt[k], E, amb, b, denom)
+            v += buf * dt
+            tail = tail + btail * dt
+            for k in range(K):
+                v += sig[k] * dW[:, j, k][:, None]
+                tail = tail + sigt[k] * dW[:, j, k]
+            if scheme == 1:
+                tail = shift(tail)
+            nege, mn, tot = records()
+            bad = ~np.isfinite(tot) | (tot > blow_threshold)
+            newly = bad & active
+            aborted[newly] = j
+            frozen_v[newly], frozen_tail[newly] = v[newly], tail[newly]
+            active &= ~bad
+            neg_e[:, j + 1] = np.where(active, nege, np.nan)
+            min_v[:, j + 1] = np.where(active, mn, np.nan)
+            while si < S and snap_steps[si] == j + 1:
+                snaps[si] = np.where(active[:, None], v, np.nan)
+                snap_tails[si] = np.where(active, tail, np.nan)
+                si += 1
+        v[~active] = frozen_v[~active]
+        tail = np.where(active, tail, frozen_tail)
+    return v, tail, neg_e, min_v, aborted, snaps, snap_tails
+
+
 def _assert_rows_match_single_path_runs(args):
     # a path's results must not depend on the batch it is simulated in:
     # this is what makes ensembles invariant under chunk_size
@@ -160,6 +258,74 @@ def _assert_rows_match_single_path_runs(args):
 def test_simulate_batch_numpy_rows_match_single_path_runs(scheme, lam):
     _, args = _rich_args(scheme, lam=lam)
     _assert_rows_match_single_path_runs(args)
+
+
+@pytest.mark.parametrize("modes", ["constant", "mixed"])
+@pytest.mark.parametrize("lam", [0.0, 0.05])
+@pytest.mark.parametrize("scheme", [0, 1])
+def test_simulate_batch_numpy_block_boundaries(scheme, lam, modes):
+    # three full row blocks and a ragged fourth; three paths, each in its
+    # own block, start large enough to abort at different steps
+    n_nodes = 2049
+    rows = max(1, kernels.BLOCK_BYTES // (8 * n_nodes))
+    _, args = _rich_args(scheme, lam=lam, blow=1e3, n_paths=3 * rows + rows // 2,
+                         n_nodes=n_nodes, modes=modes, alpha_corr=10.0)
+    v0, tail0 = args[0], args[1]
+    boosted = {1: 300.0, rows + 2: 100.0, 3 * rows + 1: 50.0}
+    for p, factor in boosted.items():
+        v0[p] *= factor
+        tail0[p] *= factor
+    out = kernels.simulate_batch_numpy(*args)
+    aborted = out[4]
+    assert np.flatnonzero(aborted >= 0).tolist() == sorted(boosted)
+    assert len(set(aborted[sorted(boosted)])) == 3
+    _assert_rows_match_single_path_runs(args)
+    # blocking and hoisting change no bit against the plain whole-batch loop
+    for got, ref in zip(out, _reference_simulate_batch(*args)):
+        assert got.tobytes() == ref.tobytes()
+
+
+@settings(max_examples=20, deadline=None)
+@given(data=st.data(), scheme=st.sampled_from([0, 1]), lam=st.sampled_from([0.0, 0.05]),
+       modes=st.sampled_from(["constant", "mixed"]))
+def test_simulate_batch_numpy_rows_follow_a_permutation(data, scheme, lam, modes):
+    # reordering the paths of a batch reorders its results and changes no bit,
+    # also when the batch spans several row blocks
+    n_nodes = data.draw(st.sampled_from([301, 2049]), label="n_nodes")
+    n_paths = data.draw(st.integers(1, 40), label="n_paths")
+    _, args = _rich_args(scheme, lam=lam, n_paths=n_paths, n_nodes=n_nodes, modes=modes)
+    perm = np.array(data.draw(st.permutations(range(n_paths)), label="perm"))
+    ref = kernels.simulate_batch_numpy(*args)
+    got = kernels.simulate_batch_numpy(args[0][perm], args[1][perm], args[2][perm], *args[3:])
+    for a, b, axis in zip(ref, got, [0, 0, 0, 0, 0, 1, 1]):
+        assert np.take(a, perm, axis=axis).tobytes() == b.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), n_nodes=st.integers(2, 3000), n_paths=st.integers(1, 30),
+       n_steps=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
+def test_pure_transport_is_a_bitwise_shift(data, n_nodes, n_paths, n_steps, seed):
+    # no reactions and no damping: each step moves every row m_shift nodes
+    # toward x = 0 and fills the far end from the tail, bit for bit
+    m_shift = data.draw(st.integers(0, 2 * n_nodes), label="m_shift")
+    g = Grid.uniform(2.0, n_nodes, 1.0)
+    rng = np.random.default_rng(seed)
+    v0 = rng.normal(size=(n_paths, n_nodes))
+    tail0 = rng.normal(size=n_paths)
+    args = (
+        v0, tail0, np.zeros((n_paths, n_steps, 0)), m_shift, 1.0, 0.01,
+        data.draw(st.sampled_from([0, 1]), label="scheme"),
+        np.zeros((0, g.n)), np.zeros(0), np.zeros(0, dtype=np.int64), np.zeros(0),
+        kernels.DRIFT_ZERO, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0,
+        g.spacing, g.weights, g.tail_weight, 1e300, np.zeros(0, dtype=np.int64),
+    )
+    out = kernels.simulate_batch_numpy(*args)
+    m = min(m_shift * n_steps, n_nodes)
+    expect = np.repeat(tail0[:, None], n_nodes, axis=1)
+    expect[:, : n_nodes - m] = v0[:, m:]
+    assert out[0].tobytes() == expect.tobytes()
+    assert out[1].tobytes() == tail0.tobytes()
+    assert (out[4] == -1).all()
 
 
 def test_simulate_batch_pure_shift_is_exact():
@@ -223,8 +389,11 @@ def test_simulate_batch_abort_freezes_path(backend):
 def test_simulate_batch_numpy_aborts_match_single_path_runs():
     # the abort decision reads the total energy, so it must be batch-free too
     args = _exploding_args(blow=2.0)
-    assert (kernels.simulate_batch_numpy(*args)[4] >= 0).all()
+    out = kernels.simulate_batch_numpy(*args)
+    assert (out[4] >= 0).all()
     _assert_rows_match_single_path_runs(args)
+    for got, ref in zip(out, _reference_simulate_batch(*args)):
+        assert got.tobytes() == ref.tobytes()
 
 
 def test_abort_step_agrees_across_backends():

@@ -1,6 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from mildsim import kernels
 from mildsim.grids import Grid, GridFunction, norm
 from mildsim.operators import (
     OperatorSuite,
@@ -106,6 +110,32 @@ def test_resolvent_positivity(grid):
         y = suite.resolvent(f, 0.3)
         assert y.values.min() >= 0.0
         assert y.tail_value >= 0.0
+
+
+_values = st.floats(-1e6, 1e6)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), n=st.integers(2, 400), x_max=st.floats(0.1, 10.0),
+       alpha=st.floats(0.01, 3.0), shifted=st.booleans(), lam=st.floats(1e-3, 10.0))
+def test_resolvent_preserves_order(data, n, x_max, alpha, shifted, lam):
+    # f <= g node by node and in the tail gives R f <= R g: every
+    # coefficient of the sweep is nonnegative and rounding is monotone,
+    # so this holds exactly in floating point
+    grid = Grid.uniform(x_max, n, alpha)
+    suite = OperatorSuite(grid, shifted=shifted)
+    f = data.draw(hnp.arrays(np.float64, n + 1, elements=_values), label="f")
+    gap = data.draw(hnp.arrays(np.float64, n + 1, elements=st.floats(0.0, 1e6)), label="gap")
+    g = f + gap
+    rf = suite.resolvent(GridFunction(grid, f[:-1], float(f[-1])), lam)
+    rg = suite.resolvent(GridFunction(grid, g[:-1], float(g[-1])), lam)
+    assert (rf.values <= rg.values).all()
+    assert rf.tail_value <= rg.tail_value
+    # the row-wise sweep of the batch integrator, on both curves at once
+    E, amb, b, denom = kernels.resolvent_coeffs(grid.spacing, lam, suite.alpha_eff)
+    rows, tails = kernels._resolvent_rows_numpy(
+        np.stack([f[:-1], g[:-1]]), np.array([f[-1], g[-1]]), E, amb, b, denom)
+    assert (rows[0] <= rows[1]).all() and tails[0] <= tails[1]
 
 
 def test_yosida_constant(grid):

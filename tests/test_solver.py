@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mildsim.coefficients import CoefficientModel, ModeFunction
 from mildsim.grids import Grid, GridFunction, lattice_parts, norm
@@ -230,6 +232,32 @@ def test_ensemble_chunking_invariance():
         assert np.array_equal(other.aborted, b.aborted)
         assert np.array_equal(other.snapshots, b.snapshots)
         assert np.array_equal(other.snapshot_tails, b.snapshot_tails)
+
+
+_ENSEMBLE_FIELDS = ("neg_energy", "min_value", "final_values", "final_tails", "aborted")
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data(), n_paths=st.integers(1, 9),
+       scheme=st.sampled_from(["shift-then-react", "react-then-shift"]),
+       lam=st.sampled_from([0.0, 0.1]))
+def test_ensemble_invariant_under_chunking_and_path_position(data, n_paths, scheme, lam):
+    # a path's results depend on its noise stream only: not on how the
+    # ensemble is cut into chunks, nor on which other paths run beside it
+    grid, suite, model, u0 = _setup(n=41)
+    cfg = SolverConfig(dt=0.1, t_final=0.5, scheme=scheme, lam=lam, snapshot_stride=2)
+    chunk = data.draw(st.integers(1, n_paths), label="chunk_size")
+    first = data.draw(st.integers(0, n_paths - 1), label="first")
+    whole = run_ensemble(u0, suite, model, cfg, n_paths=n_paths, seed=5)
+    cut = run_ensemble(u0, suite, model, cfg, n_paths=n_paths, seed=5, chunk_size=chunk)
+    tail = run_ensemble(u0, suite, model, cfg, n_paths=n_paths - first, seed=5,
+                        stream_base=first, chunk_size=chunk)
+    for name in _ENSEMBLE_FIELDS:
+        assert getattr(cut, name).tobytes() == getattr(whole, name).tobytes(), name
+        assert getattr(tail, name).tobytes() == getattr(whole, name)[first:].tobytes(), name
+    assert cut.snapshots.tobytes() == whole.snapshots.tobytes()
+    assert tail.snapshots.tobytes() == whole.snapshots[:, first:].tobytes()
+    assert tail.snapshot_tails.tobytes() == whole.snapshot_tails[:, first:].tobytes()
 
 
 def test_ensemble_paths_match_individual_runs():
