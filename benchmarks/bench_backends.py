@@ -1,14 +1,9 @@
-"""Compare the jit kernels against the pure-numpy fallback.
+"""Time the batch path integrator and the resolvent sweep.
 
-Times the batched path integrator and the resolvent sweep on identical
-inputs and reports best-of-N wall times.  Run from the repo root:
+Reports best-of-N wall times on a fixed workload.  Run from the repo
+root:
 
     python3 benchmarks/bench_backends.py
-    MILDSIM_NO_NUMBA=1 python3 benchmarks/bench_backends.py  # fallback only
-
-The jit path is skipped (with a note) when numba is unavailable or
-disabled.  The script asserts that both backends agree to roundoff
-before reporting times.
 """
 
 import argparse
@@ -56,13 +51,13 @@ def _workload(n_nodes, n_paths, n_steps):
 
 
 def _best(fn, args, repeats):
-    fn(*args)  # one untimed call: jit compile, cache warming
+    fn(*args)  # one untimed call: lazy imports, cache warming
     best = np.inf
     for _ in range(repeats):
         t0 = time.perf_counter()
-        out = fn(*args)
+        fn(*args)
         best = min(best, time.perf_counter() - t0)
-    return best, out
+    return best
 
 
 def main():
@@ -73,39 +68,18 @@ def main():
     ap.add_argument("--repeats", type=int, default=3)
     opts = ap.parse_args()
 
-    print(f"backend: {kernels.BACKEND} (numba available: {kernels.HAVE_NUMBA})")
     print(f"workload: {opts.paths} paths x {opts.steps} steps, {opts.nodes} nodes, 2 modes")
 
     args = _workload(opts.nodes, opts.paths, opts.steps)
-    t_np, out_np = _best(kernels.simulate_batch_numpy, args, opts.repeats)
-    rate = opts.paths * opts.steps / t_np
-    print(f"integrator  numpy: {t_np * 1e3:9.1f} ms  ({rate:,.0f} path-steps/s)")
-    if kernels.HAVE_NUMBA:
-        t_nb, out_nb = _best(kernels.simulate_batch_numba, args, opts.repeats)
-        for a, b in zip(out_np, out_nb):
-            # summation order differs between backends, so allow roundoff
-            if a.dtype.kind == "f":
-                assert np.allclose(a, b, atol=1e-10, equal_nan=True), "backends diverged"
-            else:
-                assert np.array_equal(a, b), "backends diverged"
-        rate = opts.paths * opts.steps / t_nb
-        print(f"integrator  numba: {t_nb * 1e3:9.1f} ms  ({rate:,.0f} path-steps/s)")
-        print(f"integrator  speedup: {t_np / t_nb:.1f}x")
-    else:
-        print("integrator  numba: skipped (not available in this process)")
+    t = _best(kernels.simulate_batch, args, opts.repeats)
+    rate = opts.paths * opts.steps / t
+    print(f"integrator: {t * 1e3:9.1f} ms  ({rate:,.0f} path-steps/s)")
 
     f = np.cumsum(np.random.default_rng(3).normal(size=200001)) * 0.01
     coeffs = kernels.resolvent_coeffs(5e-5, 0.1, 1.0)
     sweep_args = (f, float(f[-1])) + coeffs
-    t_np, out_np = _best(kernels.resolvent_sweep_numpy, sweep_args, max(opts.repeats, 10))
-    print(f"sweep 200k  numpy: {t_np * 1e3:9.2f} ms")
-    if kernels.HAVE_NUMBA:
-        t_nb, out_nb = _best(kernels.resolvent_sweep_numba, sweep_args, max(opts.repeats, 10))
-        assert np.allclose(out_np[0], out_nb[0], atol=1e-10), "backend sweeps diverged"
-        print(f"sweep 200k  numba: {t_nb * 1e3:9.2f} ms")
-        print(f"sweep 200k  speedup: {t_np / t_nb:.1f}x")
-    else:
-        print("sweep 200k  numba: skipped (not available in this process)")
+    t = _best(kernels.resolvent_sweep, sweep_args, max(opts.repeats, 10))
+    print(f"sweep 200k: {t * 1e3:9.2f} ms")
 
 
 if __name__ == "__main__":

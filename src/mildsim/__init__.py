@@ -11,7 +11,7 @@ forward-rate model family as the flagship application.
 __version__ = "0.1.0"
 
 from .grids import Grid, GridFunction, LatticeParts, lattice_parts, norm, weighted_inner
-from .kernels import BACKEND, HAVE_NUMBA
+from .kernels import BACKEND
 from .operators import OperatorSuite, random_bumps
 from .coefficients import (
     CoefficientModel,
@@ -53,7 +53,6 @@ from .hjm import (
 __all__ = [
     "__version__",
     "BACKEND",
-    "HAVE_NUMBA",
     "Grid",
     "GridFunction",
     "LatticeParts",

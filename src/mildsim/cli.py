@@ -5,10 +5,11 @@
 Experiments: simulate, hjm, coeff-check, operator-tests, lambda-study,
 ito-check.  Every run writes a manifest.json plus experiment-specific
 CSV files into the output directory; file contents are byte-identical
-across reruns of the same configuration on the same backend.
+across reruns of the same configuration.
 
-Exit codes: 0 success, 2 invalid configuration, 3 an --assert condition
-failed, 4 a simulated path aborted (blow-up or non-finite state).
+Exit codes: 0 success, 2 invalid configuration or an output directory
+that cannot be made, 3 an --assert condition failed, 4 a simulated
+path aborted (blow-up or non-finite state).
 """
 
 from __future__ import annotations
@@ -319,7 +320,11 @@ def main(argv=None) -> int:
         or os.environ.get("MILDSIM_OUT")
         or "mildsim-out"
     )
-    outdir.mkdir(parents=True, exist_ok=True)
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        print(f"config error: output directory {outdir}: {e.strerror}", file=sys.stderr)
+        return 2
 
     payload, passed, aborted = _RUNNERS[cfg.experiment](cfg, outdir)
     manifest = {

@@ -404,11 +404,15 @@ def as_json(obj):
 def load_config(path: str, experiment: str | None = None, overrides=()) -> Config:
     """Read a JSON config file, apply KEY.PATH=VALUE overrides, parse it."""
     try:
-        obj = json.loads(Path(path).read_text())
+        obj = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as e:
         raise ConfigError([f"config file: {e}"])
+    except UnicodeDecodeError as e:
+        raise ConfigError([f"config file {path}: not UTF-8 ({e.reason} at byte {e.start})"])
     except json.JSONDecodeError as e:
         raise ConfigError([f"config file: invalid JSON ({e})"])
+    except RecursionError:
+        raise ConfigError([f"config file {path}: JSON nested too deeply"])
     for item in overrides:
         apply_override(obj, item)
     return parse_config(obj, experiment)
@@ -426,6 +430,8 @@ def apply_override(obj: dict, dotted: str) -> None:
         value = json.loads(raw)
     except json.JSONDecodeError:
         value = raw
+    except RecursionError:
+        raise ConfigError([f"override {path.strip()!r}: value nested too deeply"])
     parent, here = "top level", obj
     for k in keys[:-1]:
         if not isinstance(here, dict):

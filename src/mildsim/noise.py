@@ -17,16 +17,12 @@ import numpy as np
 from numpy.random import Philox
 from scipy.special import ndtri
 
-from .grids import GridFunction
-
 __all__ = [
     "NoiseConfig",
     "Z_BOUND",
     "gaussian_step",
     "gaussian_block",
-    "increment_step",
     "increment_block",
-    "apply_diffusion_increment",
 ]
 
 _WORDS_PER_BLOCK = 4
@@ -87,24 +83,5 @@ def gaussian_block(cfg: NoiseConfig, n_steps: int) -> np.ndarray:
     return _to_gaussian(raw).reshape(n_steps, k)
 
 
-def increment_step(cfg: NoiseConfig, dt: float, step_index: int) -> np.ndarray:
-    """Brownian increments over one step of length dt."""
-    return gaussian_step(cfg, step_index) * np.sqrt(dt)
-
-
 def increment_block(cfg: NoiseConfig, dt: float, n_steps: int) -> np.ndarray:
     return gaussian_block(cfg, n_steps) * np.sqrt(dt)
-
-
-def apply_diffusion_increment(model, u: GridFunction, dw: np.ndarray) -> GridFunction:
-    """Sum of the model's diffusion modes at u scaled by the increments."""
-    if len(dw) != model.n_modes:
-        raise ValueError("increment count does not match the model's modes")
-    g = model.grid
-    acc = np.zeros(g.n)
-    acct = 0.0
-    for k, mode in enumerate(model.modes):
-        s = mode.evaluate(g, u)
-        acc += s.values * dw[k]
-        acct += s.tail_value * dw[k]
-    return GridFunction(g, acc, acct)

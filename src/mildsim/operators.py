@@ -83,20 +83,6 @@ class OperatorSuite:
             self.grid, (f.values - g.values) / lam, (f.tail_value - g.tail_value) / lam
         )
 
-    def generator_fd(self, f: GridFunction) -> GridFunction:
-        """Finite-difference generator: -f' plus alpha_eff*f.
-
-        Second order stencils; the constant tail has zero derivative.
-        """
-        v = f.values
-        h = self.grid.spacing
-        d = np.empty_like(v)
-        d[1:-1] = (v[2:] - v[:-2]) / (2.0 * h)
-        d[0] = (-3.0 * v[0] + 4.0 * v[1] - v[2]) / (2.0 * h)
-        d[-1] = (3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * h)
-        a = self.alpha_eff
-        return GridFunction(self.grid, -d + a * v, a * f.tail_value)
-
 
 def random_bumps(grid: Grid, rng: np.random.Generator, nonneg: bool = False) -> GridFunction:
     """Sum of 1 to 5 Gaussian bumps with random centers, widths, signs."""

@@ -453,6 +453,37 @@ def test_cli_semantic_errors_exit_2(tmp_path, capsys, experiment, override, path
     assert len(problems) == 1 and problems[0].startswith(f"{path}: "), problems
 
 
+@pytest.mark.parametrize("case", ["not-utf8", "deep-file", "deep-override", "out-is-file",
+                                  "out-under-file"])
+def test_cli_unreadable_inputs_exit_2(tmp_path, capsys, case):
+    # inputs that fail before the parser sees a value end in one named
+    # problem, not a traceback, and nothing is written
+    cfg = _write_cfg(tmp_path, _small_cfgs()["simulate"])
+    blocker = tmp_path / "blocker"
+    blocker.write_text("a file\n")
+    out, extra = tmp_path / "out", []
+    if case == "not-utf8":
+        cfg = named = str(tmp_path / "utf16.json")
+        (tmp_path / "utf16.json").write_bytes(b"\xff\xfe{}")
+    elif case == "deep-file":
+        cfg = named = str(tmp_path / "deep.json")
+        (tmp_path / "deep.json").write_text("[" * 100_000)
+    elif case == "deep-override":
+        named, extra = "override 'run.seed'", ["--set", "run.seed=" + "[" * 100_000]
+    elif case == "out-is-file":
+        out = blocker
+        named = f"output directory {out}"
+    else:
+        out = blocker / "out"
+        named = f"output directory {out}"
+    assert main(["simulate", "--config", cfg, "--out", str(out), *extra]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("config error: "), lines
+    assert named in lines[0], lines
+    assert blocker.read_text() == "a file\n"
+    assert not (tmp_path / "out").exists()
+
+
 _HJM_UNREAD = [
     "model.drift=zero",
     "model.drift_c=50",

@@ -10,12 +10,7 @@ from mildsim.noise import NoiseConfig, gaussian_block
 
 
 def test_backend_flags():
-    assert kernels.BACKEND in ("numba", "numpy")
-    if kernels.HAVE_NUMBA:
-        assert kernels.BACKEND == "numba"
-        assert kernels.simulate_batch is kernels.simulate_batch_numba
-    else:
-        assert kernels.simulate_batch is kernels.simulate_batch_numpy
+    assert kernels.BACKEND == "numpy"
 
 
 def test_resolvent_coeffs_validation():
@@ -48,7 +43,7 @@ def test_resolvent_sweep_matches_quadrature():
     ftail = float(f[-1])
     lam = 0.3
     E, amb, b, denom = kernels.resolvent_coeffs(g.spacing, lam, g.alpha)
-    y, ytail = kernels.resolvent_sweep_numpy(f, ftail, E, amb, b, denom)
+    y, ytail = kernels.resolvent_sweep(f, ftail, E, amb, b, denom)
     nu = denom / lam
     for i in (0, 100, 230):
         s = np.linspace(g.nodes[i], g.x_max, 200001)
@@ -67,28 +62,46 @@ def test_resolvent_sweep_exact_on_linear_input():
     lam = 0.1
     E, amb, b, denom = kernels.resolvent_coeffs(g.spacing, lam, g.alpha)
     f = g.nodes.copy()
-    y, _ = kernels.resolvent_sweep_numpy(f, float(f[-1]), E, amb, b, denom)
+    y, _ = kernels.resolvent_sweep(f, float(f[-1]), E, amb, b, denom)
     p = 1.0 / denom
     exact = p * g.nodes + lam * p * p
     keep = g.nodes <= 7.0
     assert np.abs(y[keep] - exact[keep]).max() < 1e-12
 
 
-@pytest.mark.skipif(not kernels.HAVE_NUMBA, reason="numba backend not available")
-def test_resolvent_sweep_backends_agree():
-    rng = np.random.default_rng(5)
-    f = rng.normal(size=500)
-    E, amb, b, denom = kernels.resolvent_coeffs(0.02, 0.7, 1.5)
-    y1, t1 = kernels.resolvent_sweep_numpy(f, 0.3, E, amb, b, denom)
-    y2, t2 = kernels.resolvent_sweep_numba(f, 0.3, E, amb, b, denom)
-    assert t1 == t2
-    np.testing.assert_allclose(y1, y2, rtol=0.0, atol=1e-12)
+def _reference_resolvent_sweep(f, ftail, E, amb, b, denom):
+    # the lfilter recursion on a 1-D array, with no row axis
+    from scipy.signal import lfilter
+
+    y = np.empty_like(f)
+    ytail = ftail / denom
+    y[-1] = ytail
+    c = amb * f[:-1] + b * f[1:]
+    yrev, _ = lfilter([1.0], [1.0, -E], c[::-1], zi=np.array([E * ytail]))
+    y[:-1] = yrev[::-1]
+    return y, ytail
+
+
+@pytest.mark.parametrize("lam", [1e-3, 0.05, 0.3, 10.0])
+@pytest.mark.parametrize("n", [2, 3, 10, 501, 1001, 200001])
+def test_resolvent_sweep_is_the_row_sweep(n, lam):
+    g = Grid.uniform(10.0, n, 1.0)
+    rng = np.random.default_rng(n)
+    F = rng.normal(size=(3, n))
+    Ftail = rng.normal(size=3)
+    E, amb, b, denom = kernels.resolvent_coeffs(g.spacing, lam, g.alpha)
+    rows, tails = kernels._resolvent_rows(F, Ftail, E, amb, b, denom)
+    for p in range(3):
+        y, ytail = kernels.resolvent_sweep(F[p], float(Ftail[p]), E, amb, b, denom)
+        ref, reftail = _reference_resolvent_sweep(F[p], float(Ftail[p]), E, amb, b, denom)
+        assert y.tobytes() == ref.tobytes() == rows[p].tobytes()
+        assert ytail == reftail == tails[p]
 
 
 def _rich_args(scheme, lam=0.05, blow=1e12, n_paths=4, n_nodes=301, modes="mixed",
                alpha_corr=None):
     # modes "mixed" has state-dependent levels; "constant" only constant
-    # ones, whose diffusion columns and HJM drift the numpy kernel hoists
+    # ones, whose diffusion columns and HJM drift the kernel hoists
     g = Grid.uniform(3.0, n_nodes, 0.5)
     table = GridFunction.from_callable(g, lambda x: 0.1 * np.cos(x))
     decaying = ModeFunction("exponential-decay", c=0.2, decay=0.8)
@@ -126,24 +139,10 @@ def _rich_args(scheme, lam=0.05, blow=1e12, n_paths=4, n_nodes=301, modes="mixed
     return g, args
 
 
-@pytest.mark.skipif(not kernels.HAVE_NUMBA, reason="numba backend not available")
-@pytest.mark.parametrize("scheme", [0, 1])
-def test_simulate_batch_backends_agree(scheme):
-    _, args = _rich_args(scheme)
-    out_np = kernels.simulate_batch_numpy(*args)
-    out_nb = kernels.simulate_batch_numba(*args)
-    names = ["final", "final_tail", "neg_energy", "min_value", "aborted", "snaps", "snap_tails"]
-    assert np.array_equal(out_np[4], out_nb[4])
-    for a, b, name in zip(out_np, out_nb, names):
-        if name == "aborted":
-            continue
-        np.testing.assert_allclose(a, b, rtol=0.0, atol=1e-12, err_msg=name)
-
-
 def test_simulate_batch_numpy_deterministic():
     _, args = _rich_args(0)
-    out1 = kernels.simulate_batch_numpy(*args)
-    out2 = kernels.simulate_batch_numpy(*args)
+    out1 = kernels.simulate_batch(*args)
+    out2 = kernels.simulate_batch(*args)
     for a, b in zip(out1, out2):
         assert np.array_equal(a, b)
 
@@ -154,7 +153,7 @@ def _reference_simulate_batch(
     lam_reg, E, amb, b, denom,
     spacing, weights, tail_weight, blow_threshold, snap_steps,
 ):
-    # the numpy kernel before row blocking and hoisting: the whole batch
+    # the kernel before row blocking and hoisting: the whole batch
     # every step, every mode and the drift recomputed from scratch
     P, N = v0.shape
     n_steps, K, S = dW.shape[1], profiles.shape[0], snap_steps.shape[0]
@@ -212,9 +211,9 @@ def _reference_simulate_batch(
             if alpha_corr != 0.0:
                 buf, btail = buf + alpha_corr * v, btail + alpha_corr * tail
             if lam_reg > 0.0:
-                buf, btail = kernels._resolvent_rows_numpy(buf, btail, E, amb, b, denom)
+                buf, btail = kernels._resolvent_rows(buf, btail, E, amb, b, denom)
                 for k in range(K):
-                    sig[k], sigt[k] = kernels._resolvent_rows_numpy(sig[k], sigt[k], E, amb, b, denom)
+                    sig[k], sigt[k] = kernels._resolvent_rows(sig[k], sigt[k], E, amb, b, denom)
             v += buf * dt
             tail = tail + btail * dt
             for k in range(K):
@@ -243,11 +242,11 @@ def _assert_rows_match_single_path_runs(args):
     # a path's results must not depend on the batch it is simulated in:
     # this is what makes ensembles invariant under chunk_size
     v0, tail0, dW, rest = args[0], args[1], args[2], args[3:]
-    batch = kernels.simulate_batch_numpy(*args)
+    batch = kernels.simulate_batch(*args)
     names = ["final", "final_tail", "neg_energy", "min_value", "aborted", "snaps", "snap_tails"]
     path_axis = [0, 0, 0, 0, 0, 1, 1]
     for p in range(v0.shape[0]):
-        alone = kernels.simulate_batch_numpy(v0[p : p + 1], tail0[p : p + 1], dW[p : p + 1], *rest)
+        alone = kernels.simulate_batch(v0[p : p + 1], tail0[p : p + 1], dW[p : p + 1], *rest)
         for got, one, ax, name in zip(batch, alone, path_axis, names):
             row = np.take(got, [p], axis=ax)
             assert np.array_equal(row, one, equal_nan=name != "aborted"), (name, p)
@@ -275,7 +274,7 @@ def test_simulate_batch_numpy_block_boundaries(scheme, lam, modes):
     for p, factor in boosted.items():
         v0[p] *= factor
         tail0[p] *= factor
-    out = kernels.simulate_batch_numpy(*args)
+    out = kernels.simulate_batch(*args)
     aborted = out[4]
     assert np.flatnonzero(aborted >= 0).tolist() == sorted(boosted)
     assert len(set(aborted[sorted(boosted)])) == 3
@@ -295,8 +294,8 @@ def test_simulate_batch_numpy_rows_follow_a_permutation(data, scheme, lam, modes
     n_paths = data.draw(st.integers(1, 40), label="n_paths")
     _, args = _rich_args(scheme, lam=lam, n_paths=n_paths, n_nodes=n_nodes, modes=modes)
     perm = np.array(data.draw(st.permutations(range(n_paths)), label="perm"))
-    ref = kernels.simulate_batch_numpy(*args)
-    got = kernels.simulate_batch_numpy(args[0][perm], args[1][perm], args[2][perm], *args[3:])
+    ref = kernels.simulate_batch(*args)
+    got = kernels.simulate_batch(args[0][perm], args[1][perm], args[2][perm], *args[3:])
     for a, b, axis in zip(ref, got, [0, 0, 0, 0, 0, 1, 1]):
         assert np.take(a, perm, axis=axis).tobytes() == b.tobytes()
 
@@ -319,7 +318,7 @@ def test_pure_transport_is_a_bitwise_shift(data, n_nodes, n_paths, n_steps, seed
         kernels.DRIFT_ZERO, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0,
         g.spacing, g.weights, g.tail_weight, 1e300, np.zeros(0, dtype=np.int64),
     )
-    out = kernels.simulate_batch_numpy(*args)
+    out = kernels.simulate_batch(*args)
     m = min(m_shift * n_steps, n_nodes)
     expect = np.repeat(tail0[:, None], n_nodes, axis=1)
     expect[:, : n_nodes - m] = v0[:, m:]
@@ -342,15 +341,12 @@ def test_simulate_batch_pure_shift_is_exact():
         kernels.DRIFT_ZERO, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0,
         g.spacing, g.weights, g.tail_weight, 1e12, np.zeros(0, dtype=np.int64),
     )
-    out = kernels.simulate_batch_numpy(*args)
+    out = kernels.simulate_batch(*args)
     m = 3 * n_steps
     expect = np.full(g.n, 0.25)
     expect[: g.n - m] = v0[0, m:]
     assert np.array_equal(out[0][0], expect)
     assert out[1][0] == 0.25
-    if kernels.HAVE_NUMBA:
-        out_nb = kernels.simulate_batch_numba(*args)
-        assert np.array_equal(out_nb[0][0], expect)
 
 
 def _exploding_args(blow):
@@ -369,12 +365,8 @@ def _exploding_args(blow):
     )
 
 
-@pytest.mark.parametrize("backend", ["numpy", "numba"])
-def test_simulate_batch_abort_freezes_path(backend):
-    if backend == "numba" and not kernels.HAVE_NUMBA:
-        pytest.skip("numba backend not available")
-    fn = kernels.simulate_batch_numpy if backend == "numpy" else kernels.simulate_batch_numba
-    out = fn(*_exploding_args(blow=1.0))
+def test_simulate_batch_abort_freezes_path():
+    out = kernels.simulate_batch(*_exploding_args(blow=1.0))
     aborted = out[4]
     assert (aborted >= 0).all()
     assert (aborted > 0).all() and (aborted < 59).all()
@@ -389,20 +381,8 @@ def test_simulate_batch_abort_freezes_path(backend):
 def test_simulate_batch_numpy_aborts_match_single_path_runs():
     # the abort decision reads the total energy, so it must be batch-free too
     args = _exploding_args(blow=2.0)
-    out = kernels.simulate_batch_numpy(*args)
+    out = kernels.simulate_batch(*args)
     assert (out[4] >= 0).all()
     _assert_rows_match_single_path_runs(args)
     for got, ref in zip(out, _reference_simulate_batch(*args)):
         assert got.tobytes() == ref.tobytes()
-
-
-def test_abort_step_agrees_across_backends():
-    if not kernels.HAVE_NUMBA:
-        pytest.skip("numba backend not available")
-    a = kernels.simulate_batch_numpy(*_exploding_args(blow=2.0))[4]
-    b = kernels.simulate_batch_numba(*_exploding_args(blow=2.0))[4]
-    assert np.array_equal(a, b)
-
-
-def test_warm_up_runs():
-    kernels.warm_up()

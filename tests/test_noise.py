@@ -3,15 +3,28 @@ import pytest
 
 from mildsim.coefficients import CoefficientModel, ModeFunction
 from mildsim.grids import Grid, GridFunction
-from mildsim.noise import (
-    NoiseConfig,
-    Z_BOUND,
-    apply_diffusion_increment,
-    gaussian_block,
-    gaussian_step,
-    increment_block,
-    increment_step,
-)
+from mildsim.noise import NoiseConfig, Z_BOUND, gaussian_block, gaussian_step, increment_block
+
+# one-step oracles, also for the step composition tests in test_solver.py
+
+
+def increment_step(cfg: NoiseConfig, dt: float, step_index: int) -> np.ndarray:
+    """Brownian increments over one step of length dt."""
+    return gaussian_step(cfg, step_index) * np.sqrt(dt)
+
+
+def apply_diffusion_increment(model, u: GridFunction, dw: np.ndarray) -> GridFunction:
+    """Sum of the model's diffusion modes at u scaled by the increments."""
+    if len(dw) != model.n_modes:
+        raise ValueError("increment count does not match the model's modes")
+    g = model.grid
+    acc = np.zeros(g.n)
+    acct = 0.0
+    for k, mode in enumerate(model.modes):
+        s = mode.evaluate(g, u)
+        acc += s.values * dw[k]
+        acct += s.tail_value * dw[k]
+    return GridFunction(g, acc, acct)
 
 
 def test_config_validation():

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from mildsim.coefficients import CoefficientModel, ModeFunction
 from mildsim.grids import Grid, GridFunction, lattice_parts, norm
-from mildsim.noise import NoiseConfig, apply_diffusion_increment, increment_step
+from mildsim.noise import NoiseConfig
 from mildsim.operators import OperatorSuite
 from mildsim.solver import (
     EnsembleResult,
@@ -17,6 +17,7 @@ from mildsim.solver import (
     simulate_regularized,
     step_once,
 )
+from test_noise import apply_diffusion_increment, increment_step
 
 
 def test_config_validation():
