@@ -15,6 +15,7 @@ path aborted (blow-up or non-finite state).
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import sys
@@ -205,12 +206,12 @@ def _exp_lambda_study(cfg: Config, outdir: Path) -> tuple[dict, bool, bool]:
     # the study sets lam and snapshot_stride itself
     scfg = SolverConfig(r.dt, r.t_final, r.scheme, blow_threshold=r.blow_threshold)
     lams, n_seeds, seed0 = cfg.lambda_study.lams, cfg.lambda_study.n_seeds, r.seed
+    streams = [NoiseConfig(model.n_modes, seed0 + i) for i in range(n_seeds)]
+    study = lambda_convergence_study(u0, suite, model, scfg, streams, lams)
     rows = []
     all_monotone = True
     sums = np.zeros(len(lams))
-    for i in range(n_seeds):
-        ncfg = NoiseConfig(model.n_modes, seed0 + i)
-        entries = lambda_convergence_study(u0, suite, model, scfg, ncfg, lams)
+    for i, entries in enumerate(study):
         ds = [e.sup_distance for e in entries]
         sums += np.asarray(ds)
         if any(b >= a for a, b in zip(ds, ds[1:])):
@@ -238,13 +239,13 @@ def _exp_ito_check(cfg: Config, outdir: Path) -> tuple[dict, bool, bool]:
     for dt in dts:
         n_steps = int(round(t_final / dt))
         rep = ito_residual(n, u0, drift, (), dt=dt, n_steps=n_steps)
-        det_tot.append(abs(rep.total_residual))
+        det_tot.append(abs(rep.totals[0]))
         if modes:
+            streams = [NoiseConfig(len(modes), seed, stream_id=p) for p in range(n_paths)]
+            sto = ito_residual(n, u0, drift, modes, dt=dt, n_steps=n_steps, noise_cfgs=streams)
             acc = 0.0
-            for p in range(n_paths):
-                ncfg = NoiseConfig(len(modes), seed, stream_id=p)
-                racc = ito_residual(n, u0, drift, modes, dt=dt, n_steps=n_steps, noise_cfg=ncfg)
-                acc += abs(racc.total_residual)
+            for total in sto.totals:  # a sequential sum in path order fixes the rounding
+                acc += abs(total)
             sto_mean.append(acc / n_paths)
         else:
             sto_mean.append(0.0)
@@ -267,6 +268,20 @@ def _exp_ito_check(cfg: Config, outdir: Path) -> tuple[dict, bool, bool]:
     }
     passed = det_order >= 0.9 and sto_decreasing
     return {"results": results, "outputs": ["ito_check.csv"]}, passed, False
+
+
+def _check_outdir(outdir: Path) -> None:
+    """Raise the OSError that making outdir would raise, without making it."""
+    probe = outdir
+    while not os.path.lexists(probe) and probe != probe.parent:
+        probe = probe.parent
+    if not probe.is_dir():
+        code = errno.EEXIST if probe == outdir else errno.ENOTDIR
+    elif probe != outdir and not os.access(probe, os.W_OK | os.X_OK):
+        code = errno.EACCES
+    else:
+        return
+    raise OSError(code, os.strerror(code))
 
 
 _RUNNERS = {
@@ -310,10 +325,6 @@ def main(argv=None) -> int:
             print(f"config error: {line}", file=sys.stderr)
         return 2
 
-    if args.validate_only:
-        print("config valid")
-        return 0
-
     outdir = Path(
         args.out
         or cfg.output.dir
@@ -321,10 +332,16 @@ def main(argv=None) -> int:
         or "mildsim-out"
     )
     try:
-        outdir.mkdir(parents=True, exist_ok=True)
+        if args.validate_only:
+            _check_outdir(outdir)
+        else:
+            outdir.mkdir(parents=True, exist_ok=True)
     except OSError as e:
         print(f"config error: output directory {outdir}: {e.strerror}", file=sys.stderr)
         return 2
+    if args.validate_only:
+        print("config valid")
+        return 0
 
     payload, passed, aborted = _RUNNERS[cfg.experiment](cfg, outdir)
     manifest = {

@@ -252,7 +252,8 @@ class Config:
         r = self.run
         if r is not None:
             steps = whole_multiple(r.t_final, r.dt)
-            paths = (r.n_paths or 1, "run.n_paths", "paths")  # lambda-study: one at a time
+            # lambda-study: batches of seeds capped in bytes, of one seed at least
+            paths = (r.n_paths or 1, "run.n_paths", "paths")
             modes = (len(self.model.modes), "model.modes", "modes")
             arrays += [
                 (paths, (steps + 1, "run.dt", "steps")),  # records
@@ -263,12 +264,18 @@ class Config:
             if r.snapshot_stride:
                 snaps = -(-steps // r.snapshot_stride) + 1
                 arrays.append(((snaps, "run.snapshot_stride", "snapshots"), paths, nodes))
+            if self.lambda_study is not None:  # a snapshot every step
+                arrays.append(((steps + 1, "run.dt", "steps"), nodes))
         if self.ito is not None:
             modes = (len(self.model.modes), "model.modes", "modes")
+            # the noisy paths run as one batch; without modes one path runs
+            paths = (self.ito.n_paths if self.model.modes else 1, "ito.n_paths", "paths")
+            arrays.append((paths, nodes))
             for i, dt in enumerate(self.ito.dt_values):
                 steps = whole_multiple(self.ito.t_final, dt)
                 path = f"ito.dt_values[{i}]"
-                arrays += [((steps + 1, path, "steps"),), ((steps, path, "steps"), modes)]
+                arrays += [((steps + 1, path, "steps"), paths),
+                           ((steps, path, "steps"), paths, modes)]
         too_big = {}
         for dims in arrays:
             if 8 * math.prod(d[0] for d in dims) >= 1 << 63:

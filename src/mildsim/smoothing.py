@@ -118,16 +118,27 @@ def monotone_pairing_excess(suite: OperatorSuite, v: GridFunction, lam: float, g
     return max(0.0, -pairing_value(suite, v, lam, graph))
 
 
+def _jensen_images(suite: OperatorSuite, v: GridFunction, lam: float, fn: Callable):
+    """fn(v) and fn(resolvent v), the two images both Jensen checks compare."""
+    return apply_pointwise(v, fn), apply_pointwise(suite.resolvent(v, lam), fn)
+
+
+def _pointwise_excess(suite: OperatorSuite, lam: float, fv: GridFunction, fjv: GridFunction) -> float:
+    d = fjv - suite.resolvent(fv, lam)
+    return max(0.0, float(d.values.max()), d.tail_value)
+
+
+def _integral_excess(fv: GridFunction, fjv: GridFunction) -> float:
+    return max(0.0, norm(fjv, "l1") - norm(fv, "l1"))
+
+
 def jensen_pointwise_excess(suite: OperatorSuite, v: GridFunction, lam: float, fn: Callable) -> float:
     """Worst pointwise failure of fn(resolvent v) <= resolvent fn(v).
 
     Holds for convex fn with fn(0) <= 0 because the resolvent kernel is
     sub-Markovian.
     """
-    lhs = apply_pointwise(suite.resolvent(v, lam), fn)
-    rhs = suite.resolvent(apply_pointwise(v, fn), lam)
-    d = lhs - rhs
-    return max(0.0, float(d.values.max()), d.tail_value)
+    return _pointwise_excess(suite, lam, *_jensen_images(suite, v, lam, fn))
 
 
 def jensen_integral_excess(suite: OperatorSuite, v: GridFunction, lam: float, fn: Callable) -> float:
@@ -136,9 +147,7 @@ def jensen_integral_excess(suite: OperatorSuite, v: GridFunction, lam: float, fn
     For nonnegative convex images the chain fn(Jv) <= J fn(v) plus the
     integral contraction makes this nonpositive up to quadrature error.
     """
-    before = norm(apply_pointwise(v, fn), "l1")
-    after = norm(apply_pointwise(suite.resolvent(v, lam), fn), "l1")
-    return max(0.0, after - before)
+    return _integral_excess(*_jensen_images(suite, v, lam, fn))
 
 
 _BATTERY_LAMS = (1e-3, 1e-2, 1e-1, 1.0, 10.0)
@@ -180,11 +189,8 @@ def run_jensen_battery(
     for i in range(n_samples):
         v = random_bumps(suite.grid, rng)
         lam = lams[i % len(lams)]
-        fn = CONVEX_FUNCTIONS[names[i % len(names)]]
-        e = max(
-            jensen_pointwise_excess(suite, v, lam, fn),
-            jensen_integral_excess(suite, v, lam, fn),
-        )
+        fv, fjv = _jensen_images(suite, v, lam, CONVEX_FUNCTIONS[names[i % len(names)]])
+        e = max(_pointwise_excess(suite, lam, fv, fjv), _integral_excess(fv, fjv))
         worst = max(worst, e)
         if e > tol:
             bad += 1
@@ -193,13 +199,24 @@ def run_jensen_battery(
 
 @dataclass(frozen=True)
 class ItoReport:
+    """Penalty integral and per-step residuals, one column per path.
+
+    functional is (n_steps + 1, n_paths) and residuals (n_steps, n_paths).
+    """
+
     times: np.ndarray
     functional: np.ndarray
     residuals: np.ndarray
 
     @property
-    def total_residual(self) -> float:
-        return float(self.residuals.sum())
+    def totals(self) -> list:
+        """Each path's summed residual.
+
+        Every total is one 1-D sum over that path's own steps, so it is
+        bitwise the total of the path run alone; a sum over axis 0 would
+        add the steps in another order.
+        """
+        return [float(col.sum()) for col in np.ascontiguousarray(self.residuals.T)]
 
 
 def ito_residual(
@@ -209,7 +226,7 @@ def ito_residual(
     modes: Sequence[GridFunction] = (),
     dt: float = 1e-2,
     n_steps: int = 100,
-    noise_cfg: NoiseConfig | None = None,
+    noise_cfgs: Sequence[NoiseConfig] = (),
 ) -> ItoReport:
     """Per-step defect of the Ito expansion of the penalized energy.
 
@@ -219,46 +236,58 @@ def ito_residual(
     start.  Deterministic runs (no modes) leave a residual of one order
     higher than dt per step; noisy runs leave a mean-zero residual
     shrinking with dt.
+
+    All paths start at v0 and evolve together as the rows of one
+    (n_paths, N) state: one path per noise stream in noise_cfgs, or a
+    single path when there are no modes.  Every reduction is a 1-D dot
+    along one path's row, so a path's results are bitwise those of the
+    path run alone, whatever the other streams.
     """
     g = v0.grid
     k = len(modes)
     if k > 0:
-        if noise_cfg is None:
-            raise ValueError("modes given but no noise_cfg")
-        if noise_cfg.n_modes != k:
+        if len(noise_cfgs) == 0:
+            raise ValueError("modes given but no noise_cfgs")
+        if any(c.n_modes != k for c in noise_cfgs):
             raise ValueError("noise_cfg.n_modes does not match modes")
-        dW = increment_block(noise_cfg, dt, n_steps)
+        dW = np.stack([increment_block(c, dt, n_steps) for c in noise_cfgs], axis=1)
+    elif len(noise_cfgs) > 0:
+        raise ValueError("noise_cfgs given but no modes")
     else:
-        dW = np.zeros((n_steps, 0))
+        dW = np.zeros((n_steps, 1, 0))
+    n_paths = dW.shape[1]
     w = g.weights
     tw = g.tail_weight
 
-    def penalty_integral(v, tail):
-        return float(np.dot(w, penalty_eval(n, v, 0))) + tw * penalty_eval(n, tail, 0)
+    def row_dots(x):
+        return np.array([np.dot(w, row) for row in x])
 
-    v = v0.values.copy()
-    tail = v0.tail_value
+    def penalty_integral(v, tail):
+        return row_dots(penalty_eval(n, v, 0)) + tw * penalty_eval(n, tail, 0)
+
+    v = np.tile(v0.values, (n_paths, 1))
+    tail = np.full(n_paths, v0.tail_value)
     times = np.arange(n_steps + 1) * dt
-    func = np.empty(n_steps + 1)
-    res = np.empty(n_steps)
+    func = np.empty((n_steps + 1, n_paths))
+    res = np.empty((n_steps, n_paths))
     func[0] = penalty_integral(v, tail)
     for j in range(n_steps):
         d1 = penalty_eval(n, v, 1)
         d1t = penalty_eval(n, tail, 1)
         d2 = penalty_eval(n, v, 2)
         d2t = penalty_eval(n, tail, 2)
-        ds_term = float(np.dot(w, d1 * drift.values)) + tw * d1t * drift.tail_value
+        ds_term = row_dots(d1 * drift.values) + tw * d1t * drift.tail_value
         dw_term = 0.0
         for kk in range(k):
             m = modes[kk]
             mt = np.float64(m.tail_value)  # overflows to inf, not to a Python exception
-            ds_term += 0.5 * (float(np.dot(w, d2 * m.values**2)) + tw * d2t * mt**2)
-            dw_term += (float(np.dot(w, d1 * m.values)) + tw * d1t * m.tail_value) * dW[j, kk]
+            ds_term += 0.5 * (row_dots(d2 * m.values**2) + tw * d2t * mt**2)
+            dw_term += (row_dots(d1 * m.values) + tw * d1t * m.tail_value) * dW[j, :, kk]
         v = v + drift.values * dt
         tail = tail + drift.tail_value * dt
         for kk in range(k):
-            v = v + modes[kk].values * dW[j, kk]
-            tail = tail + modes[kk].tail_value * dW[j, kk]
+            v = v + modes[kk].values * dW[j, :, kk, None]
+            tail = tail + modes[kk].tail_value * dW[j, :, kk]
         func[j + 1] = penalty_integral(v, tail)
         res[j] = func[j + 1] - func[j] - ds_term * dt - dw_term
     return ItoReport(times, func, res)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, replace
+from typing import Sequence
 
 import numpy as np
 
@@ -43,6 +44,10 @@ __all__ = [
 ]
 
 SCHEMES = ("shift-then-react", "react-then-shift")
+
+# bytes of the two stride-1 snapshot arrays, plain and regularized, that
+# a lambda study holds at once; more streams run in further batches
+STUDY_BYTES = 32 * 1024 * 1024
 
 
 @dataclass(frozen=True)
@@ -112,6 +117,21 @@ def _kernel_call(u0, suite, model, cfg, dW):
     )
 
 
+def _simulate_streams(u0, suite, model, cfg, streams):
+    """One kernel call with one row per noise stream, every row starting at u0."""
+    if any(s.n_modes != model.n_modes for s in streams):
+        raise ValueError("noise_cfg.n_modes does not match the model")
+    n_steps = cfg.n_steps
+    sq = np.sqrt(cfg.dt)
+    p = len(streams)
+    dW = np.empty((p, n_steps, model.n_modes))
+    for i, s in enumerate(streams):
+        dW[i] = gaussian_block(s, n_steps) * sq
+    v0 = np.tile(u0.values, (p, 1))
+    t0 = np.full(p, u0.tail_value)
+    return _kernel_call((v0, t0), suite, model, cfg, dW)
+
+
 @dataclass
 class PathResult:
     times: np.ndarray
@@ -170,14 +190,9 @@ def simulate_path(
     cfg: SolverConfig,
     noise_cfg: NoiseConfig,
 ) -> PathResult:
-    if noise_cfg.n_modes != model.n_modes:
-        raise ValueError("noise_cfg.n_modes does not match the model")
-    n_steps = cfg.n_steps
-    dW = gaussian_block(noise_cfg, n_steps)[None, :, :] * np.sqrt(cfg.dt)
-    out_v, out_t, neg_e, min_v, aborted, snaps, snap_tails = _kernel_call(
-        (u0.values[None, :], np.array([u0.tail_value])), suite, model, cfg, dW
-    )
-    times = np.arange(n_steps + 1) * cfg.dt
+    out_v, out_t, neg_e, min_v, aborted, snaps, snap_tails = _simulate_streams(
+        u0, suite, model, cfg, [noise_cfg])
+    times = np.arange(cfg.n_steps + 1) * cfg.dt
     shots = [
         (float(s * cfg.dt), GridFunction(u0.grid, snaps[i, 0].copy(), float(snap_tails[i, 0])))
         for i, s in enumerate(cfg.snapshot_steps())
@@ -233,10 +248,8 @@ def run_ensemble(
         raise ValueError("chunk_size must be positive")
     g = u0.grid
     n_steps = cfg.n_steps
-    K = model.n_modes
     snap_steps = cfg.snapshot_steps()
     S = snap_steps.shape[0]
-    sq = np.sqrt(cfg.dt)
     neg_e = np.empty((n_paths, n_steps + 1))
     min_v = np.empty((n_paths, n_steps + 1))
     finals = np.empty((n_paths, g.n))
@@ -244,16 +257,11 @@ def run_ensemble(
     aborted = np.empty(n_paths, dtype=np.int64)
     snaps = np.empty((S, n_paths, g.n))
     snap_tails = np.empty((S, n_paths))
-    base = NoiseConfig(K, seed)
+    base = NoiseConfig(model.n_modes, seed)
     for lo in range(0, n_paths, chunk_size):
         hi = min(lo + chunk_size, n_paths)
-        p = hi - lo
-        dW = np.empty((p, n_steps, K))
-        for i in range(p):
-            dW[i] = gaussian_block(base.with_stream(stream_base + lo + i), n_steps) * sq
-        v0 = np.tile(u0.values, (p, 1))
-        t0 = np.full(p, u0.tail_value)
-        out = _kernel_call((v0, t0), suite, model, cfg, dW)
+        streams = [base.with_stream(stream_base + i) for i in range(lo, hi)]
+        out = _simulate_streams(u0, suite, model, cfg, streams)
         finals[lo:hi], ftails[lo:hi] = out[0], out[1]
         neg_e[lo:hi], min_v[lo:hi], aborted[lo:hi] = out[2], out[3], out[4]
         snaps[:, lo:hi], snap_tails[:, lo:hi] = out[5], out[6]
@@ -328,29 +336,63 @@ class StudyEntry:
     sup_distance: float
 
 
+def _sup_distances(grid, a, a_tails, b, b_tails) -> list:
+    """Per path, the supremum over snapshots of the weighted L2 distance of two runs.
+
+    a and b are (snapshots, paths, N) with their tails; NaN snapshots of
+    an aborted run drop out of the supremum.
+    """
+    sups = []
+    for p in range(a.shape[1]):
+        d = 0.0
+        for s in range(a.shape[0]):
+            diff = GridFunction(grid, a[s, p] - b[s, p], a_tails[s, p] - b_tails[s, p])
+            d = max(d, norm(diff, "l2"))
+        sups.append(d)
+    return sups
+
+
 def lambda_convergence_study(
     u0: GridFunction,
     suite: OperatorSuite,
     model: CoefficientModel,
     cfg: SolverConfig,
-    noise_cfg: NoiseConfig,
+    noise_cfgs: Sequence[NoiseConfig],
     lams: tuple,
 ) -> list:
     """Couple regularized runs to the plain run through shared noise.
 
-    Returns one StudyEntry per lam (in the given order) holding the
-    supremum over recorded times of the weighted L2 distance to the
-    unregularized path driven by the same increments.
+    Returns, for each noise stream in the given order, a list with one
+    StudyEntry per lam (in the given order) holding the supremum over
+    recorded times of the weighted L2 distance to the unregularized path
+    driven by the same increments.  The regularized runs start from the
+    resolvent of u0 at their lam (see simulate_regularized).
+
+    The streams run in batches, each one kernel call for the plain runs
+    and one per lam, cut so that the two stride-1 snapshot arrays held
+    at once stay within STUDY_BYTES.  A stream's entries do not depend
+    on the batch it runs in.
     """
     if len(lams) == 0:
         raise ValueError("need at least one lam")
+    if not all(lam > 0.0 for lam in lams):
+        raise ValueError("lam must be positive")
     cfg1 = replace(cfg, snapshot_stride=1, lam=0.0)
-    base = simulate_path(u0, suite, model, cfg1, noise_cfg)
+    starts = [suite.resolvent(u0, lam) for lam in lams]
+    per_batch = max(1, STUDY_BYTES // (2 * 8 * (cfg1.n_steps + 1) * u0.grid.n))
+    grid = u0.grid
     entries = []
-    for lam in lams:
-        reg = simulate_regularized(u0, suite, model, cfg1, noise_cfg, lam)
-        d = 0.0
-        for (t1, f1), (t2, f2) in zip(base.snapshots, reg.snapshots):
-            d = max(d, norm(f1 - f2, "l2"))
-        entries.append(StudyEntry(float(lam), d))
+    for lo in range(0, len(noise_cfgs), per_batch):
+        streams = noise_cfgs[lo : lo + per_batch]
+        base, base_tails = _simulate_streams(u0, suite, model, cfg1, streams)[5:]
+        # each regularized run's snapshots are dropped before the next run
+        dists = [
+            _sup_distances(grid, base, base_tails, *_simulate_streams(
+                start, suite, model, replace(cfg1, lam=lam), streams)[5:])
+            for lam, start in zip(lams, starts)
+        ]
+        entries += [
+            [StudyEntry(float(lam), d[p]) for lam, d in zip(lams, dists)]
+            for p in range(len(streams))
+        ]
     return entries

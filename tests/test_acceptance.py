@@ -155,19 +155,17 @@ def test_e_energy_identity_convergence():
     n = 50.0
     det = []
     for dt, steps in ((1e-2, 100), (5e-3, 200), (2.5e-3, 400)):
-        det.append(ito_residual(n, v0, drift, dt=dt, n_steps=steps).total_residual)
+        det.append(ito_residual(n, v0, drift, dt=dt, n_steps=steps).totals[0])
     orders = [math.log2(det[i] / det[i + 1]) for i in (0, 1)]
     m1 = GridFunction.from_callable(g, lambda x: 0.25 * np.exp(-0.3 * x))
     m2 = GridFunction.constant(g, 0.1)
     means = []
+    streams = [NoiseConfig(2, 314, p) for p in range(1000)]
     for dt, steps in ((1e-2, 100), (2.5e-3, 400)):
+        rep = ito_residual(n, v0, drift, (m1, m2), dt=dt, n_steps=steps, noise_cfgs=streams)
         tot = 0.0
-        for p in range(1000):
-            rep = ito_residual(
-                n, v0, drift, (m1, m2), dt=dt, n_steps=steps,
-                noise_cfg=NoiseConfig(2, 314, p),
-            )
-            tot += abs(rep.total_residual)
+        for total in rep.totals:
+            tot += abs(total)
         means.append(tot / 1000.0)
     dt_s = time.perf_counter() - t0
     ok = all(o >= 0.9 for o in orders) and means[1] < means[0] and dt_s < 120.0
@@ -272,8 +270,8 @@ def test_h_regularized_paths_converge():
     cfg = SolverConfig(dt=5e-3, t_final=0.5)
     lams = (0.2, 0.1, 0.05, 0.025)
     good = 0
-    for seed in range(100, 120):
-        entries = lambda_convergence_study(u0, suite, model, cfg, NoiseConfig(1, seed), lams)
+    streams = [NoiseConfig(1, seed) for seed in range(100, 120)]
+    for entries in lambda_convergence_study(u0, suite, model, cfg, streams, lams):
         ds = [e.sup_distance for e in entries]
         if all(d > 0.0 for d in ds) and all(ds[i] > ds[i + 1] for i in range(len(ds) - 1)):
             good += 1

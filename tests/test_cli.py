@@ -442,6 +442,9 @@ def _run_expecting_errors(tmp_path, capsys, experiment, cfg, overrides=()):
         ("ito-check", "ito.dt_values=[0.1, 0.15]", "ito.dt_values[1]"),
         ("ito-check", "ito.dt_values=[1e-300]", "ito.dt_values[0]"),
         ("hjm", "run.n_paths=4611686018427387904", "run.n_paths"),
+        # the study snapshots every step of every node; ito runs its paths as one batch
+        ("lambda-study", "run.t_final=2.8823037615171176e16", "run.dt"),
+        ("ito-check", "ito.n_paths=2305843009213693952", "ito.n_paths"),
         ("simulate", "run.t_final=1e300", "run.dt"),
         ("operator-tests", "grid.n_nodes=2305843009213693952", "grid.n_nodes"),
         ("operator-tests", "check.n_samples=-1", "check.n_samples"),
@@ -482,6 +485,31 @@ def test_cli_unreadable_inputs_exit_2(tmp_path, capsys, case):
     assert named in lines[0], lines
     assert blocker.read_text() == "a file\n"
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("case", ["out-is-file", "out-under-file", "out-new", "out-existing"])
+def test_cli_validate_only_checks_output_dir(tmp_path, capsys, case):
+    # --validate-only exits as the run would on an unusable --out, and makes nothing
+    cfg = _write_cfg(tmp_path, _small_cfgs()["coeff-check"])
+    blocker = tmp_path / "blocker"
+    blocker.write_text("a file\n")
+    out = {"out-is-file": blocker, "out-under-file": blocker / "out",
+           "out-new": tmp_path / "new" / "out", "out-existing": tmp_path}[case]
+    before = sorted(tmp_path.rglob("*"))
+    rc = main(["coeff-check", "--config", cfg, "--out", str(out), "--validate-only"])
+    captured = capsys.readouterr()
+    if case in ("out-is-file", "out-under-file"):
+        assert rc == 2
+        reason = "File exists" if case == "out-is-file" else "Not a directory"
+        assert captured.err.splitlines() == [
+            f"config error: output directory {out}: {reason}"]
+        # the run without the flag fails with the same line
+        assert main(["coeff-check", "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == captured.err
+    else:
+        assert rc == 0 and captured.out == "config valid\n"
+    assert sorted(tmp_path.rglob("*")) == before
+    assert blocker.read_text() == "a file\n"
 
 
 _HJM_UNREAD = [

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mildsim.grids import Grid, GridFunction, lattice_parts, norm
-from mildsim.noise import NoiseConfig
+from mildsim.noise import NoiseConfig, increment_block
 from mildsim.operators import OperatorSuite, random_bumps
 from mildsim.smoothing import (
     CONVEX_FUNCTIONS,
@@ -156,6 +158,30 @@ def test_pairing_battery(fine_suite):
     assert rep.worst_excess <= 1e-8
 
 
+def test_jensen_battery_matches_separate_checks():
+    # one resolvent of v per sample serves both checks; the report is
+    # bitwise the one from the two checks computed separately
+    suite = OperatorSuite(Grid.uniform(10.0, 2001, 1.0), shifted=True)
+    rng = np.random.default_rng(23)
+    names = sorted(CONVEX_FUNCTIONS)
+    lams = (1e-3, 1e-2, 1e-1, 1.0, 10.0)
+    worst, bad = 0.0, 0
+    for i in range(30):
+        v = random_bumps(suite.grid, rng)
+        lam, fn = lams[i % len(lams)], CONVEX_FUNCTIONS[names[i % len(names)]]
+        lhs = apply_pointwise(suite.resolvent(v, lam), fn)
+        d = lhs - suite.resolvent(apply_pointwise(v, fn), lam)
+        pointwise = max(0.0, float(d.values.max()), d.tail_value)
+        integral = max(0.0, norm(lhs, "l1") - norm(apply_pointwise(v, fn), "l1"))
+        assert jensen_pointwise_excess(suite, v, lam, fn) == pointwise
+        assert jensen_integral_excess(suite, v, lam, fn) == integral
+        e = max(pointwise, integral)
+        worst = max(worst, e)
+        bad += e > 1e-8
+    rep = run_jensen_battery(suite, 30, seed=23)
+    assert (rep.worst_excess, rep.n_violations, rep.n_checks) == (worst, bad, 30)
+
+
 def test_jensen_battery(fine_suite):
     rep = run_jensen_battery(fine_suite, 40, seed=21)
     assert rep.passed
@@ -179,7 +205,11 @@ def test_ito_residual_validation():
     with pytest.raises(ValueError):
         ito_residual(50.0, v0, drift, modes)
     with pytest.raises(ValueError):
-        ito_residual(50.0, v0, drift, modes, noise_cfg=NoiseConfig(1, 0))
+        ito_residual(50.0, v0, drift, modes, noise_cfgs=[NoiseConfig(1, 0)])
+    with pytest.raises(ValueError):
+        ito_residual(50.0, v0, drift, modes, noise_cfgs=[NoiseConfig(2, 0), NoiseConfig(1, 0)])
+    with pytest.raises(ValueError):
+        ito_residual(50.0, v0, drift, (), noise_cfgs=[NoiseConfig(0, 0)])
 
 
 def test_ito_residual_deterministic_first_order():
@@ -188,9 +218,9 @@ def test_ito_residual_deterministic_first_order():
     for dt, n_steps in ((1e-2, 100), (5e-3, 200)):
         rep = ito_residual(50.0, v0, drift, dt=dt, n_steps=n_steps)
         assert rep.times.shape == (n_steps + 1,)
-        assert rep.functional.shape == (n_steps + 1,)
-        assert rep.residuals.shape == (n_steps,)
-        totals.append(abs(rep.total_residual))
+        assert rep.functional.shape == (n_steps + 1, 1)
+        assert rep.residuals.shape == (n_steps, 1)
+        totals.append(abs(rep.totals[0]))
     order = np.log(totals[0] / totals[1]) / np.log(2.0)
     assert 0.9 < order < 1.1
 
@@ -198,16 +228,89 @@ def test_ito_residual_deterministic_first_order():
 def test_ito_residual_stochastic_shrinks_with_dt():
     _, v0, drift, modes = _ito_setup()
     means = []
+    streams = [NoiseConfig(2, 314, stream_id=p) for p in range(100)]
     for dt, n_steps in ((1e-2, 100), (2.5e-3, 400)):
+        rep = ito_residual(50.0, v0, drift, modes, dt=dt, n_steps=n_steps, noise_cfgs=streams)
+        assert len(rep.residuals) == n_steps
+        assert rep.residuals.shape == (n_steps, 100)
         acc = 0.0
-        for p in range(100):
-            rep = ito_residual(
-                50.0, v0, drift, modes, dt=dt, n_steps=n_steps,
-                noise_cfg=NoiseConfig(2, 314, stream_id=p),
-            )
-            acc += abs(rep.total_residual)
+        for total in rep.totals:
+            acc += abs(total)
         means.append(acc / 100)
     assert means[1] < means[0]
+
+
+def _reference_ito_residual(n, v0, drift, modes=(), dt=1e-2, n_steps=100, noise_cfg=None):
+    """One path at a time, as ito_residual computed it before it ran batched."""
+    g = v0.grid
+    k = len(modes)
+    dW = increment_block(noise_cfg, dt, n_steps) if k > 0 else np.zeros((n_steps, 0))
+    w = g.weights
+    tw = g.tail_weight
+
+    def penalty_integral(v, tail):
+        return float(np.dot(w, penalty_eval(n, v, 0))) + tw * penalty_eval(n, tail, 0)
+
+    v = v0.values.copy()
+    tail = v0.tail_value
+    func = np.empty(n_steps + 1)
+    res = np.empty(n_steps)
+    func[0] = penalty_integral(v, tail)
+    for j in range(n_steps):
+        d1 = penalty_eval(n, v, 1)
+        d1t = penalty_eval(n, tail, 1)
+        d2 = penalty_eval(n, v, 2)
+        d2t = penalty_eval(n, tail, 2)
+        ds_term = float(np.dot(w, d1 * drift.values)) + tw * d1t * drift.tail_value
+        dw_term = 0.0
+        for kk in range(k):
+            m = modes[kk]
+            mt = np.float64(m.tail_value)
+            ds_term += 0.5 * (float(np.dot(w, d2 * m.values**2)) + tw * d2t * mt**2)
+            dw_term += (float(np.dot(w, d1 * m.values)) + tw * d1t * m.tail_value) * dW[j, kk]
+        v = v + drift.values * dt
+        tail = tail + drift.tail_value * dt
+        for kk in range(k):
+            v = v + modes[kk].values * dW[j, kk]
+            tail = tail + modes[kk].tail_value * dW[j, kk]
+        func[j + 1] = penalty_integral(v, tail)
+        res[j] = func[j + 1] - func[j] - ds_term * dt - dw_term
+    return func, res, float(res.sum())
+
+
+@pytest.mark.parametrize("dt, n_steps", [(1e-2, 30), (2.5e-3, 120)])
+def test_ito_residual_paths_match_single_path_reference(dt, n_steps):
+    # the batched rows, each reduced as its own 1-D dot, are bitwise the
+    # paths run one at a time
+    _, v0, drift, modes = _ito_setup()
+    streams = [NoiseConfig(2, 314, stream_id=p) for p in range(7)]
+    rep = ito_residual(50.0, v0, drift, modes, dt=dt, n_steps=n_steps, noise_cfgs=streams)
+    for p, ncfg in enumerate(streams):
+        func, res, total = _reference_ito_residual(
+            50.0, v0, drift, modes, dt=dt, n_steps=n_steps, noise_cfg=ncfg)
+        assert rep.functional[:, p].tobytes() == func.tobytes()
+        assert rep.residuals[:, p].tobytes() == res.tobytes()
+        assert rep.totals[p] == total
+    det = ito_residual(50.0, v0, drift, dt=dt, n_steps=n_steps)
+    func, res, total = _reference_ito_residual(50.0, v0, drift, dt=dt, n_steps=n_steps)
+    assert det.functional[:, 0].tobytes() == func.tobytes()
+    assert det.residuals[:, 0].tobytes() == res.tobytes()
+    assert det.totals == [total]
+
+
+@settings(max_examples=20, deadline=None)
+@given(picked=st.lists(st.integers(0, 9), min_size=1, max_size=6))
+def test_ito_residual_paths_follow_their_streams(picked):
+    # permuting, repeating or dropping streams moves each path's results
+    # with its stream and changes none of them
+    _, v0, drift, modes = _ito_setup()
+    streams = [NoiseConfig(2, 99, stream_id=p) for p in range(10)]
+    whole = ito_residual(50.0, v0, drift, modes, dt=2e-2, n_steps=10, noise_cfgs=streams)
+    part = ito_residual(50.0, v0, drift, modes, dt=2e-2, n_steps=10,
+                        noise_cfgs=[streams[i] for i in picked])
+    assert part.functional.tobytes() == whole.functional[:, picked].tobytes()
+    assert part.residuals.tobytes() == whole.residuals[:, picked].tobytes()
+    assert part.totals == [whole.totals[i] for i in picked]
 
 
 def test_supermartingale_stat():

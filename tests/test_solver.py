@@ -1,8 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mildsim import kernels, solver
 from mildsim.coefficients import CoefficientModel, ModeFunction
 from mildsim.grids import Grid, GridFunction, lattice_parts, norm
 from mildsim.noise import NoiseConfig
@@ -328,8 +331,8 @@ def test_regularized_smooths_initial_state():
         simulate_regularized(u0, suite, model, cfg, NoiseConfig(2, 2), 0.0)
 
 
-def test_lambda_study_distances_decrease():
-    grid = Grid.uniform(2.0, 401, 0.5)
+def _study_setup(n=401, scheme="shift-then-react", t_final=0.5):
+    grid = Grid.uniform(2.0, n, 0.5)
     suite = OperatorSuite(grid, shifted=True)
     model = CoefficientModel(
         grid,
@@ -338,13 +341,102 @@ def test_lambda_study_distances_decrease():
         alpha_correction=0.5,
     )
     u0 = GridFunction.from_callable(grid, lambda x: 0.02 + 0.01 * np.exp(-x))
-    cfg = SolverConfig(dt=5e-3, t_final=0.5)
+    # one grid cell per step: 5e-3 on the 401-node grid
+    return suite, model, u0, SolverConfig(dt=2.0 / (n - 1), t_final=t_final, scheme=scheme)
+
+
+def test_lambda_study_distances_decrease():
+    suite, model, u0, cfg = _study_setup()
     lams = (0.2, 0.1, 0.05, 0.025)
-    for seed in (100, 101):
-        entries = lambda_convergence_study(u0, suite, model, cfg, NoiseConfig(1, seed), lams)
+    study = lambda_convergence_study(
+        u0, suite, model, cfg, [NoiseConfig(1, 100), NoiseConfig(1, 101)], lams)
+    assert len(study) == 2
+    for entries in study:
         assert [e.lam for e in entries] == list(lams)
         ds = [e.sup_distance for e in entries]
         assert all(d > 0.0 for d in ds)
         assert all(b < a for a, b in zip(ds, ds[1:]))
     with pytest.raises(ValueError):
-        lambda_convergence_study(u0, suite, model, cfg, NoiseConfig(1, 100), ())
+        lambda_convergence_study(u0, suite, model, cfg, [NoiseConfig(1, 100)], ())
+    with pytest.raises(ValueError):
+        lambda_convergence_study(u0, suite, model, cfg, [NoiseConfig(1, 100)], (0.1, 0.0))
+
+
+def _reference_lambda_study(u0, suite, model, cfg, noise_cfg, lams):
+    """One seed at a time, as the study ran before it was batched."""
+    cfg1 = replace(cfg, snapshot_stride=1, lam=0.0)
+    base = simulate_path(u0, suite, model, cfg1, noise_cfg)
+    entries = []
+    for lam in lams:
+        reg = simulate_regularized(u0, suite, model, cfg1, noise_cfg, lam)
+        d = 0.0
+        for (t1, f1), (t2, f2) in zip(base.snapshots, reg.snapshots):
+            d = max(d, norm(f1 - f2, "l2"))
+        entries.append((float(lam), d))
+    return entries
+
+
+def _as_pairs(study):
+    return [[(e.lam, e.sup_distance) for e in entries] for entries in study]
+
+
+@pytest.mark.parametrize("scheme", ["shift-then-react", "react-then-shift"])
+def test_lambda_study_matches_per_seed_reference(scheme):
+    suite, model, u0, cfg = _study_setup(n=201, scheme=scheme, t_final=0.25)
+    lams = (0.2, 0.05, 0.0125)
+    streams = [NoiseConfig(1, seed) for seed in (100, 3, 57, 101)]
+    study = lambda_convergence_study(u0, suite, model, cfg, streams, lams)
+    want = [_reference_lambda_study(u0, suite, model, cfg, ncfg, lams) for ncfg in streams]
+    assert _as_pairs(study) == want
+
+
+def test_lambda_study_with_aborting_paths_matches_reference():
+    # the growth drift blows some seeds up; their NaN snapshots drop out
+    # of the supremum as they did path by path
+    grid = Grid.uniform(2.0, 101, 0.5)
+    suite = OperatorSuite(grid, shifted=True)
+    model = CoefficientModel(grid, modes=(ModeFunction("proportional", c=3.0),),
+                             drift="linear-decay", drift_c=-4.0)
+    u0 = GridFunction.constant(grid, 1.0)
+    cfg = SolverConfig(dt=0.02, t_final=1.0, blow_threshold=60.0)
+    lams = (0.2, 0.1)
+    streams = [NoiseConfig(1, seed) for seed in range(8)]
+    study = lambda_convergence_study(u0, suite, model, cfg, streams, lams)
+    want = [_reference_lambda_study(u0, suite, model, cfg, ncfg, lams) for ncfg in streams]
+    assert _as_pairs(study) == want
+    aborted = [simulate_path(u0, suite, model, replace(cfg, snapshot_stride=1), ncfg).aborted
+               for ncfg in streams]
+    assert any(aborted) and not all(aborted)
+
+
+def test_lambda_study_split_into_batches_matches_one_batch(monkeypatch):
+    suite, model, u0, cfg = _study_setup(n=101, t_final=0.1)
+    lams = (0.2, 0.1, 0.05)
+    streams = [NoiseConfig(1, seed) for seed in range(7)]
+    calls = []
+    kernel = kernels.simulate_batch
+    monkeypatch.setattr(kernels, "simulate_batch",
+                        lambda *a: calls.append(a[2].shape[0]) or kernel(*a))
+    whole = lambda_convergence_study(u0, suite, model, cfg, streams, lams)
+    assert calls == [7] * 4  # the plain run, then one call per lam
+    # room for the snapshots of three streams: batches of 3, 3 and 1
+    snap_bytes = 2 * 8 * (cfg.n_steps + 1) * u0.grid.n
+    monkeypatch.setattr(solver, "STUDY_BYTES", 3 * snap_bytes + 1)
+    calls.clear()
+    cut = lambda_convergence_study(u0, suite, model, cfg, streams, lams)
+    assert calls == [3] * 4 + [3] * 4 + [1] * 4
+    assert _as_pairs(cut) == _as_pairs(whole)
+
+
+@settings(max_examples=15, deadline=None)
+@given(picked=st.lists(st.integers(0, 5), min_size=1, max_size=5),
+       scheme=st.sampled_from(["shift-then-react", "react-then-shift"]))
+def test_lambda_study_entries_follow_their_streams(picked, scheme):
+    # permuting, repeating or dropping seeds moves each seed's entries
+    # with it and changes none of them
+    suite, model, u0, cfg = _study_setup(n=41, scheme=scheme, t_final=0.2)
+    lams = (0.2, 0.05)
+    streams = [NoiseConfig(1, seed) for seed in range(6)]
+    whole = _as_pairs(lambda_convergence_study(u0, suite, model, cfg, streams, lams))
+    part = lambda_convergence_study(u0, suite, model, cfg, [streams[i] for i in picked], lams)
+    assert _as_pairs(part) == [whole[i] for i in picked]
