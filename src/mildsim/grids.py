@@ -48,17 +48,29 @@ def hat_weights(nodes: np.ndarray, a: float) -> np.ndarray:
     d = np.diff(nodes)
     if np.any(d <= 0.0):
         raise ValueError("nodes must be strictly increasing")
-    w = np.zeros(nodes.shape[0], dtype=np.float64)
     z = a * d
+    small = np.abs(z) < 5e-3
     left = np.empty_like(d)
     right = np.empty_like(d)
-    small = np.abs(z) < 5e-3
     if np.any(small):
-        zs, ds = z[small], d[small]
+        whole = small.all()
+        zs, ds = (z, d) if whole else (z[small], d[small])
         # phi weights against e^{a(x - x_i)} on one cell, expanded in z;
-        # the direct formulas cancel catastrophically for small z
-        left[small] = ds * (0.5 + zs / 6.0 + zs * zs / 24.0 + zs**3 / 120.0 + zs**4 / 720.0)
-        right[small] = ds * (0.5 + zs / 3.0 + zs * zs / 8.0 + zs**3 / 30.0 + zs**4 / 144.0)
+        # the direct formulas cancel catastrophically for small z.  The
+        # factors depend on z alone, so they are evaluated once per
+        # distinct z (a uniform grid has a few dozen): ** costs about ten
+        # times more on a negative base than on a positive one
+        zu = np.unique(zs)
+        k = np.searchsorted(zu, zs)
+        for out, f in (
+            (left, 0.5 + zu / 6.0 + zu * zu / 24.0 + zu**3 / 120.0 + zu**4 / 720.0),
+            (right, 0.5 + zu / 3.0 + zu * zu / 8.0 + zu**3 / 30.0 + zu**4 / 144.0),
+        ):
+            fs = np.take(f, k, out=out if whole else None)
+            fs *= ds
+            if not whole:
+                out[small] = fs
+        del zs, ds, k, fs
     big = ~small
     if np.any(big):
         zb, db = z[big], d[big]
@@ -67,9 +79,17 @@ def hat_weights(nodes: np.ndarray, a: float) -> np.ndarray:
         i1 = db * (ez / zb - (ez - 1.0) / (zb * zb))
         left[big] = i0 - i1
         right[big] = i1
-    scale = np.exp(a * nodes[:-1])
-    w[:-1] += left * scale
-    w[1:] += right * scale
+        del zb, db, ez, i0, i1
+    # every temporary goes before the last three node arrays are made
+    del d, z, small, big
+    scale = a * nodes[:-1]
+    np.exp(scale, out=scale)
+    left *= scale
+    right *= scale
+    del scale
+    w = np.zeros(nodes.shape[0], dtype=np.float64)
+    w[:-1] += left
+    w[1:] += right
     return w
 
 
@@ -152,8 +172,13 @@ class GridFunction:
         return GridFunction(self.grid, self.values + other.values, self.tail_value + other.tail_value)
 
     def __sub__(self, other: "GridFunction") -> "GridFunction":
+        return self.minus(other)
+
+    def minus(self, other: "GridFunction", out: np.ndarray | None = None) -> "GridFunction":
+        """self - other, with the node values written to out when given."""
         self._check(other)
-        return GridFunction(self.grid, self.values - other.values, self.tail_value - other.tail_value)
+        return GridFunction(self.grid, np.subtract(self.values, other.values, out=out),
+                            self.tail_value - other.tail_value)
 
     def __mul__(self, c: float) -> "GridFunction":
         c = float(c)
@@ -175,19 +200,22 @@ class LatticeParts:
     indicator: GridFunction
 
 
-def weighted_inner(f: GridFunction, g: GridFunction) -> float:
-    """Inner product of f*g against e^{-alpha x} dx, tail included."""
+def weighted_inner(f: GridFunction, g: GridFunction, out: np.ndarray | None = None) -> float:
+    """Inner product of f*g against e^{-alpha x} dx, tail included.
+
+    The node products go to out when given.
+    """
     f._check(g)
     grid = f.grid
-    core = float(np.dot(grid.weights, f.values * g.values))
+    core = float(np.dot(grid.weights, np.multiply(f.values, g.values, out=out)))
     return core + grid.tail_weight * f.tail_value * g.tail_value
 
 
-def norm(f: GridFunction, kind: str = "l2") -> float:
+def norm(f: GridFunction, kind: str = "l2", out: np.ndarray | None = None) -> float:
     """Norm of f in the weighted space named by kind.
 
     "l2": sqrt of the weighted self inner product.
-    "l1": integral of |f| against the weight.
+    "l1": integral of |f| against the weight; |f| goes to out when given.
     "deriv": sqrt(f(inf)^2 + integral of f'(x)^2 e^{+alpha x} dx), with
     centered differences inside and one-sided second order stencils at
     the ends.  The tail derivative is zero by the constant extension.
@@ -196,7 +224,7 @@ def norm(f: GridFunction, kind: str = "l2") -> float:
     if kind == "l2":
         return float(np.sqrt(max(weighted_inner(f, f), 0.0)))
     if kind == "l1":
-        core = float(np.dot(grid.weights, np.abs(f.values)))
+        core = float(np.dot(grid.weights, np.abs(f.values, out=out)))
         return core + grid.tail_weight * abs(f.tail_value)
     if kind == "deriv":
         v = f.values

@@ -80,28 +80,37 @@ def resolvent_coeffs(spacing: float, lam: float, alpha: float):
     return E, float(amb), float(b), float(denom)
 
 
-def _resolvent_rows(F, Ftail, E, amb, b, denom):
+def _resolvent_rows(F, Ftail, E, amb, b, denom, out=None, cells=None):
     """Backward resolvent recursion along each row of a (paths, nodes) block.
 
     Implemented as a linear IIR filter on the reversed cell
     contributions, which scipy evaluates in C.  Needs at least two nodes.
+    out, (paths, nodes), receives the result and cells, (paths, nodes - 1),
+    the cell contributions; both are allocated when not given.
     """
     from scipy.signal import lfilter
 
-    Y = np.empty_like(F)
+    Y = np.empty_like(F) if out is None else out
+    C = np.empty((F.shape[0], F.shape[1] - 1)) if cells is None else cells
     ytail = Ftail / denom
-    Y[:, -1] = ytail
-    C = amb * F[:, :-1] + b * F[:, 1:]
+    # amb * F[:, :-1] + b * F[:, 1:], with Y as the scratch for the second term
+    np.multiply(F[:, :-1], amb, out=C)
+    C += np.multiply(F[:, 1:], b, out=Y[:, :-1])
     yrev, _ = lfilter([1.0], [1.0, -E], C[:, ::-1], axis=1, zi=(E * ytail)[:, None])
     Y[:, :-1] = yrev[:, ::-1]
+    Y[:, -1] = ytail
     return Y, ytail
 
 
-def resolvent_sweep(f, ftail, E, amb, b, denom):
-    """Backward resolvent recursion over one node array of at least two nodes."""
+def resolvent_sweep(f, ftail, E, amb, b, denom, out=None, cells=None):
+    """Backward resolvent recursion over one node array of at least two nodes.
+
+    out and cells are optional scratch rows, as in _resolvent_rows.
+    """
     y, ytail = _resolvent_rows(
         np.asarray(f, dtype=np.float64)[None, :], np.array([ftail], dtype=np.float64),
-        E, amb, b, denom)
+        E, amb, b, denom,
+        None if out is None else out[None, :], None if cells is None else cells[None, :])
     return y[0], ytail[0]
 
 

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.random import Philox
-from scipy.special import ndtri
 
 __all__ = [
     "NoiseConfig",
@@ -28,8 +27,9 @@ __all__ = [
 _WORDS_PER_BLOCK = 4
 _U64 = 1 << 64
 
-# largest |z| the uniform mapping can produce
-Z_BOUND = float(-ndtri(2.0**-54))
+# -ndtri(2**-54), the |z| of the smallest uniform the mapping produces; a
+# literal so that importing mildsim does not import scipy.special
+Z_BOUND = 8.292361075813597
 
 
 @dataclass(frozen=True)
@@ -55,6 +55,8 @@ def _key(cfg: NoiseConfig) -> int:
 
 
 def _to_gaussian(raw: np.ndarray) -> np.ndarray:
+    from scipy.special import ndtri  # on first draw: it dominates the import time
+
     u = (raw >> np.uint64(11)) * 2.0**-53 + 2.0**-54
     return ndtri(u)
 

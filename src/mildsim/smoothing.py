@@ -22,7 +22,7 @@ import numpy as np
 
 from .grids import GridFunction, lattice_parts, norm, weighted_inner
 from .noise import NoiseConfig, increment_block
-from .operators import OperatorSuite, random_bumps, BatteryReport
+from .operators import BatteryReport, OperatorSuite, random_bumps, scratch_rows, work_rows
 
 __all__ = [
     "penalty_eval",
@@ -50,30 +50,39 @@ def penalty_eval(n: float, r, order: int = 0):
       order 1: 0, -n r^2 / 2, r + 1/(2n)
       order 0: 0, -n r^3 / 6, r^2/2 + r/(2n) + 1/(6 n^2)
     """
-    if not (n > 0):
-        raise ValueError("n must be positive")
     if order not in (0, 1, 2):
         raise ValueError("order must be 0, 1 or 2")
+    (out,) = _penalty_orders(n, r, (order,))
+    if np.ndim(r) == 0:
+        return float(out)
+    return out
+
+
+def _penalty_orders(n: float, r, orders: tuple) -> list:
+    """penalty_eval's arrays for each of orders, from one pair of masks."""
+    if not (n > 0):
+        raise ValueError("n must be positive")
     n = np.float64(n)  # extreme n gives inf or 0, not a Python float exception
     arr = np.asarray(r, dtype=np.float64)
-    out = np.zeros_like(arr)
     knee = -1.0 / n
     mid = (arr < 0.0) & (arr >= knee)
     lo = arr < knee
     rm = arr[mid]
     rl = arr[lo]
-    if order == 0:
-        out[mid] = -n * rm**3 / 6.0
-        out[lo] = rl * rl / 2.0 + rl / (2.0 * n) + 1.0 / (6.0 * n * n)
-    elif order == 1:
-        out[mid] = -n * rm * rm / 2.0
-        out[lo] = rl + 1.0 / (2.0 * n)
-    else:
-        out[mid] = -n * rm
-        out[lo] = 1.0
-    if np.ndim(r) == 0:
-        return float(out)
-    return out
+    outs = []
+    for order in orders:
+        out = np.zeros_like(arr)
+        if order == 0:
+            out[mid] = -n * rm**3 / 6.0
+            out[lo] = rl * rl / 2.0 + rl / (2.0 * n) + 1.0 / (6.0 * n * n)
+        elif order == 1:
+            out[mid] = -n * rm * rm / 2.0
+            out[lo] = rl + 1.0 / (2.0 * n)
+        else:
+            out[mid] = -n * rm
+            out[lo] = 1.0
+        outs.append(out)
+    return outs
 
 
 def smooth_energy(n: float, f: GridFunction) -> float:
@@ -87,49 +96,83 @@ def smooth_energy(n: float, f: GridFunction) -> float:
     return 0.5 * (core + g.tail_weight * penalty_eval(n, f.tail_value, 0))
 
 
-def apply_pointwise(f: GridFunction, fn: Callable) -> GridFunction:
-    return GridFunction(f.grid, fn(f.values), float(fn(np.float64(f.tail_value))))
+def apply_pointwise(f: GridFunction, fn: Callable, out=None) -> GridFunction:
+    """fn at every node and at the tail; fn(values, out=out) when out is given."""
+    vals = fn(f.values) if out is None else fn(f.values, out=out)
+    return GridFunction(f.grid, vals, float(fn(np.float64(f.tail_value))))
 
 
+def _smoothed_sign(r, out=None):
+    # r / sqrt(r * r + 0.01); on a numpy scalar += makes a new scalar
+    s = np.multiply(r, r, out=out)
+    s += 0.01
+    return np.divide(r, np.sqrt(s, out=out), out=out)
+
+
+def _hinge_squared(r, out=None):
+    m = np.minimum(r, 0.0, out=out)
+    # ** on a numpy scalar is libm pow, which can differ from m * m in the
+    # last bit; on an array it is np.square
+    return m**2 if out is None else np.square(m, out=out)
+
+
+# The catalog functions take out= like a ufunc, so that the pairing and
+# Jensen batteries can write the images into rows they reuse.
 MONOTONE_GRAPHS: dict[str, Callable] = {
-    "identity": lambda r: r,
+    "identity": np.positive,
     "tanh": np.tanh,
-    "clipped-linear": lambda r: np.clip(r, -0.7, 0.7),
-    "smoothed-sign": lambda r: r / np.sqrt(r * r + 0.01),
+    "clipped-linear": lambda r, out=None: np.clip(r, -0.7, 0.7, out=out),
+    "smoothed-sign": _smoothed_sign,
 }
 
 CONVEX_FUNCTIONS: dict[str, Callable] = {
-    "square": lambda r: r * r,
+    "square": np.square,
     "abs": np.abs,
-    "hinge-squared": lambda r: np.minimum(r, 0.0) ** 2,
+    "hinge-squared": _hinge_squared,
 }
 
 
-def pairing_value(suite: OperatorSuite, v: GridFunction, lam: float, graph: Callable) -> float:
+def pairing_value(
+    suite: OperatorSuite, v: GridFunction, lam: float, graph: Callable, work=None
+) -> float:
     """Weighted pairing of the Yosida approximation with a monotone image.
 
     Nonnegative for nondecreasing graphs vanishing at zero; the checks
-    treat any negative value as a violation.
+    treat any negative value as a violation.  work: optional scratch,
+    work_rows(grid, 2), for which graph must take out= like a ufunc.
     """
-    return weighted_inner(suite.yosida(v, lam), apply_pointwise(v, graph))
+    y, image, cells = scratch_rows(work, 2)
+    return weighted_inner(suite.yosida(v, lam, y, cells), apply_pointwise(v, graph, image), out=y)
 
 
-def monotone_pairing_excess(suite: OperatorSuite, v: GridFunction, lam: float, graph: Callable) -> float:
-    return max(0.0, -pairing_value(suite, v, lam, graph))
+def monotone_pairing_excess(
+    suite: OperatorSuite, v: GridFunction, lam: float, graph: Callable, work=None
+) -> float:
+    return max(0.0, -pairing_value(suite, v, lam, graph, work))
 
 
-def _jensen_images(suite: OperatorSuite, v: GridFunction, lam: float, fn: Callable):
+# The Jensen checks share one scratch layout, work_rows(grid, 3): fn(v),
+# fn(resolvent v), a row for the pointwise difference and |.|, and the
+# sweep's cell row.  Without work every row is allocated.
+
+
+def _jensen_images(suite: OperatorSuite, v: GridFunction, lam: float, fn: Callable, work=None):
     """fn(v) and fn(resolvent v), the two images both Jensen checks compare."""
-    return apply_pointwise(v, fn), apply_pointwise(suite.resolvent(v, lam), fn)
+    fv, fjv, _, cells = scratch_rows(work, 3)
+    return apply_pointwise(v, fn, fv), apply_pointwise(suite.resolvent(v, lam, fjv, cells), fn, fjv)
 
 
-def _pointwise_excess(suite: OperatorSuite, lam: float, fv: GridFunction, fjv: GridFunction) -> float:
-    d = fjv - suite.resolvent(fv, lam)
+def _pointwise_excess(
+    suite: OperatorSuite, lam: float, fv: GridFunction, fjv: GridFunction, work=None
+) -> float:
+    _, _, d, cells = scratch_rows(work, 3)
+    d = fjv.minus(suite.resolvent(fv, lam, d, cells), out=d)
     return max(0.0, float(d.values.max()), d.tail_value)
 
 
-def _integral_excess(fv: GridFunction, fjv: GridFunction) -> float:
-    return max(0.0, norm(fjv, "l1") - norm(fv, "l1"))
+def _integral_excess(fv: GridFunction, fjv: GridFunction, work=None) -> float:
+    _, _, d, _ = scratch_rows(work, 3)
+    return max(0.0, norm(fjv, "l1", out=d) - norm(fv, "l1", out=d))
 
 
 def jensen_pointwise_excess(suite: OperatorSuite, v: GridFunction, lam: float, fn: Callable) -> float:
@@ -162,13 +205,14 @@ def run_pairing_battery(
 ) -> BatteryReport:
     rng = np.random.default_rng(seed)
     names = sorted(MONOTONE_GRAPHS)
+    work = work_rows(suite.grid, 2)
     worst = 0.0
     bad = 0
     for i in range(n_samples):
         v = random_bumps(suite.grid, rng)
         lam = lams[i % len(lams)]
         graph = MONOTONE_GRAPHS[names[i % len(names)]]
-        e = monotone_pairing_excess(suite, v, lam, graph)
+        e = monotone_pairing_excess(suite, v, lam, graph, work)
         worst = max(worst, e)
         if e > tol:
             bad += 1
@@ -184,13 +228,14 @@ def run_jensen_battery(
 ) -> BatteryReport:
     rng = np.random.default_rng(seed)
     names = sorted(CONVEX_FUNCTIONS)
+    work = work_rows(suite.grid, 3)
     worst = 0.0
     bad = 0
     for i in range(n_samples):
         v = random_bumps(suite.grid, rng)
         lam = lams[i % len(lams)]
-        fv, fjv = _jensen_images(suite, v, lam, CONVEX_FUNCTIONS[names[i % len(names)]])
-        e = max(_pointwise_excess(suite, lam, fv, fjv), _integral_excess(fv, fjv))
+        fv, fjv = _jensen_images(suite, v, lam, CONVEX_FUNCTIONS[names[i % len(names)]], work)
+        e = max(_pointwise_excess(suite, lam, fv, fjv, work), _integral_excess(fv, fjv, work))
         worst = max(worst, e)
         if e > tol:
             bad += 1
@@ -260,35 +305,38 @@ def ito_residual(
     tw = g.tail_weight
 
     def row_dots(x):
-        return np.array([np.dot(w, row) for row in x])
+        # one BLAS dot per row, bitwise the 1-D np.dot(w, row); matmul and
+        # einsum order their sums differently
+        return np.vecdot(x, w)
 
-    def penalty_integral(v, tail):
-        return row_dots(penalty_eval(n, v, 0)) + tw * penalty_eval(n, tail, 0)
+    def penalty(v, tail):
+        # orders 0, 1 and 2 of one state: its functional, then the
+        # derivatives the next step expands around
+        return _penalty_orders(n, v, (0, 1, 2)), _penalty_orders(n, tail, (0, 1, 2))
 
+    squares = [m.values**2 for m in modes]
     v = np.tile(v0.values, (n_paths, 1))
     tail = np.full(n_paths, v0.tail_value)
     times = np.arange(n_steps + 1) * dt
     func = np.empty((n_steps + 1, n_paths))
     res = np.empty((n_steps, n_paths))
-    func[0] = penalty_integral(v, tail)
+    (p0, d1, d2), (p0t, d1t, d2t) = penalty(v, tail)
+    func[0] = row_dots(p0) + tw * p0t
     for j in range(n_steps):
-        d1 = penalty_eval(n, v, 1)
-        d1t = penalty_eval(n, tail, 1)
-        d2 = penalty_eval(n, v, 2)
-        d2t = penalty_eval(n, tail, 2)
         ds_term = row_dots(d1 * drift.values) + tw * d1t * drift.tail_value
         dw_term = 0.0
         for kk in range(k):
             m = modes[kk]
             mt = np.float64(m.tail_value)  # overflows to inf, not to a Python exception
-            ds_term += 0.5 * (row_dots(d2 * m.values**2) + tw * d2t * mt**2)
+            ds_term += 0.5 * (row_dots(d2 * squares[kk]) + tw * d2t * mt**2)
             dw_term += (row_dots(d1 * m.values) + tw * d1t * m.tail_value) * dW[j, :, kk]
         v = v + drift.values * dt
         tail = tail + drift.tail_value * dt
         for kk in range(k):
             v = v + modes[kk].values * dW[j, :, kk, None]
             tail = tail + modes[kk].tail_value * dW[j, :, kk]
-        func[j + 1] = penalty_integral(v, tail)
+        (p0, d1, d2), (p0t, d1t, d2t) = penalty(v, tail)
+        func[j + 1] = row_dots(p0) + tw * p0t
         res[j] = func[j + 1] - func[j] - ds_term * dt - dw_term
     return ItoReport(times, func, res)
 

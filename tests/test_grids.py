@@ -186,3 +186,69 @@ def test_growth_weights_sum():
     g = Grid.uniform(3.0, 301, 0.8)
     exact = (np.exp(0.8 * 3.0) - 1.0) / 0.8
     assert g.growth_weights().sum() == pytest.approx(exact, rel=1e-13)
+
+
+def _reference_hat_weights(nodes, a):
+    # the formula before the series factors were evaluated once per
+    # distinct z: ** on every cell
+    nodes = np.asarray(nodes, dtype=np.float64)
+    d = np.diff(nodes)
+    w = np.zeros(nodes.shape[0], dtype=np.float64)
+    z = a * d
+    left = np.empty_like(d)
+    right = np.empty_like(d)
+    small = np.abs(z) < 5e-3
+    if np.any(small):
+        zs, ds = z[small], d[small]
+        left[small] = ds * (0.5 + zs / 6.0 + zs * zs / 24.0 + zs**3 / 120.0 + zs**4 / 720.0)
+        right[small] = ds * (0.5 + zs / 3.0 + zs * zs / 8.0 + zs**3 / 30.0 + zs**4 / 144.0)
+    big = ~small
+    if np.any(big):
+        zb, db = z[big], d[big]
+        ez = np.exp(zb)
+        i0 = db * (ez - 1.0) / zb
+        i1 = db * (ez / zb - (ez - 1.0) / (zb * zb))
+        left[big] = i0 - i1
+        right[big] = i1
+    scale = np.exp(a * nodes[:-1])
+    w[:-1] += left * scale
+    w[1:] += right * scale
+    return w
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 3.0])
+@pytest.mark.parametrize("n_nodes, x_max", [
+    (2, 1.0), (3, 0.5), (101, 10.0), (251, 5.0), (401, 2.0), (1001, 1.0),
+    (2000, 30.0), (20001, 4.0), (200001, 4.0),
+])
+def test_hat_weights_match_reference_on_uniform_grids(n_nodes, x_max, alpha):
+    nodes = np.linspace(0.0, x_max, n_nodes)
+    for a in (-alpha, alpha):  # Grid.uniform and growth_weights
+        assert hat_weights(nodes, a).tobytes() == _reference_hat_weights(nodes, a).tobytes()
+    g = Grid.uniform(x_max, n_nodes, alpha)
+    assert g.weights.tobytes() == _reference_hat_weights(g.nodes, -alpha).tobytes()
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 3.0])
+def test_hat_weights_match_reference_on_nonuniform_nodes(alpha):
+    # cells on both sides of the series switch, and many distinct z
+    rng = np.random.default_rng(5)
+    d = rng.uniform(1e-5, 1e-2, size=3000)
+    d[::7] = rng.uniform(0.5, 2.0, size=d[::7].shape)
+    nodes = np.concatenate([[0.0], np.cumsum(d)])
+    for a in (-alpha, alpha):
+        with np.errstate(over="ignore", invalid="ignore"):
+            got, ref = hat_weights(nodes, a), _reference_hat_weights(nodes, a)
+        assert got.tobytes() == ref.tobytes()
+
+
+def test_minus_writes_to_out():
+    g = Grid.uniform(1.0, 11, 1.0)
+    f = GridFunction.from_callable(g, np.cos, tail_value=0.3)
+    h = GridFunction.from_callable(g, np.sin, tail_value=-0.2)
+    out = np.empty(g.n)
+    d = f.minus(h, out=out)
+    assert d.values is out
+    ref = f - h
+    assert d.values.tobytes() == ref.values.tobytes() and d.tail_value == ref.tail_value
+    assert norm(d, "l1", out=out) == norm(ref, "l1")

@@ -139,6 +139,43 @@ def _rich_args(scheme, lam=0.05, blow=1e12, n_paths=4, n_nodes=301, modes="mixed
     return g, args
 
 
+@pytest.mark.parametrize("block_rows", [3, None])
+def test_simulate_batch_rows_cross_blow_threshold_from_below(monkeypatch, block_rows):
+    # rows start below blow_threshold and grow through it at different
+    # steps, one never does; abort steps, frozen rows and NaN records are
+    # bitwise the reference's, also when the rows span several blocks
+    args = list(_exploding_args(blow=50.0))
+    g = Grid.uniform(2.0, 101, 0.5)
+    amp = np.array([1.0, 3.0, 10.0, 30.0, 2.0, 40.0, 1e-6, 5.0])[:, None]
+    P = amp.shape[0]
+    rng = np.random.default_rng(12)
+    args[0] = amp * (0.1 + 0.05 * rng.normal(size=(P, g.n)))
+    args[1] = amp[:, 0] * 0.1
+    args[2] = np.zeros((P, 60, 0))
+    args[-1] = np.arange(61, dtype=np.int64)  # a snapshot every step
+    if block_rows is not None:
+        monkeypatch.setattr(kernels, "BLOCK_BYTES", block_rows * 8 * g.n)
+    out = kernels.simulate_batch(*args)
+    for got, ref in zip(out, _reference_simulate_batch(*args)):
+        assert got.tobytes() == ref.tobytes()
+    final, final_tail, neg_e, min_v, aborted, snaps, snap_tails = out
+    assert aborted[6] == -1
+    hit = np.flatnonzero(aborted >= 0)
+    assert hit.tolist() == [0, 1, 2, 3, 4, 5, 7]
+    assert len(set(aborted[hit])) == len(hit)
+
+    def energy(v, tail):
+        return (v * v * g.weights).sum(axis=-1) + g.tail_weight * tail * tail
+
+    for p in hit:
+        s = aborted[p]  # the step whose update took the row over
+        before = energy(snaps[: s + 1, p], snap_tails[: s + 1, p])
+        assert (before <= 50.0).all()
+        assert energy(final[p], final_tail[p]) > 50.0
+        assert np.isnan(snaps[s + 1 :, p]).all() and np.isnan(neg_e[p, s + 1 :]).all()
+        assert np.isfinite(min_v[p, : s + 1]).all() and np.isnan(min_v[p, s + 1 :]).all()
+
+
 def test_simulate_batch_numpy_deterministic():
     _, args = _rich_args(0)
     out1 = kernels.simulate_batch(*args)

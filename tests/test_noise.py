@@ -82,6 +82,13 @@ def test_z_bound_value():
     assert 8.29 < Z_BOUND < 8.30
 
 
+def test_z_bound_literal_is_the_mapped_minimum():
+    # the uniform mapping's smallest value is 2**-54
+    from scipy.special import ndtri
+
+    assert Z_BOUND == float(-ndtri(2.0**-54))
+
+
 def test_increment_scaling():
     cfg = NoiseConfig(2, 4)
     dt = 0.01

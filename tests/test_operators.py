@@ -12,7 +12,9 @@ from mildsim.operators import (
     random_bumps,
     run_contraction_battery,
     run_submarkov_battery,
+    scratch_rows,
     submarkov_excess,
+    work_rows,
 )
 
 
@@ -233,3 +235,71 @@ def test_contraction_battery(fine_suite):
     rep = run_contraction_battery(fine_suite, 40, seed=11)
     assert rep.passed
     assert rep.worst_excess <= 1e-8
+
+
+def _reference_random_bumps(grid, rng, nonneg=False):
+    # the bumps before they were evaluated in one scratch row: a fresh
+    # array for every operation
+    n = int(rng.integers(1, 6))
+    x = grid.nodes
+    vals = np.zeros_like(x)
+    for _ in range(n):
+        c = rng.uniform(0.0, grid.x_max)
+        w = rng.uniform(0.1, 5.0)
+        a = rng.uniform(-2.0, 2.0)
+        vals += a * np.exp(-((x - c) ** 2) / (2.0 * w * w))
+    if nonneg:
+        vals = np.abs(vals)
+    return GridFunction(grid, vals, float(vals[-1]))
+
+
+@pytest.mark.parametrize("nonneg", [False, True])
+@pytest.mark.parametrize("x_max, n_nodes, n_samples", [
+    (1.0, 7, 400), (2.0, 401, 400), (100.0, 1001, 200), (4.0, 200001, 20),
+])
+def test_random_bumps_match_reference(x_max, n_nodes, n_samples, nonneg):
+    g = Grid.uniform(x_max, n_nodes, 1.0)
+    rng, ref_rng = np.random.default_rng(n_nodes), np.random.default_rng(n_nodes)
+    for _ in range(n_samples):
+        got, ref = random_bumps(g, rng, nonneg), _reference_random_bumps(g, ref_rng, nonneg)
+        assert got.values.tobytes() == ref.values.tobytes()
+        assert got.tail_value == ref.tail_value
+    assert rng.random() == ref_rng.random()  # the same draws
+
+
+@pytest.mark.parametrize("n", [2, 3, 501])
+def test_resolvent_and_yosida_into_scratch_rows(n):
+    g = Grid.uniform(2.0, n, 1.0)
+    suite = OperatorSuite(g, shifted=True)
+    f = random_bumps(g, np.random.default_rng(n))
+    out, cells = scratch_rows(work_rows(g, 1), 1)
+    for lam in (1e-3, 0.3, 10.0):
+        ref = suite.resolvent(f, lam)
+        got = suite.resolvent(f, lam, out, cells)
+        assert np.shares_memory(got.values, out)
+        assert got.values.tobytes() == ref.values.tobytes() and got.tail_value == ref.tail_value
+        ref = suite.yosida(f, lam)
+        got = suite.yosida(f, lam, out, cells)
+        assert np.shares_memory(got.values, out)
+        assert got.values.tobytes() == ref.values.tobytes() and got.tail_value == ref.tail_value
+
+
+def test_batteries_reuse_scratch_bitwise():
+    # a battery's report equals the per-sample checks that allocate every row
+    suite = OperatorSuite(Grid.uniform(10.0, 2001, 1.0), shifted=True)
+    lams = (1e-3, 1e-2, 1e-1, 1.0, 10.0)
+    rng = np.random.default_rng(31)
+    worst, bad = 0.0, 0
+    for i in range(25):
+        e = submarkov_excess(suite, random_bumps(suite.grid, rng, nonneg=True), lams[i % 5])
+        worst, bad = max(worst, e), bad + (e > 1e-8)
+    rep = run_submarkov_battery(suite, 25, seed=31)
+    assert (rep.worst_excess, rep.n_violations) == (worst, bad)
+    rng = np.random.default_rng(32)
+    worst, bad = -np.inf, 0
+    for i in range(25):
+        f, g = random_bumps(suite.grid, rng), random_bumps(suite.grid, rng)
+        e = l1_contraction_excess(suite, f, g, lams[i % 5])
+        worst, bad = max(worst, e), bad + (e > 1e-8)
+    rep = run_contraction_battery(suite, 25, seed=32)
+    assert (rep.worst_excess, rep.n_violations) == (float(worst), bad)

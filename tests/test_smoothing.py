@@ -313,6 +313,61 @@ def test_ito_residual_paths_follow_their_streams(picked):
     assert part.totals == [whole.totals[i] for i in picked]
 
 
+@pytest.mark.parametrize("n", [2, 3, 7, 64, 251, 401, 1001, 20001, 200001])
+def test_vecdot_rows_are_the_per_row_dot(n):
+    # ito_residual and the lambda study reduce rows with np.vecdot, one BLAS
+    # dot per row: bitwise the 1-D np.dot(w, row) of the per-path code
+    rng = np.random.default_rng(n)
+    w = rng.uniform(0.0, 1.0, size=n)
+    x = rng.normal(size=(3, n)) * 10.0 ** rng.integers(-3, 4, size=(3, 1))
+    assert np.vecdot(x, w).tobytes() == np.array([np.dot(w, row) for row in x]).tobytes()
+    if n <= 20001:  # (snapshots, paths, N), as _sup_distances has it
+        y = rng.normal(size=(2, 3, n))
+        ref = np.array([[np.dot(w, row) for row in s] for s in y])
+        assert np.vecdot(y, w).tobytes() == ref.tobytes()
+
+
+def test_catalog_functions_match_their_formulas_bitwise():
+    # the ufunc forms, with and without out=, against the plain formulas,
+    # on arrays and on the numpy scalars apply_pointwise passes for tails
+    formulas = {
+        "identity": lambda r: r,
+        "tanh": np.tanh,
+        "clipped-linear": lambda r: np.clip(r, -0.7, 0.7),
+        "smoothed-sign": lambda r: r / np.sqrt(r * r + 0.01),
+        "square": lambda r: r * r,
+        "abs": np.abs,
+        "hinge-squared": lambda r: np.minimum(r, 0.0) ** 2,
+    }
+    rng = np.random.default_rng(8)
+    r = rng.normal(size=5000) * 10.0 ** rng.integers(-160, 150, size=5000)
+    r[:4] = (0.0, -0.0, 1e-300, -1e-300)
+    with np.errstate(over="ignore"):
+        for name, fn in {**MONOTONE_GRAPHS, **CONVEX_FUNCTIONS}.items():
+            ref = formulas[name](r)
+            assert fn(r).tobytes() == ref.tobytes(), name
+            out = np.empty_like(r)
+            assert fn(r, out=out) is out and out.tobytes() == ref.tobytes(), name
+            scalars = [fn(np.float64(x)) for x in r]
+            assert all(isinstance(y, np.float64) for y in scalars), name
+            assert np.array(scalars).tobytes() == np.array(
+                [formulas[name](np.float64(x)) for x in r]).tobytes(), name
+
+
+def test_pairing_battery_reuses_scratch_bitwise():
+    suite = OperatorSuite(Grid.uniform(10.0, 2001, 1.0), shifted=True)
+    rng = np.random.default_rng(24)
+    names = sorted(MONOTONE_GRAPHS)
+    lams = (1e-3, 1e-2, 1e-1, 1.0, 10.0)
+    worst, bad = 0.0, 0
+    for i in range(30):
+        v = random_bumps(suite.grid, rng)
+        e = monotone_pairing_excess(suite, v, lams[i % 5], MONOTONE_GRAPHS[names[i % 4]])
+        worst, bad = max(worst, e), bad + (e > 1e-8)
+    rep = run_pairing_battery(suite, 30, seed=24)
+    assert (rep.worst_excess, rep.n_violations, rep.n_checks) == (worst, bad, 30)
+
+
 def test_supermartingale_stat():
     times = np.array([0.0, 0.5, 1.0])
     neg = np.array([1.0, 1.0, 1.0])

@@ -440,3 +440,39 @@ def test_lambda_study_entries_follow_their_streams(picked, scheme):
     whole = _as_pairs(lambda_convergence_study(u0, suite, model, cfg, streams, lams))
     part = lambda_convergence_study(u0, suite, model, cfg, [streams[i] for i in picked], lams)
     assert _as_pairs(part) == [whole[i] for i in picked]
+
+
+def _reference_sup_distances(grid, a, a_tails, b, b_tails):
+    # the per-snapshot norm loop the study used before its distances
+    # became one vecdot
+    sups = []
+    for p in range(a.shape[1]):
+        d = 0.0
+        for s in range(a.shape[0]):
+            diff = GridFunction(grid, a[s, p] - b[s, p], a_tails[s, p] - b_tails[s, p])
+            d = max(d, norm(diff, "l2"))
+        sups.append(d)
+    return sups
+
+
+@pytest.mark.parametrize("n_snaps", [0, 1, 6])
+def test_sup_distances_match_the_norm_loop(n_snaps):
+    grid = Grid.uniform(2.0, 401, 0.5)
+    rng = np.random.default_rng(n_snaps)
+    P = 7
+    a = rng.normal(size=(n_snaps, P, grid.n)) * 10.0 ** rng.integers(-8, 2, size=(1, P, 1))
+    a_tails = rng.normal(size=(n_snaps, P))
+    b = a + 1e-3 * rng.normal(size=a.shape)
+    b_tails = a_tails + 1e-3 * rng.normal(size=a_tails.shape)
+    if n_snaps:
+        b[:, 1], b_tails[:, 1] = a[:, 1], a_tails[:, 1]  # exactly zero distance
+        b[:, 2], b_tails[:, 2] = a[:, 2], a_tails[:, 2] + 0.5  # tail only
+        b[n_snaps // 2 :, 3], b_tails[n_snaps // 2 :, 3] = np.nan, np.nan  # aborted run
+        a[:, 4], a_tails[:, 4] = np.nan, np.nan  # aborted at the start
+        b[-1, 5, 7] = np.nan  # one NaN node
+    want = _reference_sup_distances(grid, a, a_tails, b, b_tails)
+    got = solver._sup_distances(grid, a, a_tails, b.copy(), b_tails)
+    assert all(isinstance(x, float) for x in got)
+    assert np.array(got).tobytes() == np.array(want).tobytes()
+    if n_snaps:
+        assert got[1] == 0.0 and got[4] == 0.0 and got[0] > 0.0
