@@ -18,10 +18,9 @@ from .coefficients import (
     ModeFunction,
     PositivityReport,
     estimate_positivity_constant,
-    hjm_drift,
     positivity_functional,
 )
-from .noise import NoiseConfig, Z_BOUND, gaussian_block, gaussian_step, increment_block
+from .noise import NoiseConfig, Z_BOUND, gaussian_block, increment_block
 from .smoothing import (
     ito_residual,
     penalty_eval,
@@ -38,7 +37,6 @@ from .solver import (
     run_ensemble,
     simulate_path,
     simulate_regularized,
-    step_once,
 )
 from .hjm import (
     BuiltHJM,
@@ -65,12 +63,10 @@ __all__ = [
     "ModeFunction",
     "PositivityReport",
     "estimate_positivity_constant",
-    "hjm_drift",
     "positivity_functional",
     "NoiseConfig",
     "Z_BOUND",
     "gaussian_block",
-    "gaussian_step",
     "increment_block",
     "ito_residual",
     "penalty_eval",
@@ -84,7 +80,6 @@ __all__ = [
     "run_ensemble",
     "simulate_path",
     "simulate_regularized",
-    "step_once",
     "lambda_convergence_study",
     "HJMModelSpec",
     "BuiltHJM",

@@ -232,8 +232,7 @@ def _exp_ito_check(cfg: Config, outdir: Path) -> tuple[dict, bool, bool]:
     model, u0 = _model_and_initial(cfg)
     it = cfg.ito
     n, dts, t_final, n_paths, seed = it.n, it.dt_values, it.t_final, it.n_paths, it.seed
-    drift = model.drift_eval(u0)
-    modes = [model.diffusion_mode(k, u0) for k in range(model.n_modes)]
+    modes, drift = model.coefficients(u0)
     det_tot = []
     sto_mean = []
     for dt in dts:

@@ -3,8 +3,8 @@
 A model bundles a family of diffusion modes sigma_k(x, r) given as a
 spatial profile times a pointwise level function of the state, plus a
 drift choice.  The "hjm" drift is the no-arbitrage quadratic
-sum_k sigma_k(x, u) * integral_0^x sigma_k(y, u) dy
-computed with unweighted trapezoids, exact for constant profiles.
+sum_k sigma_k(x, u) * integral_0^x sigma_k(y, u) dy; kernels.coefficient_rows
+computes it with unweighted trapezoids, exact for constant profiles.
 
 The positivity functional measures how strongly the coefficients push
 an already nonnegative-violating state further down at its negative
@@ -15,7 +15,7 @@ positivity verdict machinery accepts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,7 +28,6 @@ __all__ = [
     "DRIFT_KINDS",
     "ModeFunction",
     "CoefficientModel",
-    "hjm_drift",
     "positivity_functional",
     "PositivityReport",
     "estimate_positivity_constant",
@@ -100,33 +99,6 @@ class ModeFunction:
             return vals, float(vals[-1])
         return np.full(grid.n, self.c), self.c
 
-    def evaluate(self, grid: Grid, u: GridFunction) -> GridFunction:
-        """sigma(x, u(x)) as a grid function."""
-        prof, ptail = self.profile(grid)
-        code = self.level_code
-        if code == kernels.LEVEL_CONST:
-            return GridFunction(grid, prof.copy(), ptail)
-        if code == kernels.LEVEL_LINEAR:
-            return GridFunction(grid, prof * u.values, ptail * u.tail_value)
-        cap = float(self.cap)
-        lev = np.clip(u.values, 0.0, cap)
-        levt = min(max(u.tail_value, 0.0), cap)
-        return GridFunction(grid, prof * lev, ptail * levt)
-
-
-def hjm_drift(grid: Grid, sig: GridFunction) -> GridFunction:
-    """Quadratic drift contribution sigma * integral of sigma from 0.
-
-    The running integral is the unweighted trapezoid cumulative sum;
-    beyond x_max it is frozen at its end value so the tail stays a
-    constant.
-    """
-    v = sig.values
-    h = grid.spacing
-    integ = np.zeros_like(v)
-    np.cumsum(0.5 * h * (v[1:] + v[:-1]), out=integ[1:])
-    return GridFunction(grid, v * integ, sig.tail_value * float(integ[-1]))
-
 
 @dataclass(frozen=True)
 class CoefficientModel:
@@ -144,28 +116,6 @@ class CoefficientModel:
     @property
     def n_modes(self) -> int:
         return len(self.modes)
-
-    def diffusion_mode(self, k: int, u: GridFunction) -> GridFunction:
-        return self.modes[k].evaluate(self.grid, u)
-
-    def drift_eval(self, u: GridFunction) -> GridFunction:
-        """Full drift at state u, including the weight correction term."""
-        g = self.grid
-        if self.drift == "zero":
-            out = GridFunction(g, np.zeros(g.n), 0.0)
-        elif self.drift == "linear-decay":
-            out = GridFunction(g, -self.drift_c * u.values, -self.drift_c * u.tail_value)
-        else:
-            acc = np.zeros(g.n)
-            acct = 0.0
-            for mode in self.modes:
-                part = hjm_drift(g, mode.evaluate(g, u))
-                acc += part.values
-                acct += part.tail_value
-            out = GridFunction(g, acc, acct)
-        if self.alpha_correction != 0.0:
-            out = out + self.alpha_correction * u
-        return out
 
     def kernel_args(self) -> dict:
         """Raw arrays for the batch simulation kernels."""
@@ -189,6 +139,19 @@ class CoefficientModel:
             alpha_corr=float(self.alpha_correction),
         )
 
+    def coefficients(self, u: GridFunction) -> tuple[list, GridFunction]:
+        """The diffusion modes and the full drift at the state u.
+
+        One row of kernels.coefficient_rows, the function every step of
+        the integrator evaluates, so the checks judge the coefficients
+        that drive the paths.
+        """
+        g = self.grid
+        sig, sigt, drift, dtail = kernels.coefficient_rows(
+            u.values[None, :], np.array([u.tail_value]), g.spacing, **self.kernel_args())
+        modes = [GridFunction(g, s[0], st[0]) for s, st in zip(sig, sigt)]
+        return modes, GridFunction(g, drift[0], dtail[0])
+
 
 def positivity_functional(model: CoefficientModel, h: GridFunction) -> float:
     """Downward push of the coefficients at the negative set of h.
@@ -201,9 +164,9 @@ def positivity_functional(model: CoefficientModel, h: GridFunction) -> float:
     parts = lattice_parts(h)
     neg = parts.negative
     ind = parts.indicator
-    val = -weighted_inner(model.drift_eval(h), neg)
-    for mode in model.modes:
-        s = mode.evaluate(model.grid, h)
+    modes, drift = model.coefficients(h)
+    val = -weighted_inner(drift, neg)
+    for s in modes:
         masked = GridFunction(model.grid, s.values * ind.values, s.tail_value * ind.tail_value)
         val += 0.5 * weighted_inner(masked, masked)
     return float(val)

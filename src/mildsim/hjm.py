@@ -18,7 +18,6 @@ counterexample regime.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -52,20 +51,16 @@ class HJMModelSpec:
     n_nodes: int
     alpha: float
     modes: tuple
-    initial_curve: object
+    initial_curve: GridFunction
     alpha_in_drift: bool = True
 
     def make_initial(self, grid: Grid) -> GridFunction:
         ic = self.initial_curve
-        if isinstance(ic, GridFunction):
-            if not np.array_equal(ic.grid.nodes, grid.nodes):
-                raise ValueError("initial curve lives on a different grid")
-            return ic.copy()
-        if isinstance(ic, (int, float)):
-            return GridFunction.constant(grid, float(ic))
-        if callable(ic):
-            return GridFunction.from_callable(grid, ic)
-        raise TypeError("initial_curve must be a GridFunction, a number or a callable")
+        if not isinstance(ic, GridFunction):
+            raise TypeError("initial_curve must be a GridFunction")
+        if not np.array_equal(ic.grid.nodes, grid.nodes):
+            raise ValueError("initial curve lives on a different grid")
+        return ic.copy()
 
 
 @dataclass

@@ -1,4 +1,4 @@
-"""Hot numerical kernels: the resolvent sweep and the batch integrator.
+"""Hot numerical kernels: the coefficients, the resolvent sweep and the integrator.
 
 Kernels operate on raw arrays.  Higher layers own validation, shapes
 are trusted here.  Every kernel is deterministic.
@@ -15,7 +15,8 @@ so a path's results do not depend on the batch or the block it is
 simulated in, and the numbers are bit for bit those of the plain
 whole-batch loop; this is what makes ensembles independent of chunk
 size.  scipy.signal, used only by the resolvent sweeps, is imported on
-first use, since it dominates the import time.
+first use, since it dominates the import time.  coefficient_rows is
+the package's only evaluation of the coefficients at a state.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ __all__ = [
     "DRIFT_ZERO",
     "DRIFT_DECAY",
     "DRIFT_HJM",
+    "coefficient_rows",
     "resolvent_coeffs",
     "resolvent_sweep",
     "simulate_batch",
@@ -153,6 +155,64 @@ def _hjm_drift(sig, sigt, spacing, buf, btail, integ, tmp):
         btail += st * integ[:, -1]
 
 
+def _coefficient_scratch(rows, spacing, profiles, profile_tails, level_codes, drift_code):
+    """Scratch for coefficient_rows on up to rows rows, with its state-free rows.
+
+    Those are the profiles of constant-level modes, and the drift before
+    the alpha_corr term when it is zero or hjm of such modes only.
+    """
+    K, N = profiles.shape
+    const = [level_codes[k] == LEVEL_CONST for k in range(K)]
+    sig = [profiles[k][None, :] if const[k] else np.empty((rows, N)) for k in range(K)]
+    sigt = [profile_tails[k : k + 1] for k in range(K)]
+    buf, btail, tmp = np.empty((rows, N)), np.empty(rows), np.empty((rows, N))
+    integ = np.zeros((rows, N))  # column 0 stays 0
+    base = None
+    if drift_code == DRIFT_ZERO:
+        base = (np.zeros((1, N)), np.zeros(1))
+    elif drift_code == DRIFT_HJM and all(const):
+        base = (np.empty((1, N)), np.empty(1))
+        _hjm_drift(sig, sigt, spacing, *base, integ[:1], tmp[:1])
+    return sig, sigt, base, buf, btail, integ, tmp
+
+
+def coefficient_rows(v, tail, spacing, profiles, profile_tails, level_codes, caps,
+                     drift_code, drift_c, alpha_corr, scratch=None):
+    """The sigma rows and the drift row at each row of the (n, N) state v.
+
+    Returns (sig, sigt, drift, dtail): each mode's rows and tails, then
+    the drift's, zero, linear-decay or hjm plus alpha_corr times the
+    state.  State-free rows are (1, N) and broadcast; the others live in
+    scratch until the next call.  scratch is what _coefficient_scratch
+    made for at least n rows of these arrays, or None for a new one.
+    """
+    n = len(v)
+    sig, sigt, base, buf, btail, integ, tmp = scratch or _coefficient_scratch(
+        n, spacing, profiles, profile_tails, level_codes, drift_code)
+    sig, sigt = [s[:n] for s in sig], list(sigt)
+    buf, btail, integ, tmp = buf[:n], btail[:n], integ[:n], tmp[:n]
+    for k, code in enumerate(level_codes):
+        if code == LEVEL_LINEAR:
+            np.multiply(v, profiles[k], out=sig[k])
+            sigt[k] = profile_tails[k] * tail
+        elif code == LEVEL_CAPPED:
+            np.clip(v, 0.0, caps[k], out=sig[k])
+            sig[k] *= profiles[k]
+            sigt[k] = profile_tails[k] * np.clip(tail, 0.0, caps[k])
+    if base is not None:
+        drift, dtail = base
+    elif drift_code == DRIFT_DECAY:
+        drift, dtail = np.multiply(v, -drift_c, out=buf), -drift_c * tail
+    else:
+        _hjm_drift(sig, sigt, spacing, buf, btail, integ, tmp)
+        drift, dtail = buf, btail
+    if alpha_corr != 0.0:
+        np.multiply(v, alpha_corr, out=tmp)
+        drift = np.add(drift, tmp, out=buf)
+        dtail = dtail + alpha_corr * tail
+    return sig, sigt, drift, dtail
+
+
 def simulate_batch(
     v0, tail0, dW, m_shift, damp, dt, scheme,
     profiles, profile_tails, level_codes, caps, drift_code, drift_c, alpha_corr,
@@ -183,37 +243,22 @@ def simulate_batch(
     snaps = np.empty((S, P, N))
     snap_tails = np.empty((S, P))
     rows = max(1, min(P, BLOCK_BYTES // (8 * N)))
-    tmp = np.empty((rows, N))
-    buf = np.empty((rows, N))
-    integ = np.zeros((rows, N))  # column 0 stays 0
     frozen_v = np.empty((rows, N))
+    coef = (spacing, profiles, profile_tails, level_codes, caps, drift_code, drift_c, alpha_corr)
     varying = [k for k in range(K) if level_codes[k] != LEVEL_CONST]
-    # constant modes are (1, N) rows that broadcast against a block; the
-    # varying ones get (rows, N) scratch, refilled every step
-    sig = [np.empty((rows, N)) if k in varying else profiles[k][None, :] for k in range(K)]
-    sigt = [profile_tails[k : k + 1] for k in range(K)]
     with np.errstate(all="ignore"):
-        drift_row = None
-        if drift_code == DRIFT_ZERO:
-            drift_row = (np.zeros((1, N)), np.zeros(1))
-        elif drift_code == DRIFT_HJM and not varying:
-            drift_row = (np.empty((1, N)), np.empty(1))
-            _hjm_drift(sig, sigt, spacing, *drift_row, integ[:1], tmp[:1])
-        # diffusion columns after the resolvent
-        noise, noise_t = sig, sigt
-        if lam_reg > 0.0:
-            noise, noise_t = list(sig), list(sigt)
-            for k in range(K):
-                if k not in varying:
-                    noise[k], noise_t[k] = _resolvent_rows(sig[k], sigt[k], E, amb, b, denom)
+        scratch = _coefficient_scratch(rows, spacing, profiles, profile_tails, level_codes, drift_code)
+        sig, sigt, tmp = scratch[0], scratch[1], scratch[-1]
+        # diffusion columns after the resolvent, those of constant modes once
+        noise, noise_t = list(sig), list(sigt)
+        for k in range(K):
+            if lam_reg > 0.0 and k not in varying:
+                noise[k], noise_t[k] = _resolvent_rows(sig[k], sigt[k], E, amb, b, denom)
         for lo in range(0, P, rows):
             hi = min(lo + rows, P)
             n = hi - lo
             vb, tb, dWb = v[lo:hi], tail[lo:hi], dW[lo:hi]
-            tmp_b, buf_b, integ_b, frozen_b = tmp[:n], buf[:n], integ[:n], frozen_v[:n]
-            sig_b = [s[:n] for s in sig]
-            noise_b = list(noise) if lam_reg > 0.0 else sig_b
-            btail = np.empty(n)
+            tmp_b, frozen_b = tmp[:n], frozen_v[:n]
             active = np.ones(n, dtype=bool)
             frozen_tail = np.zeros(n)
             nege, mn, _ = _records(vb, tb, weights, tail_weight, tmp_b)
@@ -227,35 +272,19 @@ def simulate_batch(
             for j in range(n_steps):
                 if scheme == 0:
                     tb = _shift(vb, tb, m_shift, damp)
-                for k in varying:
-                    if level_codes[k] == LEVEL_LINEAR:
-                        np.multiply(vb, profiles[k], out=sig_b[k])
-                        sigt[k] = profile_tails[k] * tb
-                    else:
-                        np.clip(vb, 0.0, caps[k], out=sig_b[k])
-                        sig_b[k] *= profiles[k]
-                        sigt[k] = profile_tails[k] * np.clip(tb, 0.0, caps[k])
-                if drift_row is not None:
-                    drift, dtail = drift_row
-                elif drift_code == DRIFT_DECAY:
-                    drift, dtail = np.multiply(vb, -drift_c, out=buf_b), -drift_c * tb
-                else:
-                    _hjm_drift(sig_b, sigt, spacing, buf_b, btail, integ_b, tmp_b)
-                    drift, dtail = buf_b, btail
-                if alpha_corr != 0.0:
-                    np.multiply(vb, alpha_corr, out=tmp_b)
-                    drift = np.add(drift, tmp_b, out=buf_b)
-                    dtail = dtail + alpha_corr * tb
+                sig_b, sigt_b, drift, dtail = coefficient_rows(vb, tb, *coef, scratch)
                 if lam_reg > 0.0:
                     drift, dtail = _resolvent_rows(drift, dtail, E, amb, b, denom)
                     for k in varying:
-                        noise_b[k], noise_t[k] = _resolvent_rows(
-                            sig_b[k], sigt[k], E, amb, b, denom)
+                        noise[k], noise_t[k] = _resolvent_rows(
+                            sig_b[k], sigt_b[k], E, amb, b, denom)
+                else:
+                    noise, noise_t = sig_b, sigt_b
                 vb += np.multiply(drift, dt, out=tmp_b[: len(drift)])
                 tb = tb + dtail * dt
                 for k in range(K):
                     dw = dWb[:, j, k]
-                    vb += np.multiply(noise_b[k], dw[:, None], out=tmp_b)
+                    vb += np.multiply(noise[k], dw[:, None], out=tmp_b)
                     tb = tb + noise_t[k] * dw
                 if scheme == 1:
                     tb = _shift(vb, tb, m_shift, damp)

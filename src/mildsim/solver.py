@@ -35,7 +35,6 @@ __all__ = [
     "PathResult",
     "EnsembleResult",
     "EnsembleStats",
-    "step_once",
     "simulate_path",
     "simulate_regularized",
     "run_ensemble",
@@ -172,18 +171,6 @@ class EnsembleResult:
         return int((self.aborted >= 0).sum())
 
 
-def step_once(u: GridFunction, suite: OperatorSuite, model: CoefficientModel, cfg: SolverConfig, dw: np.ndarray) -> GridFunction:
-    """One scheme step with explicit increments, for reference checks."""
-    dw = np.asarray(dw, dtype=np.float64)
-    if dw.shape != (model.n_modes,):
-        raise ValueError("dw must hold one increment per mode")
-    one = replace(cfg, t_final=cfg.dt)
-    out_v, out_t, _, _, _, _, _ = _kernel_call(
-        (u.values[None, :], np.array([u.tail_value])), suite, model, one, dw[None, None, :]
-    )
-    return GridFunction(u.grid, out_v[0], float(out_t[0]))
-
-
 def simulate_path(
     u0: GridFunction,
     suite: OperatorSuite,
@@ -289,9 +276,6 @@ class EnsembleStats:
     min_value_min: np.ndarray
     supermartingale_mean: np.ndarray
     frac_below: dict
-
-    def final_neg_energy_mean(self) -> float:
-        return float(self.neg_energy_mean[-1])
 
 
 def ensemble_stats(

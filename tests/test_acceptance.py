@@ -185,7 +185,7 @@ def test_f_capped_volatility_stays_positive():
         n_nodes=1001,
         alpha=0.5,
         modes=(ModeFunction("proportional-capped", c=8.0, cap=2e-4),),
-        initial_curve=4e-4,
+        initial_curve=GridFunction.constant(Grid.uniform(1.0, 1001, 0.5), 4e-4),
     )
     built = build_hjm(spec)
     rep_ok = built.report.violations == 0 and 0.0 < built.report.estimated_c < 10.0
@@ -232,7 +232,7 @@ def test_g_flat_volatility_goes_negative():
         n_nodes=501,
         alpha=0.5,
         modes=(ModeFunction("constant", c=0.2),),
-        initial_curve=0.01,
+        initial_curve=GridFunction.constant(Grid.uniform(1.0, 501, 0.5), 0.01),
     )
     built = build_hjm(spec)
     run = simulate_forward_rates(built, 2e-3, 1.0, 10000, 7)

@@ -1,14 +1,70 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from mildsim import kernels
 from mildsim.coefficients import (
+    MODE_KINDS,
     CoefficientModel,
     ModeFunction,
     estimate_positivity_constant,
-    hjm_drift,
     positivity_functional,
 )
 from mildsim.grids import Grid, GridFunction, lattice_parts, norm, weighted_inner
+
+# Reference coefficients, one state and one mode at a time.  The package
+# evaluates them only in kernels.coefficient_rows; the closed-form tests
+# below check these references, and the evaluator is checked against
+# them bit for bit.
+
+
+def mode_reference(mode: ModeFunction, grid: Grid, u: GridFunction) -> GridFunction:
+    """sigma(x, u(x)) as a grid function."""
+    prof, ptail = mode.profile(grid)
+    code = mode.level_code
+    if code == kernels.LEVEL_CONST:
+        return GridFunction(grid, prof.copy(), ptail)
+    if code == kernels.LEVEL_LINEAR:
+        return GridFunction(grid, prof * u.values, ptail * u.tail_value)
+    cap = float(mode.cap)
+    lev = np.clip(u.values, 0.0, cap)
+    levt = min(max(u.tail_value, 0.0), cap)
+    return GridFunction(grid, prof * lev, ptail * levt)
+
+
+def hjm_drift_reference(grid: Grid, sig: GridFunction) -> GridFunction:
+    """Quadratic drift contribution sigma * integral of sigma from 0.
+
+    The running integral is the unweighted trapezoid cumulative sum;
+    beyond x_max it is frozen at its end value so the tail stays a
+    constant.
+    """
+    v = sig.values
+    h = grid.spacing
+    integ = np.zeros_like(v)
+    np.cumsum(0.5 * h * (v[1:] + v[:-1]), out=integ[1:])
+    return GridFunction(grid, v * integ, sig.tail_value * float(integ[-1]))
+
+
+def drift_reference(model: CoefficientModel, u: GridFunction) -> GridFunction:
+    """Full drift at state u, including the weight correction term."""
+    g = model.grid
+    if model.drift == "zero":
+        out = GridFunction(g, np.zeros(g.n), 0.0)
+    elif model.drift == "linear-decay":
+        out = GridFunction(g, -model.drift_c * u.values, -model.drift_c * u.tail_value)
+    else:
+        acc = np.zeros(g.n)
+        acct = 0.0
+        for mode in model.modes:
+            part = hjm_drift_reference(g, mode_reference(mode, g, u))
+            acc += part.values
+            acct += part.tail_value
+        out = GridFunction(g, acc, acct)
+    if model.alpha_correction != 0.0:
+        out = out + model.alpha_correction * u
+    return out
 
 
 @pytest.fixture(scope="module")
@@ -32,21 +88,21 @@ def test_mode_validation(grid):
 
 def test_mode_evaluate_constant(grid):
     u = GridFunction.from_callable(grid, np.sin)
-    s = ModeFunction("constant", c=0.4).evaluate(grid, u)
+    s = mode_reference(ModeFunction("constant", c=0.4), grid, u)
     assert np.all(s.values == 0.4)
     assert s.tail_value == 0.4
 
 
 def test_mode_evaluate_proportional(grid):
     u = GridFunction.from_callable(grid, np.sin, tail_value=-0.3)
-    s = ModeFunction("proportional", c=2.0).evaluate(grid, u)
+    s = mode_reference(ModeFunction("proportional", c=2.0), grid, u)
     assert np.array_equal(s.values, 2.0 * u.values)
     assert s.tail_value == pytest.approx(-0.6, rel=1e-15)
 
 
 def test_mode_evaluate_capped(grid):
     u = GridFunction(grid, np.linspace(-1.0, 1.0, grid.n), -0.5)
-    s = ModeFunction("proportional-capped", c=3.0, cap=0.2).evaluate(grid, u)
+    s = mode_reference(ModeFunction("proportional-capped", c=3.0, cap=0.2), grid, u)
     assert np.all(s.values[u.values <= 0.0] == 0.0)
     assert np.all(s.values[u.values >= 0.2] == pytest.approx(0.6, rel=1e-15))
     mid = (u.values > 0.0) & (u.values < 0.2)
@@ -56,28 +112,28 @@ def test_mode_evaluate_capped(grid):
 
 def test_mode_evaluate_exponential_decay(grid):
     u = GridFunction.constant(grid, 5.0)
-    s = ModeFunction("exponential-decay", c=0.3, decay=2.0).evaluate(grid, u)
+    s = mode_reference(ModeFunction("exponential-decay", c=0.3, decay=2.0), grid, u)
     assert np.allclose(s.values, 0.3 * np.exp(-2.0 * grid.nodes), rtol=1e-15)
     assert s.tail_value == s.values[-1]
 
 
 def test_mode_evaluate_level_scaled(grid):
     u = GridFunction.constant(grid, 10.0)
-    s = ModeFunction("level-scaled", c=0.3, cap=0.05, decay=1.0).evaluate(grid, u)
+    s = mode_reference(ModeFunction("level-scaled", c=0.3, cap=0.05, decay=1.0), grid, u)
     assert np.allclose(s.values, 0.3 * 0.05 * np.exp(-grid.nodes), rtol=1e-15)
 
 
 def test_mode_evaluate_custom(grid):
     table = GridFunction.from_callable(grid, lambda x: 1.0 + x)
     u = GridFunction.constant(grid, -2.0)
-    s = ModeFunction("custom", c=0.5, table=table).evaluate(grid, u)
+    s = mode_reference(ModeFunction("custom", c=0.5, table=table), grid, u)
     assert np.allclose(s.values, 0.5 * (1.0 + grid.nodes), rtol=1e-15)
 
 
 def test_hjm_drift_constant_profile(grid):
     # sigma = c: the running integral is exactly c x on the lattice
     sig = GridFunction.constant(grid, 0.7)
-    d = hjm_drift(grid, sig)
+    d = hjm_drift_reference(grid, sig)
     assert np.allclose(d.values, 0.49 * grid.nodes, rtol=1e-13, atol=1e-16)
     assert d.tail_value == pytest.approx(0.49 * grid.x_max, rel=1e-13)
 
@@ -85,7 +141,7 @@ def test_hjm_drift_constant_profile(grid):
 def test_hjm_drift_exponential_profile():
     g = Grid.uniform(3.0, 3001, 0.5)
     sig = GridFunction.from_callable(g, lambda x: np.exp(-x))
-    d = hjm_drift(g, sig)
+    d = hjm_drift_reference(g, sig)
     expect = np.exp(-g.nodes) * (1.0 - np.exp(-g.nodes))
     assert np.abs(d.values - expect).max() < 1e-6
 
@@ -97,12 +153,12 @@ def test_model_validation(grid):
 
 def test_drift_eval_kinds(grid):
     u = GridFunction.from_callable(grid, lambda x: 0.1 + 0.05 * np.sin(x))
-    zero = CoefficientModel(grid).drift_eval(u)
+    zero = drift_reference(CoefficientModel(grid), u)
     assert np.all(zero.values == 0.0) and zero.tail_value == 0.0
-    dec = CoefficientModel(grid, drift="linear-decay", drift_c=0.4).drift_eval(u)
+    dec = drift_reference(CoefficientModel(grid, drift="linear-decay", drift_c=0.4), u)
     assert np.array_equal(dec.values, -0.4 * u.values)
     # the weight correction adds alpha u on top of the base drift
-    corr = CoefficientModel(grid, drift="zero", alpha_correction=0.5).drift_eval(u)
+    corr = drift_reference(CoefficientModel(grid, drift="zero", alpha_correction=0.5), u)
     assert np.allclose(corr.values, 0.5 * u.values, rtol=1e-15)
 
 
@@ -110,7 +166,7 @@ def test_drift_eval_hjm_sums_modes(grid):
     u = GridFunction.constant(grid, 0.3)
     modes = (ModeFunction("constant", c=0.2), ModeFunction("constant", c=0.1))
     model = CoefficientModel(grid, modes=modes, drift="hjm")
-    d = model.drift_eval(u)
+    d = drift_reference(model, u)
     assert np.allclose(d.values, (0.04 + 0.01) * grid.nodes, rtol=1e-13, atol=1e-16)
 
 
@@ -133,6 +189,105 @@ def test_kernel_args_encoding(grid):
     assert list(ka["caps"]) == [0.0, 0.0, 0.1, 0.0]
     assert ka["alpha_corr"] == 0.5
     assert np.allclose(ka["profiles"][3], 0.2 * np.exp(-2.0 * grid.nodes), rtol=1e-15)
+
+
+# the coefficient evaluator against the references, bit for bit
+
+DRIFTS = [
+    ("zero", 0.0, 0.0),
+    ("zero", 0.0, 0.5),
+    ("linear-decay", 0.4, 0.0),
+    ("linear-decay", 0.4, 0.5),
+    ("hjm", 0.0, 0.0),
+    ("hjm", 0.0, 0.5),
+]
+
+
+def _modes(grid):
+    """One mode of every kind, caps inside the range of _states."""
+    table = GridFunction.from_callable(grid, lambda x: 1.0 + np.sin(3.0 * x), tail_value=-0.25)
+    return {
+        "constant": ModeFunction("constant", c=0.4),
+        "proportional": ModeFunction("proportional", c=0.7),
+        "proportional-capped": ModeFunction("proportional-capped", c=3.0, cap=0.2),
+        "exponential-decay": ModeFunction("exponential-decay", c=0.3, decay=2.0),
+        "level-scaled": ModeFunction("level-scaled", c=0.5, cap=0.05, decay=1.0),
+        "custom": ModeFunction("custom", c=0.5, table=table),
+    }
+
+
+def _states(grid):
+    """Negative, capped and NaN nodes; negative, capped and NaN tails."""
+    rng = np.random.default_rng(17)
+    mixed = rng.normal(0.0, 0.3, grid.n)
+    with_nan = mixed.copy()
+    with_nan[::37] = np.nan
+    return [
+        GridFunction(grid, mixed, -0.4),
+        GridFunction(grid, mixed, 0.1),
+        GridFunction(grid, with_nan, 0.03),
+        GridFunction(grid, np.abs(mixed) + 1.0, 5.0),
+        GridFunction(grid, -np.abs(mixed), np.nan),
+    ]
+
+
+def _bits(f: GridFunction) -> bytes:
+    return f.values.tobytes() + np.float64(f.tail_value).tobytes()
+
+
+@pytest.mark.parametrize("drift, drift_c, alpha", DRIFTS)
+@pytest.mark.parametrize("kinds", [(k,) for k in MODE_KINDS] + [MODE_KINDS])
+def test_coefficients_match_references_bitwise(drift, drift_c, alpha, kinds):
+    g = Grid.uniform(2.0, 301, 0.5)
+    modes = _modes(g)
+    model = CoefficientModel(
+        g, modes=tuple(modes[k] for k in kinds), drift=drift, drift_c=drift_c,
+        alpha_correction=alpha,
+    )
+    for u in _states(g):
+        sig, d = model.coefficients(u)
+        assert [_bits(s) for s in sig] == [_bits(mode_reference(m, g, u)) for m in model.modes]
+        assert _bits(d) == _bits(drift_reference(model, u))
+
+
+# values around the caps of _modes, exact zeros, and a few NaN nodes
+value = st.one_of(st.floats(-1.0, 1.0), st.sampled_from([0.0, 0.05, 0.2, 0.3]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    rows=st.lists(st.lists(value, min_size=9, max_size=9), min_size=1, max_size=5),
+    tails=st.lists(value, min_size=5, max_size=5),
+    nans=st.lists(st.integers(0, 44), max_size=2),
+    kinds=st.lists(st.sampled_from(MODE_KINDS), min_size=1, max_size=3),
+    drift=st.sampled_from(DRIFTS),
+    spare=st.integers(0, 3),
+)
+def test_coefficient_row_in_a_batch_is_the_row_alone(rows, tails, nans, kinds, drift, spare):
+    g = Grid.uniform(1.0, 9, 0.5)
+    modes = _modes(g)
+    ka = CoefficientModel(
+        g, modes=tuple(modes[k] for k in kinds), drift=drift[0], drift_c=drift[1],
+        alpha_correction=drift[2],
+    ).kernel_args()
+    v = np.array(rows)
+    v.flat[[i for i in nans if i < v.size]] = np.nan
+    t = np.array(tails[: len(rows)])
+    # a scratch with room to spare, as the integrator's last row block has
+    scratch = kernels._coefficient_scratch(
+        len(rows) + spare, g.spacing, ka["profiles"], ka["profile_tails"], ka["level_codes"],
+        ka["drift_code"])
+    with np.errstate(all="ignore"):
+        batch = kernels.coefficient_rows(v, t, g.spacing, **ka, scratch=scratch)
+        for i in range(len(rows)):
+            alone = kernels.coefficient_rows(v[i : i + 1], t[i : i + 1], g.spacing, **ka)
+            assert _row_bytes(batch, i) == _row_bytes(alone, 0)
+
+
+def _row_bytes(coefs, i: int) -> list:
+    """Row i of every array coefficient_rows returns, as bytes; (1, N) rows broadcast."""
+    sig, sigt, drift, dtail = coefs
+    return [a[i if len(a) > 1 else 0].tobytes() for a in (*sig, *sigt, drift, dtail)]
 
 
 def test_positivity_functional_zero_on_nonnegative(grid):

@@ -12,36 +12,42 @@ from mildsim.hjm import (
     simulate_forward_rates,
 )
 from mildsim.noise import NoiseConfig
-from mildsim.solver import EnsembleStats, SolverConfig, simulate_path, step_once
+from mildsim.solver import EnsembleStats, SolverConfig, simulate_path
+from test_noise import step_once
+
+
+def flat(x_max, n_nodes, alpha, r):
+    """The flat curve r on the grid of an HJMModelSpec of these sizes."""
+    return GridFunction.constant(Grid.uniform(x_max, n_nodes, alpha), r)
 
 
 def test_spec_initial_forms():
-    spec = HJMModelSpec(1.0, 101, 0.5, (), 0.03)
     g = Grid.uniform(1.0, 101, 0.5)
-    u = spec.make_initial(g)
-    assert np.all(u.values == 0.03) and u.tail_value == 0.03
-    spec_fn = HJMModelSpec(1.0, 101, 0.5, (), lambda x: 0.01 + 0.02 * x)
-    uf = spec_fn.make_initial(g)
-    assert uf.values[0] == 0.01
     direct = GridFunction.constant(g, 0.02)
     ug = HJMModelSpec(1.0, 101, 0.5, (), direct).make_initial(g)
-    assert np.array_equal(ug.values, direct.values)
+    assert np.array_equal(ug.values, direct.values) and ug.tail_value == 0.02
+    assert ug.values is not direct.values
+    # a curve on a grid of the same nodes is accepted
+    uf = HJMModelSpec(1.0, 101, 0.5, (), flat(1.0, 101, 0.5, 0.03)).make_initial(g)
+    assert np.all(uf.values == 0.03) and uf.tail_value == 0.03
     other = GridFunction.constant(Grid.uniform(1.0, 99, 0.5), 0.02)
     with pytest.raises(ValueError):
         HJMModelSpec(1.0, 101, 0.5, (), other).make_initial(g)
-    with pytest.raises(TypeError):
-        HJMModelSpec(1.0, 101, 0.5, (), "flat").make_initial(g)
+    for bad in ("flat", 0.03, lambda x: 0.01 + 0.02 * x):
+        with pytest.raises(TypeError):
+            HJMModelSpec(1.0, 101, 0.5, (), bad).make_initial(g)
 
 
 def test_build_wiring_with_alpha_in_drift():
     modes = (ModeFunction("proportional-capped", c=2.0, cap=1e-3),)
-    spec = HJMModelSpec(1.0, 201, 0.5, modes, 0.02, alpha_in_drift=True)
+    spec = HJMModelSpec(1.0, 201, 0.5, modes, flat(1.0, 201, 0.5, 0.02), alpha_in_drift=True)
     built = build_hjm(spec, check_samples=20, check_seed=1)
     assert built.suite.shifted
     assert built.model.alpha_correction == 0.5
     assert built.model.drift == "hjm"
     assert built.model.modes == modes
-    spec2 = HJMModelSpec(1.0, 201, 0.5, modes, 0.02, alpha_in_drift=False)
+    spec2 = HJMModelSpec(1.0, 201, 0.5, modes, flat(1.0, 201, 0.5, 0.02),
+                         alpha_in_drift=False)
     built2 = build_hjm(spec2, check_samples=20, check_seed=1)
     assert not built2.suite.shifted
     assert built2.model.alpha_correction == 0.0
@@ -49,16 +55,18 @@ def test_build_wiring_with_alpha_in_drift():
 
 def test_build_rejects_bad_modes():
     with pytest.raises(TypeError):
-        build_hjm(HJMModelSpec(1.0, 101, 0.5, ("constant",), 0.02))
+        build_hjm(HJMModelSpec(1.0, 101, 0.5, ("constant",), flat(1.0, 101, 0.5, 0.02)))
 
 
 def test_c_const_folds_infinite_estimate_to_zero():
-    flat = (ModeFunction("constant", c=0.2),)
-    built = build_hjm(HJMModelSpec(1.0, 201, 0.5, flat, 0.01), check_samples=20)
+    flat_vol = (ModeFunction("constant", c=0.2),)
+    built = build_hjm(HJMModelSpec(1.0, 201, 0.5, flat_vol, flat(1.0, 201, 0.5, 0.01)),
+                      check_samples=20)
     assert built.report.violations >= 1
     assert built.c_const == 0.0
     capped = (ModeFunction("proportional-capped", c=8.0, cap=2e-4),)
-    built2 = build_hjm(HJMModelSpec(1.0, 501, 0.5, capped, 4e-4), check_samples=50)
+    built2 = build_hjm(HJMModelSpec(1.0, 501, 0.5, capped, flat(1.0, 501, 0.5, 4e-4)),
+                       check_samples=50)
     assert built2.report.violations == 0
     assert built2.c_const == built2.report.estimated_c
 
@@ -95,7 +103,8 @@ def test_verdict_branches():
 
 def test_forward_rate_run_capped_model_is_consistent():
     capped = (ModeFunction("proportional-capped", c=8.0, cap=2e-4),)
-    built = build_hjm(HJMModelSpec(1.0, 1001, 0.5, capped, 4e-4), check_samples=50)
+    built = build_hjm(HJMModelSpec(1.0, 1001, 0.5, capped, flat(1.0, 1001, 0.5, 4e-4)),
+                      check_samples=50)
     run = simulate_forward_rates(built, dt=2e-3, t_final=0.05, n_paths=20, seed=2026)
     assert run.ensemble.n_paths == 20
     assert run.ensemble.n_aborted == 0
@@ -104,8 +113,9 @@ def test_forward_rate_run_capped_model_is_consistent():
 
 
 def test_forward_rate_run_flat_vol_goes_negative():
-    flat = (ModeFunction("constant", c=0.2),)
-    built = build_hjm(HJMModelSpec(1.0, 501, 0.5, flat, 0.01), check_samples=20)
+    flat_vol = (ModeFunction("constant", c=0.2),)
+    built = build_hjm(HJMModelSpec(1.0, 501, 0.5, flat_vol, flat(1.0, 501, 0.5, 0.01)),
+                      check_samples=20)
     run = simulate_forward_rates(built, dt=2e-3, t_final=0.2, n_paths=200, seed=7)
     assert built.report.violations >= 1
     assert run.stats.frac_below[-1e-3][-1] > 0.0
@@ -116,7 +126,8 @@ def test_alpha_placement_is_second_order():
     # absorbing the weight exponent into the operator and compensating
     # in the drift must agree with dropping it entirely, to O((alpha dt)^2)
     mode = (ModeFunction("constant", c=0.2),)
-    u0 = lambda x: 0.05 + 0.01 * np.sin(300.0 * x)
+    u0 = GridFunction.from_callable(Grid.uniform(0.02, 201, 0.01),
+                                    lambda x: 0.05 + 0.01 * np.sin(300.0 * x))
     a = build_hjm(HJMModelSpec(0.02, 201, 0.01, mode, u0, alpha_in_drift=True), check_samples=5)
     b = build_hjm(HJMModelSpec(0.02, 201, 0.01, mode, u0, alpha_in_drift=False), check_samples=5)
     cfg = SolverConfig(dt=1e-4, t_final=1e-3)
@@ -130,8 +141,10 @@ def _mild_solution_error(n_nodes, dt, t_final=0.5):
     # track the closed-form mild solution of the decaying-volatility
     # model at first order in dt
     c, x_max = 0.3, 4.0
-    spec = HJMModelSpec(x_max, n_nodes, 0.5, (ModeFunction("exponential-decay", c=c),),
-                        lambda x: 0.02 + 0.01 * np.exp(-x), alpha_in_drift=False)
+    u0 = GridFunction.from_callable(Grid.uniform(x_max, n_nodes, 0.5),
+                                    lambda x: 0.02 + 0.01 * np.exp(-x))
+    spec = HJMModelSpec(x_max, n_nodes, 0.5, (ModeFunction("exponential-decay", c=c),), u0,
+                        alpha_in_drift=False)
     built = build_hjm(spec, check_samples=5)
     cfg = SolverConfig(dt=dt, t_final=dt)
     u = built.u0

@@ -1,11 +1,30 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from numpy.random import Philox
 
+from mildsim import noise, solver
 from mildsim.coefficients import CoefficientModel, ModeFunction
 from mildsim.grids import Grid, GridFunction
-from mildsim.noise import NoiseConfig, Z_BOUND, gaussian_block, gaussian_step, increment_block
+from mildsim.noise import NoiseConfig, Z_BOUND, gaussian_block, increment_block
+from test_coefficients import mode_reference
 
 # one-step oracles, also for the step composition tests in test_solver.py
+# and test_hjm.py
+
+
+def gaussian_step(cfg: NoiseConfig, step_index: int) -> np.ndarray:
+    """The n_modes standard normals of one step, random access."""
+    if step_index < 0:
+        raise ValueError("step_index must be nonnegative")
+    k = cfg.n_modes
+    if k == 0:
+        return np.zeros(0)
+    # Philox draws its raw words four to a counter block
+    block, off = divmod(step_index * k, 4)
+    raw = Philox(counter=block, key=noise._key(cfg)).random_raw(off + k)
+    return noise._to_gaussian(raw[off:])
 
 
 def increment_step(cfg: NoiseConfig, dt: float, step_index: int) -> np.ndarray:
@@ -21,10 +40,22 @@ def apply_diffusion_increment(model, u: GridFunction, dw: np.ndarray) -> GridFun
     acc = np.zeros(g.n)
     acct = 0.0
     for k, mode in enumerate(model.modes):
-        s = mode.evaluate(g, u)
+        s = mode_reference(mode, g, u)
         acc += s.values * dw[k]
         acct += s.tail_value * dw[k]
     return GridFunction(g, acc, acct)
+
+
+def step_once(u: GridFunction, suite, model, cfg, dw: np.ndarray) -> GridFunction:
+    """One scheme step with explicit increments, through the integrator."""
+    dw = np.asarray(dw, dtype=np.float64)
+    if dw.shape != (model.n_modes,):
+        raise ValueError("dw must hold one increment per mode")
+    one = replace(cfg, t_final=cfg.dt)
+    out_v, out_t = solver._kernel_call(
+        (u.values[None, :], np.array([u.tail_value])), suite, model, one, dw[None, None, :]
+    )[:2]
+    return GridFunction(u.grid, out_v[0], float(out_t[0]))
 
 
 def test_config_validation():
@@ -87,6 +118,30 @@ def test_z_bound_literal_is_the_mapped_minimum():
     from scipy.special import ndtri
 
     assert Z_BOUND == float(-ndtri(2.0**-54))
+
+
+def test_to_gaussian_is_bounded_at_the_extreme_words():
+    from scipy.special import ndtri
+
+    top = 2**64 - 1
+    words = np.array([top, top - 1, top - 2**11 + 1, top - 2**11, 0, 1], dtype=np.uint64)
+    z = noise._to_gaussian(words)
+    # the top 2**11 words map to the largest double below 1, not to 1.0
+    assert np.array_equal(z[:3], np.full(3, ndtri(np.nextafter(1.0, 0.0))))
+    assert 8.2095 < z[0] < 8.2096
+    assert z[3] < z[0]
+    assert z[4] == z[5] == -Z_BOUND
+    assert np.all(np.abs(z) <= Z_BOUND)
+
+
+def test_to_gaussian_keeps_every_other_word():
+    from scipy.special import ndtri
+
+    rng = np.random.default_rng(5)
+    below = rng.integers(0, 2**64 - 2**11, size=10_000, dtype=np.uint64, endpoint=False)
+    words = np.concatenate([below, np.array([2**64 - 2**11 - 1, 2**11, 0], dtype=np.uint64)])
+    unclamped = ndtri((words >> np.uint64(11)) * 2.0**-53 + 2.0**-54)
+    assert noise._to_gaussian(words).tobytes() == unclamped.tobytes()
 
 
 def test_increment_scaling():

@@ -18,9 +18,9 @@ from mildsim.solver import (
     run_ensemble,
     simulate_path,
     simulate_regularized,
-    step_once,
 )
-from test_noise import apply_diffusion_increment, increment_step
+from test_coefficients import drift_reference, mode_reference
+from test_noise import apply_diffusion_increment, increment_step, step_once
 
 
 def test_config_validation():
@@ -69,7 +69,7 @@ def test_step_once_shift_then_react_composition():
     dw = np.array([0.013, -0.008])
     got = step_once(u0, suite, model, cfg, dw)
     su = suite.semigroup(u0, cfg.dt)
-    expect = su + cfg.dt * model.drift_eval(su) + apply_diffusion_increment(model, su, dw)
+    expect = su + cfg.dt * drift_reference(model, su) + apply_diffusion_increment(model, su, dw)
     np.testing.assert_allclose(got.values, expect.values, rtol=1e-13, atol=1e-16)
     assert got.tail_value == pytest.approx(expect.tail_value, rel=1e-13, abs=1e-16)
 
@@ -79,7 +79,7 @@ def test_step_once_react_then_shift_composition():
     cfg = SolverConfig(dt=0.02, t_final=0.02, scheme="react-then-shift")
     dw = np.array([-0.009, 0.004])
     got = step_once(u0, suite, model, cfg, dw)
-    ru = u0 + cfg.dt * model.drift_eval(u0) + apply_diffusion_increment(model, u0, dw)
+    ru = u0 + cfg.dt * drift_reference(model, u0) + apply_diffusion_increment(model, u0, dw)
     expect = suite.semigroup(ru, cfg.dt)
     np.testing.assert_allclose(got.values, expect.values, rtol=1e-13, atol=1e-16)
 
@@ -92,9 +92,9 @@ def test_step_once_regularized_composition():
     dw = np.array([0.011, 0.007])
     got = step_once(u0, suite, model, cfg, dw)
     su = suite.semigroup(u0, cfg.dt)
-    expect = su + cfg.dt * suite.resolvent(model.drift_eval(su), lam)
+    expect = su + cfg.dt * suite.resolvent(drift_reference(model, su), lam)
     for k, mode in enumerate(model.modes):
-        expect = expect + dw[k] * suite.resolvent(mode.evaluate(grid, su), lam)
+        expect = expect + dw[k] * suite.resolvent(mode_reference(mode, grid, su), lam)
     np.testing.assert_allclose(got.values, expect.values, rtol=1e-12, atol=1e-16)
 
 
