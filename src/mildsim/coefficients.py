@@ -146,25 +146,41 @@ class CoefficientModel:
         the integrator evaluates, so the checks judge the coefficients
         that drive the paths.
         """
+        return self.row_evaluator()(u)
+
+    def row_evaluator(self):
+        """coefficients as a function that builds its kernel arrays once.
+
+        For many states in a row: the arrays it returns live in its
+        scratch until its next call.
+        """
         g = self.grid
-        sig, sigt, drift, dtail = kernels.coefficient_rows(
-            u.values[None, :], np.array([u.tail_value]), g.spacing, **self.kernel_args())
-        modes = [GridFunction(g, s[0], st[0]) for s, st in zip(sig, sigt)]
-        return modes, GridFunction(g, drift[0], dtail[0])
+        ka = self.kernel_args()
+        scratch = kernels.coefficient_scratch(1, g.spacing, **ka)
+
+        def evaluate(u: GridFunction) -> tuple[list, GridFunction]:
+            sig, sigt, drift, dtail = kernels.coefficient_rows(
+                u.values[None, :], np.array([u.tail_value]), g.spacing, **ka, scratch=scratch)
+            modes = [GridFunction(g, s[0], st[0]) for s, st in zip(sig, sigt)]
+            return modes, GridFunction(g, drift[0], dtail[0])
+
+        return evaluate
 
 
-def positivity_functional(model: CoefficientModel, h: GridFunction) -> float:
+def positivity_functional(model: CoefficientModel, h: GridFunction, evaluate=None) -> float:
     """Downward push of the coefficients at the negative set of h.
 
     -<F(h), h_-> plus half the weighted energy of each diffusion mode
     restricted to {h < 0}.  Nonpositive multiples of ||h_-||^2 certify
     that negativity is not self-amplifying; see
-    estimate_positivity_constant for the sampled bound.
+    estimate_positivity_constant for the sampled bound.  evaluate is
+    model.row_evaluator() when many h are probed, model.coefficients
+    when None.
     """
     parts = lattice_parts(h)
     neg = parts.negative
     ind = parts.indicator
-    modes, drift = model.coefficients(h)
+    modes, drift = (evaluate or model.coefficients)(h)
     val = -weighted_inner(drift, neg)
     for s in modes:
         masked = GridFunction(model.grid, s.values * ind.values, s.tail_value * ind.tail_value)
@@ -204,13 +220,14 @@ def estimate_positivity_constant(
     worst = -np.inf
     violations = 0
     count = 0
+    evaluate = model.row_evaluator()
 
     def probe(h: GridFunction) -> None:
         nonlocal worst, violations, count
         count += 1
         neg = lattice_parts(h).negative
         nrm = norm(neg, "l2")
-        val = positivity_functional(model, h)
+        val = positivity_functional(model, h, evaluate)
         if nrm <= l2_tol:
             if val > func_tol:
                 violations += 1

@@ -6,7 +6,10 @@ are trusted here.  Every kernel is deterministic.
 The integrator runs its time loop over blocks of rows, each (rows, N)
 float64 array about BLOCK_BYTES in size, so that the elementwise passes
 of a step stay in the L2 cache and reuse the same scratch arrays; a
-batch of at most one block runs on the whole arrays directly.  The work
+batch of at most one block runs on the whole arrays directly.  Every
+operand of those passes is such a block, which numpy runs as one
+contiguous loop: constant rows are tiled once per call, and offsets
+along a row are taken on the block's flat view.  The work
 that does not depend on the state is done once per call, with the same
 operations on a single row: the diffusion columns of constant-level
 modes, their resolvent when lam > 0, and the HJM drift when every mode
@@ -33,6 +36,7 @@ __all__ = [
     "DRIFT_DECAY",
     "DRIFT_HJM",
     "coefficient_rows",
+    "coefficient_scratch",
     "resolvent_coeffs",
     "resolvent_sweep",
     "simulate_batch",
@@ -116,22 +120,86 @@ def resolvent_sweep(f, ftail, E, amb, b, denom, out=None, cells=None):
     return y[0], ytail[0]
 
 
-def _records(v, tail, weights, tail_weight, tmp):
-    # row-wise sums, not `@`: BLAS gemv orders its sums by batch height
-    np.multiply(v, v, out=tmp)
-    tmp *= weights
-    tot = tmp.sum(axis=1) + tail_weight * tail * tail
-    np.minimum(v, 0.0, out=tmp)
-    np.multiply(tmp, tmp, out=tmp)
-    tmp *= weights
-    nege = tmp.sum(axis=1) + tail_weight * np.minimum(tail, 0.0) ** 2
-    mn = np.minimum(v.min(axis=1), tail)
-    return nege, mn, tot
+def _record_limits(weights, tail_weight, blow_threshold):
+    """Constants of _records: (zero_ok, blow_threshold, limit, wcap, wpad).
+
+    For weights >= 0, reach**2 * wcap + wpad bounds a row's summed
+    energy, reach being its largest |value|.  Rounding is monotone, so
+    no product exceeds reach**2 times its weight by more than it may
+    round up: wcap is the weight sum raised by (N + 4) * 2**-51 for the
+    N - 1 additions of a sum and rounded up, and wpad covers the 2**-1075
+    a product may gain in the subnormal range.  A bound at or below
+    limit, the threshold made finite, shows the total energy finite and
+    not above it.  zero_ok: a nonnegative row's negative-part energy is
+    exactly 0.0, as it is for finite weights.
+    """
+    n = weights.shape[0]
+    zero_ok = bool(np.isfinite(weights).all()) and bool(np.isfinite(tail_weight))
+    wcap = float(np.nextafter(weights.sum() * (1.0 + (n + 4) * 2.0**-51), np.inf))
+    limit = min(blow_threshold, float(np.finfo(np.float64).max))
+    return zero_ok, blow_threshold, limit, wcap, (n + 2) * 2.0**-1074
+
+
+def _row_energies(v, idx, w, tmp, negative):
+    """Weighted energy of rows idx of v, or of their negative parts.
+
+    The rows are gathered into tmp unless most of them are asked for;
+    the gather is one more pass over the rows it copies.  Each row sums
+    along itself, so its energy has the same bits either way.
+    """
+    pick = idx
+    if 5 * len(idx) < 4 * len(v):
+        v = np.take(v, idx, axis=0, out=tmp[: len(idx)], mode="clip")
+        pick = slice(None)
+    x = tmp[: len(v)]
+    if negative:
+        np.minimum(v, 0.0, out=x)
+        np.multiply(x, x, out=x)
+    else:
+        np.multiply(v, v, out=x)
+    x *= w[: len(v)]
+    return x.sum(axis=1)[pick]
+
+
+def _records(v, tail, active, w, tail_weight, limits, tmp, abort_test=True):
+    """(neg_energy, min_value, newly) of a block's rows after a step.
+
+    Records are NaN for rows not active.  newly holds the active rows
+    whose total energy left [0, blow_threshold] or turned non-finite,
+    and they leave active; at step 0 abort_test is False.  w is the
+    weights tiled to v's rows, limits _record_limits' tuple.  The total
+    energy is summed only for active rows whose bound does not clear
+    the threshold (min and max propagate NaN, so a NaN row never
+    clears), the negative part's only for active rows whose minimum,
+    tail included, is below zero: it is exactly 0.0 for the others.
+    """
+    zero_ok, threshold, limit, wcap, wpad = limits
+    vmin = v.min(axis=1)
+    mn = np.minimum(vmin, tail)
+    newly = np.zeros(0, dtype=np.intp)
+    if abort_test:
+        tt = tail_weight * tail * tail
+        reach = np.maximum(v.max(axis=1), -vmin)
+        bound = reach * reach * wcap + wpad + tt
+        rows = () if bound.max() <= limit else np.flatnonzero(active & ~(bound <= limit))
+        if len(rows):
+            tot = _row_energies(v, rows, w, tmp, False) + tt[rows]
+            newly = rows[~np.isfinite(tot) | (tot > threshold)]
+            active[newly] = False
+    nege = np.zeros(len(v))
+    rows = np.flatnonzero(active & ~(mn >= 0.0) if zero_ok else active)
+    if len(rows):
+        nege[rows] = (_row_energies(v, rows, w, tmp, True)
+                      + tail_weight * np.minimum(tail[rows], 0.0) ** 2)
+    return np.where(active, nege, np.nan), np.where(active, mn, np.nan), newly
 
 
 def _shift(v, tail, m_shift, damp):
     if m_shift > 0:
-        v[:, :-m_shift] = v[:, m_shift:]
+        # the rows are contiguous: one move along the flat block, whose
+        # crossings into the next row are overwritten by the tail
+        flat = v.reshape(-1)
+        flat[:-m_shift] = flat[m_shift:]
         v[:, -m_shift:] = tail[:, None]
     if damp != 1.0:
         v *= damp
@@ -140,30 +208,46 @@ def _shift(v, tail, m_shift, damp):
 
 
 def _hjm_drift(sig, sigt, spacing, buf, btail, integ, tmp):
-    """Accumulate sum_k sig_k * (trapezoid integral of sig_k) into buf, btail.
+    """sum_k sig_k * (trapezoid integral of sig_k), into buf and btail.
 
-    integ[:, 0] must hold 0; the (1, N) rows of constant modes broadcast.
+    sig's rows and tmp are contiguous blocks of buf's shape, so the
+    trapezoid cells are summed on their flat views: column 0 of tmp
+    then holds a cell across two rows, which the cumsum never reads.
+    integ[:, 0] must hold 0.  The sum starts from 0.0, so the first
+    mode's products get + 0.0, which turns -0.0 into 0.0.
     """
-    buf.fill(0.0)
     btail.fill(0.0)
-    for s, st in zip(sig, sigt):
-        np.add(s[:, 1:], s[:, :-1], out=tmp[:, 1:])
-        np.multiply(tmp[:, 1:], 0.5 * spacing, out=tmp[:, 1:])
+    if not sig:
+        buf.fill(0.0)
+    cells = tmp.reshape(-1)[1:]
+    for k, (s, st) in enumerate(zip(sig, sigt)):
+        flat = s.reshape(-1)
+        np.add(flat[1:], flat[:-1], out=cells)
+        cells *= 0.5 * spacing
         np.cumsum(tmp[:, 1:], axis=1, out=integ[:, 1:])
-        np.multiply(s, integ, out=tmp)
-        buf += tmp
+        if k == 0:
+            np.multiply(s, integ, out=buf)
+            buf += 0.0
+        else:
+            buf += np.multiply(s, integ, out=tmp)
         btail += st * integ[:, -1]
 
 
-def _coefficient_scratch(rows, spacing, profiles, profile_tails, level_codes, drift_code):
+def coefficient_scratch(rows, spacing, profiles, profile_tails, level_codes, caps,
+                         drift_code, drift_c, alpha_corr):
     """Scratch for coefficient_rows on up to rows rows, with its state-free rows.
 
-    Those are the profiles of constant-level modes, and the drift before
-    the alpha_corr term when it is zero or hjm of such modes only.
+    Takes coefficient_rows' arguments after the state.  Every per-row
+    pass works on (rows, N) blocks, so the profiles are tiled once
+    here; a constant-level mode's sigma rows are its tiled profile.
+    The drift before the alpha_corr term is state-free when it is zero
+    or hjm of constant modes only; it is tiled when alpha_corr adds the
+    state to it, and one (1, N) row otherwise.
     """
     K, N = profiles.shape
+    prof = [np.tile(p, (rows, 1)) for p in profiles]
     const = [level_codes[k] == LEVEL_CONST for k in range(K)]
-    sig = [profiles[k][None, :] if const[k] else np.empty((rows, N)) for k in range(K)]
+    sig = [prof[k] if const[k] else np.empty((rows, N)) for k in range(K)]
     sigt = [profile_tails[k : k + 1] for k in range(K)]
     buf, btail, tmp = np.empty((rows, N)), np.empty(rows), np.empty((rows, N))
     integ = np.zeros((rows, N))  # column 0 stays 0
@@ -172,8 +256,10 @@ def _coefficient_scratch(rows, spacing, profiles, profile_tails, level_codes, dr
         base = (np.zeros((1, N)), np.zeros(1))
     elif drift_code == DRIFT_HJM and all(const):
         base = (np.empty((1, N)), np.empty(1))
-        _hjm_drift(sig, sigt, spacing, *base, integ[:1], tmp[:1])
-    return sig, sigt, base, buf, btail, integ, tmp
+        _hjm_drift([s[:1] for s in sig], sigt, spacing, *base, integ[:1], tmp[:1])
+    if base is not None and alpha_corr != 0.0:
+        base = (np.tile(base[0], (rows, 1)), base[1])
+    return prof, sig, sigt, base, buf, btail, integ, tmp
 
 
 def coefficient_rows(v, tail, spacing, profiles, profile_tails, level_codes, caps,
@@ -182,25 +268,26 @@ def coefficient_rows(v, tail, spacing, profiles, profile_tails, level_codes, cap
 
     Returns (sig, sigt, drift, dtail): each mode's rows and tails, then
     the drift's, zero, linear-decay or hjm plus alpha_corr times the
-    state.  State-free rows are (1, N) and broadcast; the others live in
-    scratch until the next call.  scratch is what _coefficient_scratch
-    made for at least n rows of these arrays, or None for a new one.
+    state.  A state-free drift is one (1, N) row that broadcasts; the
+    other rows live in scratch until the next call.  scratch is what
+    coefficient_scratch made for at least n rows of these arrays, or
+    None for a new one.
     """
     n = len(v)
-    sig, sigt, base, buf, btail, integ, tmp = scratch or _coefficient_scratch(
-        n, spacing, profiles, profile_tails, level_codes, drift_code)
+    prof, sig, sigt, base, buf, btail, integ, tmp = scratch or coefficient_scratch(
+        n, spacing, profiles, profile_tails, level_codes, caps, drift_code, drift_c, alpha_corr)
     sig, sigt = [s[:n] for s in sig], list(sigt)
     buf, btail, integ, tmp = buf[:n], btail[:n], integ[:n], tmp[:n]
     for k, code in enumerate(level_codes):
         if code == LEVEL_LINEAR:
-            np.multiply(v, profiles[k], out=sig[k])
+            np.multiply(v, prof[k][:n], out=sig[k])
             sigt[k] = profile_tails[k] * tail
         elif code == LEVEL_CAPPED:
             np.clip(v, 0.0, caps[k], out=sig[k])
-            sig[k] *= profiles[k]
+            sig[k] *= prof[k][:n]
             sigt[k] = profile_tails[k] * np.clip(tail, 0.0, caps[k])
     if base is not None:
-        drift, dtail = base
+        drift, dtail = base[0][:n], base[1]
     elif drift_code == DRIFT_DECAY:
         drift, dtail = np.multiply(v, -drift_c, out=buf), -drift_c * tail
     else:
@@ -244,26 +331,28 @@ def simulate_batch(
     snap_tails = np.empty((S, P))
     rows = max(1, min(P, BLOCK_BYTES // (8 * N)))
     frozen_v = np.empty((rows, N))
+    w = np.tile(weights, (rows, 1))
+    limits = _record_limits(weights, tail_weight, blow_threshold)
     coef = (spacing, profiles, profile_tails, level_codes, caps, drift_code, drift_c, alpha_corr)
     varying = [k for k in range(K) if level_codes[k] != LEVEL_CONST]
     with np.errstate(all="ignore"):
-        scratch = _coefficient_scratch(rows, spacing, profiles, profile_tails, level_codes, drift_code)
-        sig, sigt, tmp = scratch[0], scratch[1], scratch[-1]
+        scratch = coefficient_scratch(rows, *coef)
+        sig, sigt, tmp = scratch[1], scratch[2], scratch[-1]
         # diffusion columns after the resolvent, those of constant modes once
         noise, noise_t = list(sig), list(sigt)
         for k in range(K):
             if lam_reg > 0.0 and k not in varying:
-                noise[k], noise_t[k] = _resolvent_rows(sig[k], sigt[k], E, amb, b, denom)
+                y, noise_t[k] = _resolvent_rows(sig[k][:1], sigt[k], E, amb, b, denom)
+                noise[k] = np.tile(y, (rows, 1))
         for lo in range(0, P, rows):
             hi = min(lo + rows, P)
             n = hi - lo
             vb, tb, dWb = v[lo:hi], tail[lo:hi], dW[lo:hi]
-            tmp_b, frozen_b = tmp[:n], frozen_v[:n]
+            tmp_b, frozen_b, w_b = tmp[:n], frozen_v[:n], w[:n]
             active = np.ones(n, dtype=bool)
             frozen_tail = np.zeros(n)
-            nege, mn, _ = _records(vb, tb, weights, tail_weight, tmp_b)
-            neg_e[lo:hi, 0] = nege
-            min_v[lo:hi, 0] = mn
+            neg_e[lo:hi, 0], min_v[lo:hi, 0], _ = _records(
+                vb, tb, active, w_b, tail_weight, limits, tmp_b, abort_test=False)
             si = 0
             while si < S and snap_steps[si] == 0:
                 snaps[si, lo:hi] = vb
@@ -283,28 +372,27 @@ def simulate_batch(
                 vb += np.multiply(drift, dt, out=tmp_b[: len(drift)])
                 tb = tb + dtail * dt
                 for k in range(K):
+                    # dw spread over the block first: numpy multiplies by
+                    # a broadcast column at a third of this speed
                     dw = dWb[:, j, k]
-                    vb += np.multiply(noise[k], dw[:, None], out=tmp_b)
+                    np.copyto(tmp_b, dw[:, None])
+                    vb += np.multiply(tmp_b, noise[k][:n], out=tmp_b)
                     tb = tb + noise_t[k] * dw
                 if scheme == 1:
                     tb = _shift(vb, tb, m_shift, damp)
-                nege, mn, tot = _records(vb, tb, weights, tail_weight, tmp_b)
-                bad = (~np.isfinite(tot)) | (tot > blow_threshold)
-                newly = bad & active
-                if newly.any():
-                    aborted[lo:hi][newly] = j
-                    frozen_b[newly] = vb[newly]
+                neg_e[lo:hi, j + 1], min_v[lo:hi, j + 1], newly = _records(
+                    vb, tb, active, w_b, tail_weight, limits, tmp_b)
+                if len(newly):
+                    aborted[lo + newly] = j
                     frozen_tail[newly] = tb[newly]
-                    active = active & ~bad
-                neg_e[lo:hi, j + 1] = np.where(active, nege, np.nan)
-                min_v[lo:hi, j + 1] = np.where(active, mn, np.nan)
+                    for i in newly:  # row by row: no temporary block
+                        frozen_b[i] = vb[i]
                 while si < S and snap_steps[si] == j + 1:
-                    snaps[si, lo:hi] = np.where(active[:, None], vb, np.nan)
+                    snaps[si, lo:hi] = vb
+                    snaps[si, lo:hi][~active] = np.nan
                     snap_tails[si, lo:hi] = np.where(active, tb, np.nan)
                     si += 1
-            dead = ~active
-            if dead.any():
-                vb[dead] = frozen_b[dead]
-                tb = np.where(dead, frozen_tail, tb)
-            tail[lo:hi] = tb
+            for i in np.flatnonzero(~active):
+                vb[i] = frozen_b[i]
+            tail[lo:hi] = np.where(active, tb, frozen_tail)
     return v, tail, neg_e, min_v, aborted, snaps, snap_tails

@@ -217,17 +217,22 @@ def _modes(grid):
 
 
 def _states(grid):
-    """Negative, capped and NaN nodes; negative, capped and NaN tails."""
+    """Negative, capped and NaN nodes; negative, capped and NaN tails; -0.0
+    at the first nodes and in the tail."""
     rng = np.random.default_rng(17)
     mixed = rng.normal(0.0, 0.3, grid.n)
     with_nan = mixed.copy()
     with_nan[::37] = np.nan
+    signed_zero = mixed.copy()
+    signed_zero[:4] = -0.0
     return [
         GridFunction(grid, mixed, -0.4),
         GridFunction(grid, mixed, 0.1),
         GridFunction(grid, with_nan, 0.03),
         GridFunction(grid, np.abs(mixed) + 1.0, 5.0),
         GridFunction(grid, -np.abs(mixed), np.nan),
+        GridFunction(grid, signed_zero, -0.0),
+        GridFunction(grid, np.full(grid.n, -0.0), -0.0),
     ]
 
 
@@ -244,10 +249,26 @@ def test_coefficients_match_references_bitwise(drift, drift_c, alpha, kinds):
         g, modes=tuple(modes[k] for k in kinds), drift=drift, drift_c=drift_c,
         alpha_correction=alpha,
     )
-    for u in _states(g):
+    states = _states(g)
+    for u in states:
         sig, d = model.coefficients(u)
         assert [_bits(s) for s in sig] == [_bits(mode_reference(m, g, u)) for m in model.modes]
         assert _bits(d) == _bits(drift_reference(model, u))
+    # all states as one batch in a scratch with spare rows, as the
+    # integrator's ragged last row block: the flat trapezoid and the tiled
+    # rows are sliced to the batch
+    ka = model.kernel_args()
+    scratch = kernels.coefficient_scratch(len(states) + 3, g.spacing, **ka)
+    v = np.array([u.values for u in states])
+    t = np.array([u.tail_value for u in states])
+    with np.errstate(all="ignore"):
+        batch = kernels.coefficient_rows(v, t, g.spacing, **ka, scratch=scratch)
+    for i, u in enumerate(states):
+        ref = [mode_reference(m, g, u) for m in model.modes] + [drift_reference(model, u)]
+        assert _row_bytes(batch, i) == [
+            *(r.values.tobytes() for r in ref[:-1]),
+            *(np.float64(r.tail_value).tobytes() for r in ref[:-1]),
+            ref[-1].values.tobytes(), np.float64(ref[-1].tail_value).tobytes()]
 
 
 # values around the caps of _modes, exact zeros, and a few NaN nodes
@@ -274,9 +295,7 @@ def test_coefficient_row_in_a_batch_is_the_row_alone(rows, tails, nans, kinds, d
     v.flat[[i for i in nans if i < v.size]] = np.nan
     t = np.array(tails[: len(rows)])
     # a scratch with room to spare, as the integrator's last row block has
-    scratch = kernels._coefficient_scratch(
-        len(rows) + spare, g.spacing, ka["profiles"], ka["profile_tails"], ka["level_codes"],
-        ka["drift_code"])
+    scratch = kernels.coefficient_scratch(len(rows) + spare, g.spacing, **ka)
     with np.errstate(all="ignore"):
         batch = kernels.coefficient_rows(v, t, g.spacing, **ka, scratch=scratch)
         for i in range(len(rows)):

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mildsim import kernels
@@ -300,17 +300,23 @@ def test_simulate_batch_numpy_rows_match_single_path_runs(scheme, lam):
 @pytest.mark.parametrize("lam", [0.0, 0.05])
 @pytest.mark.parametrize("scheme", [0, 1])
 def test_simulate_batch_numpy_block_boundaries(scheme, lam, modes):
-    # three full row blocks and a ragged fourth; three paths, each in its
-    # own block, start large enough to abort at different steps
+    # three full row blocks and a ragged fourth, which the flat trapezoid
+    # and the tiled rows are sliced to; three paths, each in its own block,
+    # start large enough to abort at different steps, and three others
+    # start at -0.0 on their first nodes and in the tail
     n_nodes = 2049
     rows = max(1, kernels.BLOCK_BYTES // (8 * n_nodes))
-    _, args = _rich_args(scheme, lam=lam, blow=1e3, n_paths=3 * rows + rows // 2,
+    n_paths = 3 * rows + rows // 2
+    _, args = _rich_args(scheme, lam=lam, blow=1e3, n_paths=n_paths,
                          n_nodes=n_nodes, modes=modes, alpha_corr=10.0)
     v0, tail0 = args[0], args[1]
     boosted = {1: 300.0, rows + 2: 100.0, 3 * rows + 1: 50.0}
     for p, factor in boosted.items():
         v0[p] *= factor
         tail0[p] *= factor
+    signed_zero = [0, rows - 1, n_paths - 1]
+    v0[signed_zero, :3] = -0.0
+    tail0[signed_zero] = -0.0
     out = kernels.simulate_batch(*args)
     aborted = out[4]
     assert np.flatnonzero(aborted >= 0).tolist() == sorted(boosted)
@@ -384,6 +390,165 @@ def test_simulate_batch_pure_shift_is_exact():
     expect[: g.n - m] = v0[0, m:]
     assert np.array_equal(out[0][0], expect)
     assert out[1][0] == 0.25
+
+
+# The records as the integrator kept them before the energy bound and the
+# row gathers: every row's total and negative-part energies summed in full.
+
+
+def _reference_records(v, tail, weights, tail_weight, tmp):
+    # row-wise sums, not `@`: BLAS gemv orders its sums by batch height
+    np.multiply(v, v, out=tmp)
+    tmp *= weights
+    tot = tmp.sum(axis=1) + tail_weight * tail * tail
+    np.minimum(v, 0.0, out=tmp)
+    np.multiply(tmp, tmp, out=tmp)
+    tmp *= weights
+    nege = tmp.sum(axis=1) + tail_weight * np.minimum(tail, 0.0) ** 2
+    mn = np.minimum(v.min(axis=1), tail)
+    return nege, mn, tot
+
+
+def _reference_record_step(v, tail, active, weights, tail_weight, blow_threshold):
+    # one step's records and abort rule
+    nege, mn, tot = _reference_records(v, tail, weights, tail_weight, np.empty_like(v))
+    bad = (~np.isfinite(tot)) | (tot > blow_threshold)
+    newly = np.flatnonzero(bad & active)
+    active = active & ~bad
+    return np.where(active, nege, np.nan), np.where(active, mn, np.nan), newly, active
+
+
+TINY = 5e-324
+SPECIAL = [0.0, -0.0, np.nan, np.inf, -np.inf, TINY, -TINY, 2.2e-308, -1e-310, 1e154, -1e154]
+ROW_VALUES = {
+    "nonnegative": st.one_of(st.floats(0.0, 2.0), st.sampled_from([0.0, -0.0, TINY])),
+    "mixed": st.floats(-2.0, 2.0),
+    "negative": st.floats(-2.0, -1e-300),
+    "special": st.one_of(st.floats(-2.0, 2.0), st.sampled_from(SPECIAL)),
+    "subnormal": st.integers(-(2**20), 2**20).map(lambda k: k * TINY),
+    "huge": st.floats(-1e200, 1e200),
+}
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data(), n=st.integers(1, 9), n_nodes=st.integers(2, 40))
+def test_records_match_the_reference_bitwise(data, n, n_nodes):
+    # blocks of rows that are nonnegative, partly or wholly negative, hold
+    # NaN, +-inf, +-0.0 or subnormals, against thresholds at, just above
+    # and just below a row's energy, which may be normal, huge or subnormal
+    kinds = data.draw(st.lists(st.sampled_from(sorted(ROW_VALUES)), min_size=n, max_size=n))
+    block = np.array([data.draw(st.lists(ROW_VALUES[k], min_size=n_nodes + 1,
+                                         max_size=n_nodes + 1)) for k in kinds])
+    v, tail = np.ascontiguousarray(block[:, :-1]), block[:, -1].copy()
+    if data.draw(st.booleans(), label="grid weights"):
+        g = Grid.uniform(2.0, n_nodes, 0.5)
+        weights, tail_weight = g.weights, g.tail_weight
+    else:
+        weights = np.array(data.draw(st.lists(
+            st.one_of(st.floats(0.0, 10.0), st.sampled_from([0.0, TINY])),
+            min_size=n_nodes, max_size=n_nodes)))
+        tail_weight = data.draw(st.sampled_from([1.0, 0.0, TINY, 0.3, np.inf]))
+    with np.errstate(all="ignore"):
+        _, _, tot = _reference_records(v, tail, weights, tail_weight, np.empty_like(v))
+        at = tot[data.draw(st.integers(0, n - 1), label="row")]
+        blow = data.draw(st.sampled_from([
+            at, np.nextafter(at, -np.inf), np.nextafter(at, np.inf),
+            1.0, 1e308, np.inf, 1e-310, TINY]), label="blow")
+        active = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+        limits = kernels._record_limits(weights, tail_weight, blow)
+        w, tmp = np.tile(weights, (n, 1)), np.empty((n, n_nodes))
+
+        got_active = active.copy()
+        got = kernels._records(v, tail, got_active, w, tail_weight, limits, tmp)
+        ref = _reference_record_step(v, tail, active, weights, tail_weight, blow)
+        assert got[0].tobytes() == ref[0].tobytes()
+        assert got[1].tobytes() == ref[1].tobytes()
+        assert got[2].tolist() == ref[2].tolist()
+        assert got_active.tolist() == ref[3].tolist()
+
+        # step 0: every row active, nothing aborts and nothing is masked
+        first = np.ones(n, dtype=bool)
+        nege0, mn0, _ = kernels._records(v, tail, first, w, tail_weight, limits, tmp,
+                                         abort_test=False)
+        ref0 = _reference_records(v, tail, weights, tail_weight, np.empty_like(v))
+        assert nege0.tobytes() == ref0[0].tobytes() and mn0.tobytes() == ref0[1].tobytes()
+        assert first.all()
+
+
+@settings(max_examples=200, deadline=None)
+# found by search: each needs one of the bound's three margins, the weight
+# sum's, its upward rounding (subnormal weights) and the subnormal pad
+@example(n_nodes=30, seed=0, exponent=0.3, weight_scale=1.0)
+@example(n_nodes=2, seed=0, exponent=141.4676069420765, weight_scale=1e-310)
+@example(n_nodes=2, seed=532, exponent=-155.0, weight_scale=1.0)
+@given(n_nodes=st.integers(2, 60), seed=st.integers(0, 2**32 - 1),
+       exponent=st.one_of(st.floats(-3.0, 1.0), st.floats(-158.0, -150.0),
+                          st.floats(140.0, 150.0)),
+       weight_scale=st.sampled_from([1.0, 1e-200, 1e-300, 1e-310]))
+def test_energy_bound_clears_no_row_above_the_threshold(n_nodes, seed, exponent, weight_scale):
+    # The bound is tightest on a row of one magnitude, where only rounding
+    # separates it from the row's energy; with the threshold one ulp below
+    # that energy the row must abort, also when the products are subnormal
+    # (magnitudes near 1e-155) or the weights are.
+    rng = np.random.default_rng(seed)
+    v = 10.0**exponent * rng.choice([-1.0, 1.0], size=(1, n_nodes))
+    weights = rng.uniform(0.0, 10.0, n_nodes) * weight_scale
+    tail = np.zeros(1)
+    _, _, tot = _reference_records(v, tail, weights, 1.0, np.empty_like(v))
+    blow = np.nextafter(tot[0], -np.inf)
+    active = np.ones(1, dtype=bool)
+    limits = kernels._record_limits(weights, 1.0, blow)
+    _, _, newly = kernels._records(v, tail, active, weights[None, :], 1.0, limits,
+                                   np.empty_like(v))
+    assert newly.tolist() == ([0] if tot[0] > blow else [])
+
+
+def _capped_args(n_paths, n_steps, blow):
+    # the hjm-capped workload's shape: 1001 nodes, one proportional-capped
+    # mode, the hjm drift with alpha_correction = alpha, a flat start; two
+    # rows in five dip below zero, where the capped noise vanishes, so their
+    # negative parts are summed in row gathers every step
+    g = Grid.uniform(1.0, 1001, 0.5)
+    model = CoefficientModel(g, modes=(ModeFunction("proportional-capped", c=8.0, cap=2e-4),),
+                             drift="hjm", alpha_correction=g.alpha)
+    ka = model.kernel_args()
+    dt = 2e-3
+    dW = np.stack([gaussian_block(NoiseConfig(1, 3, stream_id=p), n_steps)
+                   for p in range(n_paths)]) * np.sqrt(dt)
+    v0 = np.full((n_paths, g.n), 4e-4)
+    v0[np.arange(n_paths) % 5 < 2, 100:200] = -1e-4
+    return (
+        v0, np.full(n_paths, 4e-4), dW, 2,
+        float(np.exp(-g.alpha * dt)), dt, 0,
+        ka["profiles"], ka["profile_tails"], ka["level_codes"], ka["caps"],
+        ka["drift_code"], ka["drift_c"], ka["alpha_corr"], 0.0, 0.0, 0.0, 0.0, 1.0,
+        g.spacing, g.weights, g.tail_weight, blow, np.array([0, n_steps], dtype=np.int64),
+    )
+
+
+@pytest.mark.parametrize("blow", [1e12, 6e-7, 1e-7])
+def test_simulate_batch_allocates_no_per_step_blocks(blow):
+    # The peak of one call is its outputs plus the integrator's scratch:
+    # frozen rows, tiled weights, the capped mode's tiled profile and sigma
+    # rows, and the drift, product and integral blocks, seven row blocks.
+    # A temporary of block size made in a step shows as an eighth.  At the
+    # low thresholds the energy bound clears few rows, so total energies
+    # are summed in row gathers (6e-7) and on whole blocks (1e-7), and
+    # rows abort.
+    import tracemalloc
+
+    n_paths, n_steps = 256, 12
+    args = _capped_args(n_paths, n_steps, blow)
+    N = args[0].shape[1]
+    block = max(1, kernels.BLOCK_BYTES // (8 * N)) * N * 8
+    tracemalloc.start()
+    try:
+        out = kernels.simulate_batch(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    outputs = sum(a.nbytes for a in out)
+    assert peak <= outputs + 7 * block + 64 * 1024, (peak - outputs) / block
 
 
 def _exploding_args(blow):
