@@ -16,6 +16,7 @@ positivity verdict machinery accepts.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -139,48 +140,43 @@ class CoefficientModel:
             alpha_corr=float(self.alpha_correction),
         )
 
+    @cached_property
+    def _row_kernel(self) -> tuple[dict, tuple]:
+        # coefficients' kernel arrays and one-row scratch, built once per model
+        ka = self.kernel_args()
+        scratch = kernels.coefficient_scratch(
+            1, self.grid.spacing, ka["profiles"], ka["profile_tails"], ka["level_codes"],
+            ka["drift_code"], ka["alpha_corr"])
+        return ka, scratch
+
     def coefficients(self, u: GridFunction) -> tuple[list, GridFunction]:
         """The diffusion modes and the full drift at the state u.
 
         One row of kernels.coefficient_rows, the function every step of
         the integrator evaluates, so the checks judge the coefficients
-        that drive the paths.
-        """
-        return self.row_evaluator()(u)
-
-    def row_evaluator(self):
-        """coefficients as a function that builds its kernel arrays once.
-
-        For many states in a row: the arrays it returns live in its
-        scratch until its next call.
+        that drive the paths.  The rows are copied out of the model's
+        scratch, so results of earlier calls stay as they were.
         """
         g = self.grid
-        ka = self.kernel_args()
-        scratch = kernels.coefficient_scratch(1, g.spacing, **ka)
-
-        def evaluate(u: GridFunction) -> tuple[list, GridFunction]:
-            sig, sigt, drift, dtail = kernels.coefficient_rows(
-                u.values[None, :], np.array([u.tail_value]), g.spacing, **ka, scratch=scratch)
-            modes = [GridFunction(g, s[0], st[0]) for s, st in zip(sig, sigt)]
-            return modes, GridFunction(g, drift[0], dtail[0])
-
-        return evaluate
+        ka, scratch = self._row_kernel
+        sig, sigt, drift, dtail = kernels.coefficient_rows(
+            u.values[None, :], np.array([u.tail_value]), g.spacing, **ka, scratch=scratch)
+        modes = [GridFunction(g, s[0].copy(), st[0]) for s, st in zip(sig, sigt)]
+        return modes, GridFunction(g, drift[0].copy(), dtail[0])
 
 
-def positivity_functional(model: CoefficientModel, h: GridFunction, evaluate=None) -> float:
+def positivity_functional(model: CoefficientModel, h: GridFunction) -> float:
     """Downward push of the coefficients at the negative set of h.
 
     -<F(h), h_-> plus half the weighted energy of each diffusion mode
     restricted to {h < 0}.  Nonpositive multiples of ||h_-||^2 certify
     that negativity is not self-amplifying; see
-    estimate_positivity_constant for the sampled bound.  evaluate is
-    model.row_evaluator() when many h are probed, model.coefficients
-    when None.
+    estimate_positivity_constant for the sampled bound.
     """
     parts = lattice_parts(h)
     neg = parts.negative
     ind = parts.indicator
-    modes, drift = (evaluate or model.coefficients)(h)
+    modes, drift = model.coefficients(h)
     val = -weighted_inner(drift, neg)
     for s in modes:
         masked = GridFunction(model.grid, s.values * ind.values, s.tail_value * ind.tail_value)
@@ -220,14 +216,13 @@ def estimate_positivity_constant(
     worst = -np.inf
     violations = 0
     count = 0
-    evaluate = model.row_evaluator()
 
     def probe(h: GridFunction) -> None:
         nonlocal worst, violations, count
         count += 1
         neg = lattice_parts(h).negative
         nrm = norm(neg, "l2")
-        val = positivity_functional(model, h, evaluate)
+        val = positivity_functional(model, h)
         if nrm <= l2_tol:
             if val > func_tol:
                 violations += 1

@@ -6,10 +6,15 @@ are trusted here.  Every kernel is deterministic.
 The integrator runs its time loop over blocks of rows, each (rows, N)
 float64 array about BLOCK_BYTES in size, so that the elementwise passes
 of a step stay in the L2 cache and reuse the same scratch arrays; a
-batch of at most one block runs on the whole arrays directly.  Every
-operand of those passes is such a block, which numpy runs as one
-contiguous loop: constant rows are tiled once per call, and offsets
-along a row are taken on the block's flat view.  The work
+batch of at most one block runs on the whole arrays directly.  The
+passes over weights, profiles, the noise of constant modes, noise
+increments, the shift and the HJM trapezoid take such blocks as every
+operand, which numpy runs as one contiguous loop: constant rows are
+tiled once per call, offsets along a row are taken on the block's flat
+view, and each noise increment column is spread over a block before it
+multiplies.  Two broadcasts remain: a state-free drift that no weight
+correction adds to is one (1, N) row added over the block, and the
+shift fills each row's last nodes from its tail.  The work
 that does not depend on the state is done once per call, with the same
 operations on a single row: the diffusion columns of constant-level
 modes, their resolvent when lam > 0, and the HJM drift when every mode
@@ -58,6 +63,8 @@ BLOCK_BYTES = 256 * 1024
 
 # recorded in every run's manifest
 BACKEND = "numpy"
+
+_FMAX = float(np.finfo(np.float64).max)
 
 
 def resolvent_coeffs(spacing: float, lam: float, alpha: float):
@@ -120,48 +127,39 @@ def resolvent_sweep(f, ftail, E, amb, b, denom, out=None, cells=None):
     return y[0], ytail[0]
 
 
-def _record_limits(weights, tail_weight, blow_threshold):
-    """Constants of _records: (zero_ok, blow_threshold, limit, wcap, wpad).
+def _record_limits(weights, tail_weight):
+    """Constants of _records: (zero_ok, wcap, wpad).
 
     For weights >= 0, reach**2 * wcap + wpad bounds a row's summed
     energy, reach being its largest |value|.  Rounding is monotone, so
     no product exceeds reach**2 times its weight by more than it may
     round up: wcap is the weight sum raised by (N + 4) * 2**-51 for the
     N - 1 additions of a sum and rounded up, and wpad covers the 2**-1075
-    a product may gain in the subnormal range.  A bound at or below
-    limit, the threshold made finite, shows the total energy finite and
-    not above it.  zero_ok: a nonnegative row's negative-part energy is
-    exactly 0.0, as it is for finite weights.
+    a product may gain in the subnormal range.  zero_ok: a nonnegative
+    row's negative-part energy is exactly 0.0, as it is for finite
+    weights.
     """
     n = weights.shape[0]
     zero_ok = bool(np.isfinite(weights).all()) and bool(np.isfinite(tail_weight))
     wcap = float(np.nextafter(weights.sum() * (1.0 + (n + 4) * 2.0**-51), np.inf))
-    limit = min(blow_threshold, float(np.finfo(np.float64).max))
-    return zero_ok, blow_threshold, limit, wcap, (n + 2) * 2.0**-1074
+    return zero_ok, wcap, (n + 2) * 2.0**-1074
 
 
 def _row_energies(v, idx, w, tmp, negative):
     """Weighted energy of rows idx of v, or of their negative parts.
 
-    The rows are gathered into tmp unless most of them are asked for;
-    the gather is one more pass over the rows it copies.  Each row sums
-    along itself, so its energy has the same bits either way.
+    The rows are gathered into tmp first; each row sums along itself.
     """
-    pick = idx
-    if 5 * len(idx) < 4 * len(v):
-        v = np.take(v, idx, axis=0, out=tmp[: len(idx)], mode="clip")
-        pick = slice(None)
-    x = tmp[: len(v)]
+    x = np.take(v, idx, axis=0, out=tmp[: len(idx)], mode="clip")
     if negative:
-        np.minimum(v, 0.0, out=x)
-        np.multiply(x, x, out=x)
-    else:
-        np.multiply(v, v, out=x)
-    x *= w[: len(v)]
-    return x.sum(axis=1)[pick]
+        np.minimum(x, 0.0, out=x)
+    np.multiply(x, x, out=x)
+    x *= w[: len(idx)]
+    return x.sum(axis=1)
 
 
-def _records(v, tail, active, w, tail_weight, limits, tmp, abort_test=True):
+def _records(v, tail, active, w, tail_weight, blow_threshold, limits, tmp,
+             abort_test=True):
     """(neg_energy, min_value, newly) of a block's rows after a step.
 
     Records are NaN for rows not active.  newly holds the active rows
@@ -169,22 +167,24 @@ def _records(v, tail, active, w, tail_weight, limits, tmp, abort_test=True):
     and they leave active; at step 0 abort_test is False.  w is the
     weights tiled to v's rows, limits _record_limits' tuple.  The total
     energy is summed only for active rows whose bound does not clear
-    the threshold (min and max propagate NaN, so a NaN row never
-    clears), the negative part's only for active rows whose minimum,
-    tail included, is below zero: it is exactly 0.0 for the others.
+    the threshold made finite (min and max propagate NaN, so a NaN row
+    never clears), the negative part's only for active rows whose
+    minimum, tail included, is below zero: it is exactly 0.0 for the
+    others.
     """
-    zero_ok, threshold, limit, wcap, wpad = limits
+    zero_ok, wcap, wpad = limits
     vmin = v.min(axis=1)
     mn = np.minimum(vmin, tail)
     newly = np.zeros(0, dtype=np.intp)
     if abort_test:
+        limit = min(blow_threshold, _FMAX)
         tt = tail_weight * tail * tail
         reach = np.maximum(v.max(axis=1), -vmin)
         bound = reach * reach * wcap + wpad + tt
         rows = () if bound.max() <= limit else np.flatnonzero(active & ~(bound <= limit))
         if len(rows):
             tot = _row_energies(v, rows, w, tmp, False) + tt[rows]
-            newly = rows[~np.isfinite(tot) | (tot > threshold)]
+            newly = rows[~np.isfinite(tot) | (tot > blow_threshold)]
             active[newly] = False
     nege = np.zeros(len(v))
     rows = np.flatnonzero(active & ~(mn >= 0.0) if zero_ok else active)
@@ -233,11 +233,11 @@ def _hjm_drift(sig, sigt, spacing, buf, btail, integ, tmp):
         btail += st * integ[:, -1]
 
 
-def coefficient_scratch(rows, spacing, profiles, profile_tails, level_codes, caps,
-                         drift_code, drift_c, alpha_corr):
+def coefficient_scratch(rows, spacing, profiles, profile_tails, level_codes, drift_code,
+                        alpha_corr):
     """Scratch for coefficient_rows on up to rows rows, with its state-free rows.
 
-    Takes coefficient_rows' arguments after the state.  Every per-row
+    Takes the coefficient_rows arguments it needs.  Every per-row
     pass works on (rows, N) blocks, so the profiles are tiled once
     here; a constant-level mode's sigma rows are its tiled profile.
     The drift before the alpha_corr term is state-free when it is zero
@@ -275,7 +275,7 @@ def coefficient_rows(v, tail, spacing, profiles, profile_tails, level_codes, cap
     """
     n = len(v)
     prof, sig, sigt, base, buf, btail, integ, tmp = scratch or coefficient_scratch(
-        n, spacing, profiles, profile_tails, level_codes, caps, drift_code, drift_c, alpha_corr)
+        n, spacing, profiles, profile_tails, level_codes, drift_code, alpha_corr)
     sig, sigt = [s[:n] for s in sig], list(sigt)
     buf, btail, integ, tmp = buf[:n], btail[:n], integ[:n], tmp[:n]
     for k, code in enumerate(level_codes):
@@ -332,11 +332,12 @@ def simulate_batch(
     rows = max(1, min(P, BLOCK_BYTES // (8 * N)))
     frozen_v = np.empty((rows, N))
     w = np.tile(weights, (rows, 1))
-    limits = _record_limits(weights, tail_weight, blow_threshold)
+    limits = _record_limits(weights, tail_weight)
     coef = (spacing, profiles, profile_tails, level_codes, caps, drift_code, drift_c, alpha_corr)
     varying = [k for k in range(K) if level_codes[k] != LEVEL_CONST]
     with np.errstate(all="ignore"):
-        scratch = coefficient_scratch(rows, *coef)
+        scratch = coefficient_scratch(
+            rows, spacing, profiles, profile_tails, level_codes, drift_code, alpha_corr)
         sig, sigt, tmp = scratch[1], scratch[2], scratch[-1]
         # diffusion columns after the resolvent, those of constant modes once
         noise, noise_t = list(sig), list(sigt)
@@ -352,7 +353,8 @@ def simulate_batch(
             active = np.ones(n, dtype=bool)
             frozen_tail = np.zeros(n)
             neg_e[lo:hi, 0], min_v[lo:hi, 0], _ = _records(
-                vb, tb, active, w_b, tail_weight, limits, tmp_b, abort_test=False)
+                vb, tb, active, w_b, tail_weight, blow_threshold, limits, tmp_b,
+                abort_test=False)
             si = 0
             while si < S and snap_steps[si] == 0:
                 snaps[si, lo:hi] = vb
@@ -381,7 +383,7 @@ def simulate_batch(
                 if scheme == 1:
                     tb = _shift(vb, tb, m_shift, damp)
                 neg_e[lo:hi, j + 1], min_v[lo:hi, j + 1], newly = _records(
-                    vb, tb, active, w_b, tail_weight, limits, tmp_b)
+                    vb, tb, active, w_b, tail_weight, blow_threshold, limits, tmp_b)
                 if len(newly):
                     aborted[lo + newly] = j
                     frozen_tail[newly] = tb[newly]

@@ -258,7 +258,7 @@ def test_coefficients_match_references_bitwise(drift, drift_c, alpha, kinds):
     # integrator's ragged last row block: the flat trapezoid and the tiled
     # rows are sliced to the batch
     ka = model.kernel_args()
-    scratch = kernels.coefficient_scratch(len(states) + 3, g.spacing, **ka)
+    scratch = _scratch(len(states) + 3, g.spacing, ka)
     v = np.array([u.values for u in states])
     t = np.array([u.tail_value for u in states])
     with np.errstate(all="ignore"):
@@ -295,12 +295,18 @@ def test_coefficient_row_in_a_batch_is_the_row_alone(rows, tails, nans, kinds, d
     v.flat[[i for i in nans if i < v.size]] = np.nan
     t = np.array(tails[: len(rows)])
     # a scratch with room to spare, as the integrator's last row block has
-    scratch = kernels.coefficient_scratch(len(rows) + spare, g.spacing, **ka)
+    scratch = _scratch(len(rows) + spare, g.spacing, ka)
     with np.errstate(all="ignore"):
         batch = kernels.coefficient_rows(v, t, g.spacing, **ka, scratch=scratch)
         for i in range(len(rows)):
             alone = kernels.coefficient_rows(v[i : i + 1], t[i : i + 1], g.spacing, **ka)
             assert _row_bytes(batch, i) == _row_bytes(alone, 0)
+
+
+def _scratch(rows: int, spacing: float, ka: dict):
+    return kernels.coefficient_scratch(
+        rows, spacing, ka["profiles"], ka["profile_tails"], ka["level_codes"],
+        ka["drift_code"], ka["alpha_corr"])
 
 
 def _row_bytes(coefs, i: int) -> list:

@@ -455,11 +455,11 @@ def test_records_match_the_reference_bitwise(data, n, n_nodes):
             at, np.nextafter(at, -np.inf), np.nextafter(at, np.inf),
             1.0, 1e308, np.inf, 1e-310, TINY]), label="blow")
         active = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
-        limits = kernels._record_limits(weights, tail_weight, blow)
+        limits = kernels._record_limits(weights, tail_weight)
         w, tmp = np.tile(weights, (n, 1)), np.empty((n, n_nodes))
 
         got_active = active.copy()
-        got = kernels._records(v, tail, got_active, w, tail_weight, limits, tmp)
+        got = kernels._records(v, tail, got_active, w, tail_weight, blow, limits, tmp)
         ref = _reference_record_step(v, tail, active, weights, tail_weight, blow)
         assert got[0].tobytes() == ref[0].tobytes()
         assert got[1].tobytes() == ref[1].tobytes()
@@ -468,7 +468,7 @@ def test_records_match_the_reference_bitwise(data, n, n_nodes):
 
         # step 0: every row active, nothing aborts and nothing is masked
         first = np.ones(n, dtype=bool)
-        nege0, mn0, _ = kernels._records(v, tail, first, w, tail_weight, limits, tmp,
+        nege0, mn0, _ = kernels._records(v, tail, first, w, tail_weight, blow, limits, tmp,
                                          abort_test=False)
         ref0 = _reference_records(v, tail, weights, tail_weight, np.empty_like(v))
         assert nege0.tobytes() == ref0[0].tobytes() and mn0.tobytes() == ref0[1].tobytes()
@@ -497,8 +497,8 @@ def test_energy_bound_clears_no_row_above_the_threshold(n_nodes, seed, exponent,
     _, _, tot = _reference_records(v, tail, weights, 1.0, np.empty_like(v))
     blow = np.nextafter(tot[0], -np.inf)
     active = np.ones(1, dtype=bool)
-    limits = kernels._record_limits(weights, 1.0, blow)
-    _, _, newly = kernels._records(v, tail, active, weights[None, :], 1.0, limits,
+    limits = kernels._record_limits(weights, 1.0)
+    _, _, newly = kernels._records(v, tail, active, weights[None, :], 1.0, blow, limits,
                                    np.empty_like(v))
     assert newly.tolist() == ([0] if tot[0] > blow else [])
 
@@ -532,9 +532,8 @@ def test_simulate_batch_allocates_no_per_step_blocks(blow):
     # frozen rows, tiled weights, the capped mode's tiled profile and sigma
     # rows, and the drift, product and integral blocks, seven row blocks.
     # A temporary of block size made in a step shows as an eighth.  At the
-    # low thresholds the energy bound clears few rows, so total energies
-    # are summed in row gathers (6e-7) and on whole blocks (1e-7), and
-    # rows abort.
+    # low thresholds the energy bound clears few rows (6e-7) or none
+    # (1e-7), so total energies are summed in row gathers, and rows abort.
     import tracemalloc
 
     n_paths, n_steps = 256, 12
