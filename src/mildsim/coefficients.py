@@ -15,6 +15,7 @@ positivity verdict machinery accepts.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -173,15 +174,24 @@ def positivity_functional(model: CoefficientModel, h: GridFunction) -> float:
     that negativity is not self-amplifying; see
     estimate_positivity_constant for the sampled bound.
     """
-    parts = lattice_parts(h)
+    modes, drift = model.coefficients(h)
+    return _functional(lattice_parts(h), modes, drift)
+
+
+def _functional(parts, modes: list, drift: GridFunction) -> float:
+    """positivity_functional from h's lattice parts and the coefficients at h."""
     neg = parts.negative
     ind = parts.indicator
-    modes, drift = model.coefficients(h)
     val = -weighted_inner(drift, neg)
     for s in modes:
-        masked = GridFunction(model.grid, s.values * ind.values, s.tail_value * ind.tail_value)
+        masked = GridFunction(neg.grid, s.values * ind.values, s.tail_value * ind.tail_value)
         val += 0.5 * weighted_inner(masked, masked)
     return float(val)
+
+
+def _row(a: np.ndarray, i: int):
+    """Row i of an array coefficient_rows returns; one-row arrays broadcast."""
+    return a[i if len(a) > 1 else 0]
 
 
 @dataclass(frozen=True)
@@ -213,27 +223,38 @@ def estimate_positivity_constant(
     """
     g = model.grid
     rng = np.random.default_rng(seed)
+    eps_tiny = 0.5 * l2_tol * np.sqrt(g.alpha)
+    probes = itertools.chain(
+        (random_bumps(g, rng) for _ in range(n_samples)),
+        (GridFunction.constant(g, -eps) for eps in (1.0, 0.1, 0.01, 0.001, eps_tiny)))
+    # the coefficients are evaluated on blocks of probes, each block about
+    # kernels.BLOCK_BYTES; each probe's row is the one it gives alone
+    ka, _ = model._row_kernel
+    rows = max(1, kernels.BLOCK_BYTES // (8 * g.n))
+    scratch = kernels.coefficient_scratch(
+        rows, g.spacing, ka["profiles"], ka["profile_tails"], ka["level_codes"],
+        ka["drift_code"], ka["alpha_corr"])
+    block, tails = np.empty((rows, g.n)), np.empty(rows)
     worst = -np.inf
     violations = 0
     count = 0
-
-    def probe(h: GridFunction) -> None:
-        nonlocal worst, violations, count
-        count += 1
-        neg = lattice_parts(h).negative
-        nrm = norm(neg, "l2")
-        val = positivity_functional(model, h)
-        if nrm <= l2_tol:
-            if val > func_tol:
-                violations += 1
-            return
-        worst = max(worst, val / (nrm * nrm))
-
-    for _ in range(n_samples):
-        probe(random_bumps(g, rng))
-    eps_tiny = 0.5 * l2_tol * np.sqrt(g.alpha)
-    for eps in (1.0, 0.1, 0.01, 0.001, eps_tiny):
-        probe(GridFunction.constant(g, -eps))
+    while hs := list(itertools.islice(probes, rows)):
+        m = len(hs)
+        for i, h in enumerate(hs):
+            block[i], tails[i] = h.values, h.tail_value
+        sig, sigt, drift, dtail = kernels.coefficient_rows(
+            block[:m], tails[:m], g.spacing, **ka, scratch=scratch)
+        for i, h in enumerate(hs):
+            count += 1
+            parts = lattice_parts(h)
+            nrm = norm(parts.negative, "l2")
+            modes = [GridFunction(g, _row(s, i), _row(st, i)) for s, st in zip(sig, sigt)]
+            val = _functional(parts, modes, GridFunction(g, _row(drift, i), _row(dtail, i)))
+            if nrm <= l2_tol:
+                if val > func_tol:
+                    violations += 1
+                continue
+            worst = max(worst, val / (nrm * nrm))
     if not np.isfinite(worst):
         worst = 0.0
     est = float("inf") if violations > 0 else max(worst, 0.0)

@@ -17,14 +17,19 @@ correction adds to is one (1, N) row added over the block, and the
 shift fills each row's last nodes from its tail.  The work
 that does not depend on the state is done once per call, with the same
 operations on a single row: the diffusion columns of constant-level
-modes, their resolvent when lam > 0, and the HJM drift when every mode
-has a constant level.  Every reduction runs along a single path's row,
+modes, their resolvent when lam > 0, the HJM drift when every mode has
+a constant level, and, for a drift that is such a row, its resolvent
+and its product with dt.  The sweeps of a step when lam > 0 write into
+scratch made once per call.  A step's records test the block's energy
+bound before any row's, and skip the NaN masks while every row of the
+block is active.  Every reduction runs along a single path's row,
 so a path's results do not depend on the batch or the block it is
 simulated in, and the numbers are bit for bit those of the plain
 whole-batch loop; this is what makes ensembles independent of chunk
 size.  scipy.signal, used only by the resolvent sweeps, is imported on
-first use, since it dominates the import time.  coefficient_rows is
-the package's only evaluation of the coefficients at a state.
+first use, since it dominates the import time; the integrator looks
+lfilter up once per call.  coefficient_rows is the package's only
+evaluation of the coefficients at a state.
 """
 
 from __future__ import annotations
@@ -65,6 +70,7 @@ BLOCK_BYTES = 256 * 1024
 BACKEND = "numpy"
 
 _FMAX = float(np.finfo(np.float64).max)
+_NO_ROWS = np.zeros(0, dtype=np.intp)
 
 
 def resolvent_coeffs(spacing: float, lam: float, alpha: float):
@@ -105,6 +111,12 @@ def _resolvent_rows(F, Ftail, E, amb, b, denom, out=None, cells=None):
 
     Y = np.empty_like(F) if out is None else out
     C = np.empty((F.shape[0], F.shape[1] - 1)) if cells is None else cells
+    return _sweep_rows(F, Ftail, (lfilter, E, amb, b, denom), Y, C)
+
+
+def _sweep_rows(F, Ftail, res, Y, C):
+    """_resolvent_rows into the scratch Y and C; res is (lfilter, E, amb, b, denom)."""
+    lfilter, E, amb, b, denom = res
     ytail = Ftail / denom
     # amb * F[:, :-1] + b * F[:, 1:], with Y as the scratch for the second term
     np.multiply(F[:, :-1], amb, out=C)
@@ -150,57 +162,76 @@ def _row_energies(v, idx, w, tmp, negative):
 
     The rows are gathered into tmp first; each row sums along itself.
     """
-    x = np.take(v, idx, axis=0, out=tmp[: len(idx)], mode="clip")
+    x = v.take(idx, axis=0, out=tmp[: len(idx)], mode="clip")
     if negative:
         np.minimum(x, 0.0, out=x)
     np.multiply(x, x, out=x)
     x *= w[: len(idx)]
-    return x.sum(axis=1)
+    return np.add.reduce(x, axis=1)
 
 
-def _records(v, tail, active, w, tail_weight, blow_threshold, limits, tmp,
+def _records(v, tail, active, everyone, w, tail_weight, blow_threshold, limits, tmp,
              abort_test=True):
     """(neg_energy, min_value, newly) of a block's rows after a step.
 
-    Records are NaN for rows not active.  newly holds the active rows
-    whose total energy left [0, blow_threshold] or turned non-finite,
-    and they leave active; at step 0 abort_test is False.  w is the
-    weights tiled to v's rows, limits _record_limits' tuple.  The total
-    energy is summed only for active rows whose bound does not clear
-    the threshold made finite (min and max propagate NaN, so a NaN row
-    never clears), the negative part's only for active rows whose
-    minimum, tail included, is below zero: it is exactly 0.0 for the
-    others.
+    Records are NaN for rows not active; everyone says that every row
+    is, and spares the masks.  newly holds the active rows whose total
+    energy left [0, blow_threshold] or turned non-finite, and they leave
+    active; at step 0 abort_test is False.  w is the weights tiled to
+    v's rows, limits _record_limits' tuple.  The total energy is summed
+    only for active rows whose bound does not clear the threshold made
+    finite.  The block's bound, from its largest |value| and largest
+    tail term, is tested first: rounding is monotone, so when it clears,
+    every row's does, and the rows' bounds are not formed.  min and max
+    propagate NaN, so a NaN never clears.  The negative part's energy is
+    summed only for active rows whose minimum, tail included, is below
+    zero: it is exactly 0.0 for the others.
     """
     zero_ok, wcap, wpad = limits
-    vmin = v.min(axis=1)
+    vmin = np.minimum.reduce(v, axis=1)
     mn = np.minimum(vmin, tail)
-    newly = np.zeros(0, dtype=np.intp)
+    newly = _NO_ROWS
     if abort_test:
         limit = min(blow_threshold, _FMAX)
         tt = tail_weight * tail * tail
-        reach = np.maximum(v.max(axis=1), -vmin)
-        bound = reach * reach * wcap + wpad + tt
-        rows = () if bound.max() <= limit else np.flatnonzero(active & ~(bound <= limit))
-        if len(rows):
-            tot = _row_energies(v, rows, w, tmp, False) + tt[rows]
-            newly = rows[~np.isfinite(tot) | (tot > blow_threshold)]
-            active[newly] = False
+        top = float(np.maximum.reduce(tt))
+        hi = float(np.maximum.reduce(v, axis=None))
+        lo = float(np.minimum.reduce(vmin))
+        if not (hi * hi * wcap + wpad + top <= limit and lo * lo * wcap + wpad + top <= limit):
+            reach = np.maximum(np.maximum.reduce(v, axis=1), -vmin)
+            over = ~(reach * reach * wcap + wpad + tt <= limit)
+            rows = (over if everyone else active & over).nonzero()[0]
+            if len(rows):
+                tot = _row_energies(v, rows, w, tmp, False) + tt.take(rows)
+                newly = rows[~np.isfinite(tot) | (tot > blow_threshold)]
+                if len(newly):
+                    active[newly] = False
+                    everyone = False
     nege = np.zeros(len(v))
-    rows = np.flatnonzero(active & ~(mn >= 0.0) if zero_ok else active)
+    if zero_ok:
+        below = ~(mn >= 0.0)
+        rows = (below if everyone else active & below).nonzero()[0]
+    else:
+        rows = active.nonzero()[0]
     if len(rows):
         nege[rows] = (_row_energies(v, rows, w, tmp, True)
-                      + tail_weight * np.minimum(tail[rows], 0.0) ** 2)
+                      + tail_weight * np.minimum(tail.take(rows), 0.0) ** 2)
+    if everyone:
+        return nege, mn, newly
     return np.where(active, nege, np.nan), np.where(active, mn, np.nan), newly
 
 
-def _shift(v, tail, m_shift, damp):
-    if m_shift > 0:
-        # the rows are contiguous: one move along the flat block, whose
-        # crossings into the next row are overwritten by the tail
-        flat = v.reshape(-1)
-        flat[:-m_shift] = flat[m_shift:]
-        v[:, -m_shift:] = tail[:, None]
+def _shift(v, tail, views, damp):
+    """Shift the block v and its tails; views are (to, from, edge) or None.
+
+    The rows are contiguous: the shift is one move between two flat views
+    of the block, whose crossings into the next row the tail then
+    overwrites at the edge columns.
+    """
+    if views is not None:
+        to, frm, edge = views
+        to[...] = frm
+        edge[...] = tail[:, None]
     if damp != 1.0:
         v *= damp
         tail *= damp
@@ -224,7 +255,7 @@ def _hjm_drift(sig, sigt, spacing, buf, btail, integ, tmp):
         flat = s.reshape(-1)
         np.add(flat[1:], flat[:-1], out=cells)
         cells *= 0.5 * spacing
-        np.cumsum(tmp[:, 1:], axis=1, out=integ[:, 1:])
+        tmp[:, 1:].cumsum(axis=1, out=integ[:, 1:])
         if k == 0:
             np.multiply(s, integ, out=buf)
             buf += 0.0
@@ -262,6 +293,15 @@ def coefficient_scratch(rows, spacing, profiles, profile_tails, level_codes, dri
     return prof, sig, sigt, base, buf, btail, integ, tmp
 
 
+def _scratch_rows(scratch, n):
+    """coefficient_scratch's arrays cut to their first n rows."""
+    prof, sig, sigt, base, buf, btail, integ, tmp = scratch
+    if base is not None:
+        base = (base[0][:n], base[1])
+    return ([p[:n] for p in prof], [s[:n] for s in sig], sigt, base,
+            buf[:n], btail[:n], integ[:n], tmp[:n])
+
+
 def coefficient_rows(v, tail, spacing, profiles, profile_tails, level_codes, caps,
                      drift_code, drift_c, alpha_corr, scratch=None):
     """The sigma rows and the drift row at each row of the (n, N) state v.
@@ -271,23 +311,26 @@ def coefficient_rows(v, tail, spacing, profiles, profile_tails, level_codes, cap
     state.  A state-free drift is one (1, N) row that broadcasts; the
     other rows live in scratch until the next call.  scratch is what
     coefficient_scratch made for at least n rows of these arrays, or
-    None for a new one.
+    None for a new one; the integrator cuts it to each block's rows
+    once, with _scratch_rows.
     """
     n = len(v)
-    prof, sig, sigt, base, buf, btail, integ, tmp = scratch or coefficient_scratch(
+    scratch = scratch or coefficient_scratch(
         n, spacing, profiles, profile_tails, level_codes, drift_code, alpha_corr)
-    sig, sigt = [s[:n] for s in sig], list(sigt)
-    buf, btail, integ, tmp = buf[:n], btail[:n], integ[:n], tmp[:n]
+    if len(scratch[4]) != n:
+        scratch = _scratch_rows(scratch, n)
+    prof, sig, sigt, base, buf, btail, integ, tmp = scratch
+    sigt = list(sigt)
     for k, code in enumerate(level_codes):
         if code == LEVEL_LINEAR:
-            np.multiply(v, prof[k][:n], out=sig[k])
+            np.multiply(v, prof[k], out=sig[k])
             sigt[k] = profile_tails[k] * tail
         elif code == LEVEL_CAPPED:
-            np.clip(v, 0.0, caps[k], out=sig[k])
-            sig[k] *= prof[k][:n]
-            sigt[k] = profile_tails[k] * np.clip(tail, 0.0, caps[k])
+            v.clip(0.0, caps[k], out=sig[k])
+            sig[k] *= prof[k]
+            sigt[k] = profile_tails[k] * tail.clip(0.0, caps[k])
     if base is not None:
-        drift, dtail = base[0][:n], base[1]
+        drift, dtail = base
     elif drift_code == DRIFT_DECAY:
         drift, dtail = np.multiply(v, -drift_c, out=buf), -drift_c * tail
     else:
@@ -321,7 +364,8 @@ def simulate_batch(
     P, N = v0.shape
     n_steps = dW.shape[1]
     K = profiles.shape[0]
-    S = snap_steps.shape[0]
+    snap_at = [int(s) for s in snap_steps]
+    S = len(snap_at)
     v = v0.copy()
     tail = tail0.copy()
     neg_e = np.empty((P, n_steps + 1))
@@ -338,61 +382,95 @@ def simulate_batch(
     with np.errstate(all="ignore"):
         scratch = coefficient_scratch(
             rows, spacing, profiles, profile_tails, level_codes, drift_code, alpha_corr)
-        sig, sigt, tmp = scratch[1], scratch[2], scratch[-1]
-        # diffusion columns after the resolvent, those of constant modes once
+        sig, sigt, base, tmp = scratch[1], scratch[2], scratch[3], scratch[-1]
+        # a drift that is one state-free row: its resolvent and its
+        # product with dt are made once
+        fixed_drift = base is not None and alpha_corr == 0.0
+        # diffusion columns after the resolvent, those of constant modes
+        # once, the others into scratch every step
         noise, noise_t = list(sig), list(sigt)
-        for k in range(K):
-            if lam_reg > 0.0 and k not in varying:
-                y, noise_t[k] = _resolvent_rows(sig[k][:1], sigt[k], E, amb, b, denom)
-                noise[k] = np.tile(y, (rows, 1))
+        if lam_reg > 0.0:
+            from scipy.signal import lfilter
+
+            res = (lfilter, E, amb, b, denom)
+            cells = np.empty((rows, N - 1))
+            for k in range(K):
+                if k in varying:
+                    noise[k] = np.empty((rows, N))
+                else:
+                    y, noise_t[k] = _sweep_rows(sig[k][:1], sigt[k], res, np.empty((1, N)),
+                                                cells[:1])
+                    noise[k] = np.tile(y, (rows, 1))
+        if fixed_drift:
+            drift, dtail = base
+            if lam_reg > 0.0:
+                drift, dtail = _sweep_rows(drift, dtail, res, np.empty((1, N)), cells[:1])
+            drift_dt, dtail_dt = np.multiply(drift, dt), dtail * dt
         for lo in range(0, P, rows):
             hi = min(lo + rows, P)
             n = hi - lo
             vb, tb, dWb = v[lo:hi], tail[lo:hi], dW[lo:hi]
+            neg_b, min_b = neg_e[lo:hi], min_v[lo:hi]
             tmp_b, frozen_b, w_b = tmp[:n], frozen_v[:n], w[:n]
+            scratch_b = _scratch_rows(scratch, n)
+            sig_b, noise_b = scratch_b[1], [x[:n] for x in noise]
+            if lam_reg > 0.0:
+                cells_b = cells[:n]
+            flat = vb.reshape(-1)
+            views = (flat[:-m_shift], flat[m_shift:], vb[:, -m_shift:]) if m_shift > 0 else None
             active = np.ones(n, dtype=bool)
+            everyone = True  # every row of the block active
             frozen_tail = np.zeros(n)
-            neg_e[lo:hi, 0], min_v[lo:hi, 0], _ = _records(
-                vb, tb, active, w_b, tail_weight, blow_threshold, limits, tmp_b,
+            neg_b[:, 0], min_b[:, 0], _ = _records(
+                vb, tb, active, everyone, w_b, tail_weight, blow_threshold, limits, tmp_b,
                 abort_test=False)
             si = 0
-            while si < S and snap_steps[si] == 0:
+            while si < S and snap_at[si] == 0:
                 snaps[si, lo:hi] = vb
                 snap_tails[si, lo:hi] = tb
                 si += 1
             for j in range(n_steps):
                 if scheme == 0:
-                    tb = _shift(vb, tb, m_shift, damp)
-                sig_b, sigt_b, drift, dtail = coefficient_rows(vb, tb, *coef, scratch)
+                    tb = _shift(vb, tb, views, damp)
+                _, sigt_b, drift, dtail = coefficient_rows(vb, tb, *coef, scratch_b)
                 if lam_reg > 0.0:
-                    drift, dtail = _resolvent_rows(drift, dtail, E, amb, b, denom)
                     for k in varying:
-                        noise[k], noise_t[k] = _resolvent_rows(
-                            sig_b[k], sigt_b[k], E, amb, b, denom)
+                        _, noise_t[k] = _sweep_rows(sig_b[k], sigt_b[k], res, noise_b[k],
+                                                    cells_b)
                 else:
-                    noise, noise_t = sig_b, sigt_b
-                vb += np.multiply(drift, dt, out=tmp_b[: len(drift)])
-                tb = tb + dtail * dt
+                    noise_t = sigt_b
+                if fixed_drift:
+                    vb += drift_dt
+                    tb = tb + dtail_dt
+                else:
+                    if lam_reg > 0.0:  # drift is buf, and tmp_b free until the product
+                        drift, dtail = _sweep_rows(drift, dtail, res, tmp_b, cells_b)
+                    vb += np.multiply(drift, dt, out=tmp_b)
+                    tb = tb + dtail * dt
                 for k in range(K):
                     # dw spread over the block first: numpy multiplies by
                     # a broadcast column at a third of this speed
                     dw = dWb[:, j, k]
                     np.copyto(tmp_b, dw[:, None])
-                    vb += np.multiply(tmp_b, noise[k][:n], out=tmp_b)
+                    vb += np.multiply(tmp_b, noise_b[k], out=tmp_b)
                     tb = tb + noise_t[k] * dw
                 if scheme == 1:
-                    tb = _shift(vb, tb, m_shift, damp)
-                neg_e[lo:hi, j + 1], min_v[lo:hi, j + 1], newly = _records(
-                    vb, tb, active, w_b, tail_weight, blow_threshold, limits, tmp_b)
+                    tb = _shift(vb, tb, views, damp)
+                neg_b[:, j + 1], min_b[:, j + 1], newly = _records(
+                    vb, tb, active, everyone, w_b, tail_weight, blow_threshold, limits, tmp_b)
                 if len(newly):
+                    everyone = False
                     aborted[lo + newly] = j
                     frozen_tail[newly] = tb[newly]
                     for i in newly:  # row by row: no temporary block
                         frozen_b[i] = vb[i]
-                while si < S and snap_steps[si] == j + 1:
+                while si < S and snap_at[si] == j + 1:
                     snaps[si, lo:hi] = vb
-                    snaps[si, lo:hi][~active] = np.nan
-                    snap_tails[si, lo:hi] = np.where(active, tb, np.nan)
+                    if everyone:
+                        snap_tails[si, lo:hi] = tb
+                    else:
+                        snaps[si, lo:hi][~active] = np.nan
+                        snap_tails[si, lo:hi] = np.where(active, tb, np.nan)
                     si += 1
             for i in np.flatnonzero(~active):
                 vb[i] = frozen_b[i]

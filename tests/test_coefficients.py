@@ -371,3 +371,82 @@ def test_estimate_flat_vol_violates():
     assert rep.violations >= 1
     assert not rep.admissible
     assert rep.estimated_c == np.inf
+
+
+def estimate_reference(model, n_samples, seed, l2_tol=1e-12, func_tol=1e-10):
+    # the estimate before its probes were blocked: one probe at a time
+    # through positivity_functional, the 1-D dots unchanged
+    from mildsim.operators import random_bumps
+
+    g = model.grid
+    rng = np.random.default_rng(seed)
+    worst, violations, count = -np.inf, 0, 0
+    probes = [random_bumps(g, rng) for _ in range(n_samples)]
+    eps_tiny = 0.5 * l2_tol * np.sqrt(g.alpha)
+    probes += [GridFunction.constant(g, -eps) for eps in (1.0, 0.1, 0.01, 0.001, eps_tiny)]
+    for h in probes:
+        count += 1
+        nrm = norm(lattice_parts(h).negative, "l2")
+        val = positivity_functional(model, h)
+        if nrm <= l2_tol:
+            violations += val > func_tol
+            continue
+        worst = max(worst, val / (nrm * nrm))
+    if not np.isfinite(worst):
+        worst = 0.0
+    return count, float(worst), float("inf") if violations else max(worst, 0.0), violations
+
+
+ESTIMATE_MODELS = {
+    "capped-hjm": (1001, (ModeFunction("proportional-capped", c=8.0, cap=2e-4),), "hjm", 0.5),
+    "flat-hjm": (501, (ModeFunction("constant", c=0.2),), "hjm", 0.5),
+    "mixed-decay": (401, (ModeFunction("level-scaled", c=0.3, cap=0.05, decay=1.0),
+                          ModeFunction("proportional", c=0.1)), "linear-decay", 0.0),
+    "constant-zero": (77, (ModeFunction("constant", c=0.1),
+                           ModeFunction("exponential-decay", c=0.2, decay=0.8)), "zero", 0.0),
+}
+
+
+@pytest.mark.parametrize("block_rows", [1, 7, None])
+@pytest.mark.parametrize("name", sorted(ESTIMATE_MODELS))
+def test_estimate_matches_the_probe_by_probe_reference(monkeypatch, name, block_rows):
+    # the probes run through coefficient_rows in blocks of rows (here of
+    # one row, of seven with a ragged last block, and of BLOCK_BYTES);
+    # every report field is bitwise the one-probe-at-a-time reference's
+    n, modes, drift, alpha_corr = ESTIMATE_MODELS[name]
+    g = Grid.uniform(1.0, n, 0.5)
+    model = CoefficientModel(g, modes=modes, drift=drift, drift_c=0.3,
+                             alpha_correction=alpha_corr)
+    ref = estimate_reference(model, n_samples=40, seed=3)
+    if block_rows is not None:
+        monkeypatch.setattr(kernels, "BLOCK_BYTES", block_rows * 8 * n)
+    seen = []
+    coefficient_rows = kernels.coefficient_rows
+
+    def recording(v, *a, **kw):
+        seen.append(len(v))
+        return coefficient_rows(v, *a, **kw)
+
+    monkeypatch.setattr(kernels, "coefficient_rows", recording)
+    rep = estimate_positivity_constant(model, n_samples=40, seed=3)
+    got = (rep.samples, rep.worst_ratio, rep.estimated_c, rep.violations)
+    assert repr(got) == repr(ref)
+    rows = max(1, kernels.BLOCK_BYTES // (8 * n))
+    assert sum(seen) == 45 and max(seen) == min(rows, 45)
+
+
+def test_estimate_on_a_fine_grid_takes_one_probe_at_a_time(monkeypatch):
+    # a 200,001-node row is more than BLOCK_BYTES, so no block of probes
+    # (205 of them would be 328 MB) is ever made
+    g = Grid.uniform(4.0, 200001, 1.0)
+    model = CoefficientModel(g, modes=(ModeFunction("proportional", c=0.5),), drift="hjm")
+    seen = []
+    coefficient_rows = kernels.coefficient_rows
+
+    def recording(v, *a, **kw):
+        seen.append(v.shape)
+        return coefficient_rows(v, *a, **kw)
+
+    monkeypatch.setattr(kernels, "coefficient_rows", recording)
+    rep = estimate_positivity_constant(model, n_samples=2, seed=1)
+    assert rep.samples == 7 and seen == [(1, g.n)] * 7

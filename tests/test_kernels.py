@@ -327,6 +327,65 @@ def test_simulate_batch_numpy_block_boundaries(scheme, lam, modes):
         assert got.tobytes() == ref.tobytes()
 
 
+@pytest.mark.parametrize("lam", [0.0, 0.05])
+def test_stride_one_snapshots_mask_only_aborted_rows(lam):
+    # a snapshot every step and one row that aborts partway: its snapshots
+    # turn NaN from the step after its abort on, every other row's stay
+    # finite, and all are bitwise the reference's NaN masking
+    _, args = _rich_args(0, lam=lam, blow=1e3, n_paths=5, alpha_corr=10.0)
+    args = list(args)
+    args[0][2] *= 300.0
+    args[1][2] *= 300.0
+    args[-1] = np.arange(41, dtype=np.int64)
+    out = kernels.simulate_batch(*args)
+    for got, ref in zip(out, _reference_simulate_batch(*args)):
+        assert got.tobytes() == ref.tobytes()
+    aborted, snaps, snap_tails = out[4], out[5], out[6]
+    assert aborted.tolist().count(-1) == 4 and 0 < aborted[2] < 39
+    s = aborted[2] + 1
+    assert np.isfinite(snaps[:s, 2]).all() and np.isnan(snaps[s + 1 :, 2]).all()
+    assert np.isfinite(snap_tails[:s, 2]).all() and np.isnan(snap_tails[s + 1 :, 2]).all()
+    others = [0, 1, 3, 4]
+    assert np.isfinite(snaps[:, others]).all() and np.isfinite(snap_tails[:, others]).all()
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.05])
+@pytest.mark.parametrize("drift, modes", [
+    (kernels.DRIFT_ZERO, "constant"), (kernels.DRIFT_HJM, "constant"),
+    (kernels.DRIFT_ZERO, "mixed")])
+def test_state_free_drift_is_swept_once_per_call(monkeypatch, lam, drift, modes):
+    # With no weight correction a zero drift, or the hjm drift of constant
+    # modes, is one state-free row: one resolvent sweep per call makes it,
+    # besides one per constant mode and one per state-dependent mode and
+    # block step, however many blocks and steps there are.  The outputs
+    # are bitwise the reference's, which sweeps the drift every step.
+    _, args = _rich_args(0, lam=lam, n_paths=7, modes=modes, alpha_corr=0.0)
+    args = list(args)
+    args[11] = drift
+    n_nodes, n_steps = args[0].shape[1], args[2].shape[1]
+    monkeypatch.setattr(kernels, "BLOCK_BYTES", 3 * 8 * n_nodes)  # blocks of 3, 3 and 1 rows
+    sweeps = []
+    sweep_rows = kernels._sweep_rows
+
+    def counting(*a):
+        sweeps.append(a[0].shape[0])
+        return sweep_rows(*a)
+
+    monkeypatch.setattr(kernels, "_sweep_rows", counting)
+    out = kernels.simulate_batch(*args)
+    codes = args[9]
+    n_const = int((codes == kernels.LEVEL_CONST).sum())
+    n_varying = len(codes) - n_const
+    if lam == 0.0:
+        assert sweeps == []
+    else:
+        # the hoisted sweeps run on one row, the per-step ones on a block
+        assert sweeps.count(1) == n_const + 1 + n_varying * n_steps * (7 - 6)
+        assert len(sweeps) == n_const + 1 + n_varying * n_steps * 3
+    for got, ref in zip(out, _reference_simulate_batch(*args)):
+        assert got.tobytes() == ref.tobytes()
+
+
 @settings(max_examples=20, deadline=None)
 @given(data=st.data(), scheme=st.sampled_from([0, 1]), lam=st.sampled_from([0.0, 0.05]),
        modes=st.sampled_from(["constant", "mixed"]))
@@ -454,12 +513,17 @@ def test_records_match_the_reference_bitwise(data, n, n_nodes):
         blow = data.draw(st.sampled_from([
             at, np.nextafter(at, -np.inf), np.nextafter(at, np.inf),
             1.0, 1e308, np.inf, 1e-310, TINY]), label="blow")
-        active = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+        # every row active, the integrator's case until a row aborts, or a
+        # block where some rows aborted at earlier steps
+        active = np.array(data.draw(st.one_of(
+            st.just([True] * n), st.lists(st.booleans(), min_size=n, max_size=n)),
+            label="active"))
         limits = kernels._record_limits(weights, tail_weight)
         w, tmp = np.tile(weights, (n, 1)), np.empty((n, n_nodes))
 
         got_active = active.copy()
-        got = kernels._records(v, tail, got_active, w, tail_weight, blow, limits, tmp)
+        got = kernels._records(v, tail, got_active, bool(active.all()), w, tail_weight, blow,
+                               limits, tmp)
         ref = _reference_record_step(v, tail, active, weights, tail_weight, blow)
         assert got[0].tobytes() == ref[0].tobytes()
         assert got[1].tobytes() == ref[1].tobytes()
@@ -468,11 +532,75 @@ def test_records_match_the_reference_bitwise(data, n, n_nodes):
 
         # step 0: every row active, nothing aborts and nothing is masked
         first = np.ones(n, dtype=bool)
-        nege0, mn0, _ = kernels._records(v, tail, first, w, tail_weight, blow, limits, tmp,
-                                         abort_test=False)
+        nege0, mn0, _ = kernels._records(v, tail, first, True, w, tail_weight, blow, limits,
+                                         tmp, abort_test=False)
         ref0 = _reference_records(v, tail, weights, tail_weight, np.empty_like(v))
         assert nege0.tobytes() == ref0[0].tobytes() and mn0.tobytes() == ref0[1].tobytes()
         assert first.all()
+
+
+def _record_block(case):
+    # six rows of small energies against a threshold of 1.0, changed per case
+    g = Grid.uniform(2.0, 20, 0.5)
+    rng = np.random.default_rng(5)
+    v, tail = 0.1 * rng.normal(size=(6, g.n)), 0.1 * rng.normal(size=6)
+    active = np.ones(6, dtype=bool)
+    if case == "bound-short":  # one row's bound does not clear, its energy does
+        v[3] = 0.01
+        v[3, 5] = 3.0
+    elif case == "row-aborts":
+        v[2] *= 100.0
+    elif case == "tail-aborts":  # small nodes, a tail term above the threshold
+        tail[3] = 5.0
+    elif case == "negative-aborts":  # the block's reach is its lowest value
+        v[0] = -0.01
+        v[0, 2] = -30.0
+    elif case == "nan-inf":
+        v[1, 4], v[4, 7], tail[5] = np.nan, np.inf, -np.inf
+    elif case == "aborted-before":  # rows 1 and 4 aborted earlier and grew on
+        active[[1, 4]] = False
+        v[1] *= 1e200
+        v[4, 3] = np.nan
+        v[2] *= 100.0
+    return v, tail, active, g.weights, g.tail_weight
+
+
+@pytest.mark.parametrize("case, summed, aborting", [
+    ("clears", [], []),
+    ("bound-short", [3], []),
+    ("row-aborts", [2], [2]),
+    ("tail-aborts", [3], [3]),
+    ("negative-aborts", [0], [0]),
+    ("nan-inf", [1, 4, 5], [1, 4, 5]),
+    ("aborted-before", [2], [2]),
+])
+def test_records_paths_match_the_reference(monkeypatch, case, summed, aborting):
+    # The block's bound clears (no total is summed), one row's bound does
+    # not, NaN and +-inf rows, and rows that aborted at earlier steps: the
+    # records and the abort rule are bitwise the reference's, and total
+    # energies are summed for just the named rows.
+    v, tail, active, weights, tail_weight = _record_block(case)
+    totals = []
+    row_energies = kernels._row_energies
+
+    def counting(v, idx, w, tmp, negative):
+        if not negative:
+            totals.extend(idx.tolist())
+        return row_energies(v, idx, w, tmp, negative)
+
+    monkeypatch.setattr(kernels, "_row_energies", counting)
+    limits = kernels._record_limits(weights, tail_weight)
+    w, tmp = np.tile(weights, (len(v), 1)), np.empty_like(v)
+    got_active = active.copy()
+    with np.errstate(all="ignore"):
+        got = kernels._records(v, tail, got_active, bool(active.all()), w, tail_weight, 1.0,
+                               limits, tmp)
+        ref = _reference_record_step(v, tail, active, weights, tail_weight, 1.0)
+    assert got[0].tobytes() == ref[0].tobytes()
+    assert got[1].tobytes() == ref[1].tobytes()
+    assert got[2].tolist() == ref[2].tolist() == aborting
+    assert got_active.tolist() == ref[3].tolist()
+    assert totals == summed
 
 
 @settings(max_examples=200, deadline=None)
@@ -498,7 +626,7 @@ def test_energy_bound_clears_no_row_above_the_threshold(n_nodes, seed, exponent,
     blow = np.nextafter(tot[0], -np.inf)
     active = np.ones(1, dtype=bool)
     limits = kernels._record_limits(weights, 1.0)
-    _, _, newly = kernels._records(v, tail, active, weights[None, :], 1.0, blow, limits,
+    _, _, newly = kernels._records(v, tail, active, True, weights[None, :], 1.0, blow, limits,
                                    np.empty_like(v))
     assert newly.tolist() == ([0] if tot[0] > blow else [])
 
@@ -526,18 +654,28 @@ def _capped_args(n_paths, n_steps, blow):
     )
 
 
-@pytest.mark.parametrize("blow", [1e12, 6e-7, 1e-7])
-def test_simulate_batch_allocates_no_per_step_blocks(blow):
+@pytest.mark.parametrize("blow, lam", [
+    *[pytest.param(blow, 0.0, id=str(blow)) for blow in (1e12, 6e-7, 1e-7)],
+    *[pytest.param(blow, 0.05, id=f"{blow}-lam") for blow in (1e12, 6e-7, 1e-7)]])
+def test_simulate_batch_allocates_no_per_step_blocks(blow, lam):
     # The peak of one call is its outputs plus the integrator's scratch:
     # frozen rows, tiled weights, the capped mode's tiled profile and sigma
     # rows, and the drift, product and integral blocks, seven row blocks.
-    # A temporary of block size made in a step shows as an eighth.  At the
+    # At lam > 0 two more hold the mode's resolvent and the sweep's cells
+    # (the drift's resolvent goes to the product block), and lfilter makes
+    # its output, ten in all.  A
+    # temporary of block size made in a step shows as one more.  At the
     # low thresholds the energy bound clears few rows (6e-7) or none
     # (1e-7), so total energies are summed in row gathers, and rows abort.
     import tracemalloc
 
     n_paths, n_steps = 256, 12
-    args = _capped_args(n_paths, n_steps, blow)
+    args = list(_capped_args(n_paths, n_steps, blow))
+    if lam > 0.0:
+        g = Grid.uniform(1.0, 1001, 0.5)
+        args[14:19] = [lam, *kernels.resolvent_coeffs(g.spacing, lam, g.alpha)]
+        # load scipy.signal before tracing
+        kernels._resolvent_rows(np.zeros((1, 2)), np.zeros(1), 0.0, 0.0, 0.0, 1.0)
     N = args[0].shape[1]
     block = max(1, kernels.BLOCK_BYTES // (8 * N)) * N * 8
     tracemalloc.start()
@@ -547,7 +685,8 @@ def test_simulate_batch_allocates_no_per_step_blocks(blow):
     finally:
         tracemalloc.stop()
     outputs = sum(a.nbytes for a in out)
-    assert peak <= outputs + 7 * block + 64 * 1024, (peak - outputs) / block
+    blocks = 7 if lam == 0.0 else 10
+    assert peak <= outputs + blocks * block + 64 * 1024, (peak - outputs) / block
 
 
 def _exploding_args(blow):
