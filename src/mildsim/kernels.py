@@ -451,7 +451,7 @@ def simulate_batch(
                     # dw spread over the block first: numpy multiplies by
                     # a broadcast column at a third of this speed
                     dw = dWb[:, j, k]
-                    np.copyto(tmp_b, dw[:, None])
+                    tmp_b[...] = dw[:, None]
                     vb += np.multiply(tmp_b, noise_b[k], out=tmp_b)
                     tb = tb + noise_t[k] * dw
                 if scheme == 1:
