@@ -22,17 +22,27 @@ a constant level, and, for a drift that is such a row, its resolvent
 and its product with dt.  The sweeps of a step when lam > 0 write into
 scratch made once per call.  A step's records test the block's energy
 bound before any row's, and skip the NaN masks while every row of the
-block is active.  Every reduction runs along a single path's row,
+block is active.  An aborted row's state is zeroed, so that it no
+longer fails the block's bound, and a block whose rows have all aborted
+ends its time loop.  Every reduction runs along a single path's row,
 so a path's results do not depend on the batch or the block it is
 simulated in, and the numbers are bit for bit those of the plain
 whole-batch loop; this is what makes ensembles independent of chunk
-size.  scipy.signal, used only by the resolvent sweeps, is imported on
-first use, since it dominates the import time; the integrator looks
-lfilter up once per call.  coefficient_rows is the package's only
+size.  It also lets a large call split its row blocks into one share
+per usable core: the first runs in the calling process and the others
+in forked children, all writing into outputs in one shared anonymous
+mmap, and the caller reaps every child before it returns or raises.
+scipy.signal, used only by the resolvent sweeps, is imported on first
+use, since it dominates the import time; the integrator looks lfilter
+up once per call.  coefficient_rows is the package's only
 evaluation of the coefficients at a state.
 """
 
 from __future__ import annotations
+
+import gc
+import os
+import warnings
 
 import numpy as np
 
@@ -65,6 +75,12 @@ DRIFT_HJM = 2
 # bytes of one (rows, N) float64 array of an integrator row block; a
 # step's half dozen such arrays then fit in a 2 MiB L2 cache
 BLOCK_BYTES = 256 * 1024
+
+# The least work, in node-steps (paths x steps x nodes), that simulate_batch
+# splits across processes.  On a 2-vCPU host a fork and its reap took 5 ms
+# from a 70 MB process and 10 to 29 ms from one of 130 MB, and a call of
+# 2**25 node-steps runs about 0.5 s in one process.
+_SPLIT_NODE_STEPS = 2**25
 
 # recorded in every run's manifest
 BACKEND = "numpy"
@@ -170,6 +186,12 @@ def _row_energies(v, idx, w, tmp, negative):
     return np.add.reduce(x, axis=1)
 
 
+def _rows_over(v, vmin, tt, wcap, wpad, limit):
+    """Rows of v whose energy bound, with tail terms tt, does not clear limit."""
+    reach = np.maximum(np.maximum.reduce(v, axis=1), -vmin)
+    return ~(reach * reach * wcap + wpad + tt <= limit)
+
+
 def _records(v, tail, active, everyone, w, tail_weight, blow_threshold, limits, tmp,
              abort_test=True):
     """(neg_energy, min_value, newly) of a block's rows after a step.
@@ -198,8 +220,7 @@ def _records(v, tail, active, everyone, w, tail_weight, blow_threshold, limits, 
         hi = float(np.maximum.reduce(v, axis=None))
         lo = float(np.minimum.reduce(vmin))
         if not (hi * hi * wcap + wpad + top <= limit and lo * lo * wcap + wpad + top <= limit):
-            reach = np.maximum(np.maximum.reduce(v, axis=1), -vmin)
-            over = ~(reach * reach * wcap + wpad + tt <= limit)
+            over = _rows_over(v, vmin, tt, wcap, wpad, limit)
             rows = (over if everyone else active & over).nonzero()[0]
             if len(rows):
                 tot = _row_energies(v, rows, w, tmp, False) + tt.take(rows)
@@ -360,20 +381,145 @@ def simulate_batch(
     Returns (final_values, final_tails, neg_energy, min_value, aborted,
     snaps, snap_tails); neg_energy and min_value have n_steps+1 columns
     including the initial state, aborted holds the abort step or -1.
+    A call of at least _SPLIT_NODE_STEPS node-steps splits its row
+    blocks into one contiguous share per usable core, and every share
+    but the first runs in a forked child; the outputs then live in one
+    shared anonymous mmap.
     """
     P, N = v0.shape
+    n_steps = dW.shape[1]
+    S = len(snap_steps)
+    rows = max(1, min(P, BLOCK_BYTES // (8 * N)))
+    n_blocks = -(-P // rows)
+    workers = 1
+    if P * n_steps * N >= _SPLIT_NODE_STEPS:
+        workers = min(_usable_cores(), n_blocks)
+    out = _outputs(P, N, n_steps, S, workers > 1)
+    args = (v0, tail0, dW, m_shift, damp, dt, scheme,
+            profiles, profile_tails, level_codes, caps, drift_code, drift_c, alpha_corr,
+            lam_reg, E, amb, b, denom,
+            spacing, weights, tail_weight, blow_threshold, snap_steps)
+    if workers > 1:
+        if lam_reg > 0.0:
+            from scipy.signal import lfilter  # noqa: F401  imported once, before the fork
+        cuts = [n_blocks * i // workers * rows for i in range(workers)] + [P]
+        _split(lambda lo, hi: _simulate_rows(out, lo, hi, rows, args), cuts)
+    else:
+        _simulate_rows(out, 0, P, rows, args)
+    return tuple(out)
+
+
+def _usable_cores():
+    """The cores this process may run on, or 1 where it cannot fork or ask."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _outputs(P, N, n_steps, S, shared):
+    """simulate_batch's output arrays, all in one anonymous shared mmap if shared.
+
+    Forked children write into a shared map and the parent sees the
+    writes; the arrays keep the map alive.
+    """
+    shapes = [(P, N), (P,), (P, n_steps + 1), (P, n_steps + 1), (P,), (S, P, N), (S, P)]
+    kinds = [np.float64] * 4 + [np.int64] + [np.float64] * 2
+    if not shared:
+        return [np.empty(shape, dtype=kind) for shape, kind in zip(shapes, kinds)]
+    import mmap
+
+    sizes = [int(np.prod(shape)) * np.dtype(kind).itemsize for shape, kind in zip(shapes, kinds)]
+    buf = mmap.mmap(-1, max(1, sum(sizes)))
+    offsets = np.cumsum([0] + sizes[:-1]).tolist()
+    return [np.ndarray(shape, dtype=kind, buffer=buf, offset=off)
+            for shape, kind, off in zip(shapes, kinds, offsets)]
+
+
+def _split(run, cuts):
+    """run(lo, hi) on every share cuts[i]:cuts[i + 1], all but the first in forked children.
+
+    The first share runs here, then every child is reaped, and a child
+    that failed raises.  On any exception here, SystemExit and
+    KeyboardInterrupt included, every child left is killed and reaped
+    before it propagates.  A share whose fork fails runs here too.
+    """
+    import signal
+
+    children = []  # (pid, lo, hi)
+    mine = [(cuts[0], cuts[1])]
+    try:
+        for lo, hi in zip(cuts[1:-1], cuts[2:]):
+            try:
+                children.append((_fork_share(run, lo, hi), lo, hi))
+            except OSError:
+                mine.append((lo, hi))
+        for lo, hi in mine:
+            run(lo, hi)
+        while children:
+            pid, lo, hi = children[0]
+            _, status = os.waitpid(pid, 0)
+            del children[0]
+            if status:
+                raise RuntimeError(f"integrator worker for rows {lo}:{hi} failed "
+                                   f"(exit code {os.waitstatus_to_exitcode(status)})")
+    except BaseException:
+        for pid, _, _ in children:
+            try:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+            except (ProcessLookupError, ChildProcessError):
+                pass
+        raise
+
+
+def _fork_share(run, lo, hi):
+    """Fork a child that runs run(lo, hi) and leaves with os._exit; returns its pid.
+
+    The child reports an exception on stderr and exits with 1.  It
+    collects no garbage, so no finalizer of an object it inherited runs
+    in it.
+    """
+    with warnings.catch_warnings():
+        # Python 3.12+ warns when a multi-threaded process forks; the
+        # threads are BLAS's, and the child makes no BLAS call
+        warnings.simplefilter("ignore", DeprecationWarning)
+        pid = os.fork()
+    if pid:
+        return pid
+    code = 1
+    try:
+        gc.disable()
+        run(lo, hi)
+        code = 0
+    except BaseException:
+        import traceback
+
+        os.write(2, traceback.format_exc().encode())
+    finally:
+        os._exit(code)
+
+
+def _simulate_rows(out, lo, hi, rows, args):
+    """simulate_batch's step loop on rows lo:hi of its arguments args.
+
+    Writes those rows of the outputs out, in blocks of at most rows rows
+    that start at lo.  Every share of a call runs this, in the calling
+    process or in a forked child.
+    """
+    (v0, tail0, dW, m_shift, damp, dt, scheme,
+     profiles, profile_tails, level_codes, caps, drift_code, drift_c, alpha_corr,
+     lam_reg, E, amb, b, denom,
+     spacing, weights, tail_weight, blow_threshold, snap_steps) = args
+    v, tail, neg_e, min_v, aborted, snaps, snap_tails = out
+    N = v0.shape[1]
     n_steps = dW.shape[1]
     K = profiles.shape[0]
     snap_at = [int(s) for s in snap_steps]
     S = len(snap_at)
-    v = v0.copy()
-    tail = tail0.copy()
-    neg_e = np.empty((P, n_steps + 1))
-    min_v = np.empty((P, n_steps + 1))
-    aborted = np.full(P, -1, dtype=np.int64)
-    snaps = np.empty((S, P, N))
-    snap_tails = np.empty((S, P))
-    rows = max(1, min(P, BLOCK_BYTES // (8 * N)))
+    v[lo:hi] = v0[lo:hi]
+    tail[lo:hi] = tail0[lo:hi]
+    aborted[lo:hi] = -1
+    rows = min(rows, hi - lo)
     frozen_v = np.empty((rows, N))
     w = np.tile(weights, (rows, 1))
     limits = _record_limits(weights, tail_weight)
@@ -406,11 +552,11 @@ def simulate_batch(
             if lam_reg > 0.0:
                 drift, dtail = _sweep_rows(drift, dtail, res, np.empty((1, N)), cells[:1])
             drift_dt, dtail_dt = np.multiply(drift, dt), dtail * dt
-        for lo in range(0, P, rows):
-            hi = min(lo + rows, P)
-            n = hi - lo
-            vb, tb, dWb = v[lo:hi], tail[lo:hi], dW[lo:hi]
-            neg_b, min_b = neg_e[lo:hi], min_v[lo:hi]
+        for lo_b in range(lo, hi, rows):
+            hi_b = min(lo_b + rows, hi)
+            n = hi_b - lo_b
+            vb, tb, dWb = v[lo_b:hi_b], tail[lo_b:hi_b], dW[lo_b:hi_b]
+            neg_b, min_b = neg_e[lo_b:hi_b], min_v[lo_b:hi_b]
             tmp_b, frozen_b, w_b = tmp[:n], frozen_v[:n], w[:n]
             scratch_b = _scratch_rows(scratch, n)
             sig_b, noise_b = scratch_b[1], [x[:n] for x in noise]
@@ -426,8 +572,8 @@ def simulate_batch(
                 abort_test=False)
             si = 0
             while si < S and snap_at[si] == 0:
-                snaps[si, lo:hi] = vb
-                snap_tails[si, lo:hi] = tb
+                snaps[si, lo_b:hi_b] = vb
+                snap_tails[si, lo_b:hi_b] = tb
                 si += 1
             for j in range(n_steps):
                 if scheme == 0:
@@ -460,19 +606,28 @@ def simulate_batch(
                     vb, tb, active, everyone, w_b, tail_weight, blow_threshold, limits, tmp_b)
                 if len(newly):
                     everyone = False
-                    aborted[lo + newly] = j
+                    aborted[lo_b + newly] = j
                     frozen_tail[newly] = tb[newly]
-                    for i in newly:  # row by row: no temporary block
+                    # row by row: no temporary block; a zeroed row no longer
+                    # fails the block's energy bound
+                    for i in newly:
                         frozen_b[i] = vb[i]
+                        vb[i] = 0.0
+                    tb[newly] = 0.0
                 while si < S and snap_at[si] == j + 1:
-                    snaps[si, lo:hi] = vb
+                    snaps[si, lo_b:hi_b] = vb
                     if everyone:
-                        snap_tails[si, lo:hi] = tb
+                        snap_tails[si, lo_b:hi_b] = tb
                     else:
-                        snaps[si, lo:hi][~active] = np.nan
-                        snap_tails[si, lo:hi] = np.where(active, tb, np.nan)
+                        snaps[si, lo_b:hi_b][~active] = np.nan
+                        snap_tails[si, lo_b:hi_b] = np.where(active, tb, np.nan)
                     si += 1
+                if len(newly) and not active.any():  # the block's last row aborted
+                    neg_b[:, j + 2 :] = np.nan
+                    min_b[:, j + 2 :] = np.nan
+                    snaps[si:, lo_b:hi_b] = np.nan
+                    snap_tails[si:, lo_b:hi_b] = np.nan
+                    break
             for i in np.flatnonzero(~active):
                 vb[i] = frozen_b[i]
-            tail[lo:hi] = np.where(active, tb, frozen_tail)
-    return v, tail, neg_e, min_v, aborted, snaps, snap_tails
+            tail[lo_b:hi_b] = np.where(active, tb, frozen_tail)

@@ -32,8 +32,6 @@ __all__ = [
     "CONVEX_FUNCTIONS",
     "pairing_value",
     "monotone_pairing_excess",
-    "jensen_pointwise_excess",
-    "jensen_integral_excess",
     "run_pairing_battery",
     "run_jensen_battery",
     "ItoReport",
@@ -165,32 +163,24 @@ def _jensen_images(suite: OperatorSuite, v: GridFunction, lam: float, fn: Callab
 def _pointwise_excess(
     suite: OperatorSuite, lam: float, fv: GridFunction, fjv: GridFunction, work=None
 ) -> float:
+    """Worst pointwise failure of fn(resolvent v) <= resolvent fn(v).
+
+    Holds for convex fn with fn(0) <= 0 because the resolvent kernel is
+    sub-Markovian.
+    """
     _, _, d, cells = scratch_rows(work, 3)
     d = fjv.minus(suite.resolvent(fv, lam, d, cells), out=d)
     return max(0.0, float(d.values.max()), d.tail_value)
 
 
 def _integral_excess(fv: GridFunction, fjv: GridFunction, work=None) -> float:
-    _, _, d, _ = scratch_rows(work, 3)
-    return max(0.0, norm(fjv, "l1", out=d) - norm(fv, "l1", out=d))
-
-
-def jensen_pointwise_excess(suite: OperatorSuite, v: GridFunction, lam: float, fn: Callable) -> float:
-    """Worst pointwise failure of fn(resolvent v) <= resolvent fn(v).
-
-    Holds for convex fn with fn(0) <= 0 because the resolvent kernel is
-    sub-Markovian.
-    """
-    return _pointwise_excess(suite, lam, *_jensen_images(suite, v, lam, fn))
-
-
-def jensen_integral_excess(suite: OperatorSuite, v: GridFunction, lam: float, fn: Callable) -> float:
     """Growth of the weighted integral of fn through the resolvent.
 
     For nonnegative convex images the chain fn(Jv) <= J fn(v) plus the
     integral contraction makes this nonpositive up to quadrature error.
     """
-    return _integral_excess(*_jensen_images(suite, v, lam, fn))
+    _, _, d, _ = scratch_rows(work, 3)
+    return max(0.0, norm(fjv, "l1", out=d) - norm(fv, "l1", out=d))
 
 
 _BATTERY_LAMS = (1e-3, 1e-2, 1e-1, 1.0, 10.0)

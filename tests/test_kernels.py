@@ -1,3 +1,7 @@
+import os
+import time
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -139,20 +143,27 @@ def _rich_args(scheme, lam=0.05, blow=1e12, n_paths=4, n_nodes=301, modes="mixed
     return g, args
 
 
+def _crossing_args():
+    # eight rows of _exploding_args(blow=50.0) that start below the
+    # threshold and grow through it at different steps; row 6 never does
+    args = list(_exploding_args(blow=50.0))
+    amp = np.array([1.0, 3.0, 10.0, 30.0, 2.0, 40.0, 1e-6, 5.0])[:, None]
+    P, N = amp.shape[0], args[0].shape[1]
+    rng = np.random.default_rng(12)
+    args[0] = amp * (0.1 + 0.05 * rng.normal(size=(P, N)))
+    args[1] = amp[:, 0] * 0.1
+    args[2] = np.zeros((P, 60, 0))
+    args[-1] = np.arange(61, dtype=np.int64)  # a snapshot every step
+    return args
+
+
 @pytest.mark.parametrize("block_rows", [3, None])
 def test_simulate_batch_rows_cross_blow_threshold_from_below(monkeypatch, block_rows):
     # rows start below blow_threshold and grow through it at different
     # steps, one never does; abort steps, frozen rows and NaN records are
     # bitwise the reference's, also when the rows span several blocks
-    args = list(_exploding_args(blow=50.0))
+    args = _crossing_args()
     g = Grid.uniform(2.0, 101, 0.5)
-    amp = np.array([1.0, 3.0, 10.0, 30.0, 2.0, 40.0, 1e-6, 5.0])[:, None]
-    P = amp.shape[0]
-    rng = np.random.default_rng(12)
-    args[0] = amp * (0.1 + 0.05 * rng.normal(size=(P, g.n)))
-    args[1] = amp[:, 0] * 0.1
-    args[2] = np.zeros((P, 60, 0))
-    args[-1] = np.arange(61, dtype=np.int64)  # a snapshot every step
     if block_rows is not None:
         monkeypatch.setattr(kernels, "BLOCK_BYTES", block_rows * 8 * g.n)
     out = kernels.simulate_batch(*args)
@@ -724,5 +735,192 @@ def test_simulate_batch_numpy_aborts_match_single_path_runs():
     out = kernels.simulate_batch(*args)
     assert (out[4] >= 0).all()
     _assert_rows_match_single_path_runs(args)
+    for got, ref in zip(out, _reference_simulate_batch(*args)):
+        assert got.tobytes() == ref.tobytes()
+
+
+def _count_row_bounds(monkeypatch):
+    # one entry per record step that tests aborts, True where it formed
+    # per-row energy bounds because the block's bound did not clear
+    steps = []
+    records, rows_over = kernels._records, kernels._rows_over
+
+    def counting_records(*a, **kw):
+        if kw.get("abort_test", True):
+            steps.append(False)
+        return records(*a, **kw)
+
+    def counting_rows_over(*a):
+        steps[-1] = True
+        return rows_over(*a)
+
+    monkeypatch.setattr(kernels, "_records", counting_records)
+    monkeypatch.setattr(kernels, "_rows_over", counting_rows_over)
+    return steps
+
+
+@pytest.mark.parametrize("blow", [1.0, 2.0, "mixed"])
+def test_aborted_rows_leave_the_step(monkeypatch, blow):
+    # An aborted row is zeroed, so it no longer fails the block's energy
+    # bound, and a block whose rows have all aborted ends its time loop:
+    # no record step after the block's last abort forms per-row bounds.
+    # On _exploding_args(1.0) all rows abort at step 10, and before rows
+    # left the step 54 of its 60 record steps formed them.  "mixed" is
+    # _crossing_args, with one row that never aborts.  Outputs stay the
+    # reference's.
+    if blow == "mixed":
+        args = _crossing_args()
+    else:
+        args = list(_exploding_args(blow))
+        args[-1] = np.array([0, 5, 10, 11, 30, 60], dtype=np.int64)
+    steps = _count_row_bounds(monkeypatch)
+    out = kernels.simulate_batch(*args)
+    for got, ref in zip(out, _reference_simulate_batch(*args)):
+        assert got.tobytes() == ref.tobytes()
+    aborted = out[4]
+    last = int(aborted.max())
+    assert last > 0 and (aborted >= 0).sum() == (7 if blow == "mixed" else 3)
+    assert any(steps[: last + 1]) and not any(steps[last + 1 :])
+    assert len(steps) == (60 if blow == "mixed" else last + 1)
+
+
+def _force_split(monkeypatch, workers, block_rows=None, n_nodes=None):
+    # every call splits into min(workers, blocks) shares, whatever the host;
+    # returns the rows of the shares forked in each call
+    monkeypatch.setattr(kernels, "_SPLIT_NODE_STEPS", 0)
+    monkeypatch.setattr(kernels, "_usable_cores", lambda: workers)
+    if block_rows is not None:
+        monkeypatch.setattr(kernels, "BLOCK_BYTES", block_rows * 8 * n_nodes)
+    forked = []
+    fork_share = kernels._fork_share
+
+    def counting(run, lo, hi):
+        forked.append((lo, hi))
+        return fork_share(run, lo, hi)
+
+    monkeypatch.setattr(kernels, "_fork_share", counting)
+    return forked
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+SPLIT_CASES = [
+    *[pytest.param("rich", scheme, lam, id=f"rich-{scheme}-{lam}")
+      for scheme in (0, 1) for lam in (0.0, 0.05)],
+    *[pytest.param("capped", 0, blow, id=f"capped-{blow}") for blow in (1e12, 6e-7)],
+    *[pytest.param("exploding", 0, blow, id=f"exploding-{blow}") for blow in (1.0, 2.0)],
+]
+# the rows of the forked shares: rich is 10 rows in blocks of 3, 3, 3 and 1,
+# capped 256 rows in eight blocks of 32, exploding 3 rows in blocks of one
+FORKED = {
+    ("rich", 2): [(6, 10)], ("rich", 3): [(3, 6), (6, 10)],
+    ("capped", 2): [(128, 256)], ("capped", 3): [(64, 160), (160, 256)],
+    ("exploding", 2): [(1, 3)], ("exploding", 3): [(1, 2), (2, 3)],
+}
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("case, scheme, param", SPLIT_CASES)
+def test_split_is_bitwise_the_serial_call(monkeypatch, workers, case, scheme, param):
+    # Shares of uneven size, in one process or forked, give the same bytes
+    # as the call in one process and as the plain whole-batch loop.
+    if case == "rich":
+        _, args = _rich_args(scheme, lam=param, n_paths=10)
+        block_rows = 3
+    elif case == "capped":
+        args, block_rows = _capped_args(256, 12, param), None
+    else:
+        args, block_rows = _exploding_args(param), 1
+    serial = kernels.simulate_batch(*args)
+    forked = _force_split(monkeypatch, workers, block_rows, args[0].shape[1])
+    out = kernels.simulate_batch(*args)
+    assert forked == FORKED.get((case, workers), [])
+    _assert_no_child_left()
+    ref = _reference_simulate_batch(*args)
+    for got, one, plain in zip(out, serial, ref):
+        assert got.tobytes() == one.tobytes() == plain.tobytes()
+    if case == "exploding":  # aborts in every share
+        assert (out[4] >= 0).all()
+
+
+def test_a_failing_child_makes_the_call_raise(monkeypatch):
+    _force_split(monkeypatch, 3, 1, 101)
+    simulate_rows = kernels._simulate_rows
+
+    def failing(out, lo, hi, rows, args):
+        if lo == 2:
+            raise ValueError("share failed")
+        return simulate_rows(out, lo, hi, rows, args)
+
+    monkeypatch.setattr(kernels, "_simulate_rows", failing)
+    with pytest.raises(RuntimeError, match="rows 2:3"):
+        kernels.simulate_batch(*_exploding_args(1.0))
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("exc", [ValueError, SystemExit, KeyboardInterrupt])
+def test_an_exception_in_the_parents_share_kills_the_children(monkeypatch, exc):
+    # perfbench turns SIGTERM into SystemExit; whatever the parent's share
+    # raises, the children, which would run a minute, are killed and reaped
+    _force_split(monkeypatch, 3, 1, 101)
+
+    def share(out, lo, hi, rows, args):
+        if lo == 0:
+            raise exc("parent's share")
+        time.sleep(60)
+
+    monkeypatch.setattr(kernels, "_simulate_rows", share)
+    t0 = time.monotonic()
+    with pytest.raises(exc):
+        kernels.simulate_batch(*_exploding_args(1.0))
+    assert time.monotonic() - t0 < 30.0
+    _assert_no_child_left()
+
+
+def test_the_fork_warns_nothing(monkeypatch):
+    # Python 3.12+ warns when a multi-threaded process forks, and BLAS
+    # threads count; the split forks with that warning silenced
+    forked = _force_split(monkeypatch, 2)
+    args = _capped_args(64, 4, 1e12)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = kernels.simulate_batch(*args)
+    assert forked == [(32, 64)]
+    for got, ref in zip(out, _reference_simulate_batch(*args)):
+        assert got.tobytes() == ref.tobytes()
+
+
+def test_small_calls_and_forkless_platforms_stay_in_process(monkeypatch):
+    # a call splits from _SPLIT_NODE_STEPS node-steps on, and never where
+    # os.fork is missing
+    usable_cores = kernels._usable_cores
+    forked = _force_split(monkeypatch, 2)
+    args = _capped_args(64, 4, 1e12)
+    work = 64 * 4 * 1001
+    for threshold in (work + 1, work):
+        monkeypatch.setattr(kernels, "_SPLIT_NODE_STEPS", threshold)
+        kernels.simulate_batch(*args)
+    assert forked == [(32, 64)]
+    _assert_no_child_left()
+    monkeypatch.setattr(kernels, "_usable_cores", usable_cores)
+    monkeypatch.delattr(os, "fork")
+    assert kernels._usable_cores() == 1
+    kernels.simulate_batch(*args)
+    assert forked == [(32, 64)]
+
+
+def test_a_share_whose_fork_fails_runs_in_the_caller(monkeypatch):
+    forked = _force_split(monkeypatch, 3)
+    args = _capped_args(96, 4, 1e12)
+
+    def no_fork():
+        raise BlockingIOError("no process left")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    out = kernels.simulate_batch(*args)
+    assert forked == [(32, 64), (64, 96)]
     for got, ref in zip(out, _reference_simulate_batch(*args)):
         assert got.tobytes() == ref.tobytes()

@@ -6,13 +6,12 @@ from hypothesis import strategies as st
 from mildsim.grids import Grid, GridFunction, lattice_parts, norm
 from mildsim.noise import NoiseConfig, increment_block
 from mildsim.operators import OperatorSuite, random_bumps
+from mildsim import smoothing
 from mildsim.smoothing import (
     CONVEX_FUNCTIONS,
     MONOTONE_GRAPHS,
     apply_pointwise,
     ito_residual,
-    jensen_integral_excess,
-    jensen_pointwise_excess,
     monotone_pairing_excess,
     pairing_value,
     penalty_eval,
@@ -143,6 +142,20 @@ def test_pairing_nonnegative_on_sign_changing_state(fine_suite):
         val = pairing_value(fine_suite, v, 0.1, graph)
         assert val > -1e-8, name
         assert monotone_pairing_excess(fine_suite, v, 0.1, graph) <= 1e-8
+
+
+# The two Jensen checks of one sample, each on its own, as the battery
+# combines them.
+
+
+def jensen_pointwise_excess(suite, v, lam, fn):
+    """Worst pointwise failure of fn(resolvent v) <= resolvent fn(v)."""
+    return smoothing._pointwise_excess(suite, lam, *smoothing._jensen_images(suite, v, lam, fn))
+
+
+def jensen_integral_excess(suite, v, lam, fn):
+    """Growth of the weighted integral of fn through the resolvent."""
+    return smoothing._integral_excess(*smoothing._jensen_images(suite, v, lam, fn))
 
 
 def test_jensen_identity_is_tight(fine_suite):
