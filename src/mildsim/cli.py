@@ -41,13 +41,12 @@ from .noise import NoiseConfig
 from .operators import OperatorSuite, run_contraction_battery, run_submarkov_battery
 from .smoothing import ito_residual, run_jensen_battery, run_pairing_battery
 from .solver import (
+    DEFAULT_THRESHOLDS,
     SolverConfig,
     ensemble_stats,
     lambda_convergence_study,
     run_ensemble,
 )
-
-_THRESHOLDS = (-1e-6, -1e-3, -1e-2)
 
 
 def _fmt(x) -> str:
@@ -68,7 +67,7 @@ def _write_manifest(outdir: Path, payload: dict) -> None:
 def _stats_rows(stats):
     cols = [stats.times, stats.neg_energy_mean, stats.neg_energy_p95,
             stats.min_value_min, stats.supermartingale_mean]
-    cols += [stats.frac_below[float(t)] for t in _THRESHOLDS]
+    cols += [stats.frac_below[float(t)] for t in DEFAULT_THRESHOLDS]
     return np.column_stack(cols)
 
 
@@ -78,7 +77,7 @@ _STATS_HEADER = [
     "neg_energy_p95",
     "min_value_min",
     "supermartingale_mean",
-] + [f"frac_below_{abs(t):.0e}" for t in _THRESHOLDS]
+] + [f"frac_below_{abs(t):.0e}" for t in DEFAULT_THRESHOLDS]
 
 
 def _curve_rows(ens):
@@ -118,7 +117,7 @@ def _exp_simulate(cfg: Config, outdir: Path) -> tuple[dict, bool, bool]:
     if c_const is None:  # the check section asks for the estimate (parse_config)
         rep = estimate_positivity_constant(model, n_samples=cfg.check.n_samples, seed=cfg.check.seed)
         c_const = rep.estimated_c if np.isfinite(rep.estimated_c) else 0.0
-    stats = ensemble_stats(ens, c_const=c_const, thresholds=_THRESHOLDS)
+    stats = ensemble_stats(ens, c_const=c_const, thresholds=DEFAULT_THRESHOLDS)
     _write_csv(outdir / "ensemble.csv", _STATS_HEADER, _stats_rows(stats))
     results = {
         "n_paths": ens.n_paths,
@@ -138,7 +137,7 @@ def _exp_hjm(cfg: Config, outdir: Path) -> tuple[dict, bool, bool]:
     spec = HJMModelSpec(g.x_max, g.n_nodes, g.alpha, modes, u0, m.alpha_in_drift)
     built = build_hjm(spec, check_samples=cfg.check.n_samples, check_seed=cfg.check.seed)
     run = simulate_forward_rates(built, r.dt, r.t_final, r.n_paths, r.seed, r.scheme,
-                                 r.snapshot_stride, _THRESHOLDS, chunk_size=r.chunk_size)
+                                 r.snapshot_stride, DEFAULT_THRESHOLDS, chunk_size=r.chunk_size)
     _write_csv(outdir / "ensemble.csv", _STATS_HEADER, _stats_rows(run.stats))
     _write_csv(outdir / "curve.csv", _CURVE_HEADER, _curve_rows(run.ensemble))
     results = {

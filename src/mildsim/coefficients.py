@@ -119,8 +119,8 @@ class CoefficientModel:
     def n_modes(self) -> int:
         return len(self.modes)
 
-    def kernel_args(self) -> dict:
-        """Raw arrays for the batch simulation kernels."""
+    def kernel_args(self) -> kernels.Coefficients:
+        """The model as the kernels' Coefficients record."""
         g = self.grid
         K = self.n_modes
         profiles = np.zeros((K, g.n))
@@ -131,7 +131,8 @@ class CoefficientModel:
             profiles[k], ptails[k] = mode.profile(g)
             codes[k] = mode.level_code
             caps[k] = 0.0 if mode.cap is None else float(mode.cap)
-        return dict(
+        return kernels.Coefficients(
+            spacing=g.spacing,
             profiles=profiles,
             profile_tails=ptails,
             level_codes=codes,
@@ -142,13 +143,10 @@ class CoefficientModel:
         )
 
     @cached_property
-    def _row_kernel(self) -> tuple[dict, tuple]:
-        # coefficients' kernel arrays and one-row scratch, built once per model
-        ka = self.kernel_args()
-        scratch = kernels.coefficient_scratch(
-            1, self.grid.spacing, ka["profiles"], ka["profile_tails"], ka["level_codes"],
-            ka["drift_code"], ka["alpha_corr"])
-        return ka, scratch
+    def _row_kernel(self) -> tuple[kernels.Coefficients, tuple]:
+        # coefficients' kernel record and one-row scratch, built once per model
+        coef = self.kernel_args()
+        return coef, kernels.coefficient_scratch(coef, 1)
 
     def coefficients(self, u: GridFunction) -> tuple[list, GridFunction]:
         """The diffusion modes and the full drift at the state u.
@@ -159,9 +157,9 @@ class CoefficientModel:
         scratch, so results of earlier calls stay as they were.
         """
         g = self.grid
-        ka, scratch = self._row_kernel
+        coef, scratch = self._row_kernel
         sig, sigt, drift, dtail = kernels.coefficient_rows(
-            u.values[None, :], np.array([u.tail_value]), g.spacing, **ka, scratch=scratch)
+            coef, u.values[None, :], np.array([u.tail_value]), scratch)
         modes = [GridFunction(g, s[0].copy(), st[0]) for s, st in zip(sig, sigt)]
         return modes, GridFunction(g, drift[0].copy(), dtail[0])
 
@@ -229,11 +227,9 @@ def estimate_positivity_constant(
         (GridFunction.constant(g, -eps) for eps in (1.0, 0.1, 0.01, 0.001, eps_tiny)))
     # the coefficients are evaluated on blocks of probes, each block about
     # kernels.BLOCK_BYTES; each probe's row is the one it gives alone
-    ka, _ = model._row_kernel
+    coef, _ = model._row_kernel
     rows = max(1, kernels.BLOCK_BYTES // (8 * g.n))
-    scratch = kernels.coefficient_scratch(
-        rows, g.spacing, ka["profiles"], ka["profile_tails"], ka["level_codes"],
-        ka["drift_code"], ka["alpha_corr"])
+    scratch = kernels.coefficient_scratch(coef, rows)
     block, tails = np.empty((rows, g.n)), np.empty(rows)
     worst = -np.inf
     violations = 0
@@ -242,8 +238,7 @@ def estimate_positivity_constant(
         m = len(hs)
         for i, h in enumerate(hs):
             block[i], tails[i] = h.values, h.tail_value
-        sig, sigt, drift, dtail = kernels.coefficient_rows(
-            block[:m], tails[:m], g.spacing, **ka, scratch=scratch)
+        sig, sigt, drift, dtail = kernels.coefficient_rows(coef, block[:m], tails[:m], scratch)
         for i, h in enumerate(hs):
             count += 1
             parts = lattice_parts(h)

@@ -27,7 +27,7 @@ import numpy as np
 from .coefficients import DRIFT_KINDS, CoefficientModel, ModeFunction
 from .grids import Grid, GridFunction, whole_multiple
 from .hjm import VERDICTS
-from .solver import SCHEMES
+from .solver import DEFAULT_BLOW_THRESHOLD, DEFAULT_CHUNK_SIZE, DEFAULT_SCHEME, SCHEMES
 
 __all__ = [
     "ConfigError", "EXPERIMENTS", "Config", "load_config", "parse_config", "apply_override",
@@ -157,11 +157,12 @@ class RunConfig:
     dt: float = _field(check=_POSITIVE)
     t_final: float = _field(check=_POSITIVE)
     seed: int = _field(1234, _SEED)
-    scheme: str = _field("shift-then-react", _one_of(SCHEMES))
+    scheme: str = _field(DEFAULT_SCHEME, _one_of(SCHEMES))
     n_paths: int = _field(100, _AT_LEAST_ONE, read_by=_ENSEMBLES)
-    chunk_size: int = _field(2048, _AT_LEAST_ONE, read_by=_ENSEMBLES)
+    chunk_size: int = _field(DEFAULT_CHUNK_SIZE, _AT_LEAST_ONE, read_by=_ENSEMBLES)
     snapshot_stride: int = _field(0, _NONNEG, read_by=_ENSEMBLES)
-    blow_threshold: float = _field(1e12, _POSITIVE, read_by=("simulate", "lambda-study"))
+    blow_threshold: float = _field(DEFAULT_BLOW_THRESHOLD, _POSITIVE,
+                                   read_by=("simulate", "lambda-study"))
     lam: float = _field(0.0, _NONNEG, read_by=("simulate",))
     stream_base: int = _field(0, _SEED, read_by=("simulate",))
     # None: estimated by the coefficient check (simulate, see parse_config)

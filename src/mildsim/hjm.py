@@ -29,7 +29,8 @@ from .coefficients import (
 )
 from .grids import Grid, GridFunction
 from .operators import OperatorSuite
-from .solver import EnsembleResult, EnsembleStats, SolverConfig, ensemble_stats, run_ensemble
+from .solver import (DEFAULT_CHUNK_SIZE, DEFAULT_SCHEME, DEFAULT_THRESHOLDS, EnsembleResult,
+                     EnsembleStats, SolverConfig, ensemble_stats, run_ensemble)
 
 __all__ = [
     "HJMModelSpec",
@@ -137,11 +138,11 @@ def simulate_forward_rates(
     t_final: float,
     n_paths: int,
     seed: int,
-    scheme: str = "shift-then-react",
+    scheme: str = DEFAULT_SCHEME,
     snapshot_stride: int = 0,
-    thresholds: tuple = (-1e-6, -1e-3, -1e-2),
+    thresholds: tuple = DEFAULT_THRESHOLDS,
     neg_threshold: float = -1e-3,
-    chunk_size: int = 2048,
+    chunk_size: int = DEFAULT_CHUNK_SIZE,
 ) -> HJMRun:
     cfg = SolverConfig(dt=dt, t_final=t_final, scheme=scheme, snapshot_stride=snapshot_stride)
     ens = run_ensemble(

@@ -1,7 +1,10 @@
 """Hot numerical kernels: the coefficients, the resolvent sweep and the integrator.
 
 Kernels operate on raw arrays.  Higher layers own validation, shapes
-are trusted here.  Every kernel is deterministic.
+are trusted here.  Every kernel is deterministic.  The coefficients
+reach the kernels as one Coefficients record, which
+CoefficientModel.kernel_args builds, and the resolvent at lam > 0 as
+resolvent_coeffs' tuple, res, which is None at lam = 0.
 
 The integrator runs its time loop over blocks of rows, each (rows, N)
 float64 array about BLOCK_BYTES in size, so that the elementwise passes
@@ -43,12 +46,14 @@ from __future__ import annotations
 import gc
 import os
 import warnings
+from typing import NamedTuple
 
 import numpy as np
 
 __all__ = [
     "BACKEND",
     "BLOCK_BYTES",
+    "Coefficients",
     "LEVEL_CONST",
     "LEVEL_LINEAR",
     "LEVEL_CAPPED",
@@ -89,6 +94,26 @@ _FMAX = float(np.finfo(np.float64).max)
 _NO_ROWS = np.zeros(0, dtype=np.intp)
 
 
+class Coefficients(NamedTuple):
+    """The step's coefficients as raw arrays; CoefficientModel.kernel_args builds it.
+
+    Mode k is sigma_k(x, r) = profiles[k](x) * level(r), profile_tails[k]
+    beyond the last node, and level_codes[k] picks level(r): 1, r, or
+    min(r+, caps[k]).  drift_code picks the drift: zero, -drift_c * r,
+    or the hjm drift, whose trapezoid runs on the node spacing; the
+    drift then adds alpha_corr times the state.
+    """
+
+    spacing: float
+    profiles: np.ndarray  # (K, N)
+    profile_tails: np.ndarray  # (K,)
+    level_codes: np.ndarray  # (K,) of LEVEL_*
+    caps: np.ndarray  # (K,), read for LEVEL_CAPPED
+    drift_code: int  # DRIFT_*
+    drift_c: float
+    alpha_corr: float
+
+
 def resolvent_coeffs(spacing: float, lam: float, alpha: float):
     """Per-cell recursion coefficients for the transport resolvent.
 
@@ -115,24 +140,16 @@ def resolvent_coeffs(spacing: float, lam: float, alpha: float):
     return E, float(amb), float(b), float(denom)
 
 
-def _resolvent_rows(F, Ftail, E, amb, b, denom, out=None, cells=None):
+def _sweep_rows(F, Ftail, res, Y, C, lfilter):
     """Backward resolvent recursion along each row of a (paths, nodes) block.
 
-    Implemented as a linear IIR filter on the reversed cell
-    contributions, which scipy evaluates in C.  Needs at least two nodes.
-    out, (paths, nodes), receives the result and cells, (paths, nodes - 1),
-    the cell contributions; both are allocated when not given.
+    res is resolvent_coeffs' (E, amb, b, denom).  Implemented as
+    scipy's lfilter, passed in, on the reversed cell contributions,
+    which it evaluates in C.  Needs at least two nodes.  Y, (paths,
+    nodes), receives the result and C, (paths, nodes - 1), the cell
+    contributions.
     """
-    from scipy.signal import lfilter
-
-    Y = np.empty_like(F) if out is None else out
-    C = np.empty((F.shape[0], F.shape[1] - 1)) if cells is None else cells
-    return _sweep_rows(F, Ftail, (lfilter, E, amb, b, denom), Y, C)
-
-
-def _sweep_rows(F, Ftail, res, Y, C):
-    """_resolvent_rows into the scratch Y and C; res is (lfilter, E, amb, b, denom)."""
-    lfilter, E, amb, b, denom = res
+    E, amb, b, denom = res
     ytail = Ftail / denom
     # amb * F[:, :-1] + b * F[:, 1:], with Y as the scratch for the second term
     np.multiply(F[:, :-1], amb, out=C)
@@ -143,15 +160,19 @@ def _sweep_rows(F, Ftail, res, Y, C):
     return Y, ytail
 
 
-def resolvent_sweep(f, ftail, E, amb, b, denom, out=None, cells=None):
+def resolvent_sweep(f, ftail, res, out=None, cells=None):
     """Backward resolvent recursion over one node array of at least two nodes.
 
-    out and cells are optional scratch rows, as in _resolvent_rows.
+    res is resolvent_coeffs' tuple.  out, a node row, receives the
+    values and cells, a row one shorter, the cell contributions; both
+    are allocated when not given.
     """
-    y, ytail = _resolvent_rows(
-        np.asarray(f, dtype=np.float64)[None, :], np.array([ftail], dtype=np.float64),
-        E, amb, b, denom,
-        None if out is None else out[None, :], None if cells is None else cells[None, :])
+    from scipy.signal import lfilter
+
+    f = np.asarray(f, dtype=np.float64)
+    Y = np.empty((1, len(f))) if out is None else out[None, :]
+    C = np.empty((1, len(f) - 1)) if cells is None else cells[None, :]
+    y, ytail = _sweep_rows(f[None, :], np.array([ftail], dtype=np.float64), res, Y, C, lfilter)
     return y[0], ytail[0]
 
 
@@ -285,17 +306,16 @@ def _hjm_drift(sig, sigt, spacing, buf, btail, integ, tmp):
         btail += st * integ[:, -1]
 
 
-def coefficient_scratch(rows, spacing, profiles, profile_tails, level_codes, drift_code,
-                        alpha_corr):
-    """Scratch for coefficient_rows on up to rows rows, with its state-free rows.
+def coefficient_scratch(coef, rows):
+    """Scratch for coefficient_rows on up to rows rows of coef, with its state-free rows.
 
-    Takes the coefficient_rows arguments it needs.  Every per-row
-    pass works on (rows, N) blocks, so the profiles are tiled once
-    here; a constant-level mode's sigma rows are its tiled profile.
-    The drift before the alpha_corr term is state-free when it is zero
-    or hjm of constant modes only; it is tiled when alpha_corr adds the
-    state to it, and one (1, N) row otherwise.
+    Every per-row pass works on (rows, N) blocks, so the profiles are
+    tiled once here; a constant-level mode's sigma rows are its tiled
+    profile.  The drift before the alpha_corr term is state-free when it
+    is zero or hjm of constant modes only; it is tiled when alpha_corr
+    adds the state to it, and one (1, N) row otherwise.
     """
+    spacing, profiles, profile_tails, level_codes, _, drift_code, _, alpha_corr = coef
     K, N = profiles.shape
     prof = [np.tile(p, (rows, 1)) for p in profiles]
     const = [level_codes[k] == LEVEL_CONST for k in range(K)]
@@ -323,21 +343,20 @@ def _scratch_rows(scratch, n):
             buf[:n], btail[:n], integ[:n], tmp[:n])
 
 
-def coefficient_rows(v, tail, spacing, profiles, profile_tails, level_codes, caps,
-                     drift_code, drift_c, alpha_corr, scratch=None):
-    """The sigma rows and the drift row at each row of the (n, N) state v.
+def coefficient_rows(coef, v, tail, scratch=None):
+    """The sigma rows and the drift row of coef at each row of the (n, N) state v.
 
     Returns (sig, sigt, drift, dtail): each mode's rows and tails, then
     the drift's, zero, linear-decay or hjm plus alpha_corr times the
     state.  A state-free drift is one (1, N) row that broadcasts; the
     other rows live in scratch until the next call.  scratch is what
-    coefficient_scratch made for at least n rows of these arrays, or
-    None for a new one; the integrator cuts it to each block's rows
+    coefficient_scratch made for at least n rows of coef, or None for a
+    new one; the integrator cuts it to each block's rows
     once, with _scratch_rows.
     """
+    spacing, _, profile_tails, level_codes, caps, drift_code, drift_c, alpha_corr = coef
     n = len(v)
-    scratch = scratch or coefficient_scratch(
-        n, spacing, profiles, profile_tails, level_codes, drift_code, alpha_corr)
+    scratch = scratch or coefficient_scratch(coef, n)
     if len(scratch[4]) != n:
         scratch = _scratch_rows(scratch, n)
     prof, sig, sigt, base, buf, btail, integ, tmp = scratch
@@ -364,17 +383,16 @@ def coefficient_rows(v, tail, spacing, profiles, profile_tails, level_codes, cap
     return sig, sigt, drift, dtail
 
 
-def simulate_batch(
-    v0, tail0, dW, m_shift, damp, dt, scheme,
-    profiles, profile_tails, level_codes, caps, drift_code, drift_c, alpha_corr,
-    lam_reg, E, amb, b, denom,
-    spacing, weights, tail_weight, blow_threshold, snap_steps,
-):
+def simulate_batch(v0, tail0, dW, m_shift, damp, dt, scheme, coef, res, weights, tail_weight,
+                   blow_threshold, snap_steps):
     """Advance a batch of paths through the splitting scheme.
 
     scheme 0 applies the shift semigroup first and evaluates reactions
     at the shifted state; scheme 1 evaluates reactions at the current
-    state and shifts afterwards.  Paths whose total weighted energy
+    state and shifts afterwards.  coef is the step's Coefficients.  res
+    is None at lam = 0, and resolvent_coeffs' tuple at lam > 0: every
+    drift row and diffusion column then passes through that resolvent
+    before it touches the state.  Paths whose total weighted energy
     leaves [0, blow_threshold] or turns non-finite are frozen at the
     offending step and their later records are NaN.
 
@@ -395,12 +413,10 @@ def simulate_batch(
     if P * n_steps * N >= _SPLIT_NODE_STEPS:
         workers = min(_usable_cores(), n_blocks)
     out = _outputs(P, N, n_steps, S, workers > 1)
-    args = (v0, tail0, dW, m_shift, damp, dt, scheme,
-            profiles, profile_tails, level_codes, caps, drift_code, drift_c, alpha_corr,
-            lam_reg, E, amb, b, denom,
-            spacing, weights, tail_weight, blow_threshold, snap_steps)
+    args = (v0, tail0, dW, m_shift, damp, dt, scheme, coef, res, weights, tail_weight,
+            blow_threshold, snap_steps)
     if workers > 1:
-        if lam_reg > 0.0:
+        if res is not None:
             from scipy.signal import lfilter  # noqa: F401  imported once, before the fork
         cuts = [n_blocks * i // workers * rows for i in range(workers)] + [P]
         _split(lambda lo, hi: _simulate_rows(out, lo, hi, rows, args), cuts)
@@ -506,14 +522,13 @@ def _simulate_rows(out, lo, hi, rows, args):
     that start at lo.  Every share of a call runs this, in the calling
     process or in a forked child.
     """
-    (v0, tail0, dW, m_shift, damp, dt, scheme,
-     profiles, profile_tails, level_codes, caps, drift_code, drift_c, alpha_corr,
-     lam_reg, E, amb, b, denom,
-     spacing, weights, tail_weight, blow_threshold, snap_steps) = args
+    (v0, tail0, dW, m_shift, damp, dt, scheme, coef, res, weights, tail_weight,
+     blow_threshold, snap_steps) = args
     v, tail, neg_e, min_v, aborted, snaps, snap_tails = out
     N = v0.shape[1]
     n_steps = dW.shape[1]
-    K = profiles.shape[0]
+    level_codes = coef.level_codes
+    K = len(level_codes)
     snap_at = [int(s) for s in snap_steps]
     S = len(snap_at)
     v[lo:hi] = v0[lo:hi]
@@ -523,34 +538,32 @@ def _simulate_rows(out, lo, hi, rows, args):
     frozen_v = np.empty((rows, N))
     w = np.tile(weights, (rows, 1))
     limits = _record_limits(weights, tail_weight)
-    coef = (spacing, profiles, profile_tails, level_codes, caps, drift_code, drift_c, alpha_corr)
     varying = [k for k in range(K) if level_codes[k] != LEVEL_CONST]
     with np.errstate(all="ignore"):
-        scratch = coefficient_scratch(
-            rows, spacing, profiles, profile_tails, level_codes, drift_code, alpha_corr)
+        scratch = coefficient_scratch(coef, rows)
         sig, sigt, base, tmp = scratch[1], scratch[2], scratch[3], scratch[-1]
         # a drift that is one state-free row: its resolvent and its
         # product with dt are made once
-        fixed_drift = base is not None and alpha_corr == 0.0
+        fixed_drift = base is not None and coef.alpha_corr == 0.0
         # diffusion columns after the resolvent, those of constant modes
         # once, the others into scratch every step
         noise, noise_t = list(sig), list(sigt)
-        if lam_reg > 0.0:
+        if res is not None:
             from scipy.signal import lfilter
 
-            res = (lfilter, E, amb, b, denom)
             cells = np.empty((rows, N - 1))
             for k in range(K):
                 if k in varying:
                     noise[k] = np.empty((rows, N))
                 else:
                     y, noise_t[k] = _sweep_rows(sig[k][:1], sigt[k], res, np.empty((1, N)),
-                                                cells[:1])
+                                                cells[:1], lfilter)
                     noise[k] = np.tile(y, (rows, 1))
         if fixed_drift:
             drift, dtail = base
-            if lam_reg > 0.0:
-                drift, dtail = _sweep_rows(drift, dtail, res, np.empty((1, N)), cells[:1])
+            if res is not None:
+                drift, dtail = _sweep_rows(drift, dtail, res, np.empty((1, N)), cells[:1],
+                                           lfilter)
             drift_dt, dtail_dt = np.multiply(drift, dt), dtail * dt
         for lo_b in range(lo, hi, rows):
             hi_b = min(lo_b + rows, hi)
@@ -560,7 +573,7 @@ def _simulate_rows(out, lo, hi, rows, args):
             tmp_b, frozen_b, w_b = tmp[:n], frozen_v[:n], w[:n]
             scratch_b = _scratch_rows(scratch, n)
             sig_b, noise_b = scratch_b[1], [x[:n] for x in noise]
-            if lam_reg > 0.0:
+            if res is not None:
                 cells_b = cells[:n]
             flat = vb.reshape(-1)
             views = (flat[:-m_shift], flat[m_shift:], vb[:, -m_shift:]) if m_shift > 0 else None
@@ -578,19 +591,19 @@ def _simulate_rows(out, lo, hi, rows, args):
             for j in range(n_steps):
                 if scheme == 0:
                     tb = _shift(vb, tb, views, damp)
-                _, sigt_b, drift, dtail = coefficient_rows(vb, tb, *coef, scratch_b)
-                if lam_reg > 0.0:
+                _, sigt_b, drift, dtail = coefficient_rows(coef, vb, tb, scratch_b)
+                if res is not None:
                     for k in varying:
                         _, noise_t[k] = _sweep_rows(sig_b[k], sigt_b[k], res, noise_b[k],
-                                                    cells_b)
+                                                    cells_b, lfilter)
                 else:
                     noise_t = sigt_b
                 if fixed_drift:
                     vb += drift_dt
                     tb = tb + dtail_dt
                 else:
-                    if lam_reg > 0.0:  # drift is buf, and tmp_b free until the product
-                        drift, dtail = _sweep_rows(drift, dtail, res, tmp_b, cells_b)
+                    if res is not None:  # drift is buf, and tmp_b free until the product
+                        drift, dtail = _sweep_rows(drift, dtail, res, tmp_b, cells_b, lfilter)
                     vb += np.multiply(drift, dt, out=tmp_b)
                     tb = tb + dtail * dt
                 for k in range(K):

@@ -12,6 +12,7 @@ probe on random curves.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -76,8 +77,8 @@ class OperatorSuite:
         out, a node row, receives the values and cells, a row one shorter,
         the sweep's cell contributions; both are allocated when not given.
         """
-        E, amb, b, denom = kernels.resolvent_coeffs(self.grid.spacing, lam, self.alpha_eff)
-        y, ytail = kernels.resolvent_sweep(f.values, f.tail_value, E, amb, b, denom, out, cells)
+        res = kernels.resolvent_coeffs(self.grid.spacing, lam, self.alpha_eff)
+        y, ytail = kernels.resolvent_sweep(f.values, f.tail_value, res, out, cells)
         return GridFunction(self.grid, y, ytail)
 
     def yosida(self, f: GridFunction, lam: float, out=None, cells=None) -> GridFunction:
@@ -173,49 +174,49 @@ class BatteryReport:
         return self.n_violations == 0
 
 
-_DEFAULT_LAMS = (1e-3, 1e-2, 1e-1, 1.0, 10.0)
+# the resolvent parameters that a battery's samples cycle through
+BATTERY_LAMS = (1e-3, 1e-2, 1e-1, 1.0, 10.0)
 
 
-def run_submarkov_battery(
-    suite: OperatorSuite,
-    n_samples: int,
-    seed: int,
-    lams: tuple[float, ...] = _DEFAULT_LAMS,
-    tol: float = 1e-8,
-) -> BatteryReport:
+def run_battery(label: str, suite: OperatorSuite, n_samples: int, seed: int, lams: tuple,
+                tol: float, n_work: int, excess: Callable, worst: float = 0.0) -> BatteryReport:
+    """The sampling loop of every battery.
+
+    Sample i's check is excess(rng, lams[i % len(lams)], i, work), with
+    one generator made from seed and work = work_rows(grid, n_work) for
+    all samples.  worst_excess is the max of worst and every excess, and
+    n_violations counts those above tol.
+    """
+    rng = np.random.default_rng(seed)
+    work = work_rows(suite.grid, n_work)
+    bad = 0
+    for i in range(n_samples):
+        e = excess(rng, lams[i % len(lams)], i, work)
+        worst = max(worst, e)
+        if e > tol:
+            bad += 1
+    return BatteryReport(label, n_samples, float(worst), bad, tol)
+
+
+def run_submarkov_battery(suite: OperatorSuite, n_samples: int, seed: int,
+                          lams: tuple[float, ...] = BATTERY_LAMS,
+                          tol: float = 1e-8) -> BatteryReport:
     """Order and sup bounds of the resolvent on random nonnegative curves."""
-    rng = np.random.default_rng(seed)
-    work = work_rows(suite.grid, 1)
-    worst = 0.0
-    bad = 0
-    for i in range(n_samples):
-        f = random_bumps(suite.grid, rng, nonneg=True)
-        lam = lams[i % len(lams)]
-        e = submarkov_excess(suite, f, lam, work)
-        worst = max(worst, e)
-        if e > tol:
-            bad += 1
-    return BatteryReport("submarkov", n_samples, worst, bad, tol)
+
+    def excess(rng, lam, i, work):
+        return submarkov_excess(suite, random_bumps(suite.grid, rng, nonneg=True), lam, work)
+
+    return run_battery("submarkov", suite, n_samples, seed, lams, tol, 1, excess)
 
 
-def run_contraction_battery(
-    suite: OperatorSuite,
-    n_samples: int,
-    seed: int,
-    lams: tuple[float, ...] = _DEFAULT_LAMS,
-    tol: float = 1e-8,
-) -> BatteryReport:
+def run_contraction_battery(suite: OperatorSuite, n_samples: int, seed: int,
+                            lams: tuple[float, ...] = BATTERY_LAMS,
+                            tol: float = 1e-8) -> BatteryReport:
     """Weighted L1 distance contraction on random signed pairs."""
-    rng = np.random.default_rng(seed)
-    work = work_rows(suite.grid, 2)
-    worst = -np.inf
-    bad = 0
-    for i in range(n_samples):
+
+    def excess(rng, lam, i, work):
         f = random_bumps(suite.grid, rng)
-        g = random_bumps(suite.grid, rng)
-        lam = lams[i % len(lams)]
-        e = l1_contraction_excess(suite, f, g, lam, work)
-        worst = max(worst, e)
-        if e > tol:
-            bad += 1
-    return BatteryReport("l1-contraction", n_samples, float(worst), bad, tol)
+        return l1_contraction_excess(suite, f, random_bumps(suite.grid, rng), lam, work)
+
+    return run_battery("l1-contraction", suite, n_samples, seed, lams, tol, 2, excess,
+                       worst=-np.inf)

@@ -20,9 +20,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .grids import GridFunction, lattice_parts, norm, weighted_inner
+from .grids import GridFunction, norm, weighted_inner
 from .noise import NoiseConfig, increment_block
-from .operators import BatteryReport, OperatorSuite, random_bumps, scratch_rows, work_rows
+from .operators import (BATTERY_LAMS, BatteryReport, OperatorSuite, random_bumps, run_battery,
+                        scratch_rows)
 
 __all__ = [
     "penalty_eval",
@@ -183,53 +184,29 @@ def _integral_excess(fv: GridFunction, fjv: GridFunction, work=None) -> float:
     return max(0.0, norm(fjv, "l1", out=d) - norm(fv, "l1", out=d))
 
 
-_BATTERY_LAMS = (1e-3, 1e-2, 1e-1, 1.0, 10.0)
-
-
-def run_pairing_battery(
-    suite: OperatorSuite,
-    n_samples: int,
-    seed: int,
-    lams: tuple[float, ...] = _BATTERY_LAMS,
-    tol: float = 1e-8,
-) -> BatteryReport:
-    rng = np.random.default_rng(seed)
+def run_pairing_battery(suite: OperatorSuite, n_samples: int, seed: int,
+                        lams: tuple[float, ...] = BATTERY_LAMS,
+                        tol: float = 1e-8) -> BatteryReport:
     names = sorted(MONOTONE_GRAPHS)
-    work = work_rows(suite.grid, 2)
-    worst = 0.0
-    bad = 0
-    for i in range(n_samples):
-        v = random_bumps(suite.grid, rng)
-        lam = lams[i % len(lams)]
+
+    def excess(rng, lam, i, work):
         graph = MONOTONE_GRAPHS[names[i % len(names)]]
-        e = monotone_pairing_excess(suite, v, lam, graph, work)
-        worst = max(worst, e)
-        if e > tol:
-            bad += 1
-    return BatteryReport("monotone-pairing", n_samples, worst, bad, tol)
+        return monotone_pairing_excess(suite, random_bumps(suite.grid, rng), lam, graph, work)
+
+    return run_battery("monotone-pairing", suite, n_samples, seed, lams, tol, 2, excess)
 
 
-def run_jensen_battery(
-    suite: OperatorSuite,
-    n_samples: int,
-    seed: int,
-    lams: tuple[float, ...] = _BATTERY_LAMS,
-    tol: float = 1e-8,
-) -> BatteryReport:
-    rng = np.random.default_rng(seed)
+def run_jensen_battery(suite: OperatorSuite, n_samples: int, seed: int,
+                       lams: tuple[float, ...] = BATTERY_LAMS,
+                       tol: float = 1e-8) -> BatteryReport:
     names = sorted(CONVEX_FUNCTIONS)
-    work = work_rows(suite.grid, 3)
-    worst = 0.0
-    bad = 0
-    for i in range(n_samples):
-        v = random_bumps(suite.grid, rng)
-        lam = lams[i % len(lams)]
-        fv, fjv = _jensen_images(suite, v, lam, CONVEX_FUNCTIONS[names[i % len(names)]], work)
-        e = max(_pointwise_excess(suite, lam, fv, fjv, work), _integral_excess(fv, fjv, work))
-        worst = max(worst, e)
-        if e > tol:
-            bad += 1
-    return BatteryReport("jensen-chain", n_samples, worst, bad, tol)
+
+    def excess(rng, lam, i, work):
+        fn = CONVEX_FUNCTIONS[names[i % len(names)]]
+        fv, fjv = _jensen_images(suite, random_bumps(suite.grid, rng), lam, fn, work)
+        return max(_pointwise_excess(suite, lam, fv, fjv, work), _integral_excess(fv, fjv, work))
+
+    return run_battery("jensen-chain", suite, n_samples, seed, lams, tol, 3, excess)
 
 
 @dataclass(frozen=True)

@@ -31,6 +31,10 @@ from .smoothing import supermartingale_stat
 
 __all__ = [
     "SCHEMES",
+    "DEFAULT_SCHEME",
+    "DEFAULT_CHUNK_SIZE",
+    "DEFAULT_BLOW_THRESHOLD",
+    "DEFAULT_THRESHOLDS",
     "SolverConfig",
     "PathResult",
     "EnsembleResult",
@@ -45,6 +49,12 @@ __all__ = [
 
 SCHEMES = ("shift-then-react", "react-then-shift")
 
+# defaults, used by the run config, the HJM runner and the CLI as well
+DEFAULT_SCHEME = SCHEMES[0]
+DEFAULT_CHUNK_SIZE = 2048  # paths per integrator call
+DEFAULT_BLOW_THRESHOLD = 1e12  # a path's energy above this aborts it
+DEFAULT_THRESHOLDS = (-1e-6, -1e-3, -1e-2)  # levels of ensemble_stats' frac_below
+
 # bytes of the two stride-1 snapshot arrays, plain and regularized, that
 # a lambda study holds at once; more streams run in further batches
 STUDY_BYTES = 32 * 1024 * 1024
@@ -54,10 +64,10 @@ STUDY_BYTES = 32 * 1024 * 1024
 class SolverConfig:
     dt: float
     t_final: float
-    scheme: str = "shift-then-react"
+    scheme: str = DEFAULT_SCHEME
     lam: float = 0.0
     snapshot_stride: int = 0
-    blow_threshold: float = 1e12
+    blow_threshold: float = DEFAULT_BLOW_THRESHOLD
 
     def __post_init__(self) -> None:
         if not (self.dt > 0.0):
@@ -99,21 +109,13 @@ def _kernel_call(u0, suite, model, cfg, dW):
     g = suite.grid
     m_shift = suite.steps_for_time(cfg.dt)
     damp = suite.damping(cfg.dt)
-    if cfg.lam > 0.0:
-        E, amb, b, denom = kernels.resolvent_coeffs(g.spacing, cfg.lam, suite.alpha_eff)
-    else:
-        E, amb, b, denom = 0.0, 0.0, 0.0, 1.0
-    ka = model.kernel_args()
-    scheme = 0 if cfg.scheme == "shift-then-react" else 1
+    res = kernels.resolvent_coeffs(g.spacing, cfg.lam, suite.alpha_eff) if cfg.lam > 0.0 else None
     return kernels.simulate_batch(
         np.ascontiguousarray(u0[0], dtype=np.float64),
         np.ascontiguousarray(u0[1], dtype=np.float64),
         np.ascontiguousarray(dW, dtype=np.float64),
-        m_shift, damp, float(cfg.dt), scheme,
-        ka["profiles"], ka["profile_tails"], ka["level_codes"], ka["caps"],
-        ka["drift_code"], ka["drift_c"], ka["alpha_corr"],
-        float(cfg.lam), E, amb, b, denom,
-        g.spacing, g.weights, g.tail_weight, float(cfg.blow_threshold), cfg.snapshot_steps(),
+        m_shift, damp, float(cfg.dt), SCHEMES.index(cfg.scheme), model.kernel_args(), res,
+        g.weights, g.tail_weight, float(cfg.blow_threshold), cfg.snapshot_steps(),
     )
 
 
@@ -222,7 +224,7 @@ def run_ensemble(
     n_paths: int,
     seed: int,
     stream_base: int = 0,
-    chunk_size: int = 2048,
+    chunk_size: int = DEFAULT_CHUNK_SIZE,
 ) -> EnsembleResult:
     """Simulate n_paths independent paths from the same initial state.
 
@@ -281,7 +283,7 @@ class EnsembleStats:
 def ensemble_stats(
     ens: EnsembleResult,
     c_const: float = 0.0,
-    thresholds: tuple = (-1e-6, -1e-3, -1e-2),
+    thresholds: tuple = DEFAULT_THRESHOLDS,
 ) -> EnsembleStats:
     """Cross-path summaries; aborted paths drop out of every statistic.
 

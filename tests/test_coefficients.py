@@ -184,11 +184,11 @@ def test_kernel_args_encoding(grid):
         alpha_correction=0.5,
     )
     ka = model.kernel_args()
-    assert ka["profiles"].shape == (4, grid.n)
-    assert list(ka["level_codes"]) == [0, 1, 2, 0]
-    assert list(ka["caps"]) == [0.0, 0.0, 0.1, 0.0]
-    assert ka["alpha_corr"] == 0.5
-    assert np.allclose(ka["profiles"][3], 0.2 * np.exp(-2.0 * grid.nodes), rtol=1e-15)
+    assert ka.profiles.shape == (4, grid.n)
+    assert list(ka.level_codes) == [0, 1, 2, 0]
+    assert list(ka.caps) == [0.0, 0.0, 0.1, 0.0]
+    assert ka.alpha_corr == 0.5
+    assert np.allclose(ka.profiles[3], 0.2 * np.exp(-2.0 * grid.nodes), rtol=1e-15)
 
 
 # the coefficient evaluator against the references, bit for bit
@@ -258,11 +258,11 @@ def test_coefficients_match_references_bitwise(drift, drift_c, alpha, kinds):
     # integrator's ragged last row block: the flat trapezoid and the tiled
     # rows are sliced to the batch
     ka = model.kernel_args()
-    scratch = _scratch(len(states) + 3, g.spacing, ka)
+    scratch = kernels.coefficient_scratch(ka, len(states) + 3)
     v = np.array([u.values for u in states])
     t = np.array([u.tail_value for u in states])
     with np.errstate(all="ignore"):
-        batch = kernels.coefficient_rows(v, t, g.spacing, **ka, scratch=scratch)
+        batch = kernels.coefficient_rows(ka, v, t, scratch)
     for i, u in enumerate(states):
         ref = [mode_reference(m, g, u) for m in model.modes] + [drift_reference(model, u)]
         assert _row_bytes(batch, i) == [
@@ -295,18 +295,12 @@ def test_coefficient_row_in_a_batch_is_the_row_alone(rows, tails, nans, kinds, d
     v.flat[[i for i in nans if i < v.size]] = np.nan
     t = np.array(tails[: len(rows)])
     # a scratch with room to spare, as the integrator's last row block has
-    scratch = _scratch(len(rows) + spare, g.spacing, ka)
+    scratch = kernels.coefficient_scratch(ka, len(rows) + spare)
     with np.errstate(all="ignore"):
-        batch = kernels.coefficient_rows(v, t, g.spacing, **ka, scratch=scratch)
+        batch = kernels.coefficient_rows(ka, v, t, scratch)
         for i in range(len(rows)):
-            alone = kernels.coefficient_rows(v[i : i + 1], t[i : i + 1], g.spacing, **ka)
+            alone = kernels.coefficient_rows(ka, v[i : i + 1], t[i : i + 1])
             assert _row_bytes(batch, i) == _row_bytes(alone, 0)
-
-
-def _scratch(rows: int, spacing: float, ka: dict):
-    return kernels.coefficient_scratch(
-        rows, spacing, ka["profiles"], ka["profile_tails"], ka["level_codes"],
-        ka["drift_code"], ka["alpha_corr"])
 
 
 def _row_bytes(coefs, i: int) -> list:
@@ -423,9 +417,9 @@ def test_estimate_matches_the_probe_by_probe_reference(monkeypatch, name, block_
     seen = []
     coefficient_rows = kernels.coefficient_rows
 
-    def recording(v, *a, **kw):
+    def recording(coef, v, *a, **kw):
         seen.append(len(v))
-        return coefficient_rows(v, *a, **kw)
+        return coefficient_rows(coef, v, *a, **kw)
 
     monkeypatch.setattr(kernels, "coefficient_rows", recording)
     rep = estimate_positivity_constant(model, n_samples=40, seed=3)
@@ -443,9 +437,9 @@ def test_estimate_on_a_fine_grid_takes_one_probe_at_a_time(monkeypatch):
     seen = []
     coefficient_rows = kernels.coefficient_rows
 
-    def recording(v, *a, **kw):
+    def recording(coef, v, *a, **kw):
         seen.append(v.shape)
-        return coefficient_rows(v, *a, **kw)
+        return coefficient_rows(coef, v, *a, **kw)
 
     monkeypatch.setattr(kernels, "coefficient_rows", recording)
     rep = estimate_positivity_constant(model, n_samples=2, seed=1)

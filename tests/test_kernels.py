@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.signal import lfilter
 
 from mildsim import kernels
 from mildsim.coefficients import CoefficientModel, ModeFunction
@@ -46,8 +47,9 @@ def test_resolvent_sweep_matches_quadrature():
     f = np.cumsum(rng.normal(size=g.n)) * 0.1
     ftail = float(f[-1])
     lam = 0.3
-    E, amb, b, denom = kernels.resolvent_coeffs(g.spacing, lam, g.alpha)
-    y, ytail = kernels.resolvent_sweep(f, ftail, E, amb, b, denom)
+    res = kernels.resolvent_coeffs(g.spacing, lam, g.alpha)
+    y, ytail = kernels.resolvent_sweep(f, ftail, res)
+    denom = res[3]
     nu = denom / lam
     for i in (0, 100, 230):
         s = np.linspace(g.nodes[i], g.x_max, 200001)
@@ -64,10 +66,10 @@ def test_resolvent_sweep_exact_on_linear_input():
     # truncated tail
     g = Grid.uniform(10.0, 1001, 1.0)
     lam = 0.1
-    E, amb, b, denom = kernels.resolvent_coeffs(g.spacing, lam, g.alpha)
+    res = kernels.resolvent_coeffs(g.spacing, lam, g.alpha)
     f = g.nodes.copy()
-    y, _ = kernels.resolvent_sweep(f, float(f[-1]), E, amb, b, denom)
-    p = 1.0 / denom
+    y, _ = kernels.resolvent_sweep(f, float(f[-1]), res)
+    p = 1.0 / res[3]
     exact = p * g.nodes + lam * p * p
     keep = g.nodes <= 7.0
     assert np.abs(y[keep] - exact[keep]).max() < 1e-12
@@ -75,8 +77,6 @@ def test_resolvent_sweep_exact_on_linear_input():
 
 def _reference_resolvent_sweep(f, ftail, E, amb, b, denom):
     # the lfilter recursion on a 1-D array, with no row axis
-    from scipy.signal import lfilter
-
     y = np.empty_like(f)
     ytail = ftail / denom
     y[-1] = ytail
@@ -93,11 +93,12 @@ def test_resolvent_sweep_is_the_row_sweep(n, lam):
     rng = np.random.default_rng(n)
     F = rng.normal(size=(3, n))
     Ftail = rng.normal(size=3)
-    E, amb, b, denom = kernels.resolvent_coeffs(g.spacing, lam, g.alpha)
-    rows, tails = kernels._resolvent_rows(F, Ftail, E, amb, b, denom)
+    res = kernels.resolvent_coeffs(g.spacing, lam, g.alpha)
+    rows, tails = kernels._sweep_rows(F, Ftail, res, np.empty_like(F), np.empty((3, n - 1)),
+                                      lfilter)
     for p in range(3):
-        y, ytail = kernels.resolvent_sweep(F[p], float(Ftail[p]), E, amb, b, denom)
-        ref, reftail = _reference_resolvent_sweep(F[p], float(Ftail[p]), E, amb, b, denom)
+        y, ytail = kernels.resolvent_sweep(F[p], float(Ftail[p]), res)
+        ref, reftail = _reference_resolvent_sweep(F[p], float(Ftail[p]), *res)
         assert y.tobytes() == ref.tobytes() == rows[p].tobytes()
         assert ytail == reftail == tails[p]
 
@@ -121,7 +122,6 @@ def _rich_args(scheme, lam=0.05, blow=1e12, n_paths=4, n_nodes=301, modes="mixed
         drift="hjm",
         alpha_correction=g.alpha if alpha_corr is None else alpha_corr,
     )
-    ka = model.kernel_args()
     P, n_steps, K = n_paths, 40, model.n_modes
     rng = np.random.default_rng(17)
     v0 = 0.05 + 0.02 * rng.normal(size=(P, g.n))
@@ -129,16 +129,11 @@ def _rich_args(scheme, lam=0.05, blow=1e12, n_paths=4, n_nodes=301, modes="mixed
     dW = np.stack(
         [gaussian_block(NoiseConfig(K, 9, stream_id=p), n_steps) for p in range(P)]
     ) * np.sqrt(0.01)
-    if lam > 0.0:
-        E, amb, b, denom = kernels.resolvent_coeffs(g.spacing, lam, g.alpha)
-    else:
-        E, amb, b, denom = 0.0, 0.0, 0.0, 1.0
+    res = kernels.resolvent_coeffs(g.spacing, lam, g.alpha) if lam > 0.0 else None
     snap = np.array([0, 20, 40], dtype=np.int64)
     args = (
-        v0, tail0, dW, 1, float(np.exp(-g.alpha * 0.01)), 0.01, scheme,
-        ka["profiles"], ka["profile_tails"], ka["level_codes"], ka["caps"],
-        ka["drift_code"], ka["drift_c"], ka["alpha_corr"], lam, E, amb, b, denom,
-        g.spacing, g.weights, g.tail_weight, blow, snap,
+        v0, tail0, dW, 1, float(np.exp(-g.alpha * 0.01)), 0.01, scheme, model.kernel_args(), res,
+        g.weights, g.tail_weight, blow, snap,
     )
     return g, args
 
@@ -196,13 +191,12 @@ def test_simulate_batch_numpy_deterministic():
 
 
 def _reference_simulate_batch(
-    v0, tail0, dW, m_shift, damp, dt, scheme,
-    profiles, profile_tails, level_codes, caps, drift_code, drift_c, alpha_corr,
-    lam_reg, E, amb, b, denom,
-    spacing, weights, tail_weight, blow_threshold, snap_steps,
+    v0, tail0, dW, m_shift, damp, dt, scheme, coef, res, weights, tail_weight, blow_threshold,
+    snap_steps,
 ):
     # the kernel before row blocking and hoisting: the whole batch
     # every step, every mode and the drift recomputed from scratch
+    spacing, profiles, profile_tails, level_codes, caps, drift_code, drift_c, alpha_corr = coef
     P, N = v0.shape
     n_steps, K, S = dW.shape[1], profiles.shape[0], snap_steps.shape[0]
     v, tail = v0.copy(), tail0.copy()
@@ -220,6 +214,9 @@ def _reference_simulate_batch(
             np.minimum(v.min(axis=1), tail),
             (v * v * weights).sum(axis=1) + tail_weight * tail * tail,
         )
+
+    def resolvent(F, Ftail):
+        return kernels._sweep_rows(F, Ftail, res, np.empty_like(F), np.empty((P, N - 1)), lfilter)
 
     def shift(tail):
         if m_shift > 0:
@@ -258,10 +255,10 @@ def _reference_simulate_batch(
                     btail += sigt[k] * integ[:, -1]
             if alpha_corr != 0.0:
                 buf, btail = buf + alpha_corr * v, btail + alpha_corr * tail
-            if lam_reg > 0.0:
-                buf, btail = kernels._resolvent_rows(buf, btail, E, amb, b, denom)
+            if res is not None:
+                buf, btail = resolvent(buf, btail)
                 for k in range(K):
-                    sig[k], sigt[k] = kernels._resolvent_rows(sig[k], sigt[k], E, amb, b, denom)
+                    sig[k], sigt[k] = resolvent(sig[k], sigt[k])
             v += buf * dt
             tail = tail + btail * dt
             for k in range(K):
@@ -372,7 +369,7 @@ def test_state_free_drift_is_swept_once_per_call(monkeypatch, lam, drift, modes)
     # are bitwise the reference's, which sweeps the drift every step.
     _, args = _rich_args(0, lam=lam, n_paths=7, modes=modes, alpha_corr=0.0)
     args = list(args)
-    args[11] = drift
+    args[7] = args[7]._replace(drift_code=drift)
     n_nodes, n_steps = args[0].shape[1], args[2].shape[1]
     monkeypatch.setattr(kernels, "BLOCK_BYTES", 3 * 8 * n_nodes)  # blocks of 3, 3 and 1 rows
     sweeps = []
@@ -384,7 +381,7 @@ def test_state_free_drift_is_swept_once_per_call(monkeypatch, lam, drift, modes)
 
     monkeypatch.setattr(kernels, "_sweep_rows", counting)
     out = kernels.simulate_batch(*args)
-    codes = args[9]
+    codes = args[7].level_codes
     n_const = int((codes == kernels.LEVEL_CONST).sum())
     n_varying = len(codes) - n_const
     if lam == 0.0:
@@ -413,6 +410,12 @@ def test_simulate_batch_numpy_rows_follow_a_permutation(data, scheme, lam, modes
         assert np.take(a, perm, axis=axis).tobytes() == b.tobytes()
 
 
+def _modeless(g, drift_code=kernels.DRIFT_ZERO, drift_c=0.0):
+    # the Coefficients of no diffusion mode and no weight correction on g
+    return kernels.Coefficients(g.spacing, np.zeros((0, g.n)), np.zeros(0),
+                                np.zeros(0, dtype=np.int64), np.zeros(0), drift_code, drift_c, 0.0)
+
+
 @settings(max_examples=60, deadline=None)
 @given(data=st.data(), n_nodes=st.integers(2, 3000), n_paths=st.integers(1, 30),
        n_steps=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
@@ -426,10 +429,8 @@ def test_pure_transport_is_a_bitwise_shift(data, n_nodes, n_paths, n_steps, seed
     tail0 = rng.normal(size=n_paths)
     args = (
         v0, tail0, np.zeros((n_paths, n_steps, 0)), m_shift, 1.0, 0.01,
-        data.draw(st.sampled_from([0, 1]), label="scheme"),
-        np.zeros((0, g.n)), np.zeros(0), np.zeros(0, dtype=np.int64), np.zeros(0),
-        kernels.DRIFT_ZERO, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0,
-        g.spacing, g.weights, g.tail_weight, 1e300, np.zeros(0, dtype=np.int64),
+        data.draw(st.sampled_from([0, 1]), label="scheme"), _modeless(g), None,
+        g.weights, g.tail_weight, 1e300, np.zeros(0, dtype=np.int64),
     )
     out = kernels.simulate_batch(*args)
     m = min(m_shift * n_steps, n_nodes)
@@ -449,10 +450,8 @@ def test_simulate_batch_pure_shift_is_exact():
     n_steps = 7
     dW = np.zeros((1, n_steps, 0))
     args = (
-        v0, tail0, dW, 3, 1.0, 0.03, 0,
-        np.zeros((0, g.n)), np.zeros(0), np.zeros(0, dtype=np.int64), np.zeros(0),
-        kernels.DRIFT_ZERO, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0,
-        g.spacing, g.weights, g.tail_weight, 1e12, np.zeros(0, dtype=np.int64),
+        v0, tail0, dW, 3, 1.0, 0.03, 0, _modeless(g), None,
+        g.weights, g.tail_weight, 1e12, np.zeros(0, dtype=np.int64),
     )
     out = kernels.simulate_batch(*args)
     m = 3 * n_steps
@@ -650,7 +649,6 @@ def _capped_args(n_paths, n_steps, blow):
     g = Grid.uniform(1.0, 1001, 0.5)
     model = CoefficientModel(g, modes=(ModeFunction("proportional-capped", c=8.0, cap=2e-4),),
                              drift="hjm", alpha_correction=g.alpha)
-    ka = model.kernel_args()
     dt = 2e-3
     dW = np.stack([gaussian_block(NoiseConfig(1, 3, stream_id=p), n_steps)
                    for p in range(n_paths)]) * np.sqrt(dt)
@@ -658,10 +656,8 @@ def _capped_args(n_paths, n_steps, blow):
     v0[np.arange(n_paths) % 5 < 2, 100:200] = -1e-4
     return (
         v0, np.full(n_paths, 4e-4), dW, 2,
-        float(np.exp(-g.alpha * dt)), dt, 0,
-        ka["profiles"], ka["profile_tails"], ka["level_codes"], ka["caps"],
-        ka["drift_code"], ka["drift_c"], ka["alpha_corr"], 0.0, 0.0, 0.0, 0.0, 1.0,
-        g.spacing, g.weights, g.tail_weight, blow, np.array([0, n_steps], dtype=np.int64),
+        float(np.exp(-g.alpha * dt)), dt, 0, model.kernel_args(), None,
+        g.weights, g.tail_weight, blow, np.array([0, n_steps], dtype=np.int64),
     )
 
 
@@ -684,9 +680,9 @@ def test_simulate_batch_allocates_no_per_step_blocks(blow, lam):
     args = list(_capped_args(n_paths, n_steps, blow))
     if lam > 0.0:
         g = Grid.uniform(1.0, 1001, 0.5)
-        args[14:19] = [lam, *kernels.resolvent_coeffs(g.spacing, lam, g.alpha)]
+        args[8] = kernels.resolvent_coeffs(g.spacing, lam, g.alpha)
         # load scipy.signal before tracing
-        kernels._resolvent_rows(np.zeros((1, 2)), np.zeros(1), 0.0, 0.0, 0.0, 1.0)
+        kernels.resolvent_sweep(np.zeros(2), 0.0, (0.0, 0.0, 0.0, 1.0))
     N = args[0].shape[1]
     block = max(1, kernels.BLOCK_BYTES // (8 * N)) * N * 8
     tracemalloc.start()
@@ -709,10 +705,8 @@ def _exploding_args(blow):
     tail0 = np.full(P, 0.1)
     dW = np.zeros((P, 60, 0))
     return (
-        v0, tail0, dW, 0, 1.0, 0.02, 0,
-        np.zeros((0, g.n)), np.zeros(0), np.zeros(0, dtype=np.int64), np.zeros(0),
-        kernels.DRIFT_DECAY, -10.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0,
-        g.spacing, g.weights, g.tail_weight, blow, np.zeros(0, dtype=np.int64),
+        v0, tail0, dW, 0, 1.0, 0.02, 0, _modeless(g, kernels.DRIFT_DECAY, -10.0), None,
+        g.weights, g.tail_weight, blow, np.zeros(0, dtype=np.int64),
     )
 
 

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from scipy.signal import lfilter
 
 from mildsim import kernels
 from mildsim.grids import Grid, GridFunction, norm
@@ -134,9 +135,10 @@ def test_resolvent_preserves_order(data, n, x_max, alpha, shifted, lam):
     assert (rf.values <= rg.values).all()
     assert rf.tail_value <= rg.tail_value
     # the row-wise sweep of the batch integrator, on both curves at once
-    E, amb, b, denom = kernels.resolvent_coeffs(grid.spacing, lam, suite.alpha_eff)
-    rows, tails = kernels._resolvent_rows(
-        np.stack([f[:-1], g[:-1]]), np.array([f[-1], g[-1]]), E, amb, b, denom)
+    res = kernels.resolvent_coeffs(grid.spacing, lam, suite.alpha_eff)
+    F = np.stack([f[:-1], g[:-1]])
+    rows, tails = kernels._sweep_rows(F, np.array([f[-1], g[-1]]), res, np.empty_like(F),
+                                      np.empty((2, n - 1)), lfilter)
     assert (rows[0] <= rows[1]).all() and tails[0] <= tails[1]
 
 

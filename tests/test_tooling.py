@@ -6,16 +6,49 @@ from pathlib import Path
 
 import pytest
 
+from mildsim import solver
+from mildsim.coefficients import CoefficientModel, ModeFunction
+from mildsim.grids import Grid, GridFunction
+from mildsim.operators import OperatorSuite
+
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
 
-def _targets():
+def _tracing():
     spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
     mod = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(mod)
-    return mod.TARGETS
+    return mod
 
 
-@pytest.mark.parametrize("module, attr", [(m, a) for m, a, _, _ in _targets()])
+@pytest.mark.parametrize("module, attr", [(m, a) for m, a, _, _ in _tracing().TARGETS])
 def test_tracer_target_resolves(module, attr):
     assert callable(getattr(importlib.import_module(module), attr))
+
+
+def test_tracer_counts_the_kernels_work():
+    # The tracer reads simulate_batch's v0 and dW and resolvent_sweep's
+    # node row by their positions: 5 paths of 5 steps on 51 nodes, in two
+    # chunks, then one resolvent
+    tracing = _tracing()
+    g = Grid.uniform(1.0, 51, 0.5)
+    model = CoefficientModel(g, modes=(ModeFunction("constant", c=0.1),), drift="hjm")
+    suite = OperatorSuite(g)
+    cfg = solver.SolverConfig(dt=0.02, t_final=0.1)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        ens = solver.run_ensemble(GridFunction.constant(g, 0.01), suite, model, cfg, 5, seed=1,
+                                  chunk_size=3)
+        suite.resolvent(GridFunction.constant(g, 1.0), 0.1)
+    finally:
+        tracer.uninstall()
+    assert ens.neg_energy.shape == (5, 6)
+    tot, outlasted = tracer.round_totals(0)
+    assert outlasted == 0
+    assert tot["kernels.simulate_batch"]["calls"] == 2
+    assert tot["kernels.resolvent_sweep"]["calls"] == 1
+    metrics = tracing.layer_metrics(tot)
+    assert metrics["kernels.path_steps"] == 5 * 5
+    assert metrics["kernels.node_steps"] == 5 * 5 * 51
+    assert tot["kernels.resolvent_sweep"]["nodes"] == 51
