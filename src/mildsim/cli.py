@@ -19,6 +19,7 @@ import errno
 import json
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -36,7 +37,7 @@ from .config import (
     build_modes,
     load_config,
 )
-from .hjm import HJMModelSpec, build_hjm, simulate_forward_rates
+from .hjm import NEG_THRESHOLD, HJMModelSpec, build_hjm, simulate_forward_rates
 from .noise import NoiseConfig
 from .operators import OperatorSuite, run_contraction_battery, run_submarkov_battery
 from .smoothing import ito_residual, run_jensen_battery, run_pairing_battery
@@ -60,8 +61,18 @@ def _write_csv(path: Path, header: list, rows) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
+def _json_safe(x):
+    """x with each non-finite float as the string _fmt prints for it: inf, -inf or nan."""
+    if isinstance(x, dict):
+        return {k: _json_safe(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_json_safe(v) for v in x]
+    return _fmt(x) if isinstance(x, float) and not np.isfinite(x) else x
+
+
 def _write_manifest(outdir: Path, payload: dict) -> None:
-    (outdir / "manifest.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    text = json.dumps(_json_safe(payload), indent=2, sort_keys=True, allow_nan=False)
+    (outdir / "manifest.json").write_text(text + "\n")
 
 
 def _stats_rows(stats):
@@ -91,15 +102,6 @@ def _curve_rows(ens):
 
 
 _CURVE_HEADER = ["x", "u_mean", "u_p5", "u_p95"]
-
-
-def _check_results(rep) -> dict:
-    return {
-        "samples": rep.samples,
-        "worst_ratio": rep.worst_ratio,
-        "estimated_c": rep.estimated_c if np.isfinite(rep.estimated_c) else "inf",
-        "violations": rep.violations,
-    }
 
 
 def _model_and_initial(cfg: Config):
@@ -142,12 +144,12 @@ def _exp_hjm(cfg: Config, outdir: Path) -> tuple[dict, bool, bool]:
     _write_csv(outdir / "curve.csv", _CURVE_HEADER, _curve_rows(run.ensemble))
     results = {
         "verdict": run.verdict,
-        "check": _check_results(built.report),
+        "check": asdict(built.report),
         "c_const": built.c_const,
         "n_paths": run.ensemble.n_paths,
         "n_aborted": run.ensemble.n_aborted,
         "final_neg_energy_mean": float(run.stats.neg_energy_mean[-1]),
-        "final_frac_below_1e-03": float(run.stats.frac_below[-1e-3][-1]),
+        "final_frac_below_1e-03": float(run.stats.frac_below[NEG_THRESHOLD][-1]),
     }
     aborted = run.ensemble.n_aborted > 0
     passed = not aborted
@@ -161,7 +163,7 @@ def _exp_coeff_check(cfg: Config, outdir: Path) -> tuple[dict, bool, bool]:
     model = build_model(cfg.model, grid)
     ck = cfg.check
     rep = estimate_positivity_constant(model, n_samples=ck.n_samples, seed=ck.seed)
-    results = {**_check_results(rep), "admissible": rep.admissible}
+    results = {**asdict(rep), "admissible": rep.admissible}
     return {"results": results, "outputs": []}, rep.admissible == ck.expect_admissible, False
 
 

@@ -41,9 +41,11 @@ __all__ = [
     "bond_curve",
     "positivity_verdict",
     "VERDICTS",
+    "NEG_THRESHOLD",
 ]
 
 VERDICTS = ("consistent-with-theorem", "counterexample-regime", "inconclusive")
+NEG_THRESHOLD = -1e-3  # the verdict's level of frac_below, one of DEFAULT_THRESHOLDS
 
 
 @dataclass(frozen=True)
@@ -109,7 +111,7 @@ class HJMRun:
 def positivity_verdict(
     report: PositivityReport,
     stats: EnsembleStats,
-    neg_threshold: float = -1e-3,
+    neg_threshold: float = NEG_THRESHOLD,
     supermart_tol: float = 1e-8,
 ) -> str:
     """Classify an ensemble against the positivity theory.
@@ -141,7 +143,7 @@ def simulate_forward_rates(
     scheme: str = DEFAULT_SCHEME,
     snapshot_stride: int = 0,
     thresholds: tuple = DEFAULT_THRESHOLDS,
-    neg_threshold: float = -1e-3,
+    neg_threshold: float = NEG_THRESHOLD,
     chunk_size: int = DEFAULT_CHUNK_SIZE,
 ) -> HJMRun:
     cfg = SolverConfig(dt=dt, t_final=t_final, scheme=scheme, snapshot_stride=snapshot_stride)

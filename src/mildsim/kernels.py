@@ -33,8 +33,9 @@ simulated in, and the numbers are bit for bit those of the plain
 whole-batch loop; this is what makes ensembles independent of chunk
 size.  It also lets a large call split its row blocks into one share
 per usable core: the first runs in the calling process and the others
-in forked children, all writing into outputs in one shared anonymous
-mmap, and the caller reaps every child before it returns or raises.
+in forked children, and the caller reaps every child before it returns
+or raises.  The results go into an Outputs, whose arrays outputs() puts
+in one shared anonymous mmap that the children write through.
 scipy.signal, used only by the resolvent sweeps, is imported on first
 use, since it dominates the import time; the integrator looks lfilter
 up once per call.  coefficient_rows is the package's only
@@ -44,6 +45,7 @@ evaluation of the coefficients at a state.
 from __future__ import annotations
 
 import gc
+import mmap
 import os
 import warnings
 from typing import NamedTuple
@@ -57,11 +59,13 @@ __all__ = [
     "LEVEL_CONST",
     "LEVEL_LINEAR",
     "LEVEL_CAPPED",
+    "Outputs",
     "DRIFT_ZERO",
     "DRIFT_DECAY",
     "DRIFT_HJM",
     "coefficient_rows",
     "coefficient_scratch",
+    "outputs",
     "resolvent_coeffs",
     "resolvent_sweep",
     "simulate_batch",
@@ -112,6 +116,33 @@ class Coefficients(NamedTuple):
     drift_code: int  # DRIFT_*
     drift_c: float
     alpha_corr: float
+
+
+class Outputs(NamedTuple):
+    """simulate_batch's results for P paths; neg_energy and min_value start at step 0."""
+
+    final_values: np.ndarray  # (P, N)
+    final_tails: np.ndarray  # (P,)
+    neg_energy: np.ndarray  # (P, n_steps + 1)
+    min_value: np.ndarray  # (P, n_steps + 1)
+    aborted: np.ndarray  # (P,) int64, the abort step or -1
+    snapshots: np.ndarray  # (S, P, N)
+    snapshot_tails: np.ndarray  # (S, P)
+
+    def rows(self, lo, hi):
+        """The views of paths lo:hi, in the same map."""
+        return Outputs(*(a[lo:hi] for a in self[:5]), *(a[:, lo:hi] for a in self[5:]))
+
+
+def outputs(P, N, n_steps, S):
+    """An Outputs in one anonymous shared mmap, which shows the writes of forked children."""
+    shapes = [(P, N), (P,), (P, n_steps + 1), (P, n_steps + 1), (P,), (S, P, N), (S, P)]
+    kinds = [np.float64] * 4 + [np.int64] + [np.float64] * 2
+    sizes = [int(np.prod(shape)) * np.dtype(kind).itemsize for shape, kind in zip(shapes, kinds)]
+    buf = mmap.mmap(-1, max(1, sum(sizes)))
+    offsets = np.cumsum([0] + sizes[:-1]).tolist()
+    return Outputs(*(np.ndarray(shape, dtype=kind, buffer=buf, offset=off)
+                     for shape, kind, off in zip(shapes, kinds, offsets)))
 
 
 def resolvent_coeffs(spacing: float, lam: float, alpha: float):
@@ -384,7 +415,7 @@ def coefficient_rows(coef, v, tail, scratch=None):
 
 
 def simulate_batch(v0, tail0, dW, m_shift, damp, dt, scheme, coef, res, weights, tail_weight,
-                   blow_threshold, snap_steps):
+                   blow_threshold, snap_steps, out=None):
     """Advance a batch of paths through the splitting scheme.
 
     scheme 0 applies the shift semigroup first and evaluates reactions
@@ -396,23 +427,24 @@ def simulate_batch(v0, tail0, dW, m_shift, damp, dt, scheme, coef, res, weights,
     leaves [0, blow_threshold] or turns non-finite are frozen at the
     offending step and their later records are NaN.
 
-    Returns (final_values, final_tails, neg_energy, min_value, aborted,
-    snaps, snap_tails); neg_energy and min_value have n_steps+1 columns
-    including the initial state, aborted holds the abort step or -1.
-    A call of at least _SPLIT_NODE_STEPS node-steps splits its row
-    blocks into one contiguous share per usable core, and every share
-    but the first runs in a forked child; the outputs then live in one
-    shared anonymous mmap.
+    Writes the results into out, an Outputs of P rows, and returns it.
+    out is outputs()' record or rows of one (Outputs.rows), or None for
+    a new record: a split call's children write only through its views
+    of the shared map, so arrays from anywhere else would lose their
+    rows.  v0 and tail0 may be broadcast views.  A call of at least
+    _SPLIT_NODE_STEPS node-steps splits its row blocks into one
+    contiguous share per usable core, and every share but the first
+    runs in a forked child.
     """
     P, N = v0.shape
     n_steps = dW.shape[1]
-    S = len(snap_steps)
     rows = max(1, min(P, BLOCK_BYTES // (8 * N)))
     n_blocks = -(-P // rows)
     workers = 1
     if P * n_steps * N >= _SPLIT_NODE_STEPS:
         workers = min(_usable_cores(), n_blocks)
-    out = _outputs(P, N, n_steps, S, workers > 1)
+    if out is None:
+        out = outputs(P, N, n_steps, len(snap_steps))
     args = (v0, tail0, dW, m_shift, damp, dt, scheme, coef, res, weights, tail_weight,
             blow_threshold, snap_steps)
     if workers > 1:
@@ -422,7 +454,7 @@ def simulate_batch(v0, tail0, dW, m_shift, damp, dt, scheme, coef, res, weights,
         _split(lambda lo, hi: _simulate_rows(out, lo, hi, rows, args), cuts)
     else:
         _simulate_rows(out, 0, P, rows, args)
-    return tuple(out)
+    return out
 
 
 def _usable_cores():
@@ -430,25 +462,6 @@ def _usable_cores():
     if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
         return 1
     return len(os.sched_getaffinity(0))
-
-
-def _outputs(P, N, n_steps, S, shared):
-    """simulate_batch's output arrays, all in one anonymous shared mmap if shared.
-
-    Forked children write into a shared map and the parent sees the
-    writes; the arrays keep the map alive.
-    """
-    shapes = [(P, N), (P,), (P, n_steps + 1), (P, n_steps + 1), (P,), (S, P, N), (S, P)]
-    kinds = [np.float64] * 4 + [np.int64] + [np.float64] * 2
-    if not shared:
-        return [np.empty(shape, dtype=kind) for shape, kind in zip(shapes, kinds)]
-    import mmap
-
-    sizes = [int(np.prod(shape)) * np.dtype(kind).itemsize for shape, kind in zip(shapes, kinds)]
-    buf = mmap.mmap(-1, max(1, sum(sizes)))
-    offsets = np.cumsum([0] + sizes[:-1]).tolist()
-    return [np.ndarray(shape, dtype=kind, buffer=buf, offset=off)
-            for shape, kind, off in zip(shapes, kinds, offsets)]
 
 
 def _split(run, cuts):

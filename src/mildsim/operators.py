@@ -91,12 +91,14 @@ class OperatorSuite:
         return GridFunction(self.grid, d.values, d.tail_value / lam)
 
 
-def random_bumps(grid: Grid, rng: np.random.Generator, nonneg: bool = False) -> GridFunction:
-    """Sum of 1 to 5 Gaussian bumps with random centers, widths, signs."""
+def random_bumps(grid: Grid, rng: np.random.Generator, nonneg: bool = False, out=None,
+                 tmp=None) -> GridFunction:
+    """Sum of 1 to 5 Gaussian bumps with random centers, widths, signs, into out if given."""
     n = int(rng.integers(1, 6))
     x = grid.nodes
-    vals = np.zeros_like(x)
-    t = np.empty_like(x)  # each bump, a * exp(-(x - c)^2 / (2 w^2)), in place
+    vals = np.empty_like(x) if out is None else out
+    vals.fill(0.0)
+    t = np.empty_like(x) if tmp is None else tmp  # each bump, a * exp(-(x - c)^2 / (2 w^2))
     for _ in range(n):
         c = rng.uniform(0.0, grid.x_max)
         w = rng.uniform(0.1, 5.0)
@@ -184,7 +186,8 @@ def run_battery(label: str, suite: OperatorSuite, n_samples: int, seed: int, lam
 
     Sample i's check is excess(rng, lams[i % len(lams)], i, work), with
     one generator made from seed and work = work_rows(grid, n_work) for
-    all samples.  worst_excess is the max of worst and every excess, and
+    all samples; a sample's bumps go to work's last rows, with work[0] as
+    scratch.  worst_excess is the max of worst and every excess, and
     n_violations counts those above tol.
     """
     rng = np.random.default_rng(seed)
@@ -204,9 +207,10 @@ def run_submarkov_battery(suite: OperatorSuite, n_samples: int, seed: int,
     """Order and sup bounds of the resolvent on random nonnegative curves."""
 
     def excess(rng, lam, i, work):
-        return submarkov_excess(suite, random_bumps(suite.grid, rng, nonneg=True), lam, work)
+        f = random_bumps(suite.grid, rng, nonneg=True, out=work[-1], tmp=work[0])
+        return submarkov_excess(suite, f, lam, work)
 
-    return run_battery("submarkov", suite, n_samples, seed, lams, tol, 1, excess)
+    return run_battery("submarkov", suite, n_samples, seed, lams, tol, 2, excess)
 
 
 def run_contraction_battery(suite: OperatorSuite, n_samples: int, seed: int,
@@ -215,8 +219,9 @@ def run_contraction_battery(suite: OperatorSuite, n_samples: int, seed: int,
     """Weighted L1 distance contraction on random signed pairs."""
 
     def excess(rng, lam, i, work):
-        f = random_bumps(suite.grid, rng)
-        return l1_contraction_excess(suite, f, random_bumps(suite.grid, rng), lam, work)
+        f = random_bumps(suite.grid, rng, out=work[-1], tmp=work[0])
+        g = random_bumps(suite.grid, rng, out=work[-2], tmp=work[0])
+        return l1_contraction_excess(suite, f, g, lam, work)
 
-    return run_battery("l1-contraction", suite, n_samples, seed, lams, tol, 2, excess,
+    return run_battery("l1-contraction", suite, n_samples, seed, lams, tol, 4, excess,
                        worst=-np.inf)

@@ -191,9 +191,10 @@ def run_pairing_battery(suite: OperatorSuite, n_samples: int, seed: int,
 
     def excess(rng, lam, i, work):
         graph = MONOTONE_GRAPHS[names[i % len(names)]]
-        return monotone_pairing_excess(suite, random_bumps(suite.grid, rng), lam, graph, work)
+        v = random_bumps(suite.grid, rng, out=work[-1], tmp=work[0])
+        return monotone_pairing_excess(suite, v, lam, graph, work)
 
-    return run_battery("monotone-pairing", suite, n_samples, seed, lams, tol, 2, excess)
+    return run_battery("monotone-pairing", suite, n_samples, seed, lams, tol, 3, excess)
 
 
 def run_jensen_battery(suite: OperatorSuite, n_samples: int, seed: int,
@@ -203,10 +204,11 @@ def run_jensen_battery(suite: OperatorSuite, n_samples: int, seed: int,
 
     def excess(rng, lam, i, work):
         fn = CONVEX_FUNCTIONS[names[i % len(names)]]
-        fv, fjv = _jensen_images(suite, random_bumps(suite.grid, rng), lam, fn, work)
+        v = random_bumps(suite.grid, rng, out=work[-1], tmp=work[0])
+        fv, fjv = _jensen_images(suite, v, lam, fn, work)
         return max(_pointwise_excess(suite, lam, fv, fjv, work), _integral_excess(fv, fjv, work))
 
-    return run_battery("jensen-chain", suite, n_samples, seed, lams, tol, 3, excess)
+    return run_battery("jensen-chain", suite, n_samples, seed, lams, tol, 4, excess)
 
 
 @dataclass(frozen=True)

@@ -104,23 +104,21 @@ def _check_grids(suite: OperatorSuite, model: CoefficientModel) -> None:
         raise ValueError("model and operator suite use different grids")
 
 
-def _kernel_call(u0, suite, model, cfg, dW):
+def _kernel_call(u0, suite, model, cfg, dW, out=None):
     _check_grids(suite, model)
     g = suite.grid
     m_shift = suite.steps_for_time(cfg.dt)
     damp = suite.damping(cfg.dt)
     res = kernels.resolvent_coeffs(g.spacing, cfg.lam, suite.alpha_eff) if cfg.lam > 0.0 else None
     return kernels.simulate_batch(
-        np.ascontiguousarray(u0[0], dtype=np.float64),
-        np.ascontiguousarray(u0[1], dtype=np.float64),
-        np.ascontiguousarray(dW, dtype=np.float64),
+        u0[0], u0[1], np.ascontiguousarray(dW, dtype=np.float64),
         m_shift, damp, float(cfg.dt), SCHEMES.index(cfg.scheme), model.kernel_args(), res,
-        g.weights, g.tail_weight, float(cfg.blow_threshold), cfg.snapshot_steps(),
+        g.weights, g.tail_weight, float(cfg.blow_threshold), cfg.snapshot_steps(), out,
     )
 
 
-def _simulate_streams(u0, suite, model, cfg, streams):
-    """One kernel call with one row per noise stream, every row starting at u0."""
+def _simulate_streams(u0, suite, model, cfg, streams, out=None):
+    """One kernel call into out, or a new Outputs, with one row per stream, all from u0."""
     if any(s.n_modes != model.n_modes for s in streams):
         raise ValueError("noise_cfg.n_modes does not match the model")
     n_steps = cfg.n_steps
@@ -129,9 +127,9 @@ def _simulate_streams(u0, suite, model, cfg, streams):
     dW = np.empty((p, n_steps, model.n_modes))
     for i, s in enumerate(streams):
         dW[i] = gaussian_block(s, n_steps) * sq
-    v0 = np.tile(u0.values, (p, 1))
-    t0 = np.full(p, u0.tail_value)
-    return _kernel_call((v0, t0), suite, model, cfg, dW)
+    v0 = np.broadcast_to(u0.values, (p, u0.grid.n))
+    t0 = np.broadcast_to(np.float64(u0.tail_value), (p,))
+    return _kernel_call((v0, t0), suite, model, cfg, dW, out)
 
 
 @dataclass
@@ -180,19 +178,16 @@ def simulate_path(
     cfg: SolverConfig,
     noise_cfg: NoiseConfig,
 ) -> PathResult:
-    out_v, out_t, neg_e, min_v, aborted, snaps, snap_tails = _simulate_streams(
-        u0, suite, model, cfg, [noise_cfg])
+    out = _simulate_streams(u0, suite, model, cfg, [noise_cfg])
     times = np.arange(cfg.n_steps + 1) * cfg.dt
-    shots = [
-        (float(s * cfg.dt), GridFunction(u0.grid, snaps[i, 0].copy(), float(snap_tails[i, 0])))
-        for i, s in enumerate(cfg.snapshot_steps())
-    ]
+    shots = [(float(s * cfg.dt), GridFunction(u0.grid, v.copy(), float(t))) for s, v, t in
+             zip(cfg.snapshot_steps(), out.snapshots[:, 0], out.snapshot_tails[:, 0])]
     return PathResult(
         times=times,
-        final=GridFunction(u0.grid, out_v[0], float(out_t[0])),
-        neg_energy=neg_e[0],
-        min_value=min_v[0],
-        abort_step=int(aborted[0]),
+        final=GridFunction(u0.grid, out.final_values[0], float(out.final_tails[0])),
+        neg_energy=out.neg_energy[0],
+        min_value=out.min_value[0],
+        abort_step=int(out.aborted[0]),
         snapshots=shots,
     )
 
@@ -230,44 +225,21 @@ def run_ensemble(
 
     Path p uses noise stream stream_base + p of the given seed, so any
     subset of paths can be reproduced in isolation and results do not
-    depend on chunk_size.
+    depend on chunk_size.  Each chunk writes its rows of one Outputs.
     """
     if n_paths < 1:
         raise ValueError("n_paths must be positive")
     if chunk_size < 1:
         raise ValueError("chunk_size must be positive")
-    g = u0.grid
-    n_steps = cfg.n_steps
     snap_steps = cfg.snapshot_steps()
-    S = snap_steps.shape[0]
-    neg_e = np.empty((n_paths, n_steps + 1))
-    min_v = np.empty((n_paths, n_steps + 1))
-    finals = np.empty((n_paths, g.n))
-    ftails = np.empty(n_paths)
-    aborted = np.empty(n_paths, dtype=np.int64)
-    snaps = np.empty((S, n_paths, g.n))
-    snap_tails = np.empty((S, n_paths))
+    out = kernels.outputs(n_paths, u0.grid.n, cfg.n_steps, len(snap_steps))
     base = NoiseConfig(model.n_modes, seed)
     for lo in range(0, n_paths, chunk_size):
         hi = min(lo + chunk_size, n_paths)
         streams = [base.with_stream(stream_base + i) for i in range(lo, hi)]
-        out = _simulate_streams(u0, suite, model, cfg, streams)
-        finals[lo:hi], ftails[lo:hi] = out[0], out[1]
-        neg_e[lo:hi], min_v[lo:hi], aborted[lo:hi] = out[2], out[3], out[4]
-        snaps[:, lo:hi], snap_tails[:, lo:hi] = out[5], out[6]
-    times = np.arange(n_steps + 1) * cfg.dt
-    return EnsembleResult(
-        grid=g,
-        times=times,
-        neg_energy=neg_e,
-        min_value=min_v,
-        final_values=finals,
-        final_tails=ftails,
-        aborted=aborted,
-        snapshot_steps=snap_steps,
-        snapshots=snaps,
-        snapshot_tails=snap_tails,
-    )
+        _simulate_streams(u0, suite, model, cfg, streams, out.rows(lo, hi))
+    return EnsembleResult(grid=u0.grid, times=np.arange(cfg.n_steps + 1) * cfg.dt,
+                          snapshot_steps=snap_steps, **out._asdict())
 
 
 @dataclass(frozen=True)
@@ -373,14 +345,14 @@ def lambda_convergence_study(
     entries = []
     for lo in range(0, len(noise_cfgs), per_batch):
         streams = noise_cfgs[lo : lo + per_batch]
-        base, base_tails = _simulate_streams(u0, suite, model, cfg1, streams)[5:]
-        # each regularized run's snapshots are dropped before the next run;
-        # _sup_distances overwrites them
-        dists = [
-            _sup_distances(grid, base, base_tails, *_simulate_streams(
-                start, suite, model, replace(cfg1, lam=lam), streams)[5:])
-            for lam, start in zip(lams, starts)
-        ]
+        plain = _simulate_streams(u0, suite, model, cfg1, streams)
+        # every lam's run in turn; _sup_distances overwrites its snapshots
+        reg = kernels.outputs(len(streams), grid.n, cfg1.n_steps, len(plain.snapshots))
+        dists = []
+        for lam, start in zip(lams, starts):
+            _simulate_streams(start, suite, model, replace(cfg1, lam=lam), streams, reg)
+            dists.append(_sup_distances(grid, plain.snapshots, plain.snapshot_tails,
+                                        reg.snapshots, reg.snapshot_tails))
         entries += [
             [StudyEntry(float(lam), d[p]) for lam, d in zip(lams, dists)]
             for p in range(len(streams))

@@ -154,6 +154,15 @@ def _write_cfg(tmp_path, cfg, name="run.json"):
     return str(p)
 
 
+def _reject(name):
+    raise ValueError(f"manifest holds {name}, which is not JSON")
+
+
+def _manifest(out):
+    """The run's manifest.json, parsed strictly: NaN and Infinity raise."""
+    return json.loads((out / "manifest.json").read_text(), parse_constant=_reject)
+
+
 def test_cli_validate_only(tmp_path, capsys):
     path = _write_cfg(tmp_path, _hjm_cfg())
     assert main(["hjm", "--config", path, "--validate-only"]) == 0
@@ -184,7 +193,7 @@ def test_cli_hjm_run_writes_artifacts(tmp_path, capsys):
     path = _write_cfg(tmp_path, _hjm_cfg())
     out = tmp_path / "out"
     assert main(["hjm", "--config", path, "--out", str(out)]) == 0
-    manifest = json.loads((out / "manifest.json").read_text())
+    manifest = _manifest(out)
     assert manifest["tool"] == "mildsim"
     # the resolved config, every default applied
     assert manifest["config"] == as_json(parse_config(_hjm_cfg(), "hjm"))
@@ -217,7 +226,7 @@ def test_cli_seed_shortcut_changes_output(tmp_path, capsys):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     assert main(["hjm", "--config", path, "--out", str(out1)]) == 0
     assert main(["hjm", "--config", path, "--out", str(out2), "--seed", "99"]) == 0
-    m2 = json.loads((out2 / "manifest.json").read_text())
+    m2 = _manifest(out2)
     assert m2["config"]["run"]["seed"] == 99
     assert (out1 / "ensemble.csv").read_bytes() != (out2 / "ensemble.csv").read_bytes()
     capsys.readouterr()
@@ -230,7 +239,7 @@ def test_cli_assert_on_verdict(tmp_path, capsys):
     out = tmp_path / "out"
     # without --assert the mismatch is only recorded
     assert main(["hjm", "--config", path, "--out", str(out)]) == 0
-    manifest = json.loads((out / "manifest.json").read_text())
+    manifest = _manifest(out)
     assert manifest["passed"] is False
     assert main(["hjm", "--config", path, "--out", str(out), "--assert"]) == 3
     capsys.readouterr()
@@ -246,7 +255,7 @@ def test_cli_abort_exits_4(tmp_path, capsys):
     path = _write_cfg(tmp_path, cfg)
     out = tmp_path / "out"
     assert main(["simulate", "--config", path, "--out", str(out)]) == 4
-    manifest = json.loads((out / "manifest.json").read_text())
+    manifest = _manifest(out)
     assert manifest["results"]["n_aborted"] == 2
     assert manifest["passed"] is False
     capsys.readouterr()
@@ -265,7 +274,7 @@ def test_cli_coeff_check(tmp_path, capsys):
     path = _write_cfg(tmp_path, cfg)
     out = tmp_path / "out"
     assert main(["coeff-check", "--config", path, "--out", str(out), "--assert"]) == 0
-    manifest = json.loads((out / "manifest.json").read_text())
+    manifest = _manifest(out)
     assert manifest["results"]["admissible"] is False
     assert manifest["results"]["estimated_c"] == "inf"
     # expecting the wrong answer flips the assertion
@@ -284,7 +293,7 @@ def test_cli_operator_tests(tmp_path, capsys):
     path = _write_cfg(tmp_path, cfg)
     out = tmp_path / "out"
     assert main(["operator-tests", "--config", path, "--out", str(out), "--assert"]) == 0
-    manifest = json.loads((out / "manifest.json").read_text())
+    manifest = _manifest(out)
     for label in ("submarkov", "l1-contraction", "monotone-pairing", "jensen-chain"):
         assert manifest["results"][label]["n_violations"] == 0
     assert (out / "operator_tests.csv").exists()
@@ -307,7 +316,7 @@ def test_cli_lambda_study(tmp_path, capsys):
     path = _write_cfg(tmp_path, cfg)
     out = tmp_path / "out"
     assert main(["lambda-study", "--config", path, "--out", str(out), "--assert"]) == 0
-    manifest = json.loads((out / "manifest.json").read_text())
+    manifest = _manifest(out)
     assert manifest["results"]["all_seeds_monotone"] is True
     rows = (out / "lambda_study.csv").read_text().splitlines()
     assert len(rows) == 1 + 2 * 4
@@ -332,10 +341,43 @@ def test_cli_ito_check(tmp_path, capsys):
     path = _write_cfg(tmp_path, cfg)
     out = tmp_path / "out"
     assert main(["ito-check", "--config", path, "--out", str(out), "--assert"]) == 0
-    manifest = json.loads((out / "manifest.json").read_text())
+    manifest = _manifest(out)
     assert manifest["results"]["det_order"] >= 0.9
     assert manifest["results"]["sto_decreasing"] is True
     assert (out / "ito_check.csv").exists()
+    capsys.readouterr()
+
+
+NON_FINITE_CASES = {
+    # the contraction battery's worst starts at -inf and no sample lowers it
+    "operator-tests": ({"grid": {"x_max": 1.0, "n_nodes": 11, "alpha": 1.0},
+                        "check": {"n_samples": 0}},
+                       0, ("l1-contraction", "worst_excess"), "-inf"),
+    # with no modes and no drift the deterministic residual is 0 at every dt
+    "ito-check": ({"grid": {"x_max": 1.0, "n_nodes": 11, "alpha": 0.5},
+                   "model": {"drift": "zero", "initial": {"flat": 0.01}},
+                   "ito": {"dt_values": [0.1, 0.05], "t_final": 0.2, "n_paths": 2}},
+                  0, ("det_order",), "inf"),
+    # every path aborts, so the final statistics have no path left
+    "simulate": ({"grid": {"x_max": 2.0, "n_nodes": 101, "alpha": 0.5},
+                  "model": {"drift": "linear-decay", "drift_c": -10.0, "initial": {"flat": 0.5}},
+                  "run": {"dt": 0.02, "t_final": 2.0, "n_paths": 2, "seed": 1,
+                          "blow_threshold": 1e3}},
+                 4, ("final_neg_energy_mean",), "nan"),
+}
+
+
+@pytest.mark.parametrize("experiment", sorted(NON_FINITE_CASES))
+def test_cli_manifest_is_strict_json_with_non_finite_results(tmp_path, capsys, experiment):
+    # a non-finite result is written as the string the CSVs print for it
+    cfg, code, key, text = NON_FINITE_CASES[experiment]
+    path = _write_cfg(tmp_path, {"experiment": experiment, **cfg})
+    out = tmp_path / "out"
+    assert main([experiment, "--config", path, "--out", str(out)]) == code
+    value = _manifest(out)["results"]
+    for k in key:
+        value = value[k]
+    assert value == text
     capsys.readouterr()
 
 

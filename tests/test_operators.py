@@ -269,6 +269,22 @@ def test_random_bumps_match_reference(x_max, n_nodes, n_samples, nonneg):
     assert rng.random() == ref_rng.random()  # the same draws
 
 
+@pytest.mark.parametrize("nonneg", [False, True])
+@pytest.mark.parametrize("n_nodes, n_samples", [(7, 400), (200001, 20)])
+def test_random_bumps_into_rows_match_reference(n_nodes, n_samples, nonneg):
+    # the batteries' samples reuse one values row and one bump row, which
+    # start here as NaN
+    g = Grid.uniform(4.0, n_nodes, 1.0)
+    rng, ref_rng = np.random.default_rng(n_nodes), np.random.default_rng(n_nodes)
+    out, tmp = np.full(n_nodes, np.nan), np.full(n_nodes, np.nan)
+    for _ in range(n_samples):
+        got = random_bumps(g, rng, nonneg, out=out, tmp=tmp)
+        ref = _reference_random_bumps(g, ref_rng, nonneg)
+        assert got.values is out
+        assert got.values.tobytes() == ref.values.tobytes() and got.tail_value == ref.tail_value
+    assert rng.random() == ref_rng.random()
+
+
 @pytest.mark.parametrize("n", [2, 3, 501])
 def test_resolvent_and_yosida_into_scratch_rows(n):
     g = Grid.uniform(2.0, n, 1.0)

@@ -264,6 +264,35 @@ def test_ensemble_invariant_under_chunking_and_path_position(data, n_paths, sche
     assert tail.snapshot_tails.tobytes() == whole.snapshot_tails[:, first:].tobytes()
 
 
+@pytest.mark.parametrize("workers", [2, 3])
+@pytest.mark.parametrize("lam, blow", [pytest.param(0.0, 1e12, id="snapshots"),
+                                       pytest.param(0.05, 1e12, id="lam"),
+                                       pytest.param(0.0, 4e-3, id="aborting")])
+def test_split_chunks_fill_one_record_bitwise_the_serial_call(monkeypatch, workers, lam, blow):
+    # Chunks of 5, 5 and 3 paths, each call split into shares of 2-row
+    # blocks whose forked children write straight into the ensemble's one
+    # Outputs record, give the bytes of one unchunked call in one process.
+    grid, suite, model, u0 = _setup(n=41)
+    cfg = SolverConfig(dt=0.1, t_final=0.5, lam=lam, snapshot_stride=2, blow_threshold=blow)
+    serial = run_ensemble(u0, suite, model, cfg, n_paths=13, seed=5)
+    monkeypatch.setattr(kernels, "_SPLIT_NODE_STEPS", 0)
+    monkeypatch.setattr(kernels, "_usable_cores", lambda: workers)
+    monkeypatch.setattr(kernels, "BLOCK_BYTES", 2 * 8 * grid.n)
+    forked, made = [], []
+    fork_share, outputs = kernels._fork_share, kernels.outputs
+    monkeypatch.setattr(kernels, "_fork_share",
+                        lambda run, lo, hi: forked.append((lo, hi)) or fork_share(run, lo, hi))
+    monkeypatch.setattr(kernels, "outputs", lambda *a: made.append(a) or outputs(*a))
+    split = run_ensemble(u0, suite, model, cfg, n_paths=13, seed=5, chunk_size=5)
+    assert made == [(13, grid.n, cfg.n_steps, 4)]  # snapshots at steps 0, 2, 4 and 5
+    # blocks of 3, 3 and 2 per chunk, one share per worker and block at most
+    assert len(forked) == {2: 3, 3: 5}[workers]
+    for name in _ENSEMBLE_FIELDS + ("snapshots", "snapshot_tails"):
+        assert getattr(split, name).tobytes() == getattr(serial, name).tobytes(), name
+    if blow < 1.0:
+        assert 0 < split.n_aborted < 13
+
+
 def test_ensemble_paths_match_individual_runs():
     grid, suite, model, u0 = _setup(n=101)
     cfg = SolverConfig(dt=0.04, t_final=0.2)
