@@ -200,6 +200,25 @@ class LatticeParts:
     indicator: GridFunction
 
 
+_DOT_CHUNK = 8192  # OpenBLAS splits a dot over threads above 10,000 elements
+
+
+def weighted_sum(w: np.ndarray, x: np.ndarray):
+    """The dot of w with x, a node row, or with each row of x along its last axis.
+
+    One np.dot (np.vecdot for rows) up to _DOT_CHUNK nodes; beyond, the dots
+    of _DOT_CHUNK-node chunks and of the rest, added in order.  So no BLAS
+    thread count changes its bits, and each row's sum is its 1-D sum.
+    """
+    n = w.shape[0]
+    if n <= _DOT_CHUNK:
+        return np.dot(w, x) if x.ndim == 1 else np.vecdot(x, w)
+    m = n - n % _DOT_CHUNK
+    chunks = x[..., :m].reshape(*x.shape[:-1], -1, _DOT_CHUNK)
+    s = np.add.accumulate(np.vecdot(chunks, w[:m].reshape(-1, _DOT_CHUNK)), axis=-1)[..., -1]
+    return s + np.vecdot(x[..., m:], w[m:]) if m < n else s
+
+
 def weighted_inner(f: GridFunction, g: GridFunction, out: np.ndarray | None = None) -> float:
     """Inner product of f*g against e^{-alpha x} dx, tail included.
 
@@ -207,7 +226,7 @@ def weighted_inner(f: GridFunction, g: GridFunction, out: np.ndarray | None = No
     """
     f._check(g)
     grid = f.grid
-    core = float(np.dot(grid.weights, np.multiply(f.values, g.values, out=out)))
+    core = float(weighted_sum(grid.weights, np.multiply(f.values, g.values, out=out)))
     return core + grid.tail_weight * f.tail_value * g.tail_value
 
 
@@ -224,7 +243,7 @@ def norm(f: GridFunction, kind: str = "l2", out: np.ndarray | None = None) -> fl
     if kind == "l2":
         return float(np.sqrt(max(weighted_inner(f, f), 0.0)))
     if kind == "l1":
-        core = float(np.dot(grid.weights, np.abs(f.values, out=out)))
+        core = float(weighted_sum(grid.weights, np.abs(f.values, out=out)))
         return core + grid.tail_weight * abs(f.tail_value)
     if kind == "deriv":
         v = f.values
@@ -233,7 +252,7 @@ def norm(f: GridFunction, kind: str = "l2", out: np.ndarray | None = None) -> fl
         d[1:-1] = (v[2:] - v[:-2]) / (2.0 * h)
         d[0] = (-3.0 * v[0] + 4.0 * v[1] - v[2]) / (2.0 * h)
         d[-1] = (3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * h)
-        core = float(np.dot(grid.growth_weights(), d * d))
+        core = float(weighted_sum(grid.growth_weights(), d * d))
         return float(np.sqrt(f.tail_value * f.tail_value + core))
     raise ValueError(f"unknown norm kind: {kind!r}")
 

@@ -447,13 +447,10 @@ def simulate_batch(v0, tail0, dW, m_shift, damp, dt, scheme, coef, res, weights,
         out = outputs(P, N, n_steps, len(snap_steps))
     args = (v0, tail0, dW, m_shift, damp, dt, scheme, coef, res, weights, tail_weight,
             blow_threshold, snap_steps)
-    if workers > 1:
-        if res is not None:
-            from scipy.signal import lfilter  # noqa: F401  imported once, before the fork
-        cuts = [n_blocks * i // workers * rows for i in range(workers)] + [P]
-        _split(lambda lo, hi: _simulate_rows(out, lo, hi, rows, args), cuts)
-    else:
-        _simulate_rows(out, 0, P, rows, args)
+    if workers > 1 and res is not None:
+        from scipy.signal import lfilter  # noqa: F401  imported once, before the fork
+    cuts = [n_blocks * i // workers * rows for i in range(workers)] + [P]
+    _split(lambda lo, hi: _simulate_rows(out, lo, hi, rows, args), cuts)
     return out
 
 
@@ -489,7 +486,7 @@ def _split(run, cuts):
             _, status = os.waitpid(pid, 0)
             del children[0]
             if status:
-                raise RuntimeError(f"integrator worker for rows {lo}:{hi} failed "
+                raise RuntimeError(f"worker for rows {lo}:{hi} failed "
                                    f"(exit code {os.waitstatus_to_exitcode(status)})")
     except BaseException:
         for pid, _, _ in children:
@@ -509,8 +506,9 @@ def _fork_share(run, lo, hi):
     in it.
     """
     with warnings.catch_warnings():
-        # Python 3.12+ warns when a multi-threaded process forks; the
-        # threads are BLAS's, and the child makes no BLAS call
+        # Python 3.12+ warns when a multi-threaded process forks; the threads
+        # are BLAS's, and a child's only BLAS calls are grids.weighted_sum's
+        # dots, each short enough for BLAS to run on the calling thread
         warnings.simplefilter("ignore", DeprecationWarning)
         pid = os.fork()
     if pid:

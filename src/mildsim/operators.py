@@ -11,8 +11,10 @@ probe on random curves.
 
 from __future__ import annotations
 
+import mmap
 from dataclasses import dataclass
-from typing import Callable
+from functools import reduce
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -91,18 +93,19 @@ class OperatorSuite:
         return GridFunction(self.grid, d.values, d.tail_value / lam)
 
 
-def random_bumps(grid: Grid, rng: np.random.Generator, nonneg: bool = False, out=None,
-                 tmp=None) -> GridFunction:
-    """Sum of 1 to 5 Gaussian bumps with random centers, widths, signs, into out if given."""
-    n = int(rng.integers(1, 6))
+def bump_params(grid: Grid, rng: np.random.Generator) -> list:
+    """random_bumps' draws: 1 to 5 (center, width, amplitude) triples."""
+    return [(rng.uniform(0.0, grid.x_max), rng.uniform(0.1, 5.0), rng.uniform(-2.0, 2.0))
+            for _ in range(int(rng.integers(1, 6)))]
+
+
+def bumps(grid: Grid, params: list, nonneg: bool = False, out=None, tmp=None) -> GridFunction:
+    """The sum of the Gaussian bumps of bump_params' triples, into out if given."""
     x = grid.nodes
     vals = np.empty_like(x) if out is None else out
     vals.fill(0.0)
     t = np.empty_like(x) if tmp is None else tmp  # each bump, a * exp(-(x - c)^2 / (2 w^2))
-    for _ in range(n):
-        c = rng.uniform(0.0, grid.x_max)
-        w = rng.uniform(0.1, 5.0)
-        a = rng.uniform(-2.0, 2.0)
+    for c, w, a in params:
         np.subtract(x, c, out=t)
         np.square(t, out=t)
         np.divide(t, -(2.0 * w * w), out=t)
@@ -114,12 +117,18 @@ def random_bumps(grid: Grid, rng: np.random.Generator, nonneg: bool = False, out
     return GridFunction(grid, vals, float(vals[-1]))
 
 
+def random_bumps(grid: Grid, rng: np.random.Generator, nonneg: bool = False, out=None,
+                 tmp=None) -> GridFunction:
+    """Sum of 1 to 5 Gaussian bumps with random centers, widths, signs, into out if given."""
+    return bumps(grid, bump_params(grid, rng), nonneg, out, tmp)
+
+
 def scratch_rows(work, k: int) -> tuple:
     """k node rows of work, then a cell row for a resolvent sweep.
 
-    work holds k + 1 node rows that a battery allocates once for all its
-    samples (see work_rows), or is None: then every row is None and each
-    operation allocates its own result.
+    work holds k + 1 node rows that run_battery allocates once for all the
+    samples of a share (see work_rows), or is None: then every row is None
+    and each operation allocates its own result.
     """
     if work is None:
         return (None,) * (k + 1)
@@ -173,55 +182,83 @@ class BatteryReport:
 
     @property
     def passed(self) -> bool:
-        return self.n_violations == 0
+        # a battery that checked nothing has not passed
+        return self.n_checks > 0 and self.n_violations == 0
 
 
 # the resolvent parameters that a battery's samples cycle through
 BATTERY_LAMS = (1e-3, 1e-2, 1e-1, 1.0, 10.0)
 
+# The least node-samples (samples x nodes) that run_battery splits across
+# processes.  On a 2-vCPU host a fork and its reap took 5 to 29 ms, and a
+# sample 30 to 60 ns per node: this is 0.1 to 0.25 s of samples.
+_SPLIT_NODE_SAMPLES = 2**22
 
-def run_battery(label: str, suite: OperatorSuite, n_samples: int, seed: int, lams: tuple,
-                tol: float, n_work: int, excess: Callable, worst: float = 0.0) -> BatteryReport:
-    """The sampling loop of every battery.
 
-    Sample i's check is excess(rng, lams[i % len(lams)], i, work), with
-    one generator made from seed and work = work_rows(grid, n_work) for
-    all samples; a sample's bumps go to work's last rows, with work[0] as
-    scratch.  worst_excess is the max of worst and every excess, and
-    n_violations counts those above tol.
+class Battery(NamedTuple):
+    """Sample i checks excess(suite, curves, lam, i, work); worst_excess starts at worst.
+
+    curves are n_curves bump curves, nonnegative if nonneg, in work's last
+    rows, with work[0] as scratch; work is work_rows(grid, 4).
     """
-    rng = np.random.default_rng(seed)
-    work = work_rows(suite.grid, n_work)
-    bad = 0
-    for i in range(n_samples):
-        e = excess(rng, lams[i % len(lams)], i, work)
-        worst = max(worst, e)
-        if e > tol:
-            bad += 1
-    return BatteryReport(label, n_samples, float(worst), bad, tol)
+
+    label: str
+    n_curves: int
+    nonneg: bool
+    excess: Callable
+    worst: float = 0.0
+
+
+def run_battery(suite: OperatorSuite, batteries: list, n_samples: int, seed: int,
+                lams: tuple = BATTERY_LAMS, tol: float = 1e-8) -> list:
+    """The sampling loop of every battery; one BatteryReport per battery.
+
+    The k-th battery's bumps are all drawn first, from one generator made
+    from seed + k.  Its sample i checks lams[i % len(lams)], after the
+    earlier batteries' samples: in one contiguous share per usable core
+    once all come to _SPLIT_NODE_SAMPLES node-samples, all but the first
+    in forked children (kernels._split) that write into one shared vector.
+    worst_excess is Python's max of worst and each excess in sample
+    order, n_violations the count above tol.
+    """
+    grid = suite.grid
+    rngs = [np.random.default_rng(seed + k) for k in range(len(batteries))]
+    draws = [[bump_params(grid, rng) for _ in range(b.n_curves)]
+             for b, rng in zip(batteries, rngs) for _ in range(n_samples)]
+    total = len(draws)
+    excesses = np.frombuffer(mmap.mmap(-1, 8 * max(1, total)))[:total]
+
+    def run(lo, hi):
+        work = work_rows(grid, 4)  # as many as the Jensen checks and the contraction's pair use
+        for j in range(lo, hi):
+            b, i = batteries[j // n_samples], j % n_samples
+            curves = [bumps(grid, p, b.nonneg, work[-1 - c], work[0])
+                      for c, p in enumerate(draws[j])]
+            excesses[j] = b.excess(suite, curves, lams[i % len(lams)], i, work)
+
+    workers = 1
+    if total * grid.n >= _SPLIT_NODE_SAMPLES:
+        workers = min(kernels._usable_cores(), total)
+        from scipy.signal import lfilter  # noqa: F401  imported once, before the fork
+    kernels._split(run, [total * w // workers for w in range(workers)] + [total])
+    es = [excesses[k * n_samples : (k + 1) * n_samples].tolist() for k in range(len(batteries))]
+    return [BatteryReport(b.label, n_samples, float(reduce(max, e, b.worst)),
+                          sum(x > tol for x in e), tol) for b, e in zip(batteries, es)]
+
+
+SUBMARKOV = Battery("submarkov", 1, True,
+                    lambda suite, curves, lam, i, work: submarkov_excess(suite, *curves, lam, work))
+CONTRACTION = Battery("l1-contraction", 2, False, lambda suite, curves, lam, i, work:
+                      l1_contraction_excess(suite, *curves, lam, work), worst=-np.inf)
 
 
 def run_submarkov_battery(suite: OperatorSuite, n_samples: int, seed: int,
-                          lams: tuple[float, ...] = BATTERY_LAMS,
-                          tol: float = 1e-8) -> BatteryReport:
+                          lams: tuple = BATTERY_LAMS, tol: float = 1e-8) -> BatteryReport:
     """Order and sup bounds of the resolvent on random nonnegative curves."""
-
-    def excess(rng, lam, i, work):
-        f = random_bumps(suite.grid, rng, nonneg=True, out=work[-1], tmp=work[0])
-        return submarkov_excess(suite, f, lam, work)
-
-    return run_battery("submarkov", suite, n_samples, seed, lams, tol, 2, excess)
+    return run_battery(suite, [SUBMARKOV], n_samples, seed, lams, tol)[0]
 
 
 def run_contraction_battery(suite: OperatorSuite, n_samples: int, seed: int,
-                            lams: tuple[float, ...] = BATTERY_LAMS,
-                            tol: float = 1e-8) -> BatteryReport:
+                            lams: tuple = BATTERY_LAMS, tol: float = 1e-8) -> BatteryReport:
     """Weighted L1 distance contraction on random signed pairs."""
-
-    def excess(rng, lam, i, work):
-        f = random_bumps(suite.grid, rng, out=work[-1], tmp=work[0])
-        g = random_bumps(suite.grid, rng, out=work[-2], tmp=work[0])
-        return l1_contraction_excess(suite, f, g, lam, work)
-
-    return run_battery("l1-contraction", suite, n_samples, seed, lams, tol, 4, excess,
-                       worst=-np.inf)
+    return run_battery(suite, [CONTRACTION], n_samples, seed, lams, tol)[0]

@@ -20,10 +20,11 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .grids import GridFunction, norm, weighted_inner
+from .grids import GridFunction, norm, weighted_inner, weighted_sum
 from .noise import NoiseConfig, increment_block
-from .operators import (BATTERY_LAMS, BatteryReport, OperatorSuite, random_bumps, run_battery,
-                        scratch_rows)
+# random_bumps is not called here any more, but perfbench/tracing.py wraps it here
+from .operators import (BATTERY_LAMS, Battery, BatteryReport, OperatorSuite,  # noqa: F401
+                        random_bumps, run_battery, scratch_rows)
 
 __all__ = [
     "penalty_eval",
@@ -91,7 +92,7 @@ def smooth_energy(n: float, f: GridFunction) -> float:
     negative part as n grows.
     """
     g = f.grid
-    core = float(np.dot(g.weights, penalty_eval(n, f.values, 0)))
+    core = float(weighted_sum(g.weights, penalty_eval(n, f.values, 0)))
     return 0.5 * (core + g.tail_weight * penalty_eval(n, f.tail_value, 0))
 
 
@@ -184,31 +185,30 @@ def _integral_excess(fv: GridFunction, fjv: GridFunction, work=None) -> float:
     return max(0.0, norm(fjv, "l1", out=d) - norm(fv, "l1", out=d))
 
 
+def _pairing_excess(suite, curves, lam, i, work):
+    graph = MONOTONE_GRAPHS[sorted(MONOTONE_GRAPHS)[i % len(MONOTONE_GRAPHS)]]
+    return monotone_pairing_excess(suite, *curves, lam, graph, work)
+
+
+def _jensen_excess(suite, curves, lam, i, work):
+    fn = CONVEX_FUNCTIONS[sorted(CONVEX_FUNCTIONS)[i % len(CONVEX_FUNCTIONS)]]
+    fv, fjv = _jensen_images(suite, *curves, lam, fn, work)
+    return max(_pointwise_excess(suite, lam, fv, fjv, work), _integral_excess(fv, fjv, work))
+
+
+# each cycles through its catalog, sample by sample
+PAIRING = Battery("monotone-pairing", 1, False, _pairing_excess)
+JENSEN = Battery("jensen-chain", 1, False, _jensen_excess)
+
+
 def run_pairing_battery(suite: OperatorSuite, n_samples: int, seed: int,
-                        lams: tuple[float, ...] = BATTERY_LAMS,
-                        tol: float = 1e-8) -> BatteryReport:
-    names = sorted(MONOTONE_GRAPHS)
-
-    def excess(rng, lam, i, work):
-        graph = MONOTONE_GRAPHS[names[i % len(names)]]
-        v = random_bumps(suite.grid, rng, out=work[-1], tmp=work[0])
-        return monotone_pairing_excess(suite, v, lam, graph, work)
-
-    return run_battery("monotone-pairing", suite, n_samples, seed, lams, tol, 3, excess)
+                        lams: tuple = BATTERY_LAMS, tol: float = 1e-8) -> BatteryReport:
+    return run_battery(suite, [PAIRING], n_samples, seed, lams, tol)[0]
 
 
 def run_jensen_battery(suite: OperatorSuite, n_samples: int, seed: int,
-                       lams: tuple[float, ...] = BATTERY_LAMS,
-                       tol: float = 1e-8) -> BatteryReport:
-    names = sorted(CONVEX_FUNCTIONS)
-
-    def excess(rng, lam, i, work):
-        fn = CONVEX_FUNCTIONS[names[i % len(names)]]
-        v = random_bumps(suite.grid, rng, out=work[-1], tmp=work[0])
-        fv, fjv = _jensen_images(suite, v, lam, fn, work)
-        return max(_pointwise_excess(suite, lam, fv, fjv, work), _integral_excess(fv, fjv, work))
-
-    return run_battery("jensen-chain", suite, n_samples, seed, lams, tol, 4, excess)
+                       lams: tuple = BATTERY_LAMS, tol: float = 1e-8) -> BatteryReport:
+    return run_battery(suite, [JENSEN], n_samples, seed, lams, tol)[0]
 
 
 @dataclass(frozen=True)
@@ -273,11 +273,6 @@ def ito_residual(
     w = g.weights
     tw = g.tail_weight
 
-    def row_dots(x):
-        # one BLAS dot per row, bitwise the 1-D np.dot(w, row); matmul and
-        # einsum order their sums differently
-        return np.vecdot(x, w)
-
     def penalty(v, tail):
         # orders 0, 1 and 2 of one state: its functional, then the
         # derivatives the next step expands around
@@ -290,22 +285,22 @@ def ito_residual(
     func = np.empty((n_steps + 1, n_paths))
     res = np.empty((n_steps, n_paths))
     (p0, d1, d2), (p0t, d1t, d2t) = penalty(v, tail)
-    func[0] = row_dots(p0) + tw * p0t
+    func[0] = weighted_sum(w, p0) + tw * p0t
     for j in range(n_steps):
-        ds_term = row_dots(d1 * drift.values) + tw * d1t * drift.tail_value
+        ds_term = weighted_sum(w, d1 * drift.values) + tw * d1t * drift.tail_value
         dw_term = 0.0
         for kk in range(k):
             m = modes[kk]
             mt = np.float64(m.tail_value)  # overflows to inf, not to a Python exception
-            ds_term += 0.5 * (row_dots(d2 * squares[kk]) + tw * d2t * mt**2)
-            dw_term += (row_dots(d1 * m.values) + tw * d1t * m.tail_value) * dW[j, :, kk]
+            ds_term += 0.5 * (weighted_sum(w, d2 * squares[kk]) + tw * d2t * mt**2)
+            dw_term += (weighted_sum(w, d1 * m.values) + tw * d1t * m.tail_value) * dW[j, :, kk]
         v = v + drift.values * dt
         tail = tail + drift.tail_value * dt
         for kk in range(k):
             v = v + modes[kk].values * dW[j, :, kk, None]
             tail = tail + modes[kk].tail_value * dW[j, :, kk]
         (p0, d1, d2), (p0t, d1t, d2t) = penalty(v, tail)
-        func[j + 1] = row_dots(p0) + tw * p0t
+        func[j + 1] = weighted_sum(w, p0) + tw * p0t
         res[j] = func[j + 1] - func[j] - ds_term * dt - dw_term
     return ItoReport(times, func, res)
 

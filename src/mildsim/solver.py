@@ -24,7 +24,7 @@ import numpy as np
 from . import kernels
 from .coefficients import CoefficientModel
 # norm is not called here any more, but perfbench/tracing.py wraps solver.norm
-from .grids import Grid, GridFunction, norm, whole_multiple  # noqa: F401
+from .grids import Grid, GridFunction, norm, weighted_sum, whole_multiple  # noqa: F401
 from .noise import NoiseConfig, gaussian_block
 from .operators import OperatorSuite
 from .smoothing import supermartingale_stat
@@ -301,14 +301,14 @@ def _sup_distances(grid, a, a_tails, b, b_tails) -> list:
     a and b are (snapshots, paths, N) with their tails; NaN snapshots of
     an aborted run drop out of the supremum.  b is overwritten: it holds
     the squared differences afterwards.  Each distance is bitwise
-    norm(a - b, "l2"), since np.vecdot runs one BLAS dot per row, and the
-    supremum is Python's max starting from 0.0: NaN and zero distances
-    leave it at 0.0.
+    norm(a - b, "l2"), since weighted_sum's row sums are its 1-D sums,
+    and the supremum is Python's max starting from 0.0: NaN and zero
+    distances leave it at 0.0.
     """
     np.subtract(a, b, out=b)
     np.multiply(b, b, out=b)
     t = a_tails - b_tails
-    sq = np.vecdot(b, grid.weights) + grid.tail_weight * t * t
+    sq = weighted_sum(grid.weights, b) + grid.tail_weight * t * t
     d = np.sqrt(np.maximum(sq, 0.0))
     return np.where(d > 0.0, d, 0.0).max(axis=0, initial=0.0).tolist()
 

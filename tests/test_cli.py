@@ -1,11 +1,16 @@
 import copy
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import mildsim
 from mildsim.cli import main
 from mildsim.config import (
     EXPERIMENTS,
@@ -378,7 +383,33 @@ def test_cli_manifest_is_strict_json_with_non_finite_results(tmp_path, capsys, e
     for k in key:
         value = value[k]
     assert value == text
+    if code == 0:
+        # these runs checked nothing (no battery sample, no measured order),
+        # so they have not passed, and --assert says so
+        assert _manifest(out)["passed"] is False
+        assert main([experiment, "--config", path, "--out", str(out), "--assert"]) == 3
     capsys.readouterr()
+
+
+def test_operator_tests_bits_do_not_depend_on_blas_threads(tmp_path):
+    # 20,001 nodes is past OpenBLAS's 10,000-element threshold for a
+    # threaded dot; at this config the unchunked dots gave different
+    # manifests under 1 and 2 threads.  4 x 60 samples reach the battery
+    # split on a host with two usable cores.
+    cfg = {"experiment": "operator-tests", "grid": {"x_max": 4.0, "n_nodes": 20001, "alpha": 1.0},
+           "check": {"n_samples": 60, "seed": 4}}
+    path = _write_cfg(tmp_path, cfg)
+    src = str(Path(mildsim.__file__).resolve().parents[1])
+    outs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"out{threads}"
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        subprocess.run([sys.executable, "-m", "mildsim.cli", "operator-tests", "--config", path,
+                        "--out", str(out), "--assert"], env=env, check=True, capture_output=True)
+        outs.append(out)
+    for name in ("operator_tests.csv", "manifest.json"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
 
 def test_cli_out_dir_from_env(tmp_path, capsys, monkeypatch):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from mildsim import grids
 from mildsim.grids import (
     Grid,
     GridFunction,
@@ -8,6 +9,7 @@ from mildsim.grids import (
     lattice_parts,
     norm,
     weighted_inner,
+    weighted_sum,
 )
 
 
@@ -252,3 +254,44 @@ def test_minus_writes_to_out():
     ref = f - h
     assert d.values.tobytes() == ref.values.tobytes() and d.tail_value == ref.tail_value
     assert norm(d, "l1", out=out) == norm(ref, "l1")
+
+
+def _weights_and_rows(n, shape):
+    rng = np.random.default_rng(n)
+    w = rng.uniform(0.0, 1.0, size=n)
+    x = rng.normal(size=(*shape, n)) * 10.0 ** rng.integers(-3, 4, size=(*shape, 1))
+    return w, x
+
+
+@pytest.mark.parametrize("n", [2, 3, 501, 8191, 8192])
+def test_weighted_sum_is_one_dot_up_to_the_chunk(n):
+    w, x = _weights_and_rows(n, (3,))
+    for row in x:
+        assert weighted_sum(w, row).tobytes() == np.dot(w, row).tobytes()
+    assert weighted_sum(w, x).tobytes() == np.vecdot(x, w).tobytes()
+
+
+@pytest.mark.parametrize("n", [8193, 16384, 20001, 200001])
+def test_weighted_sum_adds_chunk_dots_in_order(n):
+    # each chunk's dot is short enough for one BLAS thread; the row forms
+    # are bitwise the 1-D sums, in (rows, N) and (snapshots, paths, N)
+    w, x = _weights_and_rows(n, (2, 3))
+    c = grids._DOT_CHUNK
+    for row in x.reshape(-1, n):
+        s = np.dot(w[:c], row[:c])
+        for lo in range(c, n, c):
+            s += np.dot(w[lo : lo + c], row[lo : lo + c])
+        assert weighted_sum(w, row).tobytes() == s.tobytes()
+    one_d = np.array([[weighted_sum(w, row) for row in rows] for rows in x])
+    assert weighted_sum(w, x).tobytes() == one_d.tobytes()
+    assert weighted_sum(w, x[0]).tobytes() == one_d[0].tobytes()
+
+
+@pytest.mark.parametrize("n", [501, 20001])
+def test_norms_are_weighted_sums(n):
+    g = Grid.uniform(3.0, n, 0.7)
+    rng = np.random.default_rng(n)
+    f = GridFunction(g, rng.normal(size=n), 0.3)
+    tw = g.tail_weight
+    assert weighted_inner(f, f) == float(weighted_sum(g.weights, f.values * f.values)) + tw * 0.09
+    assert norm(f, "l1") == float(weighted_sum(g.weights, np.abs(f.values))) + tw * 0.3

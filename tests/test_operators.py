@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,17 +7,37 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.signal import lfilter
 
-from mildsim import kernels
+from mildsim import kernels, operators
 from mildsim.grids import Grid, GridFunction, norm
 from mildsim.operators import (
+    BATTERY_LAMS,
+    Battery,
+    BatteryReport,
     OperatorSuite,
+    bump_params,
+    CONTRACTION,
+    SUBMARKOV,
+    bumps,
     l1_contraction_excess,
     random_bumps,
+    run_battery,
     run_contraction_battery,
     run_submarkov_battery,
     scratch_rows,
     submarkov_excess,
     work_rows,
+)
+from mildsim.smoothing import (
+    CONVEX_FUNCTIONS,
+    JENSEN,
+    MONOTONE_GRAPHS,
+    PAIRING,
+    _integral_excess,
+    _jensen_images,
+    _pointwise_excess,
+    monotone_pairing_excess,
+    run_jensen_battery,
+    run_pairing_battery,
 )
 
 
@@ -321,3 +343,140 @@ def test_batteries_reuse_scratch_bitwise():
         worst, bad = max(worst, e), bad + (e > 1e-8)
     rep = run_contraction_battery(suite, 25, seed=32)
     assert (rep.worst_excess, rep.n_violations) == (float(worst), bad)
+
+
+@pytest.mark.parametrize("nonneg", [False, True])
+@pytest.mark.parametrize("n_nodes", [7, 20001])
+def test_pre_drawn_curves_are_random_bumps(n_nodes, nonneg):
+    # run_battery draws every sample's bumps first and evaluates them later
+    g = Grid.uniform(4.0, n_nodes, 1.0)
+    rng, ref_rng = np.random.default_rng(n_nodes), np.random.default_rng(n_nodes)
+    draws = [bump_params(g, rng) for _ in range(30)]
+    for params in draws:
+        ref = random_bumps(g, ref_rng, nonneg)
+        got = bumps(g, params, nonneg)
+        assert got.values.tobytes() == ref.values.tobytes() and got.tail_value == ref.tail_value
+    assert rng.random() == ref_rng.random()
+
+
+def _serial_excesses(suite, label, n_samples, seed):
+    # the batteries' loop before the split: one generator per battery, and
+    # each sample's bumps drawn and checked in turn, every row allocated
+    grid, rng = suite.grid, np.random.default_rng(seed)
+    graphs, fns = sorted(MONOTONE_GRAPHS), sorted(CONVEX_FUNCTIONS)
+    for i in range(n_samples):
+        lam = BATTERY_LAMS[i % len(BATTERY_LAMS)]
+        if label == "submarkov":
+            yield submarkov_excess(suite, random_bumps(grid, rng, nonneg=True), lam)
+        elif label == "l1-contraction":
+            f, g = random_bumps(grid, rng), random_bumps(grid, rng)
+            yield l1_contraction_excess(suite, f, g, lam)
+        elif label == "monotone-pairing":
+            graph = MONOTONE_GRAPHS[graphs[i % len(graphs)]]
+            yield monotone_pairing_excess(suite, random_bumps(grid, rng), lam, graph)
+        else:
+            fn = CONVEX_FUNCTIONS[fns[i % len(fns)]]
+            fv, fjv = _jensen_images(suite, random_bumps(grid, rng), lam, fn)
+            yield max(_pointwise_excess(suite, lam, fv, fjv), _integral_excess(fv, fjv))
+
+
+def _serial_report(suite, label, n_samples, seed, tol=1e-8):
+    worst, bad = (-np.inf if label == "l1-contraction" else 0.0), 0
+    for e in _serial_excesses(suite, label, n_samples, seed):
+        worst = max(worst, e)
+        if e > tol:
+            bad += 1
+    return BatteryReport(label, n_samples, float(worst), bad, tol)
+
+
+def _bits(rep):
+    return rep.label, rep.n_checks, rep.worst_excess.hex(), rep.n_violations, rep.tol
+
+
+def _force_battery_split(monkeypatch, workers):
+    # every run_battery call with a sample splits into min(workers, samples)
+    # shares; returns the shares forked
+    monkeypatch.setattr(operators, "_SPLIT_NODE_SAMPLES", 1)
+    monkeypatch.setattr(kernels, "_usable_cores", lambda: workers)
+    forked = []
+    fork_share = kernels._fork_share
+
+    def counting(run, lo, hi):
+        forked.append((lo, hi))
+        return fork_share(run, lo, hi)
+
+    monkeypatch.setattr(kernels, "_fork_share", counting)
+    return forked
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+BATTERIES = {
+    "submarkov": (SUBMARKOV, run_submarkov_battery),
+    "l1-contraction": (CONTRACTION, run_contraction_battery),
+    "monotone-pairing": (PAIRING, run_pairing_battery),
+    "jensen-chain": (JENSEN, run_jensen_battery),
+}
+
+
+@pytest.fixture(scope="module")
+def chunked_suite():
+    # rows longer than one dot chunk
+    return OperatorSuite(Grid.uniform(10.0, 10001, 1.0), shifted=True)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3, 4])
+@pytest.mark.parametrize("n_samples", [0, 1, 2, 7])
+@pytest.mark.parametrize("label", sorted(BATTERIES) + ["all four"])
+def test_battery_split_is_bitwise_the_serial_loop(monkeypatch, chunked_suite, label, n_samples,
+                                                  workers):
+    forked = _force_battery_split(monkeypatch, workers)
+    labels = sorted(BATTERIES) if label == "all four" else [label]
+    seeds = {lab: 40 + k for k, lab in enumerate(labels)}
+    if label == "all four":  # the k-th battery draws from seed + k
+        got = run_battery(chunked_suite, [BATTERIES[lab][0] for lab in labels], n_samples, 40)
+    else:
+        got = [BATTERIES[label][1](chunked_suite, n_samples, seeds[label])]
+    _assert_no_child_left()
+    want = [_serial_report(chunked_suite, lab, n_samples, seeds[lab]) for lab in labels]
+    assert [_bits(r) for r in got] == [_bits(r) for r in want]
+    total = n_samples * len(labels)
+    w = max(1, min(workers, total))
+    assert forked == [(total * k // w, total * (k + 1) // w) for k in range(1, w)]
+
+
+def test_battery_split_keeps_max_and_nan_in_sample_order(monkeypatch):
+    # the parent reduces the shares' excesses with Python's max, in sample
+    # order, as the serial loop did: a NaN start stays, a later NaN is passed
+    _force_battery_split(monkeypatch, 3)
+    values = [0.5, np.nan, 2.0, -1.0, np.nan, 3.0, 1e-9, 0.0]
+    probe = Battery("probe", 1, False, lambda suite, curves, lam, i, work: values[i])
+    suite = OperatorSuite(Grid.uniform(1.0, 11, 1.0))
+    got = run_battery(suite, [probe._replace(worst=np.nan), probe], len(values), 1)
+    assert np.isnan(got[0].worst_excess) and got[1].worst_excess == 3.0
+    assert got[0].n_violations == got[1].n_violations == 3
+    _assert_no_child_left()
+
+
+def test_a_failing_battery_child_makes_the_call_raise(monkeypatch):
+    forked = _force_battery_split(monkeypatch, 2)
+
+    def excess(suite, curves, lam, i, work):
+        if i >= 2:
+            raise ValueError("share failed")
+        return 0.0
+
+    battery = Battery("failing", 1, False, excess)
+    with pytest.raises(RuntimeError, match="rows 2:4"):
+        run_battery(OperatorSuite(Grid.uniform(1.0, 11, 1.0)), [battery], 4, 1)
+    assert forked == [(2, 4)]
+    _assert_no_child_left()
+
+
+def test_a_battery_that_checked_nothing_has_not_passed():
+    assert not BatteryReport("submarkov", 0, 0.0, 0, 1e-8).passed
+    assert BatteryReport("submarkov", 1, 0.0, 0, 1e-8).passed
+    assert not BatteryReport("submarkov", 1, 1.0, 1, 1e-8).passed

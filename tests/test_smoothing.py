@@ -328,8 +328,8 @@ def test_ito_residual_paths_follow_their_streams(picked):
 
 @pytest.mark.parametrize("n", [2, 3, 7, 64, 251, 401, 1001, 20001, 200001])
 def test_vecdot_rows_are_the_per_row_dot(n):
-    # ito_residual and the lambda study reduce rows with np.vecdot, one BLAS
-    # dot per row: bitwise the 1-D np.dot(w, row) of the per-path code
+    # grids.weighted_sum reduces rows with np.vecdot, one BLAS dot per row
+    # or chunk: bitwise the 1-D np.dot(w, row) of the per-path code
     rng = np.random.default_rng(n)
     w = rng.uniform(0.0, 1.0, size=n)
     x = rng.normal(size=(3, n)) * 10.0 ** rng.integers(-3, 4, size=(3, 1))

@@ -486,7 +486,16 @@ def _reference_sup_distances(grid, a, a_tails, b, b_tails):
 
 @pytest.mark.parametrize("n_snaps", [0, 1, 6])
 def test_sup_distances_match_the_norm_loop(n_snaps):
-    grid = Grid.uniform(2.0, 401, 0.5)
+    _check_sup_distances(n_snaps, 401)
+
+
+def test_sup_distances_match_the_norm_loop_on_chunked_rows():
+    # rows longer than grids._DOT_CHUNK are summed chunk by chunk
+    _check_sup_distances(6, 20001)
+
+
+def _check_sup_distances(n_snaps, n_nodes):
+    grid = Grid.uniform(2.0, n_nodes, 0.5)
     rng = np.random.default_rng(n_snaps)
     P = 7
     a = rng.normal(size=(n_snaps, P, grid.n)) * 10.0 ** rng.integers(-8, 2, size=(1, P, 1))
