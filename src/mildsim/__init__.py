@@ -40,7 +40,6 @@ from .solver import (
 )
 from .hjm import (
     BuiltHJM,
-    HJMModelSpec,
     HJMRun,
     bond_curve,
     build_hjm,
@@ -81,7 +80,6 @@ __all__ = [
     "simulate_path",
     "simulate_regularized",
     "lambda_convergence_study",
-    "HJMModelSpec",
     "BuiltHJM",
     "HJMRun",
     "build_hjm",

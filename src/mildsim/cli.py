@@ -7,9 +7,10 @@ ito-check.  Every run writes a manifest.json plus experiment-specific
 CSV files into the output directory; file contents are byte-identical
 across reruns of the same configuration.
 
-Exit codes: 0 success, 2 invalid configuration or an output directory
-that cannot be made, 3 an --assert condition failed, 4 a simulated
-path aborted (blow-up or non-finite state).
+Exit codes: 0 success, 2 invalid configuration, an output directory
+that cannot be made or a run whose arrays cannot be allocated, 3 an
+--assert condition failed, 4 a simulated path aborted (blow-up or
+non-finite state).
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from .config import (
     build_modes,
     load_config,
 )
-from .hjm import NEG_THRESHOLD, HJMModelSpec, build_hjm, simulate_forward_rates
+from .hjm import NEG_THRESHOLD, build_hjm, simulate_forward_rates
 from .noise import NoiseConfig
 # the run_*_battery names stay for perfbench/tracing.py, which wraps them here
 from .operators import (CONTRACTION, SUBMARKOV, OperatorSuite, run_battery,  # noqa: F401
@@ -120,8 +121,8 @@ def _exp_simulate(cfg: Config, outdir: Path) -> tuple[dict, bool, bool]:
     ens = run_ensemble(u0, suite, model, scfg, r.n_paths, r.seed, r.stream_base, r.chunk_size)
     c_const = r.c_const
     if c_const is None:  # the check section asks for the estimate (parse_config)
-        rep = estimate_positivity_constant(model, n_samples=cfg.check.n_samples, seed=cfg.check.seed)
-        c_const = rep.estimated_c if np.isfinite(rep.estimated_c) else 0.0
+        ck = cfg.check
+        c_const = estimate_positivity_constant(model, n_samples=ck.n_samples, seed=ck.seed).c_const
     stats = ensemble_stats(ens, c_const=c_const, thresholds=DEFAULT_THRESHOLDS)
     _write_csv(outdir / "ensemble.csv", _STATS_HEADER, _stats_rows(stats))
     results = {
@@ -136,19 +137,18 @@ def _exp_simulate(cfg: Config, outdir: Path) -> tuple[dict, bool, bool]:
 
 
 def _exp_hjm(cfg: Config, outdir: Path) -> tuple[dict, bool, bool]:
-    g, m, r = cfg.grid, cfg.model, cfg.run
-    grid = build_grid(g)
-    modes, u0 = build_modes(m, grid), build_initial(m.initial, grid)
-    spec = HJMModelSpec(g.x_max, g.n_nodes, g.alpha, modes, u0, m.alpha_in_drift)
-    built = build_hjm(spec, check_samples=cfg.check.n_samples, check_seed=cfg.check.seed)
+    m, r = cfg.model, cfg.run
+    grid = build_grid(cfg.grid)
+    built = build_hjm(build_modes(m, grid), build_initial(m.initial, grid), m.alpha_in_drift,
+                      cfg.check.n_samples, cfg.check.seed)
     run = simulate_forward_rates(built, r.dt, r.t_final, r.n_paths, r.seed, r.scheme,
-                                 r.snapshot_stride, DEFAULT_THRESHOLDS, chunk_size=r.chunk_size)
+                                 r.snapshot_stride, r.chunk_size)
     _write_csv(outdir / "ensemble.csv", _STATS_HEADER, _stats_rows(run.stats))
     _write_csv(outdir / "curve.csv", _CURVE_HEADER, _curve_rows(run.ensemble))
     results = {
         "verdict": run.verdict,
         "check": asdict(built.report),
-        "c_const": built.c_const,
+        "c_const": built.report.c_const,
         "n_paths": run.ensemble.n_paths,
         "n_aborted": run.ensemble.n_aborted,
         "final_neg_energy_mean": float(run.stats.neg_energy_mean[-1]),
@@ -334,7 +334,14 @@ def main(argv=None) -> int:
         print("config valid")
         return 0
 
-    payload, passed, aborted = _RUNNERS[cfg.experiment](cfg, outdir)
+    try:
+        payload, passed, aborted = _RUNNERS[cfg.experiment](cfg, outdir)
+    except (MemoryError, OSError) as e:
+        if isinstance(e, OSError) and e.errno != errno.ENOMEM:
+            raise
+        print("config error: the run's arrays need more memory than this machine can allocate",
+              file=sys.stderr)
+        return 2
     manifest = {
         "tool": "mildsim",
         "version": __version__,

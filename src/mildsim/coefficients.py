@@ -35,18 +35,21 @@ __all__ = [
     "estimate_positivity_constant",
 ]
 
-MODE_KINDS = (
-    "constant",
-    "proportional",
-    "proportional-capped",
-    "exponential-decay",
-    "level-scaled",
-    "custom",
-)
+# per mode kind: the level code, the profile form and the config keys it
+# reads besides its kind; the ModeFunction docstring gives the formulas
+MODE_TABLE = {
+    "constant": (kernels.LEVEL_CONST, "flat", ("c",)),
+    "proportional": (kernels.LEVEL_LINEAR, "flat", ("c",)),
+    "proportional-capped": (kernels.LEVEL_CAPPED, "flat", ("c", "cap")),
+    "exponential-decay": (kernels.LEVEL_CONST, "decay", ("c", "decay")),
+    "level-scaled": (kernels.LEVEL_CAPPED, "decay", ("c", "cap", "decay")),
+    "custom": (kernels.LEVEL_CONST, "table", ("c", "table", "tail")),
+}
+MODE_KINDS = tuple(MODE_TABLE)
 
 DRIFT_KINDS = ("zero", "linear-decay", "hjm")
+CHECK_SAMPLES = 200  # random probes of the admissibility estimate, by default
 
-_NEEDS_CAP = {"proportional-capped", "level-scaled"}
 _DRIFT_CODE = {
     "zero": kernels.DRIFT_ZERO,
     "linear-decay": kernels.DRIFT_DECAY,
@@ -74,29 +77,26 @@ class ModeFunction:
     table: GridFunction | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in MODE_KINDS:
+        if self.kind not in MODE_TABLE:
             raise ValueError(f"unknown mode kind: {self.kind!r}")
-        if self.kind in _NEEDS_CAP:
-            if self.cap is None or not (self.cap > 0.0):
-                raise ValueError(f"mode kind {self.kind!r} needs a positive cap")
-        if self.kind == "custom" and self.table is None:
+        keys = MODE_TABLE[self.kind][2]
+        if "cap" in keys and (self.cap is None or not (self.cap > 0.0)):
+            raise ValueError(f"mode kind {self.kind!r} needs a positive cap")
+        if "table" in keys and self.table is None:
             raise ValueError("custom mode needs a table")
 
     @property
     def level_code(self) -> int:
-        if self.kind in ("constant", "exponential-decay", "custom"):
-            return kernels.LEVEL_CONST
-        if self.kind == "proportional":
-            return kernels.LEVEL_LINEAR
-        return kernels.LEVEL_CAPPED
+        return MODE_TABLE[self.kind][0]
 
     def profile(self, grid: Grid) -> tuple[np.ndarray, float]:
-        if self.kind == "custom":
+        form = MODE_TABLE[self.kind][1]
+        if form == "table":
             t = self.table
             if not np.array_equal(t.grid.nodes, grid.nodes):
                 raise ValueError("custom mode table lives on a different grid")
             return self.c * t.values, self.c * t.tail_value
-        if self.kind in ("exponential-decay", "level-scaled"):
+        if form == "decay":
             vals = self.c * np.exp(-self.decay * grid.nodes)
             return vals, float(vals[-1])
         return np.full(grid.n, self.c), self.c
@@ -203,10 +203,15 @@ class PositivityReport:
     def admissible(self) -> bool:
         return self.violations == 0
 
+    @property
+    def c_const(self) -> float:
+        """Discount rate for the supermartingale statistic; an infinite C discounts nothing."""
+        return self.estimated_c if np.isfinite(self.estimated_c) else 0.0
+
 
 def estimate_positivity_constant(
     model: CoefficientModel,
-    n_samples: int = 200,
+    n_samples: int = CHECK_SAMPLES,
     seed: int = 0,
     l2_tol: float = 1e-12,
     func_tol: float = 1e-10,

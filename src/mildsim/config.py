@@ -24,9 +24,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .coefficients import DRIFT_KINDS, CoefficientModel, ModeFunction
+from .coefficients import CHECK_SAMPLES, DRIFT_KINDS, MODE_TABLE, CoefficientModel, ModeFunction
 from .grids import Grid, GridFunction, whole_multiple
-from .hjm import VERDICTS
+from .hjm import VERDICTS, hjm_drift
+from .operators import BATTERY_TOL
 from .solver import DEFAULT_BLOW_THRESHOLD, DEFAULT_CHUNK_SIZE, DEFAULT_SCHEME, SCHEMES
 
 __all__ = [
@@ -78,17 +79,6 @@ class GridConfig:
             problems.append(f"{where}.x_max: the node spacing x_max/(n_nodes-1) underflows")
 
 
-# the keys each mode kind reads besides its kind
-_MODE_KEYS = {
-    "constant": ("c",),
-    "proportional": ("c",),
-    "proportional-capped": ("c", "cap"),
-    "exponential-decay": ("c", "decay"),
-    "level-scaled": ("c", "cap", "decay"),
-    "custom": ("c", "table", "tail"),
-}
-
-
 @dataclass(frozen=True)
 class ModeConfig:
     kind: str = _field()
@@ -105,8 +95,8 @@ class ModeConfig:
             problems.append(f"{where}: {e}")
 
     def _reads(self):
-        if self.kind in _MODE_KEYS:
-            return ("kind", *_MODE_KEYS[self.kind]), f"mode kind {self.kind!r}"
+        if self.kind in MODE_TABLE:
+            return ("kind", *MODE_TABLE[self.kind][2]), f"mode kind {self.kind!r}"
         return None
 
 
@@ -178,9 +168,9 @@ class RunConfig:
 
 @dataclass(frozen=True)
 class CheckConfig:
-    n_samples: int = _field(200, _NONNEG, by_experiment={"operator-tests": 100})
+    n_samples: int = _field(CHECK_SAMPLES, _NONNEG, by_experiment={"operator-tests": 100})
     seed: int = _field(1, _SEED)
-    tol: float = _field(1e-8, _NONNEG, read_by=("operator-tests",))
+    tol: float = _field(BATTERY_TOL, _NONNEG, read_by=("operator-tests",))
     expect_admissible: bool = _field(True, read_by=("coeff-check",))
 
 
@@ -239,6 +229,8 @@ class Config:
             for path, sec in tables:
                 if sec.table is not None and len(sec.table) != g.n_nodes:
                     problems.append(f"{path}.table: needs {g.n_nodes} values")
+        if self.run is not None and self.run.c_const is not None and self.check is not None:
+            problems.append("check: not read when run.c_const is given")
         if self.lambda_study is not None and self.run.seed + self.lambda_study.n_seeds > _U64:
             problems.append("lambda_study.n_seeds: run.seed + n_seeds exceeds 2**64")
         for count, path, noun in self._oversized():
@@ -392,10 +384,9 @@ def parse_config(obj: dict, experiment: str | None = None) -> Config:
         raise ConfigError(problems)
     if exp == "simulate" and cfg.run.c_const is None and cfg.check is None:
         cfg = replace(cfg, run=replace(cfg.run, c_const=0.0))  # no discount
-    if exp == "hjm":  # no-arbitrage drift, compensating the weight when alpha_in_drift
+    if exp == "hjm":
         m = cfg.model
-        alpha_corr = cfg.grid.alpha if m.alpha_in_drift else 0.0
-        cfg = replace(cfg, model=replace(m, drift="hjm", drift_c=0.0, alpha_correction=alpha_corr))
+        cfg = replace(cfg, model=replace(m, **hjm_drift(cfg.grid.alpha, m.alpha_in_drift)))
     return cfg
 
 

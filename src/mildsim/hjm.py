@@ -22,18 +22,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coefficients import (
+    CHECK_SAMPLES,
     CoefficientModel,
     ModeFunction,
     PositivityReport,
     estimate_positivity_constant,
 )
-from .grids import Grid, GridFunction
+from .grids import GridFunction
 from .operators import OperatorSuite
 from .solver import (DEFAULT_CHUNK_SIZE, DEFAULT_SCHEME, DEFAULT_THRESHOLDS, EnsembleResult,
                      EnsembleStats, SolverConfig, ensemble_stats, run_ensemble)
 
 __all__ = [
-    "HJMModelSpec",
+    "hjm_drift",
     "BuiltHJM",
     "build_hjm",
     "HJMRun",
@@ -48,55 +49,35 @@ VERDICTS = ("consistent-with-theorem", "counterexample-regime", "inconclusive")
 NEG_THRESHOLD = -1e-3  # the verdict's level of frac_below, one of DEFAULT_THRESHOLDS
 
 
-@dataclass(frozen=True)
-class HJMModelSpec:
-    x_max: float
-    n_nodes: int
-    alpha: float
-    modes: tuple
-    initial_curve: GridFunction
-    alpha_in_drift: bool = True
+def hjm_drift(alpha: float, alpha_in_drift: bool) -> dict:
+    """The HJM model's drift terms, as CoefficientModel keywords.
 
-    def make_initial(self, grid: Grid) -> GridFunction:
-        ic = self.initial_curve
-        if not isinstance(ic, GridFunction):
-            raise TypeError("initial_curve must be a GridFunction")
-        if not np.array_equal(ic.grid.nodes, grid.nodes):
-            raise ValueError("initial curve lives on a different grid")
-        return ic.copy()
+    The no-arbitrage drift with no linear part, plus +alpha*u exactly when
+    alpha_in_drift; the operator suite is shifted exactly then too.
+    """
+    return {"drift": "hjm", "drift_c": 0.0, "alpha_correction": alpha if alpha_in_drift else 0.0}
 
 
 @dataclass
 class BuiltHJM:
-    grid: Grid
     suite: OperatorSuite
     model: CoefficientModel
     u0: GridFunction
     report: PositivityReport
 
-    @property
-    def c_const(self) -> float:
-        """Discount rate for the supermartingale statistic."""
-        c = self.report.estimated_c
-        return c if np.isfinite(c) else 0.0
 
-
-def build_hjm(spec: HJMModelSpec, check_samples: int = 200, check_seed: int = 1) -> BuiltHJM:
-    """Assemble grid, operators and coefficients, then vet the model."""
-    for m in spec.modes:
-        if not isinstance(m, ModeFunction):
-            raise TypeError("modes must be ModeFunction instances")
-    grid = Grid.uniform(spec.x_max, spec.n_nodes, spec.alpha)
-    suite = OperatorSuite(grid, shifted=spec.alpha_in_drift)
-    model = CoefficientModel(
-        grid=grid,
-        modes=tuple(spec.modes),
-        drift="hjm",
-        alpha_correction=spec.alpha if spec.alpha_in_drift else 0.0,
-    )
-    u0 = spec.make_initial(grid)
+def build_hjm(modes, u0: GridFunction, alpha_in_drift: bool = True,
+              check_samples: int = CHECK_SAMPLES, check_seed: int = 1) -> BuiltHJM:
+    """Assemble operators and coefficients on u0's grid, then vet the model."""
+    if not isinstance(u0, GridFunction):
+        raise TypeError("u0 must be a GridFunction")
+    grid = u0.grid
+    model = CoefficientModel(grid, modes, **hjm_drift(grid.alpha, alpha_in_drift))
+    if not all(isinstance(m, ModeFunction) for m in model.modes):
+        raise TypeError("modes must be ModeFunction instances")
+    suite = OperatorSuite(grid, shifted=alpha_in_drift)
     report = estimate_positivity_constant(model, n_samples=check_samples, seed=check_seed)
-    return BuiltHJM(grid, suite, model, u0, report)
+    return BuiltHJM(suite, model, u0, report)
 
 
 @dataclass
@@ -142,16 +123,14 @@ def simulate_forward_rates(
     seed: int,
     scheme: str = DEFAULT_SCHEME,
     snapshot_stride: int = 0,
-    thresholds: tuple = DEFAULT_THRESHOLDS,
-    neg_threshold: float = NEG_THRESHOLD,
     chunk_size: int = DEFAULT_CHUNK_SIZE,
 ) -> HJMRun:
     cfg = SolverConfig(dt=dt, t_final=t_final, scheme=scheme, snapshot_stride=snapshot_stride)
     ens = run_ensemble(
         built.u0, built.suite, built.model, cfg, n_paths, seed, chunk_size=chunk_size
     )
-    stats = ensemble_stats(ens, c_const=built.c_const, thresholds=thresholds)
-    verdict = positivity_verdict(built.report, stats, neg_threshold=neg_threshold)
+    stats = ensemble_stats(ens, c_const=built.report.c_const, thresholds=DEFAULT_THRESHOLDS)
+    verdict = positivity_verdict(built.report, stats)
     return HJMRun(built, cfg, ens, stats, verdict)
 
 

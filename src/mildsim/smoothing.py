@@ -23,8 +23,8 @@ import numpy as np
 from .grids import GridFunction, norm, weighted_inner, weighted_sum
 from .noise import NoiseConfig, increment_block
 # random_bumps is not called here any more, but perfbench/tracing.py wraps it here
-from .operators import (BATTERY_LAMS, Battery, BatteryReport, OperatorSuite,  # noqa: F401
-                        random_bumps, run_battery, scratch_rows)
+from .operators import (BATTERY_LAMS, BATTERY_TOL, Battery, BatteryReport,  # noqa: F401
+                        OperatorSuite, random_bumps, run_battery, scratch_rows)
 
 __all__ = [
     "penalty_eval",
@@ -202,12 +202,12 @@ JENSEN = Battery("jensen-chain", 1, False, _jensen_excess)
 
 
 def run_pairing_battery(suite: OperatorSuite, n_samples: int, seed: int,
-                        lams: tuple = BATTERY_LAMS, tol: float = 1e-8) -> BatteryReport:
+                        lams: tuple = BATTERY_LAMS, tol: float = BATTERY_TOL) -> BatteryReport:
     return run_battery(suite, [PAIRING], n_samples, seed, lams, tol)[0]
 
 
 def run_jensen_battery(suite: OperatorSuite, n_samples: int, seed: int,
-                       lams: tuple = BATTERY_LAMS, tol: float = 1e-8) -> BatteryReport:
+                       lams: tuple = BATTERY_LAMS, tol: float = BATTERY_TOL) -> BatteryReport:
     return run_battery(suite, [JENSEN], n_samples, seed, lams, tol)[0]
 
 

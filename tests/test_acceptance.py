@@ -20,7 +20,6 @@ from mildsim import (
     CoefficientModel,
     Grid,
     GridFunction,
-    HJMModelSpec,
     ModeFunction,
     NoiseConfig,
     OperatorSuite,
@@ -180,14 +179,10 @@ def test_e_energy_identity_convergence():
 
 def test_f_capped_volatility_stays_positive():
     t0 = time.perf_counter()
-    spec = HJMModelSpec(
-        x_max=1.0,
-        n_nodes=1001,
-        alpha=0.5,
+    built = build_hjm(
         modes=(ModeFunction("proportional-capped", c=8.0, cap=2e-4),),
-        initial_curve=GridFunction.constant(Grid.uniform(1.0, 1001, 0.5), 4e-4),
+        u0=GridFunction.constant(Grid.uniform(1.0, 1001, 0.5), 4e-4),
     )
-    built = build_hjm(spec)
     rep_ok = built.report.violations == 0 and 0.0 < built.report.estimated_c < 10.0
     run_a = simulate_forward_rates(built, 2e-3, 1.0, 1000, 2026)
     run_b = simulate_forward_rates(built, 1e-3, 1.0, 1000, 2026)
@@ -196,7 +191,8 @@ def test_f_capped_volatility_stays_positive():
     e_a = float(run_a.stats.neg_energy_mean[-1])
     e_b = float(run_b.stats.neg_energy_mean[-1])
     ratio_ok = e_b == 0.0 or e_a / e_b >= 1.8
-    s = np.exp(-2.0 * built.c_const * run_a.ensemble.times)[None, :] * run_a.ensemble.neg_energy
+    s = (np.exp(-2.0 * built.report.c_const * run_a.ensemble.times)[None, :]
+         * run_a.ensemble.neg_energy)
     d = np.diff(s, axis=1)
     mean_inc = d.mean(axis=0)
     se_inc = d.std(axis=0, ddof=1) / math.sqrt(d.shape[0])
@@ -218,7 +214,7 @@ def test_f_capped_volatility_stays_positive():
     _report(
         "capped-volatility-stays-positive",
         ok,
-        f"admissible (c={built.c_const:.3g}), frac below -1e-3: {frac_a:.0%}/{frac_b:.0%}, "
+        f"admissible (c={built.report.c_const:.3g}), frac below -1e-3: {frac_a:.0%}/{frac_b:.0%}, "
         f"neg-energy halving ratio {ratio_txt} (need >=1.8), "
         f"{n_up} upward drift steps, verdicts {run_a.verdict}/{run_b.verdict}, {dt_s:.1f}s",
     )
@@ -227,14 +223,10 @@ def test_f_capped_volatility_stays_positive():
 
 def test_g_flat_volatility_goes_negative():
     t0 = time.perf_counter()
-    spec = HJMModelSpec(
-        x_max=1.0,
-        n_nodes=501,
-        alpha=0.5,
+    built = build_hjm(
         modes=(ModeFunction("constant", c=0.2),),
-        initial_curve=GridFunction.constant(Grid.uniform(1.0, 501, 0.5), 0.01),
+        u0=GridFunction.constant(Grid.uniform(1.0, 501, 0.5), 0.01),
     )
-    built = build_hjm(spec)
     run = simulate_forward_rates(built, 2e-3, 1.0, 10000, 7)
     p_neg = float((run.ensemble.final_values[:, 0] < 0.0).mean())
     target = 0.44038

@@ -1,4 +1,5 @@
 import copy
+import errno
 import json
 import os
 import subprocess
@@ -11,6 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import mildsim
+from mildsim import kernels
 from mildsim.cli import main
 from mildsim.config import (
     EXPERIMENTS,
@@ -22,6 +24,7 @@ from mildsim.config import (
     build_model,
     parse_config,
 )
+from mildsim.grids import Grid
 
 
 def _hjm_cfg():
@@ -521,12 +524,53 @@ def _run_expecting_errors(tmp_path, capsys, experiment, cfg, overrides=()):
         ("simulate", "run.t_final=1e300", "run.dt"),
         ("operator-tests", "grid.n_nodes=2305843009213693952", "grid.n_nodes"),
         ("operator-tests", "check.n_samples=-1", "check.n_samples"),
+        # simulate's check only estimates c_const, so a given c_const leaves it unread
+        pytest.param("simulate", ["run.c_const=0.5", 'check={"n_samples": 7, "seed": 3}'],
+                     "check", id="simulate-run.c_const+check-check"),
     ],
 )
 def test_cli_semantic_errors_exit_2(tmp_path, capsys, experiment, override, path):
     cfg = _small_cfgs()[experiment]
-    problems = _run_expecting_errors(tmp_path, capsys, experiment, cfg, [override])
+    overrides = [override] if isinstance(override, str) else override
+    problems = _run_expecting_errors(tmp_path, capsys, experiment, cfg, overrides)
     assert len(problems) == 1 and problems[0].startswith(f"{path}: "), problems
+
+
+@pytest.mark.parametrize("exc", [MemoryError(), OSError(errno.ENOMEM, "Cannot allocate memory")],
+                         ids=["MemoryError", "ENOMEM"])
+def test_cli_unallocatable_run_exits_2(tmp_path, capsys, monkeypatch, exc):
+    # a run inside the parser's size bound can still exceed what the machine
+    # maps; it ends in one named problem, not a traceback
+    def refuse(*args):
+        raise exc
+
+    monkeypatch.setattr(kernels, "outputs", refuse)
+    path = _write_cfg(tmp_path, _small_cfgs()["simulate"])
+    assert main(["simulate", "--config", path, "--out", str(tmp_path / "out")]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("config error: ") and "memory" in lines[0]
+    assert not (tmp_path / "out" / "manifest.json").exists()
+    # any other OSError is not a config problem and still propagates
+    exc = OSError(errno.EIO, "Input/output error")
+    with pytest.raises(OSError):
+        main(["simulate", "--config", path, "--out", str(tmp_path / "out")])
+    capsys.readouterr()
+
+
+def test_hjm_run_builds_one_grid(tmp_path, capsys, monkeypatch):
+    # the model, the operators and the curves of an hjm run share the grid it builds
+    calls = []
+    uniform = Grid.uniform.__func__
+
+    def counted(cls, *args):
+        calls.append(args)
+        return uniform(cls, *args)
+
+    monkeypatch.setattr(Grid, "uniform", classmethod(counted))
+    path = _write_cfg(tmp_path, _small_cfgs()["hjm"])
+    assert main(["hjm", "--config", path, "--out", str(tmp_path / "out")]) == 0
+    assert calls == [(1.0, 11, 0.5)]
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("case", ["not-utf8", "deep-file", "deep-override", "out-is-file",

@@ -1,10 +1,12 @@
+import json
+
 import numpy as np
 import pytest
 
+from mildsim.cli import main
 from mildsim.coefficients import ModeFunction, PositivityReport
 from mildsim.grids import Grid, GridFunction
 from mildsim.hjm import (
-    HJMModelSpec,
     VERDICTS,
     bond_curve,
     build_hjm,
@@ -17,58 +19,61 @@ from test_noise import step_once
 
 
 def flat(x_max, n_nodes, alpha, r):
-    """The flat curve r on the grid of an HJMModelSpec of these sizes."""
+    """The flat curve r on a grid of these sizes."""
     return GridFunction.constant(Grid.uniform(x_max, n_nodes, alpha), r)
 
 
 def test_spec_initial_forms():
-    g = Grid.uniform(1.0, 101, 0.5)
-    direct = GridFunction.constant(g, 0.02)
-    ug = HJMModelSpec(1.0, 101, 0.5, (), direct).make_initial(g)
+    direct = flat(1.0, 101, 0.5, 0.02)
+    ug = build_hjm((), direct, check_samples=5).u0
     assert np.array_equal(ug.values, direct.values) and ug.tail_value == 0.02
-    assert ug.values is not direct.values
-    # a curve on a grid of the same nodes is accepted
-    uf = HJMModelSpec(1.0, 101, 0.5, (), flat(1.0, 101, 0.5, 0.03)).make_initial(g)
-    assert np.all(uf.values == 0.03) and uf.tail_value == 0.03
-    other = GridFunction.constant(Grid.uniform(1.0, 99, 0.5), 0.02)
-    with pytest.raises(ValueError):
-        HJMModelSpec(1.0, 101, 0.5, (), other).make_initial(g)
+    # the model and the operators live on the curve's own grid
+    built = build_hjm((), flat(1.0, 101, 0.5, 0.03), check_samples=5)
+    assert np.all(built.u0.values == 0.03) and built.u0.tail_value == 0.03
+    assert built.model.grid is built.u0.grid and built.suite.grid is built.u0.grid
     for bad in ("flat", 0.03, lambda x: 0.01 + 0.02 * x):
         with pytest.raises(TypeError):
-            HJMModelSpec(1.0, 101, 0.5, (), bad).make_initial(g)
+            build_hjm((), bad, check_samples=5)
 
 
-def test_build_wiring_with_alpha_in_drift():
+def test_build_wiring_with_alpha_in_drift(tmp_path):
     modes = (ModeFunction("proportional-capped", c=2.0, cap=1e-3),)
-    spec = HJMModelSpec(1.0, 201, 0.5, modes, flat(1.0, 201, 0.5, 0.02), alpha_in_drift=True)
-    built = build_hjm(spec, check_samples=20, check_seed=1)
-    assert built.suite.shifted
-    assert built.model.alpha_correction == 0.5
-    assert built.model.drift == "hjm"
-    assert built.model.modes == modes
-    spec2 = HJMModelSpec(1.0, 201, 0.5, modes, flat(1.0, 201, 0.5, 0.02),
-                         alpha_in_drift=False)
-    built2 = build_hjm(spec2, check_samples=20, check_seed=1)
-    assert not built2.suite.shifted
-    assert built2.model.alpha_correction == 0.0
+    for alpha_in_drift in (True, False):
+        built = build_hjm(modes, flat(1.0, 201, 0.5, 0.02), alpha_in_drift,
+                          check_samples=20, check_seed=1)
+        assert built.suite.shifted == alpha_in_drift
+        assert built.model.alpha_correction == (0.5 if alpha_in_drift else 0.0)
+        assert built.model.drift == "hjm"
+        assert built.model.modes == modes
+        # the manifest records the drift terms the model ran with
+        cfg = {"experiment": "hjm", "grid": {"x_max": 1.0, "n_nodes": 201, "alpha": 0.5},
+               "model": {"modes": [{"kind": "proportional-capped", "c": 2.0, "cap": 1e-3}],
+                         "initial": {"flat": 0.02}, "alpha_in_drift": alpha_in_drift},
+               "run": {"dt": 5e-3, "t_final": 1e-2, "n_paths": 2},
+               "check": {"n_samples": 20, "seed": 1}}
+        path, out = tmp_path / "hjm.json", tmp_path / str(alpha_in_drift)
+        path.write_text(json.dumps(cfg))
+        assert main(["hjm", "--config", str(path), "--out", str(out)]) == 0
+        model = json.loads((out / "manifest.json").read_text())["config"]["model"]
+        m = built.model
+        assert (model["drift"], model["drift_c"], model["alpha_correction"]) == (
+            m.drift, m.drift_c, m.alpha_correction)
 
 
 def test_build_rejects_bad_modes():
     with pytest.raises(TypeError):
-        build_hjm(HJMModelSpec(1.0, 101, 0.5, ("constant",), flat(1.0, 101, 0.5, 0.02)))
+        build_hjm(("constant",), flat(1.0, 101, 0.5, 0.02))
 
 
 def test_c_const_folds_infinite_estimate_to_zero():
     flat_vol = (ModeFunction("constant", c=0.2),)
-    built = build_hjm(HJMModelSpec(1.0, 201, 0.5, flat_vol, flat(1.0, 201, 0.5, 0.01)),
-                      check_samples=20)
+    built = build_hjm(flat_vol, flat(1.0, 201, 0.5, 0.01), check_samples=20)
     assert built.report.violations >= 1
-    assert built.c_const == 0.0
+    assert built.report.c_const == 0.0
     capped = (ModeFunction("proportional-capped", c=8.0, cap=2e-4),)
-    built2 = build_hjm(HJMModelSpec(1.0, 501, 0.5, capped, flat(1.0, 501, 0.5, 4e-4)),
-                       check_samples=50)
+    built2 = build_hjm(capped, flat(1.0, 501, 0.5, 4e-4), check_samples=50)
     assert built2.report.violations == 0
-    assert built2.c_const == built2.report.estimated_c
+    assert built2.report.c_const == built2.report.estimated_c
 
 
 def _stats(frac_final, supermart_final):
@@ -103,8 +108,7 @@ def test_verdict_branches():
 
 def test_forward_rate_run_capped_model_is_consistent():
     capped = (ModeFunction("proportional-capped", c=8.0, cap=2e-4),)
-    built = build_hjm(HJMModelSpec(1.0, 1001, 0.5, capped, flat(1.0, 1001, 0.5, 4e-4)),
-                      check_samples=50)
+    built = build_hjm(capped, flat(1.0, 1001, 0.5, 4e-4), check_samples=50)
     run = simulate_forward_rates(built, dt=2e-3, t_final=0.05, n_paths=20, seed=2026)
     assert run.ensemble.n_paths == 20
     assert run.ensemble.n_aborted == 0
@@ -114,8 +118,7 @@ def test_forward_rate_run_capped_model_is_consistent():
 
 def test_forward_rate_run_flat_vol_goes_negative():
     flat_vol = (ModeFunction("constant", c=0.2),)
-    built = build_hjm(HJMModelSpec(1.0, 501, 0.5, flat_vol, flat(1.0, 501, 0.5, 0.01)),
-                      check_samples=20)
+    built = build_hjm(flat_vol, flat(1.0, 501, 0.5, 0.01), check_samples=20)
     run = simulate_forward_rates(built, dt=2e-3, t_final=0.2, n_paths=200, seed=7)
     assert built.report.violations >= 1
     assert run.stats.frac_below[-1e-3][-1] > 0.0
@@ -128,8 +131,8 @@ def test_alpha_placement_is_second_order():
     mode = (ModeFunction("constant", c=0.2),)
     u0 = GridFunction.from_callable(Grid.uniform(0.02, 201, 0.01),
                                     lambda x: 0.05 + 0.01 * np.sin(300.0 * x))
-    a = build_hjm(HJMModelSpec(0.02, 201, 0.01, mode, u0, alpha_in_drift=True), check_samples=5)
-    b = build_hjm(HJMModelSpec(0.02, 201, 0.01, mode, u0, alpha_in_drift=False), check_samples=5)
+    a = build_hjm(mode, u0, alpha_in_drift=True, check_samples=5)
+    b = build_hjm(mode, u0, alpha_in_drift=False, check_samples=5)
     cfg = SolverConfig(dt=1e-4, t_final=1e-3)
     pa = simulate_path(a.u0, a.suite, a.model, cfg, NoiseConfig(1, 5))
     pb = simulate_path(b.u0, b.suite, b.model, cfg, NoiseConfig(1, 5))
@@ -143,16 +146,15 @@ def _mild_solution_error(n_nodes, dt, t_final=0.5):
     c, x_max = 0.3, 4.0
     u0 = GridFunction.from_callable(Grid.uniform(x_max, n_nodes, 0.5),
                                     lambda x: 0.02 + 0.01 * np.exp(-x))
-    spec = HJMModelSpec(x_max, n_nodes, 0.5, (ModeFunction("exponential-decay", c=c),), u0,
-                        alpha_in_drift=False)
-    built = build_hjm(spec, check_samples=5)
+    built = build_hjm((ModeFunction("exponential-decay", c=c),), u0, alpha_in_drift=False,
+                      check_samples=5)
     cfg = SolverConfig(dt=dt, t_final=dt)
     u = built.u0
     n_steps = int(round(t_final / dt))
     zero = np.zeros(1)
     for _ in range(n_steps):
         u = step_once(u, built.suite, built.model, cfg, zero)
-    x = built.grid.nodes
+    x = built.model.grid.nodes
     shifted = 0.02 + 0.01 * np.exp(-(x + t_final))
     drift_part = c * c * (
         np.exp(-x) * (1.0 - np.exp(-t_final))

@@ -1,7 +1,11 @@
-"""The benchmark's tracer wraps package names; each must still exist."""
+"""The benchmark's tooling: the names its tracer wraps must still exist, and
+importing the CLI must load no scipy module."""
 
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -52,3 +56,14 @@ def test_tracer_counts_the_kernels_work():
     assert metrics["kernels.path_steps"] == 5 * 5
     assert metrics["kernels.node_steps"] == 5 * 5 * 51
     assert tot["kernels.resolvent_sweep"]["nodes"] == 51
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy loads on first use: a top-level scipy.signal import once took
+    # most of the CLI's import time, which the benchmark's setup_s counts
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = "import sys, mildsim.cli; print([m for m in sys.modules if m.startswith('scipy')])"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True, capture_output=True,
+                         text=True).stdout
+    assert out.strip() == "[]"
