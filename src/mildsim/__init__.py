@@ -30,7 +30,6 @@ from .smoothing import (
 from .solver import (
     EnsembleResult,
     EnsembleStats,
-    PathResult,
     SolverConfig,
     ensemble_stats,
     lambda_convergence_study,
@@ -40,7 +39,6 @@ from .solver import (
 )
 from .hjm import (
     BuiltHJM,
-    HJMRun,
     bond_curve,
     build_hjm,
     positivity_verdict,
@@ -72,7 +70,6 @@ __all__ = [
     "smooth_energy",
     "supermartingale_stat",
     "SolverConfig",
-    "PathResult",
     "EnsembleResult",
     "EnsembleStats",
     "ensemble_stats",
@@ -81,7 +78,6 @@ __all__ = [
     "simulate_regularized",
     "lambda_convergence_study",
     "BuiltHJM",
-    "HJMRun",
     "build_hjm",
     "bond_curve",
     "positivity_verdict",

@@ -141,23 +141,23 @@ def _exp_hjm(cfg: Config, outdir: Path) -> tuple[dict, bool, bool]:
     grid = build_grid(cfg.grid)
     built = build_hjm(build_modes(m, grid), build_initial(m.initial, grid), m.alpha_in_drift,
                       cfg.check.n_samples, cfg.check.seed)
-    run = simulate_forward_rates(built, r.dt, r.t_final, r.n_paths, r.seed, r.scheme,
-                                 r.snapshot_stride, r.chunk_size)
-    _write_csv(outdir / "ensemble.csv", _STATS_HEADER, _stats_rows(run.stats))
-    _write_csv(outdir / "curve.csv", _CURVE_HEADER, _curve_rows(run.ensemble))
+    ens, stats, verdict = simulate_forward_rates(built, r.dt, r.t_final, r.n_paths, r.seed,
+                                                 r.scheme, r.snapshot_stride, r.chunk_size)
+    _write_csv(outdir / "ensemble.csv", _STATS_HEADER, _stats_rows(stats))
+    _write_csv(outdir / "curve.csv", _CURVE_HEADER, _curve_rows(ens))
     results = {
-        "verdict": run.verdict,
+        "verdict": verdict,
         "check": asdict(built.report),
         "c_const": built.report.c_const,
-        "n_paths": run.ensemble.n_paths,
-        "n_aborted": run.ensemble.n_aborted,
-        "final_neg_energy_mean": float(run.stats.neg_energy_mean[-1]),
-        "final_frac_below_1e-03": float(run.stats.frac_below[NEG_THRESHOLD][-1]),
+        "n_paths": ens.n_paths,
+        "n_aborted": ens.n_aborted,
+        "final_neg_energy_mean": float(stats.neg_energy_mean[-1]),
+        "final_frac_below_1e-03": float(stats.frac_below[NEG_THRESHOLD][-1]),
     }
-    aborted = run.ensemble.n_aborted > 0
+    aborted = ens.n_aborted > 0
     passed = not aborted
     if cfg.expect_verdict is not None:
-        passed = passed and (run.verdict == cfg.expect_verdict)
+        passed = passed and (verdict == cfg.expect_verdict)
     return {"results": results, "outputs": ["ensemble.csv", "curve.csv"]}, passed, aborted
 
 
@@ -199,16 +199,9 @@ def _exp_lambda_study(cfg: Config, outdir: Path) -> tuple[dict, bool, bool]:
     lams, n_seeds, seed0 = cfg.lambda_study.lams, cfg.lambda_study.n_seeds, r.seed
     streams = [NoiseConfig(model.n_modes, seed0 + i) for i in range(n_seeds)]
     study = lambda_convergence_study(u0, suite, model, scfg, streams, lams)
-    rows = []
-    all_monotone = True
-    sums = np.zeros(len(lams))
-    for i, entries in enumerate(study):
-        ds = [e.sup_distance for e in entries]
-        sums += np.asarray(ds)
-        if any(b >= a for a, b in zip(ds, ds[1:])):
-            all_monotone = False
-        for e in entries:
-            rows.append([seed0 + i, e.lam, e.sup_distance])
+    rows = [[seed0 + i, lam, d] for i, ds in enumerate(study) for lam, d in zip(lams, ds)]
+    all_monotone = not (study[:, 1:] >= study[:, :-1]).any()
+    sums = np.add.accumulate(study)[-1]  # the seeds in order, as a sequential sum
     _write_csv(outdir / "lambda_study.csv", ["seed", "lam", "sup_distance"], rows)
     results = {
         "lams": list(lams),
@@ -322,6 +315,7 @@ def main(argv=None) -> int:
         or os.environ.get("MILDSIM_OUT")
         or "mildsim-out"
     )
+    made = [d for d in (outdir, *outdir.parents) if not os.path.lexists(d)]  # deepest first
     try:
         if args.validate_only:
             _check_outdir(outdir)
@@ -341,6 +335,11 @@ def main(argv=None) -> int:
             raise
         print("config error: the run's arrays need more memory than this machine can allocate",
               file=sys.stderr)
+        for d in made:  # what this run made, while it is still empty
+            try:
+                d.rmdir()
+            except OSError:
+                break
         return 2
     manifest = {
         "tool": "mildsim",

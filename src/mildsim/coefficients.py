@@ -93,7 +93,7 @@ class ModeFunction:
         form = MODE_TABLE[self.kind][1]
         if form == "table":
             t = self.table
-            if not np.array_equal(t.grid.nodes, grid.nodes):
+            if not t.grid.same(grid):
                 raise ValueError("custom mode table lives on a different grid")
             return self.c * t.values, self.c * t.tail_value
         if form == "decay":

@@ -132,6 +132,10 @@ class Grid:
     def spacing(self) -> float:
         return float(self.nodes[1] - self.nodes[0])
 
+    def same(self, other: "Grid") -> bool:
+        """Whether other is this grid: the same object, or equal nodes and equal alpha."""
+        return other is self or (other.alpha == self.alpha and np.array_equal(other.nodes, self.nodes))
+
     def growth_weights(self) -> np.ndarray:
         """Hat weights against e^{+alpha x}, used by the derivative norm."""
         return hat_weights(self.nodes, self.alpha)
@@ -187,7 +191,7 @@ class GridFunction:
     __rmul__ = __mul__
 
     def _check(self, other: "GridFunction") -> None:
-        if other.grid is not self.grid and not np.array_equal(other.grid.nodes, self.grid.nodes):
+        if not self.grid.same(other.grid):
             raise ValueError("grid mismatch")
 
 

@@ -37,7 +37,6 @@ __all__ = [
     "hjm_drift",
     "BuiltHJM",
     "build_hjm",
-    "HJMRun",
     "simulate_forward_rates",
     "bond_curve",
     "positivity_verdict",
@@ -80,15 +79,6 @@ def build_hjm(modes, u0: GridFunction, alpha_in_drift: bool = True,
     return BuiltHJM(suite, model, u0, report)
 
 
-@dataclass
-class HJMRun:
-    built: BuiltHJM
-    config: SolverConfig
-    ensemble: EnsembleResult
-    stats: EnsembleStats
-    verdict: str
-
-
 def positivity_verdict(
     report: PositivityReport,
     stats: EnsembleStats,
@@ -124,14 +114,14 @@ def simulate_forward_rates(
     scheme: str = DEFAULT_SCHEME,
     snapshot_stride: int = 0,
     chunk_size: int = DEFAULT_CHUNK_SIZE,
-) -> HJMRun:
+) -> tuple[EnsembleResult, EnsembleStats, str]:
+    """The ensemble of built's model, its statistics and their verdict."""
     cfg = SolverConfig(dt=dt, t_final=t_final, scheme=scheme, snapshot_stride=snapshot_stride)
     ens = run_ensemble(
         built.u0, built.suite, built.model, cfg, n_paths, seed, chunk_size=chunk_size
     )
     stats = ensemble_stats(ens, c_const=built.report.c_const, thresholds=DEFAULT_THRESHOLDS)
-    verdict = positivity_verdict(built.report, stats)
-    return HJMRun(built, cfg, ens, stats, verdict)
+    return ens, stats, positivity_verdict(built.report, stats)
 
 
 def bond_curve(u: GridFunction) -> tuple[np.ndarray, np.ndarray]:

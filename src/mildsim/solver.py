@@ -36,14 +36,12 @@ __all__ = [
     "DEFAULT_BLOW_THRESHOLD",
     "DEFAULT_THRESHOLDS",
     "SolverConfig",
-    "PathResult",
     "EnsembleResult",
     "EnsembleStats",
     "simulate_path",
     "simulate_regularized",
     "run_ensemble",
     "ensemble_stats",
-    "StudyEntry",
     "lambda_convergence_study",
 ]
 
@@ -96,16 +94,9 @@ class SolverConfig:
         return s
 
 
-def _check_grids(suite: OperatorSuite, model: CoefficientModel) -> None:
-    if model.grid is not suite.grid and not (
-        np.array_equal(model.grid.nodes, suite.grid.nodes)
-        and model.grid.alpha == suite.grid.alpha
-    ):
-        raise ValueError("model and operator suite use different grids")
-
-
 def _kernel_call(u0, suite, model, cfg, dW, out=None):
-    _check_grids(suite, model)
+    if not model.grid.same(suite.grid):
+        raise ValueError("model and operator suite use different grids")
     g = suite.grid
     m_shift = suite.steps_for_time(cfg.dt)
     damp = suite.damping(cfg.dt)
@@ -130,23 +121,6 @@ def _simulate_streams(u0, suite, model, cfg, streams, out=None):
     v0 = np.broadcast_to(u0.values, (p, u0.grid.n))
     t0 = np.broadcast_to(np.float64(u0.tail_value), (p,))
     return _kernel_call((v0, t0), suite, model, cfg, dW, out)
-
-
-@dataclass
-class PathResult:
-    times: np.ndarray
-    final: GridFunction
-    neg_energy: np.ndarray
-    min_value: np.ndarray
-    abort_step: int
-    snapshots: list
-
-    @property
-    def aborted(self) -> bool:
-        return self.abort_step >= 0
-
-    def supermartingale(self, c_const: float) -> np.ndarray:
-        return supermartingale_stat(self.times, self.neg_energy, c_const)
 
 
 @dataclass
@@ -177,19 +151,11 @@ def simulate_path(
     model: CoefficientModel,
     cfg: SolverConfig,
     noise_cfg: NoiseConfig,
-) -> PathResult:
-    out = _simulate_streams(u0, suite, model, cfg, [noise_cfg])
-    times = np.arange(cfg.n_steps + 1) * cfg.dt
-    shots = [(float(s * cfg.dt), GridFunction(u0.grid, v.copy(), float(t))) for s, v, t in
-             zip(cfg.snapshot_steps(), out.snapshots[:, 0], out.snapshot_tails[:, 0])]
-    return PathResult(
-        times=times,
-        final=GridFunction(u0.grid, out.final_values[0], float(out.final_tails[0])),
-        neg_energy=out.neg_energy[0],
-        min_value=out.min_value[0],
-        abort_step=int(out.aborted[0]),
-        snapshots=shots,
-    )
+) -> EnsembleResult:
+    """One path on noise_cfg's stream: the one-row ensemble of that seed and stream."""
+    if noise_cfg.n_modes != model.n_modes:
+        raise ValueError("noise_cfg.n_modes does not match the model")
+    return run_ensemble(u0, suite, model, cfg, 1, noise_cfg.seed, noise_cfg.stream_id)
 
 
 def simulate_regularized(
@@ -199,7 +165,7 @@ def simulate_regularized(
     cfg: SolverConfig,
     noise_cfg: NoiseConfig,
     lam: float,
-) -> PathResult:
+) -> EnsembleResult:
     """Run with resolvent-smoothed state and reactions at parameter lam.
 
     The initial state is smoothed once up front; during stepping every
@@ -289,13 +255,7 @@ def ensemble_stats(
     )
 
 
-@dataclass(frozen=True)
-class StudyEntry:
-    lam: float
-    sup_distance: float
-
-
-def _sup_distances(grid, a, a_tails, b, b_tails) -> list:
+def _sup_distances(grid, a, a_tails, b, b_tails) -> np.ndarray:
     """Per path, the supremum over snapshots of the weighted L2 distance of two runs.
 
     a and b are (snapshots, paths, N) with their tails; NaN snapshots of
@@ -310,7 +270,7 @@ def _sup_distances(grid, a, a_tails, b, b_tails) -> list:
     t = a_tails - b_tails
     sq = weighted_sum(grid.weights, b) + grid.tail_weight * t * t
     d = np.sqrt(np.maximum(sq, 0.0))
-    return np.where(d > 0.0, d, 0.0).max(axis=0, initial=0.0).tolist()
+    return np.where(d > 0.0, d, 0.0).max(axis=0, initial=0.0)
 
 
 def lambda_convergence_study(
@@ -320,19 +280,19 @@ def lambda_convergence_study(
     cfg: SolverConfig,
     noise_cfgs: Sequence[NoiseConfig],
     lams: tuple,
-) -> list:
+) -> np.ndarray:
     """Couple regularized runs to the plain run through shared noise.
 
-    Returns, for each noise stream in the given order, a list with one
-    StudyEntry per lam (in the given order) holding the supremum over
-    recorded times of the weighted L2 distance to the unregularized path
-    driven by the same increments.  The regularized runs start from the
+    Returns a (streams, lams) array: row p, column j holds, for noise
+    stream p and lams[j] in the given orders, the supremum over recorded
+    times of the weighted L2 distance to the unregularized path driven
+    by the same increments.  The regularized runs start from the
     resolvent of u0 at their lam (see simulate_regularized).
 
     The streams run in batches, each one kernel call for the plain runs
     and one per lam, cut so that the two stride-1 snapshot arrays held
-    at once stay within STUDY_BYTES.  A stream's entries do not depend
-    on the batch it runs in.
+    at once stay within STUDY_BYTES.  A stream's row does not depend on
+    the batch it runs in.
     """
     if len(lams) == 0:
         raise ValueError("need at least one lam")
@@ -342,19 +302,14 @@ def lambda_convergence_study(
     starts = [suite.resolvent(u0, lam) for lam in lams]
     per_batch = max(1, STUDY_BYTES // (2 * 8 * (cfg1.n_steps + 1) * u0.grid.n))
     grid = u0.grid
-    entries = []
+    dist = np.empty((len(noise_cfgs), len(lams)))
     for lo in range(0, len(noise_cfgs), per_batch):
         streams = noise_cfgs[lo : lo + per_batch]
         plain = _simulate_streams(u0, suite, model, cfg1, streams)
         # every lam's run in turn; _sup_distances overwrites its snapshots
         reg = kernels.outputs(len(streams), grid.n, cfg1.n_steps, len(plain.snapshots))
-        dists = []
-        for lam, start in zip(lams, starts):
-            _simulate_streams(start, suite, model, replace(cfg1, lam=lam), streams, reg)
-            dists.append(_sup_distances(grid, plain.snapshots, plain.snapshot_tails,
-                                        reg.snapshots, reg.snapshot_tails))
-        entries += [
-            [StudyEntry(float(lam), d[p]) for lam, d in zip(lams, dists)]
-            for p in range(len(streams))
-        ]
-    return entries
+        for j, start in enumerate(starts):
+            _simulate_streams(start, suite, model, replace(cfg1, lam=lams[j]), streams, reg)
+            dist[lo : lo + len(streams), j] = _sup_distances(
+                grid, plain.snapshots, plain.snapshot_tails, reg.snapshots, reg.snapshot_tails)
+    return dist

@@ -184,15 +184,15 @@ def test_f_capped_volatility_stays_positive():
         u0=GridFunction.constant(Grid.uniform(1.0, 1001, 0.5), 4e-4),
     )
     rep_ok = built.report.violations == 0 and 0.0 < built.report.estimated_c < 10.0
-    run_a = simulate_forward_rates(built, 2e-3, 1.0, 1000, 2026)
-    run_b = simulate_forward_rates(built, 1e-3, 1.0, 1000, 2026)
-    frac_a = float(run_a.stats.frac_below[-1e-3][-1])
-    frac_b = float(run_b.stats.frac_below[-1e-3][-1])
-    e_a = float(run_a.stats.neg_energy_mean[-1])
-    e_b = float(run_b.stats.neg_energy_mean[-1])
+    ens_a, stats_a, verdict_a = simulate_forward_rates(built, 2e-3, 1.0, 1000, 2026)
+    ens_b, stats_b, verdict_b = simulate_forward_rates(built, 1e-3, 1.0, 1000, 2026)
+    frac_a = float(stats_a.frac_below[-1e-3][-1])
+    frac_b = float(stats_b.frac_below[-1e-3][-1])
+    e_a = float(stats_a.neg_energy_mean[-1])
+    e_b = float(stats_b.neg_energy_mean[-1])
     ratio_ok = e_b == 0.0 or e_a / e_b >= 1.8
-    s = (np.exp(-2.0 * built.report.c_const * run_a.ensemble.times)[None, :]
-         * run_a.ensemble.neg_energy)
+    s = (np.exp(-2.0 * built.report.c_const * ens_a.times)[None, :]
+         * ens_a.neg_energy)
     d = np.diff(s, axis=1)
     mean_inc = d.mean(axis=0)
     se_inc = d.std(axis=0, ddof=1) / math.sqrt(d.shape[0])
@@ -200,14 +200,14 @@ def test_f_capped_volatility_stays_positive():
     dt_s = time.perf_counter() - t0
     ok = (
         rep_ok
-        and run_a.ensemble.n_aborted == 0
-        and run_b.ensemble.n_aborted == 0
+        and ens_a.n_aborted == 0
+        and ens_b.n_aborted == 0
         and frac_a == 0.0
         and frac_b == 0.0
         and ratio_ok
         and n_up == 0
-        and run_a.verdict == "consistent-with-theorem"
-        and run_b.verdict == "consistent-with-theorem"
+        and verdict_a == "consistent-with-theorem"
+        and verdict_b == "consistent-with-theorem"
         and dt_s < 300.0
     )
     ratio_txt = "inf" if e_b == 0.0 else f"{e_a / e_b:.1f}"
@@ -216,7 +216,7 @@ def test_f_capped_volatility_stays_positive():
         ok,
         f"admissible (c={built.report.c_const:.3g}), frac below -1e-3: {frac_a:.0%}/{frac_b:.0%}, "
         f"neg-energy halving ratio {ratio_txt} (need >=1.8), "
-        f"{n_up} upward drift steps, verdicts {run_a.verdict}/{run_b.verdict}, {dt_s:.1f}s",
+        f"{n_up} upward drift steps, verdicts {verdict_a}/{verdict_b}, {dt_s:.1f}s",
     )
     assert ok
 
@@ -227,15 +227,15 @@ def test_g_flat_volatility_goes_negative():
         modes=(ModeFunction("constant", c=0.2),),
         u0=GridFunction.constant(Grid.uniform(1.0, 501, 0.5), 0.01),
     )
-    run = simulate_forward_rates(built, 2e-3, 1.0, 10000, 7)
-    p_neg = float((run.ensemble.final_values[:, 0] < 0.0).mean())
+    ens, _, verdict = simulate_forward_rates(built, 2e-3, 1.0, 10000, 7)
+    p_neg = float((ens.final_values[:, 0] < 0.0).mean())
     target = 0.44038
     dt_s = time.perf_counter() - t0
     ok = (
         built.report.violations > 0
-        and run.ensemble.n_aborted == 0
+        and ens.n_aborted == 0
         and abs(p_neg - target) <= 0.02
-        and run.verdict == "counterexample-regime"
+        and verdict == "counterexample-regime"
         and dt_s < 300.0
     )
     _report(
@@ -243,7 +243,7 @@ def test_g_flat_volatility_goes_negative():
         ok,
         f"coefficient check violations {built.report.violations}, "
         f"P(short rate < 0 at t=1) = {p_neg:.4f} vs {target} (tol 0.02), "
-        f"verdict {run.verdict}, {dt_s:.1f}s",
+        f"verdict {verdict}, {dt_s:.1f}s",
     )
     assert ok
 
@@ -263,8 +263,7 @@ def test_h_regularized_paths_converge():
     lams = (0.2, 0.1, 0.05, 0.025)
     good = 0
     streams = [NoiseConfig(1, seed) for seed in range(100, 120)]
-    for entries in lambda_convergence_study(u0, suite, model, cfg, streams, lams):
-        ds = [e.sup_distance for e in entries]
+    for ds in lambda_convergence_study(u0, suite, model, cfg, streams, lams):
         if all(d > 0.0 for d in ds) and all(ds[i] > ds[i + 1] for i in range(len(ds) - 1)):
             good += 1
     dt_s = time.perf_counter() - t0

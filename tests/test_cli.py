@@ -550,6 +550,15 @@ def test_cli_unallocatable_run_exits_2(tmp_path, capsys, monkeypatch, exc):
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("config error: ") and "memory" in lines[0]
     assert not (tmp_path / "out" / "manifest.json").exists()
+    # the directories the run made go, as after a parser error; one that
+    # was there before stays
+    assert not (tmp_path / "out").exists()
+    assert main(["simulate", "--config", path, "--out", str(tmp_path / "new" / "out")]) == 2
+    assert not (tmp_path / "new").exists()
+    (tmp_path / "old").mkdir()
+    assert main(["simulate", "--config", path, "--out", str(tmp_path / "old")]) == 2
+    assert (tmp_path / "old").is_dir() and not any((tmp_path / "old").iterdir())
+    capsys.readouterr()
     # any other OSError is not a config problem and still propagates
     exc = OSError(errno.EIO, "Input/output error")
     with pytest.raises(OSError):

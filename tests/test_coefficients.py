@@ -84,6 +84,9 @@ def test_mode_validation(grid):
     t = GridFunction.constant(Grid.uniform(3.0, 600, 0.5), 1.0)
     with pytest.raises(ValueError):
         ModeFunction("custom", table=t).profile(grid)
+    t = GridFunction.constant(Grid.uniform(3.0, 601, 2.0), 1.0)  # the nodes, another alpha
+    with pytest.raises(ValueError):
+        ModeFunction("custom", table=t).profile(grid)
 
 
 def test_mode_evaluate_constant(grid):

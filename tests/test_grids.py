@@ -184,6 +184,21 @@ def test_gridfunction_validation():
         weighted_inner(f, h)
 
 
+def test_equal_nodes_with_other_alpha_are_another_grid():
+    # the weights follow alpha, so mixing these grids would make the inner
+    # product depend on the order of its arguments (2.0 one way, 0.5 the other)
+    f = GridFunction.constant(Grid.uniform(1.0, 11, 0.5), 1.0)
+    h = GridFunction.constant(Grid.uniform(1.0, 11, 2.0), 1.0)
+    for op in (lambda: f + h, lambda: f.minus(h), lambda: f - h,
+               lambda: weighted_inner(f, h), lambda: weighted_inner(h, f)):
+        with pytest.raises(ValueError, match="grid mismatch"):
+            op()
+    # a grid built apart with equal nodes and alpha is the same grid
+    twin = Grid.uniform(1.0, 11, 0.5)
+    assert twin is not f.grid and twin.same(f.grid) and not h.grid.same(f.grid)
+    assert (f + GridFunction.constant(twin, 2.0)).tail_value == 3.0
+
+
 def test_growth_weights_sum():
     g = Grid.uniform(3.0, 301, 0.8)
     exact = (np.exp(0.8 * 3.0) - 1.0) / 0.8

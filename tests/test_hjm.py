@@ -109,20 +109,21 @@ def test_verdict_branches():
 def test_forward_rate_run_capped_model_is_consistent():
     capped = (ModeFunction("proportional-capped", c=8.0, cap=2e-4),)
     built = build_hjm(capped, flat(1.0, 1001, 0.5, 4e-4), check_samples=50)
-    run = simulate_forward_rates(built, dt=2e-3, t_final=0.05, n_paths=20, seed=2026)
-    assert run.ensemble.n_paths == 20
-    assert run.ensemble.n_aborted == 0
-    assert run.verdict == "consistent-with-theorem"
-    assert run.stats.frac_below[-1e-3][-1] == 0.0
+    ens, stats, verdict = simulate_forward_rates(built, dt=2e-3, t_final=0.05, n_paths=20,
+                                                 seed=2026)
+    assert ens.n_paths == 20
+    assert ens.n_aborted == 0
+    assert verdict == "consistent-with-theorem"
+    assert stats.frac_below[-1e-3][-1] == 0.0
 
 
 def test_forward_rate_run_flat_vol_goes_negative():
     flat_vol = (ModeFunction("constant", c=0.2),)
     built = build_hjm(flat_vol, flat(1.0, 501, 0.5, 0.01), check_samples=20)
-    run = simulate_forward_rates(built, dt=2e-3, t_final=0.2, n_paths=200, seed=7)
+    _, stats, verdict = simulate_forward_rates(built, dt=2e-3, t_final=0.2, n_paths=200, seed=7)
     assert built.report.violations >= 1
-    assert run.stats.frac_below[-1e-3][-1] > 0.0
-    assert run.verdict == "counterexample-regime"
+    assert stats.frac_below[-1e-3][-1] > 0.0
+    assert verdict == "counterexample-regime"
 
 
 def test_alpha_placement_is_second_order():
@@ -136,7 +137,7 @@ def test_alpha_placement_is_second_order():
     cfg = SolverConfig(dt=1e-4, t_final=1e-3)
     pa = simulate_path(a.u0, a.suite, a.model, cfg, NoiseConfig(1, 5))
     pb = simulate_path(b.u0, b.suite, b.model, cfg, NoiseConfig(1, 5))
-    assert np.abs(pa.final.values - pb.final.values).max() < 1e-10
+    assert np.abs(pa.final_values[0] - pb.final_values[0]).max() < 1e-10
 
 
 def _mild_solution_error(n_nodes, dt, t_final=0.5):

@@ -10,6 +10,7 @@ from mildsim.coefficients import CoefficientModel, ModeFunction
 from mildsim.grids import Grid, GridFunction, lattice_parts, norm
 from mildsim.noise import NoiseConfig
 from mildsim.operators import OperatorSuite
+from mildsim.smoothing import supermartingale_stat
 from mildsim.solver import (
     EnsembleResult,
     SolverConfig,
@@ -137,8 +138,8 @@ def test_simulate_path_equals_step_once_loop():
     one = SolverConfig(dt=0.02, t_final=0.02)
     for j in range(n_steps):
         u = step_once(u, suite, model, one, increment_step(ncfg, cfg.dt, j))
-    assert np.array_equal(path.final.values, u.values)
-    assert path.final.tail_value == u.tail_value
+    assert np.array_equal(path.final_values[0], u.values)
+    assert path.final_tails[0] == u.tail_value
 
 
 def test_pure_transport_is_bitwise_shift():
@@ -152,8 +153,8 @@ def test_pure_transport_is_bitwise_shift():
     m = 50  # 10 steps of 5 cells
     expect = np.full(grid.n, 0.3)
     expect[: grid.n - m] = u0.values[m:]
-    assert np.array_equal(path.final.values, expect)
-    assert not path.aborted
+    assert np.array_equal(path.final_values[0], expect)
+    assert path.n_aborted == 0
 
 
 def test_schemes_differ_with_reactions():
@@ -164,8 +165,8 @@ def test_schemes_differ_with_reactions():
         u0, suite, model,
         SolverConfig(dt=0.02, t_final=0.2, scheme="react-then-shift"), ncfg,
     )
-    assert not np.array_equal(a.final.values, b.final.values)
-    assert np.isfinite(a.final.values).all() and np.isfinite(b.final.values).all()
+    assert not np.array_equal(a.final_values[0], b.final_values[0])
+    assert np.isfinite(a.final_values[0]).all() and np.isfinite(b.final_values[0]).all()
 
 
 def test_records_match_snapshots():
@@ -173,20 +174,22 @@ def test_records_match_snapshots():
     cfg = SolverConfig(dt=0.02, t_final=0.2, snapshot_stride=1)
     path = simulate_path(u0, suite, model, cfg, NoiseConfig(2, 9))
     assert len(path.snapshots) == cfg.n_steps + 1
-    for j, (t, snap) in enumerate(path.snapshots):
+    rows = zip(path.snapshot_steps, path.snapshots[:, 0], path.snapshot_tails[:, 0])
+    for j, (step, values, tail) in enumerate(rows):
+        t, snap = float(step * cfg.dt), GridFunction(grid, values, tail)
         assert t == pytest.approx(j * cfg.dt, rel=1e-15)
         e = norm(lattice_parts(snap).negative, "l2") ** 2
-        assert path.neg_energy[j] == pytest.approx(e, rel=1e-12, abs=1e-300)
+        assert path.neg_energy[0, j] == pytest.approx(e, rel=1e-12, abs=1e-300)
         m = min(float(snap.values.min()), snap.tail_value)
-        assert path.min_value[j] == pytest.approx(m, rel=1e-15, abs=1e-300)
+        assert path.min_value[0, j] == pytest.approx(m, rel=1e-15, abs=1e-300)
 
 
 def test_supermartingale_method():
     grid, suite, model, u0 = _setup()
     cfg = SolverConfig(dt=0.02, t_final=0.1)
     path = simulate_path(u0, suite, model, cfg, NoiseConfig(2, 9))
-    s = path.supermartingale(0.5)
-    assert np.allclose(s, np.exp(-1.0 * path.times) * path.neg_energy, rtol=1e-15)
+    s = supermartingale_stat(path.times, path.neg_energy[0], 0.5)
+    assert np.allclose(s, np.exp(-1.0 * path.times) * path.neg_energy[0], rtol=1e-15)
 
 
 def _exploding(n_paths=2):
@@ -201,11 +204,12 @@ def _exploding(n_paths=2):
 def test_abort_on_blowup():
     grid, suite, model, u0, cfg = _exploding()
     path = simulate_path(u0, suite, model, cfg, NoiseConfig(0, 0))
-    assert path.aborted
-    assert 0 < path.abort_step < cfg.n_steps - 1
-    assert np.isfinite(path.neg_energy[: path.abort_step + 1]).all()
-    assert np.isnan(path.neg_energy[path.abort_step + 1 :]).all()
-    assert np.isfinite(path.final.values).all()
+    abort_step = int(path.aborted[0])
+    assert path.n_aborted == 1
+    assert 0 < abort_step < cfg.n_steps - 1
+    assert np.isfinite(path.neg_energy[0, : abort_step + 1]).all()
+    assert np.isnan(path.neg_energy[0, abort_step + 1 :]).all()
+    assert np.isfinite(path.final_values[0]).all()
 
 
 def test_ensemble_counts_aborts_and_stats_skip_them():
@@ -299,8 +303,8 @@ def test_ensemble_paths_match_individual_runs():
     ens = run_ensemble(u0, suite, model, cfg, n_paths=3, seed=21, stream_base=10)
     for p in range(3):
         path = simulate_path(u0, suite, model, cfg, NoiseConfig(2, 21, stream_id=10 + p))
-        assert np.array_equal(ens.final_values[p], path.final.values)
-        assert ens.final_tails[p] == path.final.tail_value
+        assert np.array_equal(ens.final_values[p], path.final_values[0])
+        assert ens.final_tails[p] == path.final_tails[0]
 
 
 def test_ensemble_validation():
@@ -353,9 +357,9 @@ def test_regularized_smooths_initial_state():
     lam = 0.1
     path = simulate_regularized(u0, suite, model, cfg, NoiseConfig(2, 2), lam)
     smoothed = suite.resolvent(u0, lam)
-    t0, first = path.snapshots[0]
+    t0, first = path.snapshot_steps[0] * cfg.dt, path.snapshots[0, 0]
     assert t0 == 0.0
-    assert np.array_equal(first.values, smoothed.values)
+    assert np.array_equal(first, smoothed.values)
     with pytest.raises(ValueError):
         simulate_regularized(u0, suite, model, cfg, NoiseConfig(2, 2), 0.0)
 
@@ -379,10 +383,8 @@ def test_lambda_study_distances_decrease():
     lams = (0.2, 0.1, 0.05, 0.025)
     study = lambda_convergence_study(
         u0, suite, model, cfg, [NoiseConfig(1, 100), NoiseConfig(1, 101)], lams)
-    assert len(study) == 2
-    for entries in study:
-        assert [e.lam for e in entries] == list(lams)
-        ds = [e.sup_distance for e in entries]
+    assert study.shape == (2, len(lams))
+    for ds in study:
         assert all(d > 0.0 for d in ds)
         assert all(b < a for a, b in zip(ds, ds[1:]))
     with pytest.raises(ValueError):
@@ -394,19 +396,25 @@ def test_lambda_study_distances_decrease():
 def _reference_lambda_study(u0, suite, model, cfg, noise_cfg, lams):
     """One seed at a time, as the study ran before it was batched."""
     cfg1 = replace(cfg, snapshot_stride=1, lam=0.0)
-    base = simulate_path(u0, suite, model, cfg1, noise_cfg)
+    base = _snapshot_functions(simulate_path(u0, suite, model, cfg1, noise_cfg), u0.grid)
     entries = []
     for lam in lams:
         reg = simulate_regularized(u0, suite, model, cfg1, noise_cfg, lam)
         d = 0.0
-        for (t1, f1), (t2, f2) in zip(base.snapshots, reg.snapshots):
+        for f1, f2 in zip(base, _snapshot_functions(reg, u0.grid)):
             d = max(d, norm(f1 - f2, "l2"))
         entries.append((float(lam), d))
     return entries
 
 
-def _as_pairs(study):
-    return [[(e.lam, e.sup_distance) for e in entries] for entries in study]
+def _snapshot_functions(path, grid):
+    """The snapshots of a one-path run's row as GridFunctions."""
+    return [GridFunction(grid, v, t) for v, t in zip(path.snapshots[:, 0],
+                                                     path.snapshot_tails[:, 0])]
+
+
+def _as_pairs(study, lams):
+    return [[(float(lam), float(d)) for lam, d in zip(lams, ds)] for ds in study]
 
 
 @pytest.mark.parametrize("scheme", ["shift-then-react", "react-then-shift"])
@@ -416,7 +424,7 @@ def test_lambda_study_matches_per_seed_reference(scheme):
     streams = [NoiseConfig(1, seed) for seed in (100, 3, 57, 101)]
     study = lambda_convergence_study(u0, suite, model, cfg, streams, lams)
     want = [_reference_lambda_study(u0, suite, model, cfg, ncfg, lams) for ncfg in streams]
-    assert _as_pairs(study) == want
+    assert _as_pairs(study, lams) == want
 
 
 def test_lambda_study_with_aborting_paths_matches_reference():
@@ -432,8 +440,8 @@ def test_lambda_study_with_aborting_paths_matches_reference():
     streams = [NoiseConfig(1, seed) for seed in range(8)]
     study = lambda_convergence_study(u0, suite, model, cfg, streams, lams)
     want = [_reference_lambda_study(u0, suite, model, cfg, ncfg, lams) for ncfg in streams]
-    assert _as_pairs(study) == want
-    aborted = [simulate_path(u0, suite, model, replace(cfg, snapshot_stride=1), ncfg).aborted
+    assert _as_pairs(study, lams) == want
+    aborted = [simulate_path(u0, suite, model, replace(cfg, snapshot_stride=1), ncfg).n_aborted > 0
                for ncfg in streams]
     assert any(aborted) and not all(aborted)
 
@@ -454,7 +462,7 @@ def test_lambda_study_split_into_batches_matches_one_batch(monkeypatch):
     calls.clear()
     cut = lambda_convergence_study(u0, suite, model, cfg, streams, lams)
     assert calls == [3] * 4 + [3] * 4 + [1] * 4
-    assert _as_pairs(cut) == _as_pairs(whole)
+    assert _as_pairs(cut, lams) == _as_pairs(whole, lams)
 
 
 @settings(max_examples=15, deadline=None)
@@ -466,9 +474,9 @@ def test_lambda_study_entries_follow_their_streams(picked, scheme):
     suite, model, u0, cfg = _study_setup(n=41, scheme=scheme, t_final=0.2)
     lams = (0.2, 0.05)
     streams = [NoiseConfig(1, seed) for seed in range(6)]
-    whole = _as_pairs(lambda_convergence_study(u0, suite, model, cfg, streams, lams))
+    whole = _as_pairs(lambda_convergence_study(u0, suite, model, cfg, streams, lams), lams)
     part = lambda_convergence_study(u0, suite, model, cfg, [streams[i] for i in picked], lams)
-    assert _as_pairs(part) == [whole[i] for i in picked]
+    assert _as_pairs(part, lams) == [whole[i] for i in picked]
 
 
 def _reference_sup_distances(grid, a, a_tails, b, b_tails):

@@ -1,15 +1,18 @@
 """The benchmark's tooling: the names its tracer wraps must still exist, and
-importing the CLI must load no scipy module."""
+importing the CLI must load no scipy module.  The package's public names,
+each module's __all__, must resolve too."""
 
 import importlib
 import importlib.util
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import mildsim
 from mildsim import solver
 from mildsim.coefficients import CoefficientModel, ModeFunction
 from mildsim.grids import Grid, GridFunction
@@ -67,3 +70,13 @@ def test_cli_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True, capture_output=True,
                          text=True).stdout
     assert out.strip() == "[]"
+
+
+# cli has no __all__: its public face is the command line
+@pytest.mark.parametrize("module", ["mildsim"] + [f"mildsim.{m.name}" for m in
+                                                  pkgutil.iter_modules(mildsim.__path__)
+                                                  if m.name != "cli"])
+def test_public_names_resolve(module):
+    # a stale name in an __all__ breaks only `from module import *`
+    mod = importlib.import_module(module)
+    assert [name for name in mod.__all__ if not hasattr(mod, name)] == []
