@@ -16,6 +16,7 @@ non-finite state).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import errno
 import json
 import os
@@ -117,13 +118,13 @@ def _exp_simulate(cfg: Config, outdir: Path) -> tuple[dict, bool, bool]:
     model, u0 = _model_and_initial(cfg)
     suite = OperatorSuite(model.grid, shifted=True)
     r = cfg.run
-    scfg = SolverConfig(r.dt, r.t_final, r.scheme, r.lam, r.snapshot_stride, r.blow_threshold)
+    scfg = SolverConfig(r.dt, r.t_final, r.scheme, r.lam, blow_threshold=r.blow_threshold)
     ens = run_ensemble(u0, suite, model, scfg, r.n_paths, r.seed, r.stream_base, r.chunk_size)
     c_const = r.c_const
     if c_const is None:  # the check section asks for the estimate (parse_config)
         ck = cfg.check
         c_const = estimate_positivity_constant(model, n_samples=ck.n_samples, seed=ck.seed).c_const
-    stats = ensemble_stats(ens, c_const=c_const, thresholds=DEFAULT_THRESHOLDS)
+    stats = ensemble_stats(ens, c_const=c_const)
     _write_csv(outdir / "ensemble.csv", _STATS_HEADER, _stats_rows(stats))
     results = {
         "n_paths": ens.n_paths,
@@ -142,7 +143,7 @@ def _exp_hjm(cfg: Config, outdir: Path) -> tuple[dict, bool, bool]:
     built = build_hjm(build_modes(m, grid), build_initial(m.initial, grid), m.alpha_in_drift,
                       cfg.check.n_samples, cfg.check.seed)
     ens, stats, verdict = simulate_forward_rates(built, r.dt, r.t_final, r.n_paths, r.seed,
-                                                 r.scheme, r.snapshot_stride, r.chunk_size)
+                                                 r.scheme, r.chunk_size)
     _write_csv(outdir / "ensemble.csv", _STATS_HEADER, _stats_rows(stats))
     _write_csv(outdir / "curve.csv", _CURVE_HEADER, _curve_rows(ens))
     results = {
@@ -254,18 +255,26 @@ def _exp_ito_check(cfg: Config, outdir: Path) -> tuple[dict, bool, bool]:
     return {"results": results, "outputs": ["ito_check.csv"]}, passed, False
 
 
-def _check_outdir(outdir: Path) -> None:
-    """Raise the OSError that making outdir would raise, without making it."""
-    probe = outdir
-    while not os.path.lexists(probe) and probe != probe.parent:
-        probe = probe.parent
-    if not probe.is_dir():
-        code = errno.EEXIST if probe == outdir else errno.ENOTDIR
-    elif probe != outdir and not os.access(probe, os.W_OK | os.X_OK):
-        code = errno.EACCES
-    else:
-        return
-    raise OSError(code, os.strerror(code))
+def _check_outdir(outdir: Path, made: list) -> None:
+    """Raise the OSError that making made, outdir's missing part, would raise, without making it."""
+    probe = made[-1].parent if made else outdir
+    # lstat's errors but FileNotFoundError, such as a name too long, are mkdir's
+    for path in (outdir, *(probe / d.name for d in made)):
+        with contextlib.suppress(FileNotFoundError):
+            os.lstat(path)
+    if not probe.is_dir():  # outdir, or a dangling link above it
+        raise FileExistsError(errno.EEXIST, os.strerror(errno.EEXIST))
+    if made and not os.access(probe, os.W_OK | os.X_OK):
+        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES))
+
+
+def _fail(problem: str, made: list) -> int:
+    """Exit code 2 after a config error line; each of made goes while it is empty."""
+    print(f"config error: {problem}", file=sys.stderr)
+    for d in made:
+        with contextlib.suppress(OSError):
+            d.rmdir()
+    return 2
 
 
 _RUNNERS = {
@@ -318,12 +327,11 @@ def main(argv=None) -> int:
     made = [d for d in (outdir, *outdir.parents) if not os.path.lexists(d)]  # deepest first
     try:
         if args.validate_only:
-            _check_outdir(outdir)
+            _check_outdir(outdir, made)
         else:
             outdir.mkdir(parents=True, exist_ok=True)
     except OSError as e:
-        print(f"config error: output directory {outdir}: {e.strerror}", file=sys.stderr)
-        return 2
+        return _fail(f"output directory {outdir}: {e.strerror}", made)
     if args.validate_only:
         print("config valid")
         return 0
@@ -333,14 +341,7 @@ def main(argv=None) -> int:
     except (MemoryError, OSError) as e:
         if isinstance(e, OSError) and e.errno != errno.ENOMEM:
             raise
-        print("config error: the run's arrays need more memory than this machine can allocate",
-              file=sys.stderr)
-        for d in made:  # what this run made, while it is still empty
-            try:
-                d.rmdir()
-            except OSError:
-                break
-        return 2
+        return _fail("the run's arrays need more memory than this machine can allocate", made)
     manifest = {
         "tool": "mildsim",
         "version": __version__,

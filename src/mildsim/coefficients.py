@@ -49,6 +49,9 @@ MODE_KINDS = tuple(MODE_TABLE)
 
 DRIFT_KINDS = ("zero", "linear-decay", "hjm")
 CHECK_SAMPLES = 200  # random probes of the admissibility estimate, by default
+CHECK_SEED = 1  # the estimate's seed, by default
+L2_TOL = 1e-12  # a probe with ||h_-|| at most this lies on the zero boundary,
+FUNC_TOL = 1e-10  # where a functional above this is a violation
 
 _DRIFT_CODE = {
     "zero": kernels.DRIFT_ZERO,
@@ -212,21 +215,19 @@ class PositivityReport:
 def estimate_positivity_constant(
     model: CoefficientModel,
     n_samples: int = CHECK_SAMPLES,
-    seed: int = 0,
-    l2_tol: float = 1e-12,
-    func_tol: float = 1e-10,
+    seed: int = CHECK_SEED,
 ) -> PositivityReport:
     """Sample the positivity functional and bound its ratio to ||h_-||^2.
 
     Random bump curves are augmented with deterministic constant probes
     slightly below zero, including one so shallow that ||h_-|| falls
-    under l2_tol; a functional value above func_tol there means the
+    under L2_TOL; a functional value above FUNC_TOL there means the
     coefficients push down even at the zero boundary and no finite
     constant exists (a violation).
     """
     g = model.grid
     rng = np.random.default_rng(seed)
-    eps_tiny = 0.5 * l2_tol * np.sqrt(g.alpha)
+    eps_tiny = 0.5 * L2_TOL * np.sqrt(g.alpha)
     probes = itertools.chain(
         (random_bumps(g, rng) for _ in range(n_samples)),
         (GridFunction.constant(g, -eps) for eps in (1.0, 0.1, 0.01, 0.001, eps_tiny)))
@@ -250,8 +251,8 @@ def estimate_positivity_constant(
             nrm = norm(parts.negative, "l2")
             modes = [GridFunction(g, _row(s, i), _row(st, i)) for s, st in zip(sig, sigt)]
             val = _functional(parts, modes, GridFunction(g, _row(drift, i), _row(dtail, i)))
-            if nrm <= l2_tol:
-                if val > func_tol:
+            if nrm <= L2_TOL:
+                if val > FUNC_TOL:
                     violations += 1
                 continue
             worst = max(worst, val / (nrm * nrm))

@@ -24,7 +24,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .coefficients import CHECK_SAMPLES, DRIFT_KINDS, MODE_TABLE, CoefficientModel, ModeFunction
+from .coefficients import (CHECK_SAMPLES, CHECK_SEED, DRIFT_KINDS, MODE_TABLE, CoefficientModel,
+                           ModeFunction)
 from .grids import Grid, GridFunction, whole_multiple
 from .hjm import VERDICTS, hjm_drift
 from .operators import BATTERY_TOL
@@ -38,6 +39,7 @@ __all__ = [
 EXPERIMENTS = ("simulate", "hjm", "coeff-check", "operator-tests", "lambda-study", "ito-check")
 
 _U64 = 1 << 64
+_RUN_SEED = 1234  # the default seed of run and ito
 
 
 class ConfigError(Exception):
@@ -146,11 +148,10 @@ class ModelConfig:
 class RunConfig:
     dt: float = _field(check=_POSITIVE)
     t_final: float = _field(check=_POSITIVE)
-    seed: int = _field(1234, _SEED)
+    seed: int = _field(_RUN_SEED, _SEED)
     scheme: str = _field(DEFAULT_SCHEME, _one_of(SCHEMES))
     n_paths: int = _field(100, _AT_LEAST_ONE, read_by=_ENSEMBLES)
     chunk_size: int = _field(DEFAULT_CHUNK_SIZE, _AT_LEAST_ONE, read_by=_ENSEMBLES)
-    snapshot_stride: int = _field(0, _NONNEG, read_by=_ENSEMBLES)
     blow_threshold: float = _field(DEFAULT_BLOW_THRESHOLD, _POSITIVE,
                                    read_by=("simulate", "lambda-study"))
     lam: float = _field(0.0, _NONNEG, read_by=("simulate",))
@@ -169,7 +170,7 @@ class RunConfig:
 @dataclass(frozen=True)
 class CheckConfig:
     n_samples: int = _field(CHECK_SAMPLES, _NONNEG, by_experiment={"operator-tests": 100})
-    seed: int = _field(1, _SEED)
+    seed: int = _field(CHECK_SEED, _SEED)
     tol: float = _field(BATTERY_TOL, _NONNEG, read_by=("operator-tests",))
     expect_admissible: bool = _field(True, read_by=("coeff-check",))
 
@@ -186,7 +187,7 @@ class ItoConfig:
     dt_values: tuple[float, ...] = _field((1e-2, 5e-3, 2.5e-3), _POSITIVE_LIST)
     t_final: float = _field(1.0, _POSITIVE)
     n_paths: int = _field(200, _AT_LEAST_ONE)
-    seed: int = _field(1234, _SEED)
+    seed: int = _field(_RUN_SEED, _SEED)
 
     def _check(self, where, problems):
         for i, dt in enumerate(self.dt_values):
@@ -254,9 +255,6 @@ class Config:
                 ((min(r.chunk_size or 1, paths[0]), "run.chunk_size", "paths per chunk"),
                  (steps, "run.dt", "steps"), modes),  # noise increments
             ]
-            if r.snapshot_stride:
-                snaps = -(-steps // r.snapshot_stride) + 1
-                arrays.append(((snaps, "run.snapshot_stride", "snapshots"), paths, nodes))
             if self.lambda_study is not None:  # a snapshot every step
                 arrays.append(((steps + 1, "run.dt", "steps"), nodes))
         if self.ito is not None:

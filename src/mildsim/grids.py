@@ -93,7 +93,7 @@ def hat_weights(nodes: np.ndarray, a: float) -> np.ndarray:
     return w
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # == and hash by identity; same() compares values
 class Grid:
     """Uniform grid on [0, x_max] with weight exponent alpha.
 
@@ -141,7 +141,7 @@ class Grid:
         return hat_weights(self.nodes, self.alpha)
 
 
-@dataclass
+@dataclass(eq=False)  # == and hash by identity, as for Grid
 class GridFunction:
     """Node values plus a constant tail value for x > x_max."""
 

@@ -23,6 +23,7 @@ import numpy as np
 
 from .coefficients import (
     CHECK_SAMPLES,
+    CHECK_SEED,
     CoefficientModel,
     ModeFunction,
     PositivityReport,
@@ -30,8 +31,8 @@ from .coefficients import (
 )
 from .grids import GridFunction
 from .operators import OperatorSuite
-from .solver import (DEFAULT_CHUNK_SIZE, DEFAULT_SCHEME, DEFAULT_THRESHOLDS, EnsembleResult,
-                     EnsembleStats, SolverConfig, ensemble_stats, run_ensemble)
+from .solver import (DEFAULT_CHUNK_SIZE, DEFAULT_SCHEME, EnsembleResult, EnsembleStats,
+                     SolverConfig, ensemble_stats, run_ensemble)
 
 __all__ = [
     "hjm_drift",
@@ -42,10 +43,12 @@ __all__ = [
     "positivity_verdict",
     "VERDICTS",
     "NEG_THRESHOLD",
+    "SUPERMART_TOL",
 ]
 
 VERDICTS = ("consistent-with-theorem", "counterexample-regime", "inconclusive")
 NEG_THRESHOLD = -1e-3  # the verdict's level of frac_below, one of DEFAULT_THRESHOLDS
+SUPERMART_TOL = 1e-8  # the verdict's bound on the final supermartingale mean
 
 
 def hjm_drift(alpha: float, alpha_in_drift: bool) -> dict:
@@ -66,7 +69,7 @@ class BuiltHJM:
 
 
 def build_hjm(modes, u0: GridFunction, alpha_in_drift: bool = True,
-              check_samples: int = CHECK_SAMPLES, check_seed: int = 1) -> BuiltHJM:
+              check_samples: int = CHECK_SAMPLES, check_seed: int = CHECK_SEED) -> BuiltHJM:
     """Assemble operators and coefficients on u0's grid, then vet the model."""
     if not isinstance(u0, GridFunction):
         raise TypeError("u0 must be a GridFunction")
@@ -79,26 +82,18 @@ def build_hjm(modes, u0: GridFunction, alpha_in_drift: bool = True,
     return BuiltHJM(suite, model, u0, report)
 
 
-def positivity_verdict(
-    report: PositivityReport,
-    stats: EnsembleStats,
-    neg_threshold: float = NEG_THRESHOLD,
-    supermart_tol: float = 1e-8,
-) -> str:
+def positivity_verdict(report: PositivityReport, stats: EnsembleStats) -> str:
     """Classify an ensemble against the positivity theory.
 
     consistent-with-theorem: the coefficients pass the admissibility
-    inequality, no path ever went below neg_threshold, and the
-    discounted negative-part energy stayed below supermart_tol at the
-    final time.  counterexample-regime: the coefficients fail the
+    inequality, no path ever went below NEG_THRESHOLD, and the
+    discounted negative-part energy stayed at or below SUPERMART_TOL at
+    the final time.  counterexample-regime: the coefficients fail the
     inequality and paths do go negative, the regime the theory does not
     protect.  Everything else is inconclusive.
     """
-    frac = stats.frac_below.get(float(neg_threshold))
-    if frac is None:
-        raise KeyError(f"stats carry no threshold {neg_threshold}")
-    neg_seen = float(frac[-1]) > 0.0
-    if report.violations == 0 and not neg_seen and float(stats.supermartingale_mean[-1]) <= supermart_tol:
+    neg_seen = float(stats.frac_below[NEG_THRESHOLD][-1]) > 0.0
+    if report.violations == 0 and not neg_seen and float(stats.supermartingale_mean[-1]) <= SUPERMART_TOL:
         return "consistent-with-theorem"
     if report.violations > 0 and neg_seen:
         return "counterexample-regime"
@@ -112,15 +107,14 @@ def simulate_forward_rates(
     n_paths: int,
     seed: int,
     scheme: str = DEFAULT_SCHEME,
-    snapshot_stride: int = 0,
     chunk_size: int = DEFAULT_CHUNK_SIZE,
 ) -> tuple[EnsembleResult, EnsembleStats, str]:
     """The ensemble of built's model, its statistics and their verdict."""
-    cfg = SolverConfig(dt=dt, t_final=t_final, scheme=scheme, snapshot_stride=snapshot_stride)
+    cfg = SolverConfig(dt=dt, t_final=t_final, scheme=scheme)
     ens = run_ensemble(
         built.u0, built.suite, built.model, cfg, n_paths, seed, chunk_size=chunk_size
     )
-    stats = ensemble_stats(ens, c_const=built.report.c_const, thresholds=DEFAULT_THRESHOLDS)
+    stats = ensemble_stats(ens, c_const=built.report.c_const)
     return ens, stats, positivity_verdict(built.report, stats)
 
 

@@ -211,11 +211,11 @@ class Battery(NamedTuple):
 
 
 def run_battery(suite: OperatorSuite, batteries: list, n_samples: int, seed: int,
-                lams: tuple = BATTERY_LAMS, tol: float = BATTERY_TOL) -> list:
+                tol: float = BATTERY_TOL) -> list:
     """The sampling loop of every battery; one BatteryReport per battery.
 
     The k-th battery's bumps are all drawn first, from one generator made
-    from seed + k.  Its sample i checks lams[i % len(lams)], after the
+    from seed + k.  Its sample i checks BATTERY_LAMS[i], cyclically, after the
     earlier batteries' samples: in one contiguous share per usable core
     once all come to _SPLIT_NODE_SAMPLES node-samples, all but the first
     in forked children (kernels._split) that write into one shared vector.
@@ -235,7 +235,7 @@ def run_battery(suite: OperatorSuite, batteries: list, n_samples: int, seed: int
             b, i = batteries[j // n_samples], j % n_samples
             curves = [bumps(grid, p, b.nonneg, work[-1 - c], work[0])
                       for c, p in enumerate(draws[j])]
-            excesses[j] = b.excess(suite, curves, lams[i % len(lams)], i, work)
+            excesses[j] = b.excess(suite, curves, BATTERY_LAMS[i % len(BATTERY_LAMS)], i, work)
 
     workers = 1
     if total * grid.n >= _SPLIT_NODE_SAMPLES:
@@ -253,13 +253,11 @@ CONTRACTION = Battery("l1-contraction", 2, False, lambda suite, curves, lam, i, 
                       l1_contraction_excess(suite, *curves, lam, work), worst=-np.inf)
 
 
-def run_submarkov_battery(suite: OperatorSuite, n_samples: int, seed: int,
-                          lams: tuple = BATTERY_LAMS, tol: float = BATTERY_TOL) -> BatteryReport:
+def run_submarkov_battery(suite: OperatorSuite, n_samples: int, seed: int) -> BatteryReport:
     """Order and sup bounds of the resolvent on random nonnegative curves."""
-    return run_battery(suite, [SUBMARKOV], n_samples, seed, lams, tol)[0]
+    return run_battery(suite, [SUBMARKOV], n_samples, seed)[0]
 
 
-def run_contraction_battery(suite: OperatorSuite, n_samples: int, seed: int,
-                            lams: tuple = BATTERY_LAMS, tol: float = BATTERY_TOL) -> BatteryReport:
+def run_contraction_battery(suite: OperatorSuite, n_samples: int, seed: int) -> BatteryReport:
     """Weighted L1 distance contraction on random signed pairs."""
-    return run_battery(suite, [CONTRACTION], n_samples, seed, lams, tol)[0]
+    return run_battery(suite, [CONTRACTION], n_samples, seed)[0]

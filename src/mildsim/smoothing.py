@@ -23,8 +23,8 @@ import numpy as np
 from .grids import GridFunction, norm, weighted_inner, weighted_sum
 from .noise import NoiseConfig, increment_block
 # random_bumps is not called here any more, but perfbench/tracing.py wraps it here
-from .operators import (BATTERY_LAMS, BATTERY_TOL, Battery, BatteryReport,  # noqa: F401
-                        OperatorSuite, random_bumps, run_battery, scratch_rows)
+from .operators import (Battery, BatteryReport, OperatorSuite, random_bumps,  # noqa: F401
+                        run_battery, scratch_rows)
 
 __all__ = [
     "penalty_eval",
@@ -201,14 +201,12 @@ PAIRING = Battery("monotone-pairing", 1, False, _pairing_excess)
 JENSEN = Battery("jensen-chain", 1, False, _jensen_excess)
 
 
-def run_pairing_battery(suite: OperatorSuite, n_samples: int, seed: int,
-                        lams: tuple = BATTERY_LAMS, tol: float = BATTERY_TOL) -> BatteryReport:
-    return run_battery(suite, [PAIRING], n_samples, seed, lams, tol)[0]
+def run_pairing_battery(suite: OperatorSuite, n_samples: int, seed: int) -> BatteryReport:
+    return run_battery(suite, [PAIRING], n_samples, seed)[0]
 
 
-def run_jensen_battery(suite: OperatorSuite, n_samples: int, seed: int,
-                       lams: tuple = BATTERY_LAMS, tol: float = BATTERY_TOL) -> BatteryReport:
-    return run_battery(suite, [JENSEN], n_samples, seed, lams, tol)[0]
+def run_jensen_battery(suite: OperatorSuite, n_samples: int, seed: int) -> BatteryReport:
+    return run_battery(suite, [JENSEN], n_samples, seed)[0]
 
 
 @dataclass(frozen=True)

@@ -218,14 +218,10 @@ class EnsembleStats:
     frac_below: dict
 
 
-def ensemble_stats(
-    ens: EnsembleResult,
-    c_const: float = 0.0,
-    thresholds: tuple = DEFAULT_THRESHOLDS,
-) -> EnsembleStats:
+def ensemble_stats(ens: EnsembleResult, c_const: float = 0.0) -> EnsembleStats:
     """Cross-path summaries; aborted paths drop out of every statistic.
 
-    frac_below maps each threshold to the running fraction of paths
+    frac_below maps each of DEFAULT_THRESHOLDS to the running fraction of paths
     whose minimum so far has gone below it ("ever under" by time t).
     """
     have_aborts = (ens.aborted >= 0).any()
@@ -240,9 +236,9 @@ def ensemble_stats(
         mins = amin(ens.min_value, axis=0)
         run_min = np.minimum.accumulate(ens.min_value, axis=1)
         frac = {}
-        for thr in thresholds:
+        for thr in DEFAULT_THRESHOLDS:
             below = run_min < thr
-            frac[float(thr)] = below.mean(axis=0) if not have_aborts else np.nanmean(
+            frac[thr] = below.mean(axis=0) if not have_aborts else np.nanmean(
                 np.where(np.isnan(run_min), np.nan, below.astype(np.float64)), axis=0
             )
     return EnsembleStats(

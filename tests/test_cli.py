@@ -502,7 +502,6 @@ def _run_expecting_errors(tmp_path, capsys, experiment, cfg, overrides=()):
         ("simulate", "run.n_paths=0", "run.n_paths"),
         ("simulate", "run.scheme=leapfrog", "run.scheme"),
         ("simulate", "run.lam=-0.1", "run.lam"),
-        ("simulate", "run.snapshot_stride=-1", "run.snapshot_stride"),
         ("simulate", "run.seed=-1", "run.seed"),
         ("simulate", "model.drift=table", "model.drift"),
         ("simulate", "model.modes=[{\"kind\": \"custom\"}]", "model.modes[0]"),
@@ -534,6 +533,15 @@ def test_cli_semantic_errors_exit_2(tmp_path, capsys, experiment, override, path
     overrides = [override] if isinstance(override, str) else override
     problems = _run_expecting_errors(tmp_path, capsys, experiment, cfg, overrides)
     assert len(problems) == 1 and problems[0].startswith(f"{path}: "), problems
+
+
+@pytest.mark.parametrize("experiment", ["simulate", "hjm"])
+def test_cli_snapshot_stride_is_an_unknown_key(tmp_path, capsys, experiment):
+    # run.snapshot_stride filled snapshot arrays that no output read; a
+    # key that does nothing is an unknown key, at any value
+    cfg = _small_cfgs()[experiment]
+    problems = _run_expecting_errors(tmp_path, capsys, experiment, cfg, ["run.snapshot_stride=0"])
+    assert problems == ["run.snapshot_stride: unknown key"]
 
 
 @pytest.mark.parametrize("exc", [MemoryError(), OSError(errno.ENOMEM, "Cannot allocate memory")],
@@ -613,23 +621,30 @@ def test_cli_unreadable_inputs_exit_2(tmp_path, capsys, case):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("case", ["out-is-file", "out-under-file", "out-new", "out-existing"])
+@pytest.mark.parametrize("case", ["out-is-file", "out-under-file", "out-too-long", "new-too-long",
+                                  "old-too-long", "out-new", "out-existing"])
 def test_cli_validate_only_checks_output_dir(tmp_path, capsys, case):
     # --validate-only exits as the run would on an unusable --out, and makes nothing
     cfg = _write_cfg(tmp_path, _small_cfgs()["coeff-check"])
     blocker = tmp_path / "blocker"
     blocker.write_text("a file\n")
+    (tmp_path / "old").mkdir()
+    long = "a" * 300  # longer than any file system's name limit here
     out = {"out-is-file": blocker, "out-under-file": blocker / "out",
+           "out-too-long": tmp_path / long, "new-too-long": tmp_path / "new" / long,
+           "old-too-long": tmp_path / "old" / long,
            "out-new": tmp_path / "new" / "out", "out-existing": tmp_path}[case]
+    reason = {"out-is-file": errno.EEXIST, "out-under-file": errno.ENOTDIR}.get(
+        case, errno.ENAMETOOLONG)
     before = sorted(tmp_path.rglob("*"))
     rc = main(["coeff-check", "--config", cfg, "--out", str(out), "--validate-only"])
     captured = capsys.readouterr()
-    if case in ("out-is-file", "out-under-file"):
+    if case not in ("out-new", "out-existing"):
         assert rc == 2
-        reason = "File exists" if case == "out-is-file" else "Not a directory"
         assert captured.err.splitlines() == [
-            f"config error: output directory {out}: {reason}"]
-        # the run without the flag fails with the same line
+            f"config error: output directory {out}: {os.strerror(reason)}"]
+        # the run without the flag fails with the same line, and removes the
+        # directories it made (new/) but not one that was there (old/)
         assert main(["coeff-check", "--config", cfg, "--out", str(out)]) == 2
         assert capsys.readouterr().err == captured.err
     else:

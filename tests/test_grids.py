@@ -199,6 +199,25 @@ def test_equal_nodes_with_other_alpha_are_another_grid():
     assert (f + GridFunction.constant(twin, 2.0)).tail_value == 3.0
 
 
+def test_grids_compare_and_hash_by_identity():
+    # == on array fields would raise; same() is the comparison by value
+    from mildsim.coefficients import CoefficientModel, ModeFunction
+    from mildsim.operators import OperatorSuite
+
+    g, twin = Grid.uniform(1.0, 11, 0.5), Grid.uniform(1.0, 11, 0.5)
+    assert g == g and g != twin and twin.same(g)
+    assert len({g, twin, g}) == 2 and g in {g} and twin not in {g}
+    f = GridFunction.constant(g, 1.0)
+    assert f == f and f != f.copy() and f in {f} and hash(f) != hash(f.copy())
+    # and so do the frozen records that hold them
+    table = ModeFunction("custom", table=f)
+    records = [OperatorSuite(g), CoefficientModel(g, (table,)), table]
+    for rec in records:
+        assert rec == rec and rec in set(records) and isinstance(hash(rec), int)
+    assert OperatorSuite(g) == OperatorSuite(g) and OperatorSuite(g) != OperatorSuite(twin)
+    assert len({OperatorSuite(g), OperatorSuite(g)}) == 1
+
+
 def test_growth_weights_sum():
     g = Grid.uniform(3.0, 301, 0.8)
     exact = (np.exp(0.8 * 3.0) - 1.0) / 0.8

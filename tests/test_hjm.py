@@ -7,6 +7,8 @@ from mildsim.cli import main
 from mildsim.coefficients import ModeFunction, PositivityReport
 from mildsim.grids import Grid, GridFunction
 from mildsim.hjm import (
+    NEG_THRESHOLD,
+    SUPERMART_TOL,
     VERDICTS,
     bond_curve,
     build_hjm,
@@ -76,7 +78,7 @@ def test_c_const_folds_infinite_estimate_to_zero():
     assert built2.report.c_const == built2.report.estimated_c
 
 
-def _stats(frac_final, supermart_final):
+def _stats(frac_final, supermart_final, level=NEG_THRESHOLD):
     times = np.array([0.0, 1.0])
     return EnsembleStats(
         times=times,
@@ -84,7 +86,7 @@ def _stats(frac_final, supermart_final):
         neg_energy_p95=np.zeros(2),
         min_value_min=np.zeros(2),
         supermartingale_mean=np.array([0.0, supermart_final]),
-        frac_below={-1e-3: np.array([0.0, frac_final])},
+        frac_below={level: np.array([0.0, frac_final])},
     )
 
 
@@ -97,11 +99,14 @@ def test_verdict_branches():
     assert positivity_verdict(ok, _stats(0.3, 1.0)) == "inconclusive"
     # inadmissible coefficients without negativity prove nothing either
     assert positivity_verdict(bad, _stats(0.0, 0.0)) == "inconclusive"
-    # a discounted energy above tolerance blocks the consistent verdict
+    # a discounted energy above SUPERMART_TOL blocks the consistent verdict; at it, it does not
     assert positivity_verdict(ok, _stats(0.0, 1e-6)) == "inconclusive"
-    assert positivity_verdict(ok, _stats(0.0, 1e-6), supermart_tol=1e-5) == "consistent-with-theorem"
+    assert positivity_verdict(ok, _stats(0.0, SUPERMART_TOL)) == "consistent-with-theorem"
+    assert positivity_verdict(ok, _stats(0.0, np.nextafter(SUPERMART_TOL, 1))) == "inconclusive"
+    # the bounds the README states; hand-made stats without the -1e-3 level raise
+    assert (NEG_THRESHOLD, SUPERMART_TOL) == (-1e-3, 1e-8)
     with pytest.raises(KeyError):
-        positivity_verdict(ok, _stats(0.0, 0.0), neg_threshold=-0.5)
+        positivity_verdict(ok, _stats(0.0, 0.0, level=-0.5))
     for v in VERDICTS:
         assert isinstance(v, str)
 

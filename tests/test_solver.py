@@ -12,6 +12,7 @@ from mildsim.noise import NoiseConfig
 from mildsim.operators import OperatorSuite
 from mildsim.smoothing import supermartingale_stat
 from mildsim.solver import (
+    DEFAULT_THRESHOLDS,
     EnsembleResult,
     SolverConfig,
     ensemble_stats,
@@ -342,7 +343,8 @@ def test_ensemble_stats_frac_below_is_running():
         snapshots=np.zeros((0, 3, 11)),
         snapshot_tails=np.zeros((0, 3)),
     )
-    stats = ensemble_stats(ens, thresholds=(-1e-3,))
+    stats = ensemble_stats(ens)
+    assert sorted(stats.frac_below) == sorted(DEFAULT_THRESHOLDS)
     frac = stats.frac_below[-1e-3]
     # the dip at t=0.1 stays counted at t=0.2; the aborted path drops out
     assert frac[0] == 0.0
