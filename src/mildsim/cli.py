@@ -119,7 +119,7 @@ def _exp_simulate(cfg: Config, outdir: Path) -> tuple[dict, bool, bool]:
     suite = OperatorSuite(model.grid, shifted=True)
     r = cfg.run
     scfg = SolverConfig(r.dt, r.t_final, r.scheme, r.lam, blow_threshold=r.blow_threshold)
-    ens = run_ensemble(u0, suite, model, scfg, r.n_paths, r.seed, r.stream_base, r.chunk_size)
+    ens = run_ensemble(u0, suite, model, scfg, r.n_paths, r.seed, chunk_size=r.chunk_size)
     c_const = r.c_const
     if c_const is None:  # the check section asks for the estimate (parse_config)
         ck = cfg.check
@@ -195,10 +195,10 @@ def _exp_lambda_study(cfg: Config, outdir: Path) -> tuple[dict, bool, bool]:
     model, u0 = _model_and_initial(cfg)
     suite = OperatorSuite(model.grid, shifted=True)
     r = cfg.run
-    # the study sets lam and snapshot_stride itself
+    # the study sets lam itself
     scfg = SolverConfig(r.dt, r.t_final, r.scheme, blow_threshold=r.blow_threshold)
     lams, n_seeds, seed0 = cfg.lambda_study.lams, cfg.lambda_study.n_seeds, r.seed
-    streams = [NoiseConfig(model.n_modes, seed0 + i) for i in range(n_seeds)]
+    streams = [NoiseConfig(seed0 + i) for i in range(n_seeds)]
     study = lambda_convergence_study(u0, suite, model, scfg, streams, lams)
     rows = [[seed0 + i, lam, d] for i, ds in enumerate(study) for lam, d in zip(lams, ds)]
     all_monotone = not (study[:, 1:] >= study[:, :-1]).any()
@@ -225,7 +225,7 @@ def _exp_ito_check(cfg: Config, outdir: Path) -> tuple[dict, bool, bool]:
         rep = ito_residual(n, u0, drift, (), dt=dt, n_steps=n_steps)
         det_tot.append(abs(rep.totals[0]))
         if modes:
-            streams = [NoiseConfig(len(modes), seed, stream_id=p) for p in range(n_paths)]
+            streams = [NoiseConfig(seed, p) for p in range(n_paths)]
             sto = ito_residual(n, u0, drift, modes, dt=dt, n_steps=n_steps, noise_cfgs=streams)
             acc = 0.0
             for total in sto.totals:  # a sequential sum in path order fixes the rounding

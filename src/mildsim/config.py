@@ -29,7 +29,7 @@ from .coefficients import (CHECK_SAMPLES, CHECK_SEED, DRIFT_KINDS, MODE_TABLE, C
 from .grids import Grid, GridFunction, whole_multiple
 from .hjm import VERDICTS, hjm_drift
 from .operators import BATTERY_TOL
-from .solver import DEFAULT_BLOW_THRESHOLD, DEFAULT_CHUNK_SIZE, DEFAULT_SCHEME, SCHEMES
+from .solver import DEFAULT_CHUNK_SIZE, SCHEMES, SolverConfig
 
 __all__ = [
     "ConfigError", "EXPERIMENTS", "Config", "load_config", "parse_config", "apply_override",
@@ -79,14 +79,16 @@ class GridConfig:
     def _check(self, where, problems):
         if self.x_max / (self.n_nodes - 1) < sys.float_info.min:
             problems.append(f"{where}.x_max: the node spacing x_max/(n_nodes-1) underflows")
+        if float(np.exp(-self.alpha * self.x_max)) / self.alpha == math.inf:
+            problems.append(f"{where}.alpha: the tail weight e^(-alpha*x_max)/alpha overflows")
 
 
 @dataclass(frozen=True)
 class ModeConfig:
     kind: str = _field()
-    c: float = _field(1.0)
+    c: float = _field(ModeFunction.c)
     cap: float | None = _field(None)
-    decay: float = _field(1.0)
+    decay: float = _field(ModeFunction.decay)
     table: tuple[float, ...] | None = _field(None)
     tail: float | None = _field(None)
 
@@ -138,9 +140,9 @@ class ModelConfig:
         read_by=("simulate", "hjm", "lambda-study", "ito-check"))
     modes: tuple[ModeConfig, ...] = _field(())
     # the hjm experiment always uses the no-arbitrage drift (see parse_config)
-    drift: str = _field("zero", _one_of(DRIFT_KINDS), read_by=_NOT_HJM)
-    drift_c: float = _field(0.0, read_by=_NOT_HJM)
-    alpha_correction: float = _field(0.0, read_by=_NOT_HJM)
+    drift: str = _field(CoefficientModel.drift, _one_of(DRIFT_KINDS), read_by=_NOT_HJM)
+    drift_c: float = _field(CoefficientModel.drift_c, read_by=_NOT_HJM)
+    alpha_correction: float = _field(CoefficientModel.alpha_correction, read_by=_NOT_HJM)
     alpha_in_drift: bool = _field(True, read_by=("hjm",))
 
 
@@ -149,13 +151,12 @@ class RunConfig:
     dt: float = _field(check=_POSITIVE)
     t_final: float = _field(check=_POSITIVE)
     seed: int = _field(_RUN_SEED, _SEED)
-    scheme: str = _field(DEFAULT_SCHEME, _one_of(SCHEMES))
+    scheme: str = _field(SolverConfig.scheme, _one_of(SCHEMES))
     n_paths: int = _field(100, _AT_LEAST_ONE, read_by=_ENSEMBLES)
     chunk_size: int = _field(DEFAULT_CHUNK_SIZE, _AT_LEAST_ONE, read_by=_ENSEMBLES)
-    blow_threshold: float = _field(DEFAULT_BLOW_THRESHOLD, _POSITIVE,
+    blow_threshold: float = _field(SolverConfig.blow_threshold, _POSITIVE,
                                    read_by=("simulate", "lambda-study"))
-    lam: float = _field(0.0, _NONNEG, read_by=("simulate",))
-    stream_base: int = _field(0, _SEED, read_by=("simulate",))
+    lam: float = _field(SolverConfig.lam, _NONNEG, read_by=("simulate",))
     # None: estimated by the coefficient check (simulate, see parse_config)
     c_const: float | None = _field(None, read_by=("simulate",))
 
@@ -163,8 +164,6 @@ class RunConfig:
         if whole_multiple(self.t_final, self.dt) is None:
             problems.append(f"{where}.t_final: {self.t_final} is not a whole number "
                             f"of steps of dt={self.dt}")
-        if self.stream_base is not None and self.stream_base + self.n_paths > _U64:
-            problems.append(f"{where}.stream_base: stream_base + n_paths exceeds 2**64")
 
 
 @dataclass(frozen=True)

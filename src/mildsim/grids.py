@@ -115,9 +115,11 @@ class Grid:
             raise ValueError("x_max must be positive")
         if n_nodes < 2:
             raise ValueError("need at least 2 nodes")
+        tail_w = float(np.exp(-alpha * x_max)) / float(alpha)  # Python floats: inf, no warning
+        if tail_w == math.inf:
+            raise ValueError("the tail weight e^(-alpha*x_max)/alpha overflows")
         nodes = np.linspace(0.0, x_max, n_nodes)
         w = hat_weights(nodes, -alpha)
-        tail_w = float(np.exp(-alpha * x_max) / alpha)
         return cls(nodes=nodes, alpha=float(alpha), weights=w, tail_weight=tail_w)
 
     @property

@@ -126,16 +126,17 @@ class Outputs(NamedTuple):
     neg_energy: np.ndarray  # (P, n_steps + 1)
     min_value: np.ndarray  # (P, n_steps + 1)
     aborted: np.ndarray  # (P,) int64, the abort step or -1
-    snapshots: np.ndarray  # (S, P, N)
-    snapshot_tails: np.ndarray  # (S, P)
+    snapshots: np.ndarray  # (n_steps + 1, P, N), or no rows
+    snapshot_tails: np.ndarray  # (n_steps + 1, P), or no rows
 
     def rows(self, lo, hi):
         """The views of paths lo:hi, in the same map."""
         return Outputs(*(a[lo:hi] for a in self[:5]), *(a[:, lo:hi] for a in self[5:]))
 
 
-def outputs(P, N, n_steps, S):
+def outputs(P, N, n_steps, snapshots=False):
     """An Outputs in one anonymous shared mmap, which shows the writes of forked children."""
+    S = n_steps + 1 if snapshots else 0
     shapes = [(P, N), (P,), (P, n_steps + 1), (P, n_steps + 1), (P,), (S, P, N), (S, P)]
     kinds = [np.float64] * 4 + [np.int64] + [np.float64] * 2
     sizes = [int(np.prod(shape)) * np.dtype(kind).itemsize for shape, kind in zip(shapes, kinds)]
@@ -415,7 +416,7 @@ def coefficient_rows(coef, v, tail, scratch=None):
 
 
 def simulate_batch(v0, tail0, dW, m_shift, damp, dt, scheme, coef, res, weights, tail_weight,
-                   blow_threshold, snap_steps, out=None):
+                   blow_threshold, out=None):
     """Advance a batch of paths through the splitting scheme.
 
     scheme 0 applies the shift semigroup first and evaluates reactions
@@ -427,14 +428,15 @@ def simulate_batch(v0, tail0, dW, m_shift, damp, dt, scheme, coef, res, weights,
     leaves [0, blow_threshold] or turns non-finite are frozen at the
     offending step and their later records are NaN.
 
-    Writes the results into out, an Outputs of P rows, and returns it.
-    out is outputs()' record or rows of one (Outputs.rows), or None for
-    a new record: a split call's children write only through its views
-    of the shared map, so arrays from anywhere else would lose their
-    rows.  v0 and tail0 may be broadcast views.  A call of at least
-    _SPLIT_NODE_STEPS node-steps splits its row blocks into one
-    contiguous share per usable core, and every share but the first
-    runs in a forked child.
+    Writes the results into out, an Outputs of P rows, and returns it;
+    when out's snapshot arrays have rows, they receive the state at
+    every step, NaN for aborted rows.  out is outputs()' record or rows
+    of one (Outputs.rows), or None for a new record without snapshots:
+    a split call's children write only through its views of the shared
+    map, so arrays from anywhere else would lose their rows.  v0 and
+    tail0 may be broadcast views.  A call of at least _SPLIT_NODE_STEPS
+    node-steps splits its row blocks into one contiguous share per
+    usable core, and every share but the first runs in a forked child.
     """
     P, N = v0.shape
     n_steps = dW.shape[1]
@@ -444,9 +446,9 @@ def simulate_batch(v0, tail0, dW, m_shift, damp, dt, scheme, coef, res, weights,
     if P * n_steps * N >= _SPLIT_NODE_STEPS:
         workers = min(_usable_cores(), n_blocks)
     if out is None:
-        out = outputs(P, N, n_steps, len(snap_steps))
+        out = outputs(P, N, n_steps)
     args = (v0, tail0, dW, m_shift, damp, dt, scheme, coef, res, weights, tail_weight,
-            blow_threshold, snap_steps)
+            blow_threshold)
     if workers > 1 and res is not None:
         from scipy.signal import lfilter  # noqa: F401  imported once, before the fork
     cuts = [n_blocks * i // workers * rows for i in range(workers)] + [P]
@@ -534,14 +536,13 @@ def _simulate_rows(out, lo, hi, rows, args):
     process or in a forked child.
     """
     (v0, tail0, dW, m_shift, damp, dt, scheme, coef, res, weights, tail_weight,
-     blow_threshold, snap_steps) = args
+     blow_threshold) = args
     v, tail, neg_e, min_v, aborted, snaps, snap_tails = out
     N = v0.shape[1]
     n_steps = dW.shape[1]
     level_codes = coef.level_codes
     K = len(level_codes)
-    snap_at = [int(s) for s in snap_steps]
-    S = len(snap_at)
+    keep = len(snaps) > 0  # the state at every step
     v[lo:hi] = v0[lo:hi]
     tail[lo:hi] = tail0[lo:hi]
     aborted[lo:hi] = -1
@@ -594,11 +595,9 @@ def _simulate_rows(out, lo, hi, rows, args):
             neg_b[:, 0], min_b[:, 0], _ = _records(
                 vb, tb, active, everyone, w_b, tail_weight, blow_threshold, limits, tmp_b,
                 abort_test=False)
-            si = 0
-            while si < S and snap_at[si] == 0:
-                snaps[si, lo_b:hi_b] = vb
-                snap_tails[si, lo_b:hi_b] = tb
-                si += 1
+            if keep:
+                snaps[0, lo_b:hi_b] = vb
+                snap_tails[0, lo_b:hi_b] = tb
             for j in range(n_steps):
                 if scheme == 0:
                     tb = _shift(vb, tb, views, damp)
@@ -638,19 +637,18 @@ def _simulate_rows(out, lo, hi, rows, args):
                         frozen_b[i] = vb[i]
                         vb[i] = 0.0
                     tb[newly] = 0.0
-                while si < S and snap_at[si] == j + 1:
-                    snaps[si, lo_b:hi_b] = vb
+                if keep:
+                    snaps[j + 1, lo_b:hi_b] = vb
                     if everyone:
-                        snap_tails[si, lo_b:hi_b] = tb
+                        snap_tails[j + 1, lo_b:hi_b] = tb
                     else:
-                        snaps[si, lo_b:hi_b][~active] = np.nan
-                        snap_tails[si, lo_b:hi_b] = np.where(active, tb, np.nan)
-                    si += 1
+                        snaps[j + 1, lo_b:hi_b][~active] = np.nan
+                        snap_tails[j + 1, lo_b:hi_b] = np.where(active, tb, np.nan)
                 if len(newly) and not active.any():  # the block's last row aborted
                     neg_b[:, j + 2 :] = np.nan
                     min_b[:, j + 2 :] = np.nan
-                    snaps[si:, lo_b:hi_b] = np.nan
-                    snap_tails[si:, lo_b:hi_b] = np.nan
+                    snaps[j + 2 :, lo_b:hi_b] = np.nan
+                    snap_tails[j + 2 :, lo_b:hi_b] = np.nan
                     break
             for i in np.flatnonzero(~active):
                 vb[i] = frozen_b[i]

@@ -31,20 +31,14 @@ Z_BOUND = 8.292361075813597
 
 @dataclass(frozen=True)
 class NoiseConfig:
-    n_modes: int
     seed: int
     stream_id: int = 0
 
     def __post_init__(self) -> None:
-        if self.n_modes < 0:
-            raise ValueError("n_modes must be nonnegative")
         if not (0 <= self.seed < _U64):
             raise ValueError("seed must fit in 64 bits")
         if not (0 <= self.stream_id < _U64):
             raise ValueError("stream_id must fit in 64 bits")
-
-    def with_stream(self, stream_id: int) -> "NoiseConfig":
-        return NoiseConfig(self.n_modes, self.seed, stream_id)
 
 
 def _key(cfg: NoiseConfig) -> int:
@@ -60,16 +54,17 @@ def _to_gaussian(raw: np.ndarray) -> np.ndarray:
     return ndtri(np.minimum(u, 1.0 - 2.0**-53, out=u))
 
 
-def gaussian_block(cfg: NoiseConfig, n_steps: int) -> np.ndarray:
+def gaussian_block(cfg: NoiseConfig, n_steps: int, n_modes: int) -> np.ndarray:
     """Standard normals for steps 0..n_steps-1, shape (n_steps, n_modes)."""
     if n_steps < 0:
         raise ValueError("n_steps must be nonnegative")
-    k = cfg.n_modes
-    if n_steps * k == 0:
-        return np.zeros((n_steps, k))
-    raw = Philox(counter=0, key=_key(cfg)).random_raw(n_steps * k)
-    return _to_gaussian(raw).reshape(n_steps, k)
+    if n_modes < 0:
+        raise ValueError("n_modes must be nonnegative")
+    if n_steps * n_modes == 0:
+        return np.zeros((n_steps, n_modes))
+    raw = Philox(counter=0, key=_key(cfg)).random_raw(n_steps * n_modes)
+    return _to_gaussian(raw).reshape(n_steps, n_modes)
 
 
-def increment_block(cfg: NoiseConfig, dt: float, n_steps: int) -> np.ndarray:
-    return gaussian_block(cfg, n_steps) * np.sqrt(dt)
+def increment_block(cfg: NoiseConfig, dt: float, n_steps: int, n_modes: int) -> np.ndarray:
+    return gaussian_block(cfg, n_steps, n_modes) * np.sqrt(dt)

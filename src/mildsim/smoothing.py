@@ -260,9 +260,7 @@ def ito_residual(
     if k > 0:
         if len(noise_cfgs) == 0:
             raise ValueError("modes given but no noise_cfgs")
-        if any(c.n_modes != k for c in noise_cfgs):
-            raise ValueError("noise_cfg.n_modes does not match modes")
-        dW = np.stack([increment_block(c, dt, n_steps) for c in noise_cfgs], axis=1)
+        dW = np.stack([increment_block(c, dt, n_steps, k) for c in noise_cfgs], axis=1)
     elif len(noise_cfgs) > 0:
         raise ValueError("noise_cfgs given but no modes")
     else:

@@ -53,7 +53,7 @@ DEFAULT_CHUNK_SIZE = 2048  # paths per integrator call
 DEFAULT_BLOW_THRESHOLD = 1e12  # a path's energy above this aborts it
 DEFAULT_THRESHOLDS = (-1e-6, -1e-3, -1e-2)  # levels of ensemble_stats' frac_below
 
-# bytes of the two stride-1 snapshot arrays, plain and regularized, that
+# bytes of the two every-step snapshot arrays, plain and regularized, that
 # a lambda study holds at once; more streams run in further batches
 STUDY_BYTES = 32 * 1024 * 1024
 
@@ -64,7 +64,6 @@ class SolverConfig:
     t_final: float
     scheme: str = DEFAULT_SCHEME
     lam: float = 0.0
-    snapshot_stride: int = 0
     blow_threshold: float = DEFAULT_BLOW_THRESHOLD
 
     def __post_init__(self) -> None:
@@ -76,8 +75,6 @@ class SolverConfig:
             raise ValueError(f"unknown scheme: {self.scheme!r}")
         if self.lam < 0.0:
             raise ValueError("lam must be nonnegative")
-        if self.snapshot_stride < 0:
-            raise ValueError("snapshot_stride must be nonnegative")
         if whole_multiple(self.t_final, self.dt) is None:
             raise ValueError("t_final must be a whole number of steps")
 
@@ -85,56 +82,37 @@ class SolverConfig:
     def n_steps(self) -> int:
         return int(round(self.t_final / self.dt))
 
-    def snapshot_steps(self) -> np.ndarray:
-        if self.snapshot_stride == 0:
-            return np.zeros(0, dtype=np.int64)
-        s = np.arange(0, self.n_steps + 1, self.snapshot_stride, dtype=np.int64)
-        if s[-1] != self.n_steps:
-            s = np.append(s, np.int64(self.n_steps))
-        return s
 
-
-def _kernel_call(u0, suite, model, cfg, dW, out=None):
+def _simulate_streams(u0, suite, model, cfg, streams, out):
+    """One kernel call into out, an Outputs, with one row per stream, all from u0."""
     if not model.grid.same(suite.grid):
         raise ValueError("model and operator suite use different grids")
     g = suite.grid
-    m_shift = suite.steps_for_time(cfg.dt)
-    damp = suite.damping(cfg.dt)
-    res = kernels.resolvent_coeffs(g.spacing, cfg.lam, suite.alpha_eff) if cfg.lam > 0.0 else None
-    return kernels.simulate_batch(
-        u0[0], u0[1], np.ascontiguousarray(dW, dtype=np.float64),
-        m_shift, damp, float(cfg.dt), SCHEMES.index(cfg.scheme), model.kernel_args(), res,
-        g.weights, g.tail_weight, float(cfg.blow_threshold), cfg.snapshot_steps(), out,
-    )
-
-
-def _simulate_streams(u0, suite, model, cfg, streams, out=None):
-    """One kernel call into out, or a new Outputs, with one row per stream, all from u0."""
-    if any(s.n_modes != model.n_modes for s in streams):
-        raise ValueError("noise_cfg.n_modes does not match the model")
     n_steps = cfg.n_steps
     sq = np.sqrt(cfg.dt)
     p = len(streams)
     dW = np.empty((p, n_steps, model.n_modes))
     for i, s in enumerate(streams):
-        dW[i] = gaussian_block(s, n_steps) * sq
-    v0 = np.broadcast_to(u0.values, (p, u0.grid.n))
+        dW[i] = gaussian_block(s, n_steps, model.n_modes) * sq
+    v0 = np.broadcast_to(u0.values, (p, g.n))
     t0 = np.broadcast_to(np.float64(u0.tail_value), (p,))
-    return _kernel_call((v0, t0), suite, model, cfg, dW, out)
+    res = kernels.resolvent_coeffs(g.spacing, cfg.lam, suite.alpha_eff) if cfg.lam > 0.0 else None
+    return kernels.simulate_batch(
+        v0, t0, dW, suite.steps_for_time(cfg.dt), suite.damping(cfg.dt), float(cfg.dt),
+        SCHEMES.index(cfg.scheme), model.kernel_args(), res, g.weights, g.tail_weight,
+        float(cfg.blow_threshold), out)
 
 
 @dataclass
 class EnsembleResult:
     grid: Grid
     times: np.ndarray
-    neg_energy: np.ndarray
-    min_value: np.ndarray
+    # kernels.Outputs' records, in its order
     final_values: np.ndarray
     final_tails: np.ndarray
+    neg_energy: np.ndarray
+    min_value: np.ndarray
     aborted: np.ndarray
-    snapshot_steps: np.ndarray
-    snapshots: np.ndarray
-    snapshot_tails: np.ndarray
 
     @property
     def n_paths(self) -> int:
@@ -153,8 +131,6 @@ def simulate_path(
     noise_cfg: NoiseConfig,
 ) -> EnsembleResult:
     """One path on noise_cfg's stream: the one-row ensemble of that seed and stream."""
-    if noise_cfg.n_modes != model.n_modes:
-        raise ValueError("noise_cfg.n_modes does not match the model")
     return run_ensemble(u0, suite, model, cfg, 1, noise_cfg.seed, noise_cfg.stream_id)
 
 
@@ -189,23 +165,20 @@ def run_ensemble(
 ) -> EnsembleResult:
     """Simulate n_paths independent paths from the same initial state.
 
-    Path p uses noise stream stream_base + p of the given seed, so any
-    subset of paths can be reproduced in isolation and results do not
-    depend on chunk_size.  Each chunk writes its rows of one Outputs.
+    Path p uses noise stream stream_base + p of the given seed, so
+    results do not depend on chunk_size, and simulate_path reproduces
+    any one path alone.  Each chunk writes its rows of one Outputs.
     """
     if n_paths < 1:
         raise ValueError("n_paths must be positive")
     if chunk_size < 1:
         raise ValueError("chunk_size must be positive")
-    snap_steps = cfg.snapshot_steps()
-    out = kernels.outputs(n_paths, u0.grid.n, cfg.n_steps, len(snap_steps))
-    base = NoiseConfig(model.n_modes, seed)
+    out = kernels.outputs(n_paths, u0.grid.n, cfg.n_steps)
     for lo in range(0, n_paths, chunk_size):
         hi = min(lo + chunk_size, n_paths)
-        streams = [base.with_stream(stream_base + i) for i in range(lo, hi)]
+        streams = [NoiseConfig(seed, stream_base + i) for i in range(lo, hi)]
         _simulate_streams(u0, suite, model, cfg, streams, out.rows(lo, hi))
-    return EnsembleResult(grid=u0.grid, times=np.arange(cfg.n_steps + 1) * cfg.dt,
-                          snapshot_steps=snap_steps, **out._asdict())
+    return EnsembleResult(u0.grid, np.arange(cfg.n_steps + 1) * cfg.dt, *out[:5])
 
 
 @dataclass(frozen=True)
@@ -286,7 +259,7 @@ def lambda_convergence_study(
     resolvent of u0 at their lam (see simulate_regularized).
 
     The streams run in batches, each one kernel call for the plain runs
-    and one per lam, cut so that the two stride-1 snapshot arrays held
+    and one per lam, cut so that the two every-step snapshot arrays held
     at once stay within STUDY_BYTES.  A stream's row does not depend on
     the batch it runs in.
     """
@@ -294,18 +267,19 @@ def lambda_convergence_study(
         raise ValueError("need at least one lam")
     if not all(lam > 0.0 for lam in lams):
         raise ValueError("lam must be positive")
-    cfg1 = replace(cfg, snapshot_stride=1, lam=0.0)
+    cfg0 = replace(cfg, lam=0.0)
     starts = [suite.resolvent(u0, lam) for lam in lams]
-    per_batch = max(1, STUDY_BYTES // (2 * 8 * (cfg1.n_steps + 1) * u0.grid.n))
     grid = u0.grid
+    per_batch = max(1, STUDY_BYTES // (2 * 8 * (cfg.n_steps + 1) * grid.n))
     dist = np.empty((len(noise_cfgs), len(lams)))
     for lo in range(0, len(noise_cfgs), per_batch):
         streams = noise_cfgs[lo : lo + per_batch]
-        plain = _simulate_streams(u0, suite, model, cfg1, streams)
+        plain = kernels.outputs(len(streams), grid.n, cfg.n_steps, snapshots=True)
+        _simulate_streams(u0, suite, model, cfg0, streams, plain)
         # every lam's run in turn; _sup_distances overwrites its snapshots
-        reg = kernels.outputs(len(streams), grid.n, cfg1.n_steps, len(plain.snapshots))
+        reg = kernels.outputs(len(streams), grid.n, cfg.n_steps, snapshots=True)
         for j, start in enumerate(starts):
-            _simulate_streams(start, suite, model, replace(cfg1, lam=lams[j]), streams, reg)
+            _simulate_streams(start, suite, model, replace(cfg, lam=lams[j]), streams, reg)
             dist[lo : lo + len(streams), j] = _sup_distances(
                 grid, plain.snapshots, plain.snapshot_tails, reg.snapshots, reg.snapshot_tails)
     return dist

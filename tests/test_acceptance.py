@@ -159,7 +159,7 @@ def test_e_energy_identity_convergence():
     m1 = GridFunction.from_callable(g, lambda x: 0.25 * np.exp(-0.3 * x))
     m2 = GridFunction.constant(g, 0.1)
     means = []
-    streams = [NoiseConfig(2, 314, p) for p in range(1000)]
+    streams = [NoiseConfig(314, p) for p in range(1000)]
     for dt, steps in ((1e-2, 100), (2.5e-3, 400)):
         rep = ito_residual(n, v0, drift, (m1, m2), dt=dt, n_steps=steps, noise_cfgs=streams)
         tot = 0.0
@@ -262,7 +262,7 @@ def test_h_regularized_paths_converge():
     cfg = SolverConfig(dt=5e-3, t_final=0.5)
     lams = (0.2, 0.1, 0.05, 0.025)
     good = 0
-    streams = [NoiseConfig(1, seed) for seed in range(100, 120)]
+    streams = [NoiseConfig(seed) for seed in range(100, 120)]
     for ds in lambda_convergence_study(u0, suite, model, cfg, streams, lams):
         if all(d > 0.0 for d in ds) and all(ds[i] > ds[i + 1] for i in range(len(ds) - 1)):
             good += 1

@@ -544,6 +544,31 @@ def test_cli_snapshot_stride_is_an_unknown_key(tmp_path, capsys, experiment):
     assert problems == ["run.snapshot_stride: unknown key"]
 
 
+@pytest.mark.parametrize("experiment", ["simulate", "hjm"])
+def test_cli_stream_base_is_an_unknown_key(tmp_path, capsys, experiment):
+    # run.stream_base offset the noise streams of one ensemble, and no
+    # workload set it; a key that does nothing is an unknown key
+    cfg = _small_cfgs()[experiment]
+    problems = _run_expecting_errors(tmp_path, capsys, experiment, cfg, ["run.stream_base=0"])
+    assert problems == ["run.stream_base: unknown key"]
+
+
+@pytest.mark.parametrize("experiment", ["simulate", "coeff-check", "operator-tests"])
+@pytest.mark.parametrize("alpha", [1e-320, 5.5e-309])
+def test_cli_overflowing_tail_weight_exits_2(tmp_path, capsys, experiment, alpha):
+    # e^(-alpha*x_max)/alpha is inf below alpha = 5.6e-309 at x_max = 1;
+    # such a grid used to pass and give wrong verdicts
+    cfg = _small_cfgs()[experiment]
+    cfg["grid"] = {"x_max": 1.0, "n_nodes": 11, "alpha": alpha}
+    problems = _run_expecting_errors(tmp_path, capsys, experiment, cfg)
+    assert problems == ["grid.alpha: the tail weight e^(-alpha*x_max)/alpha overflows"]
+    path = _write_cfg(tmp_path, cfg)
+    assert main([experiment, "--config", path, "--validate-only"]) == 2
+    cfg["grid"]["alpha"] = 5.6e-309  # the tail weight is finite
+    assert main([experiment, "--config", _write_cfg(tmp_path, cfg), "--validate-only"]) == 0
+    capsys.readouterr()
+
+
 @pytest.mark.parametrize("exc", [MemoryError(), OSError(errno.ENOMEM, "Cannot allocate memory")],
                          ids=["MemoryError", "ENOMEM"])
 def test_cli_unallocatable_run_exits_2(tmp_path, capsys, monkeypatch, exc):
@@ -659,7 +684,6 @@ _HJM_UNREAD = [
     "model.alpha_correction=5",
     "run.lam=0.1",
     "run.blow_threshold=1e3",
-    "run.stream_base=7",
     "run.c_const=1.0",
     "check.tol=1e-6",
     "check.expect_admissible=false",

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,18 @@ def test_grid_validation():
         Grid.uniform(0.0, 100, alpha=1.0)
     with pytest.raises(ValueError):
         Grid.uniform(10.0, 1, alpha=1.0)
+
+
+def test_grid_rejects_an_overflowing_tail_weight():
+    # e^(-alpha*x_max)/alpha overflows below alpha = 5.6e-309 at x_max = 1;
+    # such a grid is refused, and with no overflow warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for alpha in (1e-320, 5.5e-309):
+            with pytest.raises(ValueError, match="tail weight"):
+                Grid.uniform(1.0, 11, alpha)
+        g = Grid.uniform(1.0, 11, 5.6e-309)
+    assert np.isfinite(g.tail_weight) and g.tail_weight > 1e308
 
 
 def test_grid_basic_properties():

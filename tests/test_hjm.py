@@ -140,8 +140,8 @@ def test_alpha_placement_is_second_order():
     a = build_hjm(mode, u0, alpha_in_drift=True, check_samples=5)
     b = build_hjm(mode, u0, alpha_in_drift=False, check_samples=5)
     cfg = SolverConfig(dt=1e-4, t_final=1e-3)
-    pa = simulate_path(a.u0, a.suite, a.model, cfg, NoiseConfig(1, 5))
-    pb = simulate_path(b.u0, b.suite, b.model, cfg, NoiseConfig(1, 5))
+    pa = simulate_path(a.u0, a.suite, a.model, cfg, NoiseConfig(5))
+    pb = simulate_path(b.u0, b.suite, b.model, cfg, NoiseConfig(5))
     assert np.abs(pa.final_values[0] - pb.final_values[0]).max() < 1e-10
 
 

@@ -127,13 +127,12 @@ def _rich_args(scheme, lam=0.05, blow=1e12, n_paths=4, n_nodes=301, modes="mixed
     v0 = 0.05 + 0.02 * rng.normal(size=(P, g.n))
     tail0 = 0.05 + 0.02 * rng.normal(size=P)
     dW = np.stack(
-        [gaussian_block(NoiseConfig(K, 9, stream_id=p), n_steps) for p in range(P)]
+        [gaussian_block(NoiseConfig(9, stream_id=p), n_steps, K) for p in range(P)]
     ) * np.sqrt(0.01)
     res = kernels.resolvent_coeffs(g.spacing, lam, g.alpha) if lam > 0.0 else None
-    snap = np.array([0, 20, 40], dtype=np.int64)
     args = (
         v0, tail0, dW, 1, float(np.exp(-g.alpha * 0.01)), 0.01, scheme, model.kernel_args(), res,
-        g.weights, g.tail_weight, blow, snap,
+        g.weights, g.tail_weight, blow,
     )
     return g, args
 
@@ -148,7 +147,6 @@ def _crossing_args():
     args[0] = amp * (0.1 + 0.05 * rng.normal(size=(P, N)))
     args[1] = amp[:, 0] * 0.1
     args[2] = np.zeros((P, 60, 0))
-    args[-1] = np.arange(61, dtype=np.int64)  # a snapshot every step
     return args
 
 
@@ -161,7 +159,7 @@ def test_simulate_batch_rows_cross_blow_threshold_from_below(monkeypatch, block_
     g = Grid.uniform(2.0, 101, 0.5)
     if block_rows is not None:
         monkeypatch.setattr(kernels, "BLOCK_BYTES", block_rows * 8 * g.n)
-    out = kernels.simulate_batch(*args)
+    out = _batch(*args)
     for got, ref in zip(out, _reference_simulate_batch(*args)):
         assert got.tobytes() == ref.tobytes()
     final, final_tail, neg_e, min_v, aborted, snaps, snap_tails = out
@@ -184,21 +182,35 @@ def test_simulate_batch_rows_cross_blow_threshold_from_below(monkeypatch, block_
 
 def test_simulate_batch_numpy_deterministic():
     _, args = _rich_args(0)
-    out1 = kernels.simulate_batch(*args)
-    out2 = kernels.simulate_batch(*args)
+    out1 = _batch(*args)
+    out2 = _batch(*args)
     for a, b in zip(out1, out2):
         assert np.array_equal(a, b)
+    # without an out record the call keeps no snapshots, and its records are the same
+    plain = kernels.simulate_batch(*args)
+    assert plain.snapshots.shape == (0,) + out1.snapshots.shape[1:]
+    assert plain.snapshot_tails.shape == (0,) + out1.snapshot_tails.shape[1:]
+    for a, b in zip(plain[:5], out1[:5]):
+        assert a.tobytes() == b.tobytes()
+
+
+def _batch(*args):
+    """simulate_batch into a new record that keeps the state at every step."""
+    v0, dW = args[0], args[2]
+    out = kernels.outputs(v0.shape[0], v0.shape[1], dW.shape[1], snapshots=True)
+    return kernels.simulate_batch(*args, out)
 
 
 def _reference_simulate_batch(
     v0, tail0, dW, m_shift, damp, dt, scheme, coef, res, weights, tail_weight, blow_threshold,
-    snap_steps,
+    snapshots=True,
 ):
     # the kernel before row blocking and hoisting: the whole batch
     # every step, every mode and the drift recomputed from scratch
     spacing, profiles, profile_tails, level_codes, caps, drift_code, drift_c, alpha_corr = coef
     P, N = v0.shape
-    n_steps, K, S = dW.shape[1], profiles.shape[0], snap_steps.shape[0]
+    n_steps, K = dW.shape[1], profiles.shape[0]
+    S = n_steps + 1 if snapshots else 0
     v, tail = v0.copy(), tail0.copy()
     neg_e, min_v = np.empty((P, n_steps + 1)), np.empty((P, n_steps + 1))
     aborted = np.full(P, -1, dtype=np.int64)
@@ -229,10 +241,8 @@ def _reference_simulate_batch(
 
     with np.errstate(all="ignore"):
         neg_e[:, 0], min_v[:, 0], _ = records()
-        si = 0
-        while si < S and snap_steps[si] == 0:
-            snaps[si], snap_tails[si] = v, tail
-            si += 1
+        if snapshots:
+            snaps[0], snap_tails[0] = v, tail
         for j in range(n_steps):
             if scheme == 0:
                 tail = shift(tail)
@@ -274,10 +284,9 @@ def _reference_simulate_batch(
             active &= ~bad
             neg_e[:, j + 1] = np.where(active, nege, np.nan)
             min_v[:, j + 1] = np.where(active, mn, np.nan)
-            while si < S and snap_steps[si] == j + 1:
-                snaps[si] = np.where(active[:, None], v, np.nan)
-                snap_tails[si] = np.where(active, tail, np.nan)
-                si += 1
+            if snapshots:
+                snaps[j + 1] = np.where(active[:, None], v, np.nan)
+                snap_tails[j + 1] = np.where(active, tail, np.nan)
         v[~active] = frozen_v[~active]
         tail = np.where(active, tail, frozen_tail)
     return v, tail, neg_e, min_v, aborted, snaps, snap_tails
@@ -287,11 +296,11 @@ def _assert_rows_match_single_path_runs(args):
     # a path's results must not depend on the batch it is simulated in:
     # this is what makes ensembles invariant under chunk_size
     v0, tail0, dW, rest = args[0], args[1], args[2], args[3:]
-    batch = kernels.simulate_batch(*args)
+    batch = _batch(*args)
     names = ["final", "final_tail", "neg_energy", "min_value", "aborted", "snaps", "snap_tails"]
     path_axis = [0, 0, 0, 0, 0, 1, 1]
     for p in range(v0.shape[0]):
-        alone = kernels.simulate_batch(v0[p : p + 1], tail0[p : p + 1], dW[p : p + 1], *rest)
+        alone = _batch(v0[p : p + 1], tail0[p : p + 1], dW[p : p + 1], *rest)
         for got, one, ax, name in zip(batch, alone, path_axis, names):
             row = np.take(got, [p], axis=ax)
             assert np.array_equal(row, one, equal_nan=name != "aborted"), (name, p)
@@ -325,7 +334,7 @@ def test_simulate_batch_numpy_block_boundaries(scheme, lam, modes):
     signed_zero = [0, rows - 1, n_paths - 1]
     v0[signed_zero, :3] = -0.0
     tail0[signed_zero] = -0.0
-    out = kernels.simulate_batch(*args)
+    out = _batch(*args)
     aborted = out[4]
     assert np.flatnonzero(aborted >= 0).tolist() == sorted(boosted)
     assert len(set(aborted[sorted(boosted)])) == 3
@@ -344,8 +353,7 @@ def test_stride_one_snapshots_mask_only_aborted_rows(lam):
     args = list(args)
     args[0][2] *= 300.0
     args[1][2] *= 300.0
-    args[-1] = np.arange(41, dtype=np.int64)
-    out = kernels.simulate_batch(*args)
+    out = _batch(*args)
     for got, ref in zip(out, _reference_simulate_batch(*args)):
         assert got.tobytes() == ref.tobytes()
     aborted, snaps, snap_tails = out[4], out[5], out[6]
@@ -380,7 +388,7 @@ def test_state_free_drift_is_swept_once_per_call(monkeypatch, lam, drift, modes)
         return sweep_rows(*a)
 
     monkeypatch.setattr(kernels, "_sweep_rows", counting)
-    out = kernels.simulate_batch(*args)
+    out = _batch(*args)
     codes = args[7].level_codes
     n_const = int((codes == kernels.LEVEL_CONST).sum())
     n_varying = len(codes) - n_const
@@ -404,8 +412,8 @@ def test_simulate_batch_numpy_rows_follow_a_permutation(data, scheme, lam, modes
     n_paths = data.draw(st.integers(1, 40), label="n_paths")
     _, args = _rich_args(scheme, lam=lam, n_paths=n_paths, n_nodes=n_nodes, modes=modes)
     perm = np.array(data.draw(st.permutations(range(n_paths)), label="perm"))
-    ref = kernels.simulate_batch(*args)
-    got = kernels.simulate_batch(args[0][perm], args[1][perm], args[2][perm], *args[3:])
+    ref = _batch(*args)
+    got = _batch(args[0][perm], args[1][perm], args[2][perm], *args[3:])
     for a, b, axis in zip(ref, got, [0, 0, 0, 0, 0, 1, 1]):
         assert np.take(a, perm, axis=axis).tobytes() == b.tobytes()
 
@@ -430,7 +438,7 @@ def test_pure_transport_is_a_bitwise_shift(data, n_nodes, n_paths, n_steps, seed
     args = (
         v0, tail0, np.zeros((n_paths, n_steps, 0)), m_shift, 1.0, 0.01,
         data.draw(st.sampled_from([0, 1]), label="scheme"), _modeless(g), None,
-        g.weights, g.tail_weight, 1e300, np.zeros(0, dtype=np.int64),
+        g.weights, g.tail_weight, 1e300,
     )
     out = kernels.simulate_batch(*args)
     m = min(m_shift * n_steps, n_nodes)
@@ -451,7 +459,7 @@ def test_simulate_batch_pure_shift_is_exact():
     dW = np.zeros((1, n_steps, 0))
     args = (
         v0, tail0, dW, 3, 1.0, 0.03, 0, _modeless(g), None,
-        g.weights, g.tail_weight, 1e12, np.zeros(0, dtype=np.int64),
+        g.weights, g.tail_weight, 1e12,
     )
     out = kernels.simulate_batch(*args)
     m = 3 * n_steps
@@ -650,14 +658,14 @@ def _capped_args(n_paths, n_steps, blow):
     model = CoefficientModel(g, modes=(ModeFunction("proportional-capped", c=8.0, cap=2e-4),),
                              drift="hjm", alpha_correction=g.alpha)
     dt = 2e-3
-    dW = np.stack([gaussian_block(NoiseConfig(1, 3, stream_id=p), n_steps)
+    dW = np.stack([gaussian_block(NoiseConfig(3, stream_id=p), n_steps, 1)
                    for p in range(n_paths)]) * np.sqrt(dt)
     v0 = np.full((n_paths, g.n), 4e-4)
     v0[np.arange(n_paths) % 5 < 2, 100:200] = -1e-4
     return (
         v0, np.full(n_paths, 4e-4), dW, 2,
         float(np.exp(-g.alpha * dt)), dt, 0, model.kernel_args(), None,
-        g.weights, g.tail_weight, blow, np.array([0, n_steps], dtype=np.int64),
+        g.weights, g.tail_weight, blow,
     )
 
 
@@ -686,9 +694,10 @@ def test_simulate_batch_allocates_no_per_step_blocks(blow, lam):
         kernels.resolvent_sweep(np.zeros(2), 0.0, (0.0, 0.0, 0.0, 1.0))
     N = args[0].shape[1]
     block = max(1, kernels.BLOCK_BYTES // (8 * N)) * N * 8
+    out = kernels.outputs(n_paths, N, n_steps, snapshots=True)
     tracemalloc.start()
     try:
-        kernels.simulate_batch(*args)
+        kernels.simulate_batch(*args, out)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -706,7 +715,7 @@ def _exploding_args(blow):
     dW = np.zeros((P, 60, 0))
     return (
         v0, tail0, dW, 0, 1.0, 0.02, 0, _modeless(g, kernels.DRIFT_DECAY, -10.0), None,
-        g.weights, g.tail_weight, blow, np.zeros(0, dtype=np.int64),
+        g.weights, g.tail_weight, blow,
     )
 
 
@@ -729,7 +738,7 @@ def test_simulate_batch_numpy_aborts_match_single_path_runs():
     out = kernels.simulate_batch(*args)
     assert (out[4] >= 0).all()
     _assert_rows_match_single_path_runs(args)
-    for got, ref in zip(out, _reference_simulate_batch(*args)):
+    for got, ref in zip(out, _reference_simulate_batch(*args, snapshots=False)):
         assert got.tobytes() == ref.tobytes()
 
 
@@ -765,10 +774,9 @@ def test_aborted_rows_leave_the_step(monkeypatch, blow):
     if blow == "mixed":
         args = _crossing_args()
     else:
-        args = list(_exploding_args(blow))
-        args[-1] = np.array([0, 5, 10, 11, 30, 60], dtype=np.int64)
+        args = _exploding_args(blow)
     steps = _count_row_bounds(monkeypatch)
-    out = kernels.simulate_batch(*args)
+    out = _batch(*args)
     for got, ref in zip(out, _reference_simulate_batch(*args)):
         assert got.tobytes() == ref.tobytes()
     aborted = out[4]
@@ -828,9 +836,9 @@ def test_split_is_bitwise_the_serial_call(monkeypatch, workers, case, scheme, pa
         args, block_rows = _capped_args(256, 12, param), None
     else:
         args, block_rows = _exploding_args(param), 1
-    serial = kernels.simulate_batch(*args)
+    serial = _batch(*args)
     forked = _force_split(monkeypatch, workers, block_rows, args[0].shape[1])
-    out = kernels.simulate_batch(*args)
+    out = _batch(*args)
     assert forked == FORKED.get((case, workers), [])
     _assert_no_child_left()
     ref = _reference_simulate_batch(*args)
@@ -881,7 +889,7 @@ def test_the_fork_warns_nothing(monkeypatch):
     args = _capped_args(64, 4, 1e12)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        out = kernels.simulate_batch(*args)
+        out = _batch(*args)
     assert forked == [(32, 64)]
     for got, ref in zip(out, _reference_simulate_batch(*args)):
         assert got.tobytes() == ref.tobytes()
@@ -914,7 +922,7 @@ def test_a_share_whose_fork_fails_runs_in_the_caller(monkeypatch):
         raise BlockingIOError("no process left")
 
     monkeypatch.setattr(os, "fork", no_fork)
-    out = kernels.simulate_batch(*args)
+    out = _batch(*args)
     assert forked == [(32, 64), (64, 96)]
     for got, ref in zip(out, _reference_simulate_batch(*args)):
         assert got.tobytes() == ref.tobytes()

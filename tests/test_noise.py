@@ -1,10 +1,8 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 from numpy.random import Philox
 
-from mildsim import noise, solver
+from mildsim import kernels, noise, solver
 from mildsim.coefficients import CoefficientModel, ModeFunction
 from mildsim.grids import Grid, GridFunction
 from mildsim.noise import NoiseConfig, Z_BOUND, gaussian_block, increment_block
@@ -14,11 +12,10 @@ from test_coefficients import mode_reference
 # and test_hjm.py
 
 
-def gaussian_step(cfg: NoiseConfig, step_index: int) -> np.ndarray:
-    """The n_modes standard normals of one step, random access."""
+def gaussian_step(cfg: NoiseConfig, step_index: int, k: int) -> np.ndarray:
+    """The k standard normals of one step, random access."""
     if step_index < 0:
         raise ValueError("step_index must be nonnegative")
-    k = cfg.n_modes
     if k == 0:
         return np.zeros(0)
     # Philox draws its raw words four to a counter block
@@ -27,9 +24,9 @@ def gaussian_step(cfg: NoiseConfig, step_index: int) -> np.ndarray:
     return noise._to_gaussian(raw[off:])
 
 
-def increment_step(cfg: NoiseConfig, dt: float, step_index: int) -> np.ndarray:
-    """Brownian increments over one step of length dt."""
-    return gaussian_step(cfg, step_index) * np.sqrt(dt)
+def increment_step(cfg: NoiseConfig, dt: float, step_index: int, k: int) -> np.ndarray:
+    """Brownian increments of k modes over one step of length dt."""
+    return gaussian_step(cfg, step_index, k) * np.sqrt(dt)
 
 
 def apply_diffusion_increment(model, u: GridFunction, dw: np.ndarray) -> GridFunction:
@@ -46,56 +43,65 @@ def apply_diffusion_increment(model, u: GridFunction, dw: np.ndarray) -> GridFun
     return GridFunction(g, acc, acct)
 
 
+def kernel_args(suite, model, cfg):
+    """simulate_batch's arguments after v0, tail0 and dW, as solver passes them for cfg."""
+    g = suite.grid
+    assert model.grid.same(g)
+    res = kernels.resolvent_coeffs(g.spacing, cfg.lam, suite.alpha_eff) if cfg.lam > 0.0 else None
+    return (suite.steps_for_time(cfg.dt), suite.damping(cfg.dt), float(cfg.dt),
+            solver.SCHEMES.index(cfg.scheme), model.kernel_args(), res, g.weights, g.tail_weight,
+            float(cfg.blow_threshold))
+
+
 def step_once(u: GridFunction, suite, model, cfg, dw: np.ndarray) -> GridFunction:
     """One scheme step with explicit increments, through the integrator."""
     dw = np.asarray(dw, dtype=np.float64)
     if dw.shape != (model.n_modes,):
         raise ValueError("dw must hold one increment per mode")
-    one = replace(cfg, t_final=cfg.dt)
-    out_v, out_t = solver._kernel_call(
-        (u.values[None, :], np.array([u.tail_value])), suite, model, one, dw[None, None, :]
-    )[:2]
+    out_v, out_t = kernels.simulate_batch(u.values[None, :], np.array([u.tail_value]),
+                                          dw[None, None, :], *kernel_args(suite, model, cfg))[:2]
     return GridFunction(u.grid, out_v[0], float(out_t[0]))
 
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        NoiseConfig(-1, 0)
+        NoiseConfig(-1)
     with pytest.raises(ValueError):
-        NoiseConfig(1, -1)
+        NoiseConfig(1 << 64)
     with pytest.raises(ValueError):
-        NoiseConfig(1, 1 << 64)
+        NoiseConfig(0, stream_id=-2)
     with pytest.raises(ValueError):
-        NoiseConfig(1, 0, stream_id=-2)
-    cfg = NoiseConfig(3, 42).with_stream(7)
+        NoiseConfig(0, stream_id=1 << 64)
+    cfg = NoiseConfig(42, 7)
     assert cfg.stream_id == 7
     assert cfg.seed == 42
+    assert NoiseConfig(42).stream_id == 0
 
 
 def test_determinism():
-    cfg = NoiseConfig(2, 123, stream_id=5)
-    a = gaussian_block(cfg, 100)
-    b = gaussian_block(cfg, 100)
+    cfg = NoiseConfig(123, stream_id=5)
+    a = gaussian_block(cfg, 100, 2)
+    b = gaussian_block(cfg, 100, 2)
     assert np.array_equal(a, b)
 
 
 def test_block_matches_per_step_access():
-    cfg = NoiseConfig(3, 7, stream_id=2)
-    block = gaussian_block(cfg, 50)
-    stacked = np.stack([gaussian_step(cfg, j) for j in range(50)])
+    cfg = NoiseConfig(7, stream_id=2)
+    block = gaussian_block(cfg, 50, 3)
+    stacked = np.stack([gaussian_step(cfg, j, 3) for j in range(50)])
     assert np.array_equal(block, stacked)
 
 
 def test_streams_and_seeds_differ():
-    a = gaussian_block(NoiseConfig(1, 1, stream_id=0), 10)
-    b = gaussian_block(NoiseConfig(1, 1, stream_id=1), 10)
-    c = gaussian_block(NoiseConfig(1, 2, stream_id=0), 10)
+    a = gaussian_block(NoiseConfig(1, stream_id=0), 10, 1)
+    b = gaussian_block(NoiseConfig(1, stream_id=1), 10, 1)
+    c = gaussian_block(NoiseConfig(2, stream_id=0), 10, 1)
     assert not np.array_equal(a, b)
     assert not np.array_equal(a, c)
 
 
 def test_moments():
-    z = gaussian_block(NoiseConfig(1, 12345), 1_000_000)[:, 0]
+    z = gaussian_block(NoiseConfig(12345), 1_000_000, 1)[:, 0]
     assert abs(z.mean()) < 4e-3
     assert abs(z.var() - 1.0) < 1e-2
     assert np.abs(z).max() <= Z_BOUND
@@ -103,8 +109,8 @@ def test_moments():
 
 def test_cross_stream_correlation():
     n = 200000
-    a = gaussian_block(NoiseConfig(1, 99, stream_id=0), n)[:, 0]
-    b = gaussian_block(NoiseConfig(1, 99, stream_id=1), n)[:, 0]
+    a = gaussian_block(NoiseConfig(99, stream_id=0), n, 1)[:, 0]
+    b = gaussian_block(NoiseConfig(99, stream_id=1), n, 1)[:, 0]
     corr = float(np.corrcoef(a, b)[0, 1])
     assert abs(corr) < 0.01
 
@@ -145,23 +151,31 @@ def test_to_gaussian_keeps_every_other_word():
 
 
 def test_increment_scaling():
-    cfg = NoiseConfig(2, 4)
+    cfg = NoiseConfig(4)
     dt = 0.01
-    assert np.array_equal(increment_block(cfg, dt, 20), gaussian_block(cfg, 20) * np.sqrt(dt))
-    assert np.array_equal(increment_step(cfg, dt, 3), gaussian_step(cfg, 3) * np.sqrt(dt))
+    assert np.array_equal(increment_block(cfg, dt, 20, 2),
+                          gaussian_block(cfg, 20, 2) * np.sqrt(dt))
+    assert np.array_equal(increment_step(cfg, dt, 3, 2), gaussian_step(cfg, 3, 2) * np.sqrt(dt))
 
 
 def test_step_index_validation():
     with pytest.raises(ValueError):
-        gaussian_step(NoiseConfig(1, 0), -1)
-    with pytest.raises(ValueError):
-        gaussian_block(NoiseConfig(1, 0), -1)
+        gaussian_step(NoiseConfig(0), -1, 1)
+    with pytest.raises(ValueError, match="n_steps"):
+        gaussian_block(NoiseConfig(0), -1, 1)
+
+
+def test_mode_count_validation():
+    with pytest.raises(ValueError, match="n_modes"):
+        gaussian_block(NoiseConfig(0), 5, -1)
+    with pytest.raises(ValueError, match="n_modes"):
+        increment_block(NoiseConfig(0), 0.01, 5, -1)
 
 
 def test_zero_modes():
-    cfg = NoiseConfig(0, 0)
-    assert gaussian_step(cfg, 5).shape == (0,)
-    assert gaussian_block(cfg, 5).shape == (5, 0)
+    cfg = NoiseConfig(0)
+    assert gaussian_step(cfg, 5, 0).shape == (0,)
+    assert gaussian_block(cfg, 5, 0).shape == (5, 0)
 
 
 def test_apply_diffusion_increment():

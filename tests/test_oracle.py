@@ -3,7 +3,7 @@
 With a deterministic volatility the Musiela equation solves in closed form,
 driven by the same Brownian path the kernel steps with.  From a flat curve
 r0, with W_t the sum of the kernel's own increments
-gaussian_block(NoiseConfig(1, seed, p), n) * sqrt(dt):
+gaussian_block(NoiseConfig(seed, p), n, 1) * sqrt(dt):
 
 - Ho-Lee, one `constant` mode c (Ho & Lee 1986):
   r(t, x) = r0 + c^2 (x t + t^2 / 2) + c W_t.
@@ -49,7 +49,7 @@ def _paths(mode, dx, scheme, alpha_in_drift, n_paths, chunk_size=DEFAULT_CHUNK_S
     built = build_hjm((mode,), u0, alpha_in_drift=alpha_in_drift, check_samples=1)
     cfg = SolverConfig(dt=dx, t_final=T, scheme=scheme)
     ens = run_ensemble(u0, built.suite, built.model, cfg, n_paths, SEED, chunk_size=chunk_size)
-    dW = np.stack([gaussian_block(NoiseConfig(1, SEED, p), cfg.n_steps)[:, 0]
+    dW = np.stack([gaussian_block(NoiseConfig(SEED, p), cfg.n_steps, 1)[:, 0]
                    for p in range(n_paths)]) * np.sqrt(dx)
     keep = grid.nodes <= X_MAX - T + 1e-12
     return ens.final_values[:, keep], dW, grid.nodes[keep]

@@ -218,11 +218,7 @@ def test_ito_residual_validation():
     with pytest.raises(ValueError):
         ito_residual(50.0, v0, drift, modes)
     with pytest.raises(ValueError):
-        ito_residual(50.0, v0, drift, modes, noise_cfgs=[NoiseConfig(1, 0)])
-    with pytest.raises(ValueError):
-        ito_residual(50.0, v0, drift, modes, noise_cfgs=[NoiseConfig(2, 0), NoiseConfig(1, 0)])
-    with pytest.raises(ValueError):
-        ito_residual(50.0, v0, drift, (), noise_cfgs=[NoiseConfig(0, 0)])
+        ito_residual(50.0, v0, drift, (), noise_cfgs=[NoiseConfig(0)])
 
 
 def test_ito_residual_deterministic_first_order():
@@ -241,7 +237,7 @@ def test_ito_residual_deterministic_first_order():
 def test_ito_residual_stochastic_shrinks_with_dt():
     _, v0, drift, modes = _ito_setup()
     means = []
-    streams = [NoiseConfig(2, 314, stream_id=p) for p in range(100)]
+    streams = [NoiseConfig(314, stream_id=p) for p in range(100)]
     for dt, n_steps in ((1e-2, 100), (2.5e-3, 400)):
         rep = ito_residual(50.0, v0, drift, modes, dt=dt, n_steps=n_steps, noise_cfgs=streams)
         assert len(rep.residuals) == n_steps
@@ -257,7 +253,7 @@ def _reference_ito_residual(n, v0, drift, modes=(), dt=1e-2, n_steps=100, noise_
     """One path at a time, as ito_residual computed it before it ran batched."""
     g = v0.grid
     k = len(modes)
-    dW = increment_block(noise_cfg, dt, n_steps) if k > 0 else np.zeros((n_steps, 0))
+    dW = increment_block(noise_cfg, dt, n_steps, k) if k > 0 else np.zeros((n_steps, 0))
     w = g.weights
     tw = g.tail_weight
 
@@ -296,7 +292,7 @@ def test_ito_residual_paths_match_single_path_reference(dt, n_steps):
     # the batched rows, each reduced as its own 1-D dot, are bitwise the
     # paths run one at a time
     _, v0, drift, modes = _ito_setup()
-    streams = [NoiseConfig(2, 314, stream_id=p) for p in range(7)]
+    streams = [NoiseConfig(314, stream_id=p) for p in range(7)]
     rep = ito_residual(50.0, v0, drift, modes, dt=dt, n_steps=n_steps, noise_cfgs=streams)
     for p, ncfg in enumerate(streams):
         func, res, total = _reference_ito_residual(
@@ -317,7 +313,7 @@ def test_ito_residual_paths_follow_their_streams(picked):
     # permuting, repeating or dropping streams moves each path's results
     # with its stream and changes none of them
     _, v0, drift, modes = _ito_setup()
-    streams = [NoiseConfig(2, 99, stream_id=p) for p in range(10)]
+    streams = [NoiseConfig(99, stream_id=p) for p in range(10)]
     whole = ito_residual(50.0, v0, drift, modes, dt=2e-2, n_steps=10, noise_cfgs=streams)
     part = ito_residual(50.0, v0, drift, modes, dt=2e-2, n_steps=10,
                         noise_cfgs=[streams[i] for i in picked])

@@ -35,18 +35,12 @@ def test_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(dt=0.01, t_final=1.0, lam=-0.1)
     with pytest.raises(ValueError):
-        SolverConfig(dt=0.01, t_final=1.0, snapshot_stride=-1)
-    with pytest.raises(ValueError):
         SolverConfig(dt=0.03, t_final=1.0)
 
 
 def test_config_steps_and_snapshots():
-    cfg = SolverConfig(dt=0.01, t_final=1.0, snapshot_stride=7)
+    cfg = SolverConfig(dt=0.01, t_final=1.0)
     assert cfg.n_steps == 100
-    s = cfg.snapshot_steps()
-    assert s[0] == 0 and s[-1] == 100
-    assert np.all(np.diff(s) > 0)
-    assert SolverConfig(dt=0.01, t_final=1.0).snapshot_steps().shape == (0,)
 
 
 def _setup(alpha=0.5, n=201, x_max=2.0):
@@ -111,7 +105,7 @@ def test_dt_must_hit_grid_nodes():
     grid, suite, model, u0 = _setup()
     cfg = SolverConfig(dt=0.015, t_final=0.15)
     with pytest.raises(ValueError):
-        simulate_path(u0, suite, model, cfg, NoiseConfig(2, 0))
+        simulate_path(u0, suite, model, cfg, NoiseConfig(0))
 
 
 def test_grid_mismatch_rejected():
@@ -119,26 +113,19 @@ def test_grid_mismatch_rejected():
     other = OperatorSuite(Grid.uniform(2.0, 201, 0.7), shifted=True)
     cfg = SolverConfig(dt=0.02, t_final=0.04)
     with pytest.raises(ValueError):
-        simulate_path(u0, other, model, cfg, NoiseConfig(2, 0))
-
-
-def test_noise_modes_must_match():
-    grid, suite, model, u0 = _setup()
-    cfg = SolverConfig(dt=0.02, t_final=0.04)
-    with pytest.raises(ValueError):
-        simulate_path(u0, suite, model, cfg, NoiseConfig(1, 0))
+        simulate_path(u0, other, model, cfg, NoiseConfig(0))
 
 
 def test_simulate_path_equals_step_once_loop():
     grid, suite, model, u0 = _setup()
     n_steps = 12
     cfg = SolverConfig(dt=0.02, t_final=n_steps * 0.02)
-    ncfg = NoiseConfig(2, 77, stream_id=3)
+    ncfg = NoiseConfig(77, stream_id=3)
     path = simulate_path(u0, suite, model, cfg, ncfg)
     u = u0
     one = SolverConfig(dt=0.02, t_final=0.02)
     for j in range(n_steps):
-        u = step_once(u, suite, model, one, increment_step(ncfg, cfg.dt, j))
+        u = step_once(u, suite, model, one, increment_step(ncfg, cfg.dt, j, model.n_modes))
     assert np.array_equal(path.final_values[0], u.values)
     assert path.final_tails[0] == u.tail_value
 
@@ -150,7 +137,7 @@ def test_pure_transport_is_bitwise_shift():
     rng = np.random.default_rng(12)
     u0 = GridFunction(grid, rng.normal(size=grid.n), 0.3)
     cfg = SolverConfig(dt=0.05, t_final=0.5)
-    path = simulate_path(u0, suite, model, cfg, NoiseConfig(0, 0))
+    path = simulate_path(u0, suite, model, cfg, NoiseConfig(0))
     m = 50  # 10 steps of 5 cells
     expect = np.full(grid.n, 0.3)
     expect[: grid.n - m] = u0.values[m:]
@@ -160,7 +147,7 @@ def test_pure_transport_is_bitwise_shift():
 
 def test_schemes_differ_with_reactions():
     grid, suite, model, u0 = _setup()
-    ncfg = NoiseConfig(2, 5)
+    ncfg = NoiseConfig(5)
     a = simulate_path(u0, suite, model, SolverConfig(dt=0.02, t_final=0.2), ncfg)
     b = simulate_path(
         u0, suite, model,
@@ -170,15 +157,35 @@ def test_schemes_differ_with_reactions():
     assert np.isfinite(a.final_values[0]).all() and np.isfinite(b.final_values[0]).all()
 
 
+def _snapshot_run(u0, suite, model, cfg, n_paths, seed, chunk_size=None, stream_base=0):
+    """run_ensemble's chunk loop into an Outputs that keeps the state at every step."""
+    out = kernels.outputs(n_paths, u0.grid.n, cfg.n_steps, snapshots=True)
+    chunk_size = chunk_size or n_paths
+    for lo in range(0, n_paths, chunk_size):
+        hi = min(lo + chunk_size, n_paths)
+        streams = [NoiseConfig(seed, stream_base + i) for i in range(lo, hi)]
+        solver._simulate_streams(u0, suite, model, cfg, streams, out.rows(lo, hi))
+    return out
+
+
+def _strided(out, n_steps, stride):
+    """The snapshots and their tails at steps 0, stride, 2 * stride, ... and n_steps."""
+    steps = np.unique(np.r_[np.arange(0, n_steps + 1, stride), n_steps])
+    return out.snapshots[steps], out.snapshot_tails[steps]
+
+
 def test_records_match_snapshots():
     grid, suite, model, u0 = _setup()
-    cfg = SolverConfig(dt=0.02, t_final=0.2, snapshot_stride=1)
-    path = simulate_path(u0, suite, model, cfg, NoiseConfig(2, 9))
+    cfg = SolverConfig(dt=0.02, t_final=0.2)
+    path = _snapshot_run(u0, suite, model, cfg, 1, 9)
+    alone = simulate_path(u0, suite, model, cfg, NoiseConfig(9))
+    assert path.neg_energy.tobytes() == alone.neg_energy.tobytes()
+    assert path.min_value.tobytes() == alone.min_value.tobytes()
     assert len(path.snapshots) == cfg.n_steps + 1
-    rows = zip(path.snapshot_steps, path.snapshots[:, 0], path.snapshot_tails[:, 0])
-    for j, (step, values, tail) in enumerate(rows):
-        t, snap = float(step * cfg.dt), GridFunction(grid, values, tail)
-        assert t == pytest.approx(j * cfg.dt, rel=1e-15)
+    rows = zip(path.snapshots[:, 0], path.snapshot_tails[:, 0])
+    for j, (values, tail) in enumerate(rows):
+        snap = GridFunction(grid, values, tail)
+        assert alone.times[j] == pytest.approx(j * cfg.dt, rel=1e-15)
         e = norm(lattice_parts(snap).negative, "l2") ** 2
         assert path.neg_energy[0, j] == pytest.approx(e, rel=1e-12, abs=1e-300)
         m = min(float(snap.values.min()), snap.tail_value)
@@ -188,7 +195,7 @@ def test_records_match_snapshots():
 def test_supermartingale_method():
     grid, suite, model, u0 = _setup()
     cfg = SolverConfig(dt=0.02, t_final=0.1)
-    path = simulate_path(u0, suite, model, cfg, NoiseConfig(2, 9))
+    path = simulate_path(u0, suite, model, cfg, NoiseConfig(9))
     s = supermartingale_stat(path.times, path.neg_energy[0], 0.5)
     assert np.allclose(s, np.exp(-1.0 * path.times) * path.neg_energy[0], rtol=1e-15)
 
@@ -204,7 +211,7 @@ def _exploding(n_paths=2):
 
 def test_abort_on_blowup():
     grid, suite, model, u0, cfg = _exploding()
-    path = simulate_path(u0, suite, model, cfg, NoiseConfig(0, 0))
+    path = simulate_path(u0, suite, model, cfg, NoiseConfig(0))
     abort_step = int(path.aborted[0])
     assert path.n_aborted == 1
     assert 0 < abort_step < cfg.n_steps - 1
@@ -224,23 +231,25 @@ def test_ensemble_counts_aborts_and_stats_skip_them():
 
 def test_ensemble_chunking_invariance():
     grid, suite, model, u0 = _setup(n=101)
-    cfg = SolverConfig(dt=0.04, t_final=0.4, snapshot_stride=5)
+    cfg = SolverConfig(dt=0.04, t_final=0.4)
     a = run_ensemble(u0, suite, model, cfg, n_paths=7, seed=3, chunk_size=2)
     b = run_ensemble(u0, suite, model, cfg, n_paths=7, seed=3, chunk_size=100)
+    snaps = {k: _strided(_snapshot_run(u0, suite, model, cfg, 7, 3, k), cfg.n_steps, 5)
+             for k in (2, 3, 100)}
     assert np.array_equal(a.final_values, b.final_values)
     assert np.array_equal(a.neg_energy, b.neg_energy)
-    assert np.array_equal(a.snapshots, b.snapshots)
+    assert np.array_equal(snaps[2][0], snaps[100][0])
     assert np.array_equal(a.aborted, b.aborted)
     # an uneven split (3 + 3 + 1) must agree with the single chunk as well
     c = run_ensemble(u0, suite, model, cfg, n_paths=7, seed=3, chunk_size=3)
-    for other in (a, c):
+    for other, k in ((a, 2), (c, 3)):
         assert np.array_equal(other.final_values, b.final_values)
         assert np.array_equal(other.final_tails, b.final_tails)
         assert np.array_equal(other.neg_energy, b.neg_energy)
         assert np.array_equal(other.min_value, b.min_value)
         assert np.array_equal(other.aborted, b.aborted)
-        assert np.array_equal(other.snapshots, b.snapshots)
-        assert np.array_equal(other.snapshot_tails, b.snapshot_tails)
+        assert np.array_equal(snaps[k][0], snaps[100][0])
+        assert np.array_equal(snaps[k][1], snaps[100][1])
 
 
 _ENSEMBLE_FIELDS = ("neg_energy", "min_value", "final_values", "final_tails", "aborted")
@@ -254,7 +263,7 @@ def test_ensemble_invariant_under_chunking_and_path_position(data, n_paths, sche
     # a path's results depend on its noise stream only: not on how the
     # ensemble is cut into chunks, nor on which other paths run beside it
     grid, suite, model, u0 = _setup(n=41)
-    cfg = SolverConfig(dt=0.1, t_final=0.5, scheme=scheme, lam=lam, snapshot_stride=2)
+    cfg = SolverConfig(dt=0.1, t_final=0.5, scheme=scheme, lam=lam)
     chunk = data.draw(st.integers(1, n_paths), label="chunk_size")
     first = data.draw(st.integers(0, n_paths - 1), label="first")
     whole = run_ensemble(u0, suite, model, cfg, n_paths=n_paths, seed=5)
@@ -264,9 +273,13 @@ def test_ensemble_invariant_under_chunking_and_path_position(data, n_paths, sche
     for name in _ENSEMBLE_FIELDS:
         assert getattr(cut, name).tobytes() == getattr(whole, name).tobytes(), name
         assert getattr(tail, name).tobytes() == getattr(whole, name)[first:].tobytes(), name
-    assert cut.snapshots.tobytes() == whole.snapshots.tobytes()
-    assert tail.snapshots.tobytes() == whole.snapshots[:, first:].tobytes()
-    assert tail.snapshot_tails.tobytes() == whole.snapshot_tails[:, first:].tobytes()
+    whole_s = _strided(_snapshot_run(u0, suite, model, cfg, n_paths, 5), cfg.n_steps, 2)
+    cut_s = _strided(_snapshot_run(u0, suite, model, cfg, n_paths, 5, chunk), cfg.n_steps, 2)
+    tail_s = _strided(_snapshot_run(u0, suite, model, cfg, n_paths - first, 5, chunk, first),
+                      cfg.n_steps, 2)
+    assert cut_s[0].tobytes() == whole_s[0].tobytes()
+    assert tail_s[0].tobytes() == whole_s[0][:, first:].tobytes()
+    assert tail_s[1].tobytes() == whole_s[1][:, first:].tobytes()
 
 
 @pytest.mark.parametrize("workers", [2, 3])
@@ -278,8 +291,9 @@ def test_split_chunks_fill_one_record_bitwise_the_serial_call(monkeypatch, worke
     # blocks whose forked children write straight into the ensemble's one
     # Outputs record, give the bytes of one unchunked call in one process.
     grid, suite, model, u0 = _setup(n=41)
-    cfg = SolverConfig(dt=0.1, t_final=0.5, lam=lam, snapshot_stride=2, blow_threshold=blow)
+    cfg = SolverConfig(dt=0.1, t_final=0.5, lam=lam, blow_threshold=blow)
     serial = run_ensemble(u0, suite, model, cfg, n_paths=13, seed=5)
+    serial_s = _strided(_snapshot_run(u0, suite, model, cfg, 13, 5), cfg.n_steps, 2)
     monkeypatch.setattr(kernels, "_SPLIT_NODE_STEPS", 0)
     monkeypatch.setattr(kernels, "_usable_cores", lambda: workers)
     monkeypatch.setattr(kernels, "BLOCK_BYTES", 2 * 8 * grid.n)
@@ -287,13 +301,19 @@ def test_split_chunks_fill_one_record_bitwise_the_serial_call(monkeypatch, worke
     fork_share, outputs = kernels._fork_share, kernels.outputs
     monkeypatch.setattr(kernels, "_fork_share",
                         lambda run, lo, hi: forked.append((lo, hi)) or fork_share(run, lo, hi))
-    monkeypatch.setattr(kernels, "outputs", lambda *a: made.append(a) or outputs(*a))
+    monkeypatch.setattr(kernels, "outputs",
+                        lambda *a, **k: made.append((a, k)) or outputs(*a, **k))
     split = run_ensemble(u0, suite, model, cfg, n_paths=13, seed=5, chunk_size=5)
-    assert made == [(13, grid.n, cfg.n_steps, 4)]  # snapshots at steps 0, 2, 4 and 5
+    assert made == [((13, grid.n, cfg.n_steps), {})]  # no snapshots
     # blocks of 3, 3 and 2 per chunk, one share per worker and block at most
     assert len(forked) == {2: 3, 3: 5}[workers]
-    for name in _ENSEMBLE_FIELDS + ("snapshots", "snapshot_tails"):
+    for name in _ENSEMBLE_FIELDS:
         assert getattr(split, name).tobytes() == getattr(serial, name).tobytes(), name
+    split_s = _strided(_snapshot_run(u0, suite, model, cfg, 13, 5, 5), cfg.n_steps, 2)
+    assert len(forked) == 2 * {2: 3, 3: 5}[workers]
+    assert split_s[0].shape == (4, 13, grid.n)  # snapshots at steps 0, 2, 4 and 5
+    assert split_s[0].tobytes() == serial_s[0].tobytes()
+    assert split_s[1].tobytes() == serial_s[1].tobytes()
     if blow < 1.0:
         assert 0 < split.n_aborted < 13
 
@@ -303,7 +323,7 @@ def test_ensemble_paths_match_individual_runs():
     cfg = SolverConfig(dt=0.04, t_final=0.2)
     ens = run_ensemble(u0, suite, model, cfg, n_paths=3, seed=21, stream_base=10)
     for p in range(3):
-        path = simulate_path(u0, suite, model, cfg, NoiseConfig(2, 21, stream_id=10 + p))
+        path = simulate_path(u0, suite, model, cfg, NoiseConfig(21, stream_id=10 + p))
         assert np.array_equal(ens.final_values[p], path.final_values[0])
         assert ens.final_tails[p] == path.final_tails[0]
 
@@ -339,9 +359,6 @@ def test_ensemble_stats_frac_below_is_running():
         final_values=np.zeros((3, 11)),
         final_tails=np.zeros(3),
         aborted=np.array([-1, -1, 0], dtype=np.int64),
-        snapshot_steps=np.zeros(0, dtype=np.int64),
-        snapshots=np.zeros((0, 3, 11)),
-        snapshot_tails=np.zeros((0, 3)),
     )
     stats = ensemble_stats(ens)
     assert sorted(stats.frac_below) == sorted(DEFAULT_THRESHOLDS)
@@ -353,17 +370,21 @@ def test_ensemble_stats_frac_below_is_running():
     assert np.all(np.diff(frac) >= 0.0)
 
 
-def test_regularized_smooths_initial_state():
+def test_regularized_smooths_initial_state(monkeypatch):
     grid, suite, model, u0 = _setup()
-    cfg = SolverConfig(dt=0.02, t_final=0.04, snapshot_stride=1)
+    cfg = SolverConfig(dt=0.02, t_final=0.04)
     lam = 0.1
-    path = simulate_regularized(u0, suite, model, cfg, NoiseConfig(2, 2), lam)
+    starts = []
+    kernel = kernels.simulate_batch
+    monkeypatch.setattr(kernels, "simulate_batch",
+                        lambda *a: starts.append((a[0].copy(), a[1].copy())) or kernel(*a))
+    path = simulate_regularized(u0, suite, model, cfg, NoiseConfig(2), lam)
     smoothed = suite.resolvent(u0, lam)
-    t0, first = path.snapshot_steps[0] * cfg.dt, path.snapshots[0, 0]
-    assert t0 == 0.0
-    assert np.array_equal(first, smoothed.values)
+    (first, first_tail), = starts  # the state at step 0
+    assert path.times[0] == 0.0
+    assert np.array_equal(first[0], smoothed.values) and first_tail[0] == smoothed.tail_value
     with pytest.raises(ValueError):
-        simulate_regularized(u0, suite, model, cfg, NoiseConfig(2, 2), 0.0)
+        simulate_regularized(u0, suite, model, cfg, NoiseConfig(2), 0.0)
 
 
 def _study_setup(n=401, scheme="shift-then-react", t_final=0.5):
@@ -384,29 +405,36 @@ def test_lambda_study_distances_decrease():
     suite, model, u0, cfg = _study_setup()
     lams = (0.2, 0.1, 0.05, 0.025)
     study = lambda_convergence_study(
-        u0, suite, model, cfg, [NoiseConfig(1, 100), NoiseConfig(1, 101)], lams)
+        u0, suite, model, cfg, [NoiseConfig(100), NoiseConfig(101)], lams)
     assert study.shape == (2, len(lams))
     for ds in study:
         assert all(d > 0.0 for d in ds)
         assert all(b < a for a, b in zip(ds, ds[1:]))
     with pytest.raises(ValueError):
-        lambda_convergence_study(u0, suite, model, cfg, [NoiseConfig(1, 100)], ())
+        lambda_convergence_study(u0, suite, model, cfg, [NoiseConfig(100)], ())
     with pytest.raises(ValueError):
-        lambda_convergence_study(u0, suite, model, cfg, [NoiseConfig(1, 100)], (0.1, 0.0))
+        lambda_convergence_study(u0, suite, model, cfg, [NoiseConfig(100)], (0.1, 0.0))
 
 
 def _reference_lambda_study(u0, suite, model, cfg, noise_cfg, lams):
     """One seed at a time, as the study ran before it was batched."""
-    cfg1 = replace(cfg, snapshot_stride=1, lam=0.0)
-    base = _snapshot_functions(simulate_path(u0, suite, model, cfg1, noise_cfg), u0.grid)
+    base = _snapshot_functions(_path_with_snapshots(u0, suite, model, replace(cfg, lam=0.0),
+                                                    noise_cfg), u0.grid)
     entries = []
     for lam in lams:
-        reg = simulate_regularized(u0, suite, model, cfg1, noise_cfg, lam)
+        # simulate_regularized's run: from the resolvent of u0, at lam
+        reg = _path_with_snapshots(suite.resolvent(u0, lam), suite, model, replace(cfg, lam=lam),
+                                   noise_cfg)
         d = 0.0
         for f1, f2 in zip(base, _snapshot_functions(reg, u0.grid)):
             d = max(d, norm(f1 - f2, "l2"))
         entries.append((float(lam), d))
     return entries
+
+
+def _path_with_snapshots(u0, suite, model, cfg, noise_cfg):
+    """The one-path run of noise_cfg's stream, with its state at every step."""
+    return _snapshot_run(u0, suite, model, cfg, 1, noise_cfg.seed, stream_base=noise_cfg.stream_id)
 
 
 def _snapshot_functions(path, grid):
@@ -423,7 +451,7 @@ def _as_pairs(study, lams):
 def test_lambda_study_matches_per_seed_reference(scheme):
     suite, model, u0, cfg = _study_setup(n=201, scheme=scheme, t_final=0.25)
     lams = (0.2, 0.05, 0.0125)
-    streams = [NoiseConfig(1, seed) for seed in (100, 3, 57, 101)]
+    streams = [NoiseConfig(seed) for seed in (100, 3, 57, 101)]
     study = lambda_convergence_study(u0, suite, model, cfg, streams, lams)
     want = [_reference_lambda_study(u0, suite, model, cfg, ncfg, lams) for ncfg in streams]
     assert _as_pairs(study, lams) == want
@@ -439,19 +467,18 @@ def test_lambda_study_with_aborting_paths_matches_reference():
     u0 = GridFunction.constant(grid, 1.0)
     cfg = SolverConfig(dt=0.02, t_final=1.0, blow_threshold=60.0)
     lams = (0.2, 0.1)
-    streams = [NoiseConfig(1, seed) for seed in range(8)]
+    streams = [NoiseConfig(seed) for seed in range(8)]
     study = lambda_convergence_study(u0, suite, model, cfg, streams, lams)
     want = [_reference_lambda_study(u0, suite, model, cfg, ncfg, lams) for ncfg in streams]
     assert _as_pairs(study, lams) == want
-    aborted = [simulate_path(u0, suite, model, replace(cfg, snapshot_stride=1), ncfg).n_aborted > 0
-               for ncfg in streams]
+    aborted = [simulate_path(u0, suite, model, cfg, ncfg).n_aborted > 0 for ncfg in streams]
     assert any(aborted) and not all(aborted)
 
 
 def test_lambda_study_split_into_batches_matches_one_batch(monkeypatch):
     suite, model, u0, cfg = _study_setup(n=101, t_final=0.1)
     lams = (0.2, 0.1, 0.05)
-    streams = [NoiseConfig(1, seed) for seed in range(7)]
+    streams = [NoiseConfig(seed) for seed in range(7)]
     calls = []
     kernel = kernels.simulate_batch
     monkeypatch.setattr(kernels, "simulate_batch",
@@ -467,6 +494,31 @@ def test_lambda_study_split_into_batches_matches_one_batch(monkeypatch):
     assert _as_pairs(cut, lams) == _as_pairs(whole, lams)
 
 
+@pytest.mark.parametrize("per_batch", [1, 2, 3])
+def test_lambda_study_batches_with_aborting_streams_match_one_batch(monkeypatch, per_batch):
+    # 7 streams in batches of per_batch, the last one short; the
+    # proportional mode blows some streams up partway, in every batch size
+    suite, model, u0, cfg = _study_setup(n=101, t_final=0.1)
+    model = CoefficientModel(model.grid, modes=model.modes + (ModeFunction("proportional", c=8.0),),
+                             drift="hjm", alpha_correction=0.5)
+    cfg = replace(cfg, blow_threshold=6e-3)
+    lams = (0.2, 0.1, 0.05)
+    streams = [NoiseConfig(seed) for seed in range(7)]
+    aborted = [simulate_path(u0, suite, model, cfg, ncfg).n_aborted for ncfg in streams]
+    assert sum(aborted) == 3
+    whole = lambda_convergence_study(u0, suite, model, cfg, streams, lams)
+    calls = []
+    kernel = kernels.simulate_batch
+    monkeypatch.setattr(kernels, "simulate_batch",
+                        lambda *a: calls.append(a[2].shape[0]) or kernel(*a))
+    snap_bytes = 2 * 8 * (cfg.n_steps + 1) * u0.grid.n
+    monkeypatch.setattr(solver, "STUDY_BYTES", per_batch * snap_bytes)
+    cut = lambda_convergence_study(u0, suite, model, cfg, streams, lams)
+    sizes = [min(per_batch, 7 - lo) for lo in range(0, 7, per_batch)]
+    assert calls == [size for size in sizes for _ in range(1 + len(lams))]
+    assert cut.tobytes() == whole.tobytes()
+
+
 @settings(max_examples=15, deadline=None)
 @given(picked=st.lists(st.integers(0, 5), min_size=1, max_size=5),
        scheme=st.sampled_from(["shift-then-react", "react-then-shift"]))
@@ -475,7 +527,7 @@ def test_lambda_study_entries_follow_their_streams(picked, scheme):
     # with it and changes none of them
     suite, model, u0, cfg = _study_setup(n=41, scheme=scheme, t_final=0.2)
     lams = (0.2, 0.05)
-    streams = [NoiseConfig(1, seed) for seed in range(6)]
+    streams = [NoiseConfig(seed) for seed in range(6)]
     whole = _as_pairs(lambda_convergence_study(u0, suite, model, cfg, streams, lams), lams)
     part = lambda_convergence_study(u0, suite, model, cfg, [streams[i] for i in picked], lams)
     assert _as_pairs(part, lams) == [whole[i] for i in picked]
