@@ -18,16 +18,16 @@ from __future__ import annotations
 import argparse
 import contextlib
 import errno
+import functools
+import importlib
 import json
+import math
 import os
 import sys
 from dataclasses import asdict
 from pathlib import Path
 
-import numpy as np
-
-from . import __version__, kernels
-from .coefficients import estimate_positivity_constant
+from . import __version__
 from .config import (
     EXPERIMENTS,
     Config,
@@ -38,21 +38,49 @@ from .config import (
     build_model,
     build_modes,
     load_config,
+    reads_key,
 )
-from .hjm import NEG_THRESHOLD, build_hjm, simulate_forward_rates
-from .noise import NoiseConfig
-# the run_*_battery names stay for perfbench/tracing.py, which wraps them here
-from .operators import (CONTRACTION, SUBMARKOV, OperatorSuite, run_battery,  # noqa: F401
-                        run_contraction_battery, run_submarkov_battery)
-from .smoothing import (JENSEN, PAIRING, ito_residual, run_jensen_battery,  # noqa: F401
-                        run_pairing_battery)
-from .solver import (
-    DEFAULT_THRESHOLDS,
-    SolverConfig,
-    ensemble_stats,
-    lambda_convergence_study,
-    run_ensemble,
-)
+
+# The numerical names the runners use, by module.  They are bound once a
+# config has passed validation, so that --validate-only and every exit-2
+# path before a run import no numpy (README, Start-up).
+_RUN_NAMES = {
+    "kernels": ("BACKEND",),
+    "coefficients": ("estimate_positivity_constant",),
+    "hjm": ("NEG_THRESHOLD", "build_hjm", "simulate_forward_rates"),
+    "noise": ("NoiseConfig",),
+    # the run_*_battery names stay for perfbench/tracing.py, which wraps them here
+    "operators": ("CONTRACTION", "SUBMARKOV", "OperatorSuite", "run_battery",
+                  "run_contraction_battery", "run_submarkov_battery"),
+    "smoothing": ("JENSEN", "PAIRING", "ito_residual", "run_jensen_battery",
+                  "run_pairing_battery"),
+    "solver": ("DEFAULT_THRESHOLDS", "SolverConfig", "ensemble_stats",
+               "lambda_convergence_study", "run_ensemble"),
+}
+_LAZY = {"np", *(name for names in _RUN_NAMES.values() for name in names)}
+
+
+@functools.cache
+def _bind_run_names() -> None:
+    """Import the numerical modules and bind the runners' names here.
+
+    A name already bound keeps its binding, so a tracer that wrapped one
+    before the first run still records it.
+    """
+    g = globals()
+    g.setdefault("np", importlib.import_module("numpy"))
+    for mod, names in _RUN_NAMES.items():
+        mod = importlib.import_module(f"mildsim.{mod}")
+        for name in names:
+            g.setdefault(name, getattr(mod, name))
+
+
+def __getattr__(name):
+    # a runner's name looked up from outside, as a tracer does, before the first run
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _bind_run_names()
+    return globals()[name]
 
 
 def _fmt(x) -> str:
@@ -72,7 +100,7 @@ def _json_safe(x):
         return {k: _json_safe(v) for k, v in x.items()}
     if isinstance(x, (list, tuple)):
         return [_json_safe(v) for v in x]
-    return _fmt(x) if isinstance(x, float) and not np.isfinite(x) else x
+    return _fmt(x) if isinstance(x, float) and not math.isfinite(x) else x
 
 
 def _write_manifest(outdir: Path, payload: dict) -> None:
@@ -80,20 +108,13 @@ def _write_manifest(outdir: Path, payload: dict) -> None:
     (outdir / "manifest.json").write_text(text + "\n")
 
 
-def _stats_rows(stats):
+def _write_stats(path: Path, stats) -> None:
+    header = ["t", "neg_energy_mean", "neg_energy_p95", "min_value_min", "supermartingale_mean"]
     cols = [stats.times, stats.neg_energy_mean, stats.neg_energy_p95,
             stats.min_value_min, stats.supermartingale_mean]
+    header += [f"frac_below_{abs(t):.0e}" for t in DEFAULT_THRESHOLDS]
     cols += [stats.frac_below[float(t)] for t in DEFAULT_THRESHOLDS]
-    return np.column_stack(cols)
-
-
-_STATS_HEADER = [
-    "t",
-    "neg_energy_mean",
-    "neg_energy_p95",
-    "min_value_min",
-    "supermartingale_mean",
-] + [f"frac_below_{abs(t):.0e}" for t in DEFAULT_THRESHOLDS]
+    _write_csv(path, header, np.column_stack(cols))
 
 
 def _curve_rows(ens):
@@ -125,7 +146,7 @@ def _exp_simulate(cfg: Config, outdir: Path) -> tuple[dict, bool, bool]:
         ck = cfg.check
         c_const = estimate_positivity_constant(model, n_samples=ck.n_samples, seed=ck.seed).c_const
     stats = ensemble_stats(ens, c_const=c_const)
-    _write_csv(outdir / "ensemble.csv", _STATS_HEADER, _stats_rows(stats))
+    _write_stats(outdir / "ensemble.csv", stats)
     results = {
         "n_paths": ens.n_paths,
         "n_aborted": ens.n_aborted,
@@ -144,7 +165,7 @@ def _exp_hjm(cfg: Config, outdir: Path) -> tuple[dict, bool, bool]:
                       cfg.check.n_samples, cfg.check.seed)
     ens, stats, verdict = simulate_forward_rates(built, r.dt, r.t_final, r.n_paths, r.seed,
                                                  r.scheme, r.chunk_size)
-    _write_csv(outdir / "ensemble.csv", _STATS_HEADER, _stats_rows(stats))
+    _write_stats(outdir / "ensemble.csv", stats)
     _write_csv(outdir / "curve.csv", _CURVE_HEADER, _curve_rows(ens))
     results = {
         "verdict": verdict,
@@ -307,14 +328,22 @@ def main(argv=None) -> int:
                         help="check the configuration and exit")
     args = parser.parse_args(argv)
 
-    overrides = list(args.set)
-    for key, value in (("seed", args.seed), ("n_paths", args.paths), ("dt", args.dt)):
-        if value is not None:
-            overrides.append(f"run.{key}={value}")
+    overrides, problems = list(args.set), []
+    for flag, key in (("--seed", "run.seed"), ("--paths", "run.n_paths"), ("--dt", "run.dt")):
+        value = getattr(args, flag[2:])
+        if value is None:
+            continue
+        if reads_key(args.experiment, key):
+            overrides.append(f"{key}={value}")
+        else:
+            problems.append(f"{flag}: sets {key}, which experiment {args.experiment!r} "
+                            "does not read")
     try:
         cfg = load_config(args.config, args.experiment, overrides)
     except ConfigError as e:
-        for line in e.problems:
+        problems += e.problems
+    if problems:
+        for line in problems:
             print(f"config error: {line}", file=sys.stderr)
         return 2
 
@@ -336,6 +365,7 @@ def main(argv=None) -> int:
         print("config valid")
         return 0
 
+    _bind_run_names()
     try:
         payload, passed, aborted = _RUNNERS[cfg.experiment](cfg, outdir)
     except (MemoryError, OSError) as e:
@@ -345,7 +375,7 @@ def main(argv=None) -> int:
     manifest = {
         "tool": "mildsim",
         "version": __version__,
-        "backend": kernels.BACKEND,
+        "backend": BACKEND,
         "experiment": cfg.experiment,
         "config": as_json(cfg),
         "passed": passed,

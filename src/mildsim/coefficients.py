@@ -24,6 +24,9 @@ import numpy as np
 from . import kernels
 from .grids import Grid, GridFunction, lattice_parts, norm, weighted_inner
 from .operators import random_bumps
+from .spec import (CHECK_SAMPLES, CHECK_SEED, DEFAULT_ALPHA_CORRECTION, DEFAULT_DECAY,
+                   DEFAULT_DRIFT, DEFAULT_DRIFT_C, DEFAULT_MODE_C, DRIFT_KINDS, MODE_KINDS,
+                   MODE_TABLE, check_mode)
 
 __all__ = [
     "MODE_KINDS",
@@ -35,21 +38,6 @@ __all__ = [
     "estimate_positivity_constant",
 ]
 
-# per mode kind: the level code, the profile form and the config keys it
-# reads besides its kind; the ModeFunction docstring gives the formulas
-MODE_TABLE = {
-    "constant": (kernels.LEVEL_CONST, "flat", ("c",)),
-    "proportional": (kernels.LEVEL_LINEAR, "flat", ("c",)),
-    "proportional-capped": (kernels.LEVEL_CAPPED, "flat", ("c", "cap")),
-    "exponential-decay": (kernels.LEVEL_CONST, "decay", ("c", "decay")),
-    "level-scaled": (kernels.LEVEL_CAPPED, "decay", ("c", "cap", "decay")),
-    "custom": (kernels.LEVEL_CONST, "table", ("c", "table", "tail")),
-}
-MODE_KINDS = tuple(MODE_TABLE)
-
-DRIFT_KINDS = ("zero", "linear-decay", "hjm")
-CHECK_SAMPLES = 200  # random probes of the admissibility estimate, by default
-CHECK_SEED = 1  # the estimate's seed, by default
 L2_TOL = 1e-12  # a probe with ||h_-|| at most this lies on the zero boundary,
 FUNC_TOL = 1e-10  # where a functional above this is a violation
 
@@ -74,19 +62,13 @@ class ModeFunction:
     """
 
     kind: str
-    c: float = 1.0
+    c: float = DEFAULT_MODE_C
     cap: float | None = None
-    decay: float = 1.0
+    decay: float = DEFAULT_DECAY
     table: GridFunction | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in MODE_TABLE:
-            raise ValueError(f"unknown mode kind: {self.kind!r}")
-        keys = MODE_TABLE[self.kind][2]
-        if "cap" in keys and (self.cap is None or not (self.cap > 0.0)):
-            raise ValueError(f"mode kind {self.kind!r} needs a positive cap")
-        if "table" in keys and self.table is None:
-            raise ValueError("custom mode needs a table")
+        check_mode(self.kind, self.cap, self.table)
 
     @property
     def level_code(self) -> int:
@@ -109,9 +91,9 @@ class ModeFunction:
 class CoefficientModel:
     grid: Grid
     modes: tuple[ModeFunction, ...] = ()
-    drift: str = "zero"
-    drift_c: float = 0.0
-    alpha_correction: float = 0.0
+    drift: str = DEFAULT_DRIFT
+    drift_c: float = DEFAULT_DRIFT_C
+    alpha_correction: float = DEFAULT_ALPHA_CORRECTION
 
     def __post_init__(self) -> None:
         if self.drift not in DRIFT_KINDS:

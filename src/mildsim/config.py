@@ -22,18 +22,21 @@ import typing
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 
-import numpy as np
+# numpy-free: validation loads no numerical module; the builders import
+# theirs when they are called
+from .spec import (BATTERY_TOL, CHECK_SAMPLES, CHECK_SEED, DEFAULT_ALPHA_CORRECTION,
+                   DEFAULT_BLOW_THRESHOLD, DEFAULT_CHUNK_SIZE, DEFAULT_DECAY, DEFAULT_DRIFT,
+                   DEFAULT_DRIFT_C, DEFAULT_LAM, DEFAULT_MODE_C, DEFAULT_SCHEME, DRIFT_KINDS,
+                   MODE_TABLE, SCHEMES, VERDICTS, check_mode, hjm_drift, tail_weight,
+                   whole_multiple)
 
-from .coefficients import (CHECK_SAMPLES, CHECK_SEED, DRIFT_KINDS, MODE_TABLE, CoefficientModel,
-                           ModeFunction)
-from .grids import Grid, GridFunction, whole_multiple
-from .hjm import VERDICTS, hjm_drift
-from .operators import BATTERY_TOL
-from .solver import DEFAULT_CHUNK_SIZE, SCHEMES, SolverConfig
+if typing.TYPE_CHECKING:
+    from .coefficients import CoefficientModel
+    from .grids import Grid, GridFunction
 
 __all__ = [
     "ConfigError", "EXPERIMENTS", "Config", "load_config", "parse_config", "apply_override",
-    "as_json", "build_grid", "build_modes", "build_initial", "build_model",
+    "reads_key", "as_json", "build_grid", "build_modes", "build_initial", "build_model",
 ]
 
 EXPERIMENTS = ("simulate", "hjm", "coeff-check", "operator-tests", "lambda-study", "ito-check")
@@ -79,22 +82,24 @@ class GridConfig:
     def _check(self, where, problems):
         if self.x_max / (self.n_nodes - 1) < sys.float_info.min:
             problems.append(f"{where}.x_max: the node spacing x_max/(n_nodes-1) underflows")
-        if float(np.exp(-self.alpha * self.x_max)) / self.alpha == math.inf:
-            problems.append(f"{where}.alpha: the tail weight e^(-alpha*x_max)/alpha overflows")
+        try:
+            tail_weight(self.alpha, self.x_max)
+        except ValueError as e:
+            problems.append(f"{where}.alpha: {e}")
 
 
 @dataclass(frozen=True)
 class ModeConfig:
     kind: str = _field()
-    c: float = _field(ModeFunction.c)
+    c: float = _field(DEFAULT_MODE_C)
     cap: float | None = _field(None)
-    decay: float = _field(ModeFunction.decay)
+    decay: float = _field(DEFAULT_DECAY)
     table: tuple[float, ...] | None = _field(None)
     tail: float | None = _field(None)
 
     def _check(self, where, problems):
-        try:  # ModeFunction's own checks (kind, cap); here the table only has to be present
-            ModeFunction(self.kind, self.c, self.cap, self.decay, self.table)
+        try:  # ModeFunction's own rule; here the table only has to be present
+            check_mode(self.kind, self.cap, self.table)
         except ValueError as e:
             problems.append(f"{where}: {e}")
 
@@ -140,9 +145,9 @@ class ModelConfig:
         read_by=("simulate", "hjm", "lambda-study", "ito-check"))
     modes: tuple[ModeConfig, ...] = _field(())
     # the hjm experiment always uses the no-arbitrage drift (see parse_config)
-    drift: str = _field(CoefficientModel.drift, _one_of(DRIFT_KINDS), read_by=_NOT_HJM)
-    drift_c: float = _field(CoefficientModel.drift_c, read_by=_NOT_HJM)
-    alpha_correction: float = _field(CoefficientModel.alpha_correction, read_by=_NOT_HJM)
+    drift: str = _field(DEFAULT_DRIFT, _one_of(DRIFT_KINDS), read_by=_NOT_HJM)
+    drift_c: float = _field(DEFAULT_DRIFT_C, read_by=_NOT_HJM)
+    alpha_correction: float = _field(DEFAULT_ALPHA_CORRECTION, read_by=_NOT_HJM)
     alpha_in_drift: bool = _field(True, read_by=("hjm",))
 
 
@@ -151,12 +156,12 @@ class RunConfig:
     dt: float = _field(check=_POSITIVE)
     t_final: float = _field(check=_POSITIVE)
     seed: int = _field(_RUN_SEED, _SEED)
-    scheme: str = _field(SolverConfig.scheme, _one_of(SCHEMES))
+    scheme: str = _field(DEFAULT_SCHEME, _one_of(SCHEMES))
     n_paths: int = _field(100, _AT_LEAST_ONE, read_by=_ENSEMBLES)
     chunk_size: int = _field(DEFAULT_CHUNK_SIZE, _AT_LEAST_ONE, read_by=_ENSEMBLES)
-    blow_threshold: float = _field(SolverConfig.blow_threshold, _POSITIVE,
+    blow_threshold: float = _field(DEFAULT_BLOW_THRESHOLD, _POSITIVE,
                                    read_by=("simulate", "lambda-study"))
-    lam: float = _field(SolverConfig.lam, _NONNEG, read_by=("simulate",))
+    lam: float = _field(DEFAULT_LAM, _NONNEG, read_by=("simulate",))
     # None: estimated by the coefficient check (simulate, see parse_config)
     c_const: float | None = _field(None, read_by=("simulate",))
 
@@ -283,10 +288,14 @@ def _bad(problems, message):
     return _BAD
 
 
+def _required(tp):
+    """X for the type X | None; JSON null is never a valid value."""
+    return typing.get_args(tp)[0] if typing.get_origin(tp) is types.UnionType else tp
+
+
 def _value(tp, raw, path, exp, problems):
     """raw as a value of type tp, or _BAD after recording why not."""
-    if typing.get_origin(tp) is types.UnionType:
-        tp = typing.get_args(tp)[0]  # X | None; JSON null is never a valid value
+    tp = _required(tp)
     if is_dataclass(tp):
         return _parse(tp, raw, path, exp, problems)
     if typing.get_origin(tp) is tuple:
@@ -387,6 +396,17 @@ def parse_config(obj: dict, experiment: str | None = None) -> Config:
     return cfg
 
 
+def reads_key(experiment: str, dotted: str) -> bool:
+    """Whether the experiment reads the config key at a dotted path such as run.seed."""
+    cls = Config
+    for key in dotted.split("."):
+        f = next(f for f in fields(cls) if (f.metadata["key"] or f.name) == key)
+        if experiment not in f.metadata["read_by"]:
+            return False
+        cls = _required(_type_hints(cls)[f.name])
+    return True
+
+
 def as_json(obj):
     """A resolved config (or section) as JSON data, leaving out fields that are None."""
     if is_dataclass(obj):
@@ -439,15 +459,23 @@ def apply_override(obj: dict, dotted: str) -> None:
 
 
 def build_grid(g: GridConfig) -> Grid:
+    from .grids import Grid
+
     return Grid.uniform(g.x_max, g.n_nodes, g.alpha)
 
 
 def _table(grid: Grid, table, tail) -> GridFunction:
+    import numpy as np
+
+    from .grids import GridFunction
+
     vals = np.asarray(table, dtype=np.float64)
     return GridFunction(grid, vals, tail if tail is not None else float(vals[-1]))
 
 
 def build_modes(m: ModelConfig, grid: Grid) -> tuple:
+    from .coefficients import ModeFunction
+
     return tuple(
         ModeFunction(mode.kind, mode.c, mode.cap, mode.decay,
                      None if mode.table is None else _table(grid, mode.table, mode.tail))
@@ -456,6 +484,10 @@ def build_modes(m: ModelConfig, grid: Grid) -> tuple:
 
 
 def build_initial(init: InitialConfig, grid: Grid) -> GridFunction:
+    import numpy as np
+
+    from .grids import GridFunction
+
     if init.flat is not None:
         return GridFunction.constant(grid, init.flat)
     if init.exp_decay is not None:
@@ -466,4 +498,6 @@ def build_initial(init: InitialConfig, grid: Grid) -> GridFunction:
 
 
 def build_model(m: ModelConfig, grid: Grid) -> CoefficientModel:
+    from .coefficients import CoefficientModel
+
     return CoefficientModel(grid, build_modes(m, grid), m.drift, m.drift_c, m.alpha_correction)

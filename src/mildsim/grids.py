@@ -10,11 +10,12 @@ smooth functions converge at second order in the spacing.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
+
+from .spec import tail_weight
 
 __all__ = [
     "Grid",
@@ -24,17 +25,7 @@ __all__ = [
     "weighted_inner",
     "norm",
     "lattice_parts",
-    "whole_multiple",
 ]
-
-
-def whole_multiple(t: float, unit: float) -> int | None:
-    """t / unit when that is a whole number (to 1e-9 relative), else None."""
-    m = t / unit if unit > 0.0 else math.nan
-    if not math.isfinite(m):
-        return None
-    k = round(m)
-    return k if abs(m - k) <= 1e-9 * max(1.0, abs(m)) else None
 
 
 def hat_weights(nodes: np.ndarray, a: float) -> np.ndarray:
@@ -115,9 +106,7 @@ class Grid:
             raise ValueError("x_max must be positive")
         if n_nodes < 2:
             raise ValueError("need at least 2 nodes")
-        tail_w = float(np.exp(-alpha * x_max)) / float(alpha)  # Python floats: inf, no warning
-        if tail_w == math.inf:
-            raise ValueError("the tail weight e^(-alpha*x_max)/alpha overflows")
+        tail_w = tail_weight(alpha, x_max, np.exp)
         nodes = np.linspace(0.0, x_max, n_nodes)
         w = hat_weights(nodes, -alpha)
         return cls(nodes=nodes, alpha=float(alpha), weights=w, tail_weight=tail_w)

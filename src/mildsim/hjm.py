@@ -21,18 +21,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coefficients import (
-    CHECK_SAMPLES,
-    CHECK_SEED,
-    CoefficientModel,
-    ModeFunction,
-    PositivityReport,
-    estimate_positivity_constant,
-)
+from .coefficients import (CoefficientModel, ModeFunction, PositivityReport,
+                           estimate_positivity_constant)
 from .grids import GridFunction
 from .operators import OperatorSuite
-from .solver import (DEFAULT_CHUNK_SIZE, DEFAULT_SCHEME, EnsembleResult, EnsembleStats,
-                     SolverConfig, ensemble_stats, run_ensemble)
+from .solver import EnsembleResult, EnsembleStats, SolverConfig, ensemble_stats, run_ensemble
+from .spec import (CHECK_SAMPLES, CHECK_SEED, DEFAULT_CHUNK_SIZE, DEFAULT_SCHEME, VERDICTS,
+                   hjm_drift)
 
 __all__ = [
     "hjm_drift",
@@ -46,18 +41,8 @@ __all__ = [
     "SUPERMART_TOL",
 ]
 
-VERDICTS = ("consistent-with-theorem", "counterexample-regime", "inconclusive")
 NEG_THRESHOLD = -1e-3  # the verdict's level of frac_below, one of DEFAULT_THRESHOLDS
 SUPERMART_TOL = 1e-8  # the verdict's bound on the final supermartingale mean
-
-
-def hjm_drift(alpha: float, alpha_in_drift: bool) -> dict:
-    """The HJM model's drift terms, as CoefficientModel keywords.
-
-    The no-arbitrage drift with no linear part, plus +alpha*u exactly when
-    alpha_in_drift; the operator suite is shifted exactly then too.
-    """
-    return {"drift": "hjm", "drift_c": 0.0, "alpha_correction": alpha if alpha_in_drift else 0.0}
 
 
 @dataclass

@@ -52,6 +52,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .spec import LEVEL_CAPPED, LEVEL_CONST, LEVEL_LINEAR
+
 __all__ = [
     "BACKEND",
     "BLOCK_BYTES",
@@ -70,11 +72,6 @@ __all__ = [
     "resolvent_sweep",
     "simulate_batch",
 ]
-
-# level codes: how a mode's spatial profile is scaled by the state
-LEVEL_CONST = 0
-LEVEL_LINEAR = 1
-LEVEL_CAPPED = 2
 
 # drift codes
 DRIFT_ZERO = 0

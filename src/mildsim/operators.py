@@ -19,7 +19,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import kernels
-from .grids import Grid, GridFunction, norm, whole_multiple
+from .grids import Grid, GridFunction, norm
+from .spec import BATTERY_TOL, whole_multiple
 
 __all__ = [
     "OperatorSuite",
@@ -188,7 +189,6 @@ class BatteryReport:
 
 # the resolvent parameters that a battery's samples cycle through
 BATTERY_LAMS = (1e-3, 1e-2, 1e-1, 1.0, 10.0)
-BATTERY_TOL = 1e-8  # an excess above it is a violation
 
 # The least node-samples (samples x nodes) that run_battery splits across
 # processes.  On a 2-vCPU host a fork and its reap took 5 to 29 ms, and a

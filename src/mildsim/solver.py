@@ -24,10 +24,12 @@ import numpy as np
 from . import kernels
 from .coefficients import CoefficientModel
 # norm is not called here any more, but perfbench/tracing.py wraps solver.norm
-from .grids import Grid, GridFunction, norm, weighted_sum, whole_multiple  # noqa: F401
+from .grids import Grid, GridFunction, norm, weighted_sum  # noqa: F401
 from .noise import NoiseConfig, gaussian_block
 from .operators import OperatorSuite
 from .smoothing import supermartingale_stat
+from .spec import (DEFAULT_BLOW_THRESHOLD, DEFAULT_CHUNK_SIZE, DEFAULT_LAM, DEFAULT_SCHEME, SCHEMES,
+                   whole_multiple)
 
 __all__ = [
     "SCHEMES",
@@ -45,12 +47,6 @@ __all__ = [
     "lambda_convergence_study",
 ]
 
-SCHEMES = ("shift-then-react", "react-then-shift")
-
-# defaults, used by the run config, the HJM runner and the CLI as well
-DEFAULT_SCHEME = SCHEMES[0]
-DEFAULT_CHUNK_SIZE = 2048  # paths per integrator call
-DEFAULT_BLOW_THRESHOLD = 1e12  # a path's energy above this aborts it
 DEFAULT_THRESHOLDS = (-1e-6, -1e-3, -1e-2)  # levels of ensemble_stats' frac_below
 
 # bytes of the two every-step snapshot arrays, plain and regularized, that
@@ -63,7 +59,7 @@ class SolverConfig:
     dt: float
     t_final: float
     scheme: str = DEFAULT_SCHEME
-    lam: float = 0.0
+    lam: float = DEFAULT_LAM
     blow_threshold: float = DEFAULT_BLOW_THRESHOLD
 
     def __post_init__(self) -> None:

@@ -240,6 +240,33 @@ def test_cli_seed_shortcut_changes_output(tmp_path, capsys):
     capsys.readouterr()
 
 
+# each shorthand flag, the key it sets and the experiments that read that key
+_SHORTHANDS = [("--seed", "run.seed", "5", ("simulate", "hjm", "lambda-study")),
+               ("--paths", "run.n_paths", "2", ("simulate", "hjm")),
+               ("--dt", "run.dt", "0.1", ("simulate", "hjm", "lambda-study"))]
+
+
+@pytest.mark.parametrize("experiment", EXPERIMENTS)
+@pytest.mark.parametrize("flag, key, value, readers", _SHORTHANDS, ids=[s[0] for s in _SHORTHANDS])
+def test_cli_shorthand_flag_names_itself_where_unread(tmp_path, capsys, experiment, flag, key,
+                                                     value, readers):
+    # a flag that sets a key the experiment does not read is named, with
+    # its key; it used to be reported as a config section the user never wrote
+    path = _write_cfg(tmp_path, _small_cfgs()[experiment])
+    out = tmp_path / "out"
+    rc = main([experiment, "--config", path, "--out", str(out), flag, value, "--validate-only"])
+    err = capsys.readouterr().err.splitlines()
+    if experiment in readers:
+        assert (rc, err) == (0, [])
+    else:
+        assert rc == 2 and not out.exists()
+        assert err == [f"config error: {flag}: sets {key}, which experiment {experiment!r} "
+                       "does not read"]
+        # a run without --validate-only stops at the same line
+        assert main([experiment, "--config", path, "--out", str(out), flag, value]) == 2
+        assert capsys.readouterr().err.splitlines() == err and not out.exists()
+
+
 def test_cli_assert_on_verdict(tmp_path, capsys):
     cfg = _hjm_cfg()
     cfg["expect_verdict"] = "counterexample-regime"
@@ -554,17 +581,19 @@ def test_cli_stream_base_is_an_unknown_key(tmp_path, capsys, experiment):
 
 
 @pytest.mark.parametrize("experiment", ["simulate", "coeff-check", "operator-tests"])
-@pytest.mark.parametrize("alpha", [1e-320, 5.5e-309])
+@pytest.mark.parametrize("alpha", [1e-320, 5.5e-309, 5.6e-309, 1e-308, 1e-289])
 def test_cli_overflowing_tail_weight_exits_2(tmp_path, capsys, experiment, alpha):
-    # e^(-alpha*x_max)/alpha is inf below alpha = 5.6e-309 at x_max = 1;
-    # such a grid used to pass and give wrong verdicts
+    # at x_max = 1, e^(-alpha*x_max)/alpha is inf below alpha = 5.6e-309, and
+    # a finite tail weight up to 1e308 still overflowed the probes' norms:
+    # such grids used to pass and give wrong verdicts.  The tail weight
+    # times 2**64 must stay finite, which holds from alpha = 1.03e-289 on.
     cfg = _small_cfgs()[experiment]
     cfg["grid"] = {"x_max": 1.0, "n_nodes": 11, "alpha": alpha}
     problems = _run_expecting_errors(tmp_path, capsys, experiment, cfg)
-    assert problems == ["grid.alpha: the tail weight e^(-alpha*x_max)/alpha overflows"]
+    assert problems == ["grid.alpha: the tail weight e^(-alpha*x_max)/alpha times 2**64 overflows"]
     path = _write_cfg(tmp_path, cfg)
     assert main([experiment, "--config", path, "--validate-only"]) == 2
-    cfg["grid"]["alpha"] = 5.6e-309  # the tail weight is finite
+    cfg["grid"]["alpha"] = 1.1e-289  # the tail weight times 2**64 is finite
     assert main([experiment, "--config", _write_cfg(tmp_path, cfg), "--validate-only"]) == 0
     capsys.readouterr()
 

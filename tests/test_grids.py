@@ -13,6 +13,7 @@ from mildsim.grids import (
     weighted_inner,
     weighted_sum,
 )
+from mildsim.spec import TAIL_HEADROOM, tail_weight
 
 
 def test_grid_validation():
@@ -27,15 +28,24 @@ def test_grid_validation():
 
 
 def test_grid_rejects_an_overflowing_tail_weight():
-    # e^(-alpha*x_max)/alpha overflows below alpha = 5.6e-309 at x_max = 1;
-    # such a grid is refused, and with no overflow warning
+    # e^(-alpha*x_max)/alpha overflows below alpha = 5.6e-309 at x_max = 1,
+    # and times TAIL_HEADROOM = 2**64 below alpha = 1.03e-289; such a grid
+    # is refused, and with no overflow warning
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for alpha in (1e-320, 5.5e-309):
+        for alpha in (1e-320, 5.5e-309, 5.6e-309, 1e-308, 1e-289):
             with pytest.raises(ValueError, match="tail weight"):
                 Grid.uniform(1.0, 11, alpha)
-        g = Grid.uniform(1.0, 11, 5.6e-309)
-    assert np.isfinite(g.tail_weight) and g.tail_weight > 1e308
+        g = Grid.uniform(1.0, 11, 1.1e-289)
+    assert np.isfinite(g.tail_weight * TAIL_HEADROOM) and g.tail_weight > 9e288
+    # the config's check and the grid apply the one rule; it bounds the
+    # tail weight, not alpha alone, which e^(-alpha*x_max) can bring down
+    with pytest.raises(ValueError, match="tail weight"):
+        tail_weight(1e-289, 1.0)
+    assert tail_weight(1.1e-289, 1.0) == g.tail_weight
+    with pytest.raises(ValueError, match="tail weight"):
+        tail_weight(1e-300, 1.0)
+    assert 0.0 < tail_weight(1e-300, 1e302) * TAIL_HEADROOM < np.inf
 
 
 def test_grid_basic_properties():

@@ -1,9 +1,11 @@
-"""The benchmark's tooling: the names its tracer wraps must still exist, and
-importing the CLI must load no scipy module.  The package's public names,
-each module's __all__, must resolve too."""
+"""The benchmark's tooling: the names its tracer wraps must still exist and
+record spans, and the CLI must validate a config without loading numpy or
+scipy.  The package's public names, each module's __all__, must resolve
+too."""
 
 import importlib
 import importlib.util
+import json
 import os
 import pkgutil
 import subprocess
@@ -11,6 +13,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from test_cli import _small_cfgs
 
 import mildsim
 from mildsim import solver
@@ -18,7 +21,8 @@ from mildsim.coefficients import CoefficientModel, ModeFunction
 from mildsim.grids import Grid, GridFunction
 from mildsim.operators import OperatorSuite
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+TESTS = Path(__file__).resolve().parent
+TRACING = TESTS.parent / "perfbench" / "tracing.py"
 
 
 def _tracing():
@@ -61,15 +65,75 @@ def test_tracer_counts_the_kernels_work():
     assert tot["kernels.resolvent_sweep"]["nodes"] == 51
 
 
-def test_cli_import_loads_no_scipy():
-    # scipy loads on first use: a top-level scipy.signal import once took
-    # most of the CLI's import time, which the benchmark's setup_s counts
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    code = "import sys, mildsim.cli; print([m for m in sys.modules if m.startswith('scipy')])"
+def _fresh(code, *args):
+    """The stdout of a fresh interpreter that runs code with args as sys.argv[1:]."""
+    src = str(TESTS.parent / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True, capture_output=True,
-                         text=True).stdout
-    assert out.strip() == "[]"
+    return subprocess.run([sys.executable, "-c", code, *args], env=env, check=True,
+                          capture_output=True, text=True).stdout
+
+
+# modules that a config check must not load, and the expression for those loaded
+_HEAVY = ("numpy", "scipy", "mildsim.kernels", "mildsim.noise")
+_LOADED = f"sorted(m for m in sys.modules if m.startswith({_HEAVY!r}))"
+
+
+def test_cli_import_loads_no_scipy(tmp_path):
+    # scipy loads on first use: a top-level scipy.signal import once took
+    # most of the CLI's import time, which the benchmark's setup_s counts.
+    # numpy, the kernels and the noise streams load when a run starts, so
+    # the package import, --validate-only and a config error load none
+    assert _fresh(f"import sys, mildsim.cli; print({_LOADED})").strip() == "[]"
+    assert _fresh(f"import sys, mildsim; print({_LOADED})").strip() == "[]"
+    run = f"import sys; from mildsim.cli import main; print(main(sys.argv[1:]), {_LOADED})"
+    for experiment, cfg in _small_cfgs().items():
+        path = tmp_path / f"{experiment}.json"
+        path.write_text(json.dumps(cfg))
+        argv = [experiment, "--config", str(path), "--out", str(tmp_path / "out")]
+        out = _fresh(run, *argv, "--validate-only").splitlines()
+        assert out == ["config valid", "0 []"], experiment
+    # a grid whose tail weight is too large: exit 2 from the parser's last check
+    argv = ["hjm", "--config", str(tmp_path / "hjm.json"), "--out", str(tmp_path / "out")]
+    out = _fresh(run, *argv, "--set", "grid.alpha=1e-300").splitlines()
+    assert out == ["2 []"] and not (tmp_path / "out").exists()
+
+
+def _traced_spans(argvs, install_first):
+    """The span names a Tracer records over cli.main runs of argvs; it is
+    installed before any run, or after one run of argvs[0]."""
+    from mildsim import cli
+
+    tracer = _tracing().Tracer()
+    if install_first:  # the runners' names are not bound yet
+        assert "lambda_convergence_study" not in vars(cli)
+    else:
+        assert cli.main(argvs[0]) == 0
+    tracer.install()
+    try:
+        for argv in argvs:
+            assert cli.main(argv) == 0
+    finally:
+        tracer.uninstall()
+    return sorted({span[0] for span in tracer.spans})
+
+
+@pytest.mark.parametrize("install_first", [True, False], ids=["before-a-run", "after-a-run"])
+def test_tracer_records_through_the_cli_lazy_names(tmp_path, install_first):
+    # the CLI binds its runners' names when the first run starts; a tracer
+    # that looked them up before must keep its wrappers, in a fresh
+    # interpreter where nothing has run yet
+    cfgs = _small_cfgs()
+    argvs = []
+    for experiment in ("hjm", "ito-check", "lambda-study"):
+        path = tmp_path / f"{experiment}.json"
+        path.write_text(json.dumps(cfgs[experiment]))
+        argvs.append([experiment, "--config", str(path), "--out", str(tmp_path / experiment)])
+    code = (f"import json, sys; sys.path.insert(0, {str(TESTS)!r}); "
+            "from test_tooling import _traced_spans; "
+            f"print(json.dumps(_traced_spans(json.loads(sys.argv[1]), {install_first})))")
+    spans = json.loads(_fresh(code, json.dumps(argvs)).splitlines()[-1])
+    assert {"config.load_config", "cli.write", "solver.run_ensemble", "smoothing.ito_residual",
+            "solver.lambda_convergence_study"} <= set(spans)
 
 
 # cli has no __all__: its public face is the command line
