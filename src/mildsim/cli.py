@@ -28,25 +28,15 @@ from dataclasses import asdict
 from pathlib import Path
 
 from . import __version__
-from .config import (
-    EXPERIMENTS,
-    Config,
-    ConfigError,
-    as_json,
-    build_grid,
-    build_initial,
-    build_model,
-    build_modes,
-    load_config,
-    reads_key,
-)
+from .config import EXPERIMENTS, Config, ConfigError, as_json, load_config
 
 # The numerical names the runners use, by module.  They are bound once a
 # config has passed validation, so that --validate-only and every exit-2
 # path before a run import no numpy (README, Start-up).
 _RUN_NAMES = {
+    "grids": ("Grid", "GridFunction"),
     "kernels": ("BACKEND",),
-    "coefficients": ("estimate_positivity_constant",),
+    "coefficients": ("CoefficientModel", "ModeFunction", "estimate_positivity_constant"),
     "hjm": ("NEG_THRESHOLD", "build_hjm", "simulate_forward_rates"),
     "noise": ("NoiseConfig",),
     # the run_*_battery names stay for perfbench/tracing.py, which wraps them here
@@ -130,9 +120,35 @@ def _curve_rows(ens):
 _CURVE_HEADER = ["x", "u_mean", "u_p5", "u_p95"]
 
 
+def _table(grid, table, tail) -> GridFunction:
+    vals = np.asarray(table, dtype=np.float64)
+    return GridFunction(grid, vals, tail if tail is not None else float(vals[-1]))
+
+
+def build_modes(m, grid) -> tuple:
+    return tuple(
+        ModeFunction(mode.kind, mode.c, mode.cap, mode.decay,
+                     None if mode.table is None else _table(grid, mode.table, mode.tail))
+        for mode in m.modes
+    )
+
+
+def build_initial(init, grid) -> GridFunction:
+    if init.flat is not None:
+        return GridFunction.constant(grid, init.flat)
+    if init.exp_decay is not None:
+        d = init.exp_decay
+        vals = d.base + d.amp * np.exp(-d.decay * grid.nodes)
+        return GridFunction(grid, vals, float(vals[-1]))
+    return _table(grid, init.table, init.tail)
+
+
 def _model_and_initial(cfg: Config):
-    grid = build_grid(cfg.grid)
-    return build_model(cfg.model, grid), build_initial(cfg.model.initial, grid)
+    """The model on cfg's grid, and its initial curve; None where the experiment reads none."""
+    g, m = cfg.grid, cfg.model
+    grid = Grid.uniform(g.x_max, g.n_nodes, g.alpha)
+    model = CoefficientModel(grid, build_modes(m, grid), m.drift, m.drift_c, m.alpha_correction)
+    return model, None if m.initial is None else build_initial(m.initial, grid)
 
 
 def _exp_simulate(cfg: Config, outdir: Path) -> tuple[dict, bool, bool]:
@@ -159,8 +175,8 @@ def _exp_simulate(cfg: Config, outdir: Path) -> tuple[dict, bool, bool]:
 
 
 def _exp_hjm(cfg: Config, outdir: Path) -> tuple[dict, bool, bool]:
-    m, r = cfg.model, cfg.run
-    grid = build_grid(cfg.grid)
+    g, m, r = cfg.grid, cfg.model, cfg.run
+    grid = Grid.uniform(g.x_max, g.n_nodes, g.alpha)
     built = build_hjm(build_modes(m, grid), build_initial(m.initial, grid), m.alpha_in_drift,
                       cfg.check.n_samples, cfg.check.seed)
     ens, stats, verdict = simulate_forward_rates(built, r.dt, r.t_final, r.n_paths, r.seed,
@@ -184,8 +200,7 @@ def _exp_hjm(cfg: Config, outdir: Path) -> tuple[dict, bool, bool]:
 
 
 def _exp_coeff_check(cfg: Config, outdir: Path) -> tuple[dict, bool, bool]:
-    grid = build_grid(cfg.grid)
-    model = build_model(cfg.model, grid)
+    model, _ = _model_and_initial(cfg)
     ck = cfg.check
     rep = estimate_positivity_constant(model, n_samples=ck.n_samples, seed=ck.seed)
     results = {**asdict(rep), "admissible": rep.admissible}
@@ -199,7 +214,8 @@ def _exp_operator_tests(cfg: Config, outdir: Path) -> tuple[dict, bool, bool]:
     # repeated 200k-node runs in one process.
     import scipy.signal  # noqa: F401
 
-    suite = OperatorSuite(build_grid(cfg.grid), shifted=True)
+    g = cfg.grid
+    suite = OperatorSuite(Grid.uniform(g.x_max, g.n_nodes, g.alpha), shifted=True)
     n, seed, tol = cfg.check.n_samples, cfg.check.seed, cfg.check.tol
     reports = run_battery(suite, [SUBMARKOV, CONTRACTION, PAIRING, JENSEN], n, seed, tol=tol)
     results = {rep.label: {k: v for k, v in asdict(rep).items() if k != "label"} for rep in reports}
@@ -318,9 +334,6 @@ def main(argv=None) -> int:
     parser.add_argument("--config", required=True, help="JSON configuration file")
     parser.add_argument("--set", action="append", default=[], metavar="KEY.PATH=VALUE",
                         help="override one config value (JSON-parsed)")
-    parser.add_argument("--seed", type=int, help="shorthand for --set run.seed=...")
-    parser.add_argument("--paths", type=int, help="shorthand for --set run.n_paths=...")
-    parser.add_argument("--dt", type=float, help="shorthand for --set run.dt=...")
     parser.add_argument("--out", help="output directory (default: config, then $MILDSIM_OUT)")
     parser.add_argument("--assert", dest="do_assert", action="store_true",
                         help="exit 3 unless the experiment's pass condition holds")
@@ -328,22 +341,10 @@ def main(argv=None) -> int:
                         help="check the configuration and exit")
     args = parser.parse_args(argv)
 
-    overrides, problems = list(args.set), []
-    for flag, key in (("--seed", "run.seed"), ("--paths", "run.n_paths"), ("--dt", "run.dt")):
-        value = getattr(args, flag[2:])
-        if value is None:
-            continue
-        if reads_key(args.experiment, key):
-            overrides.append(f"{key}={value}")
-        else:
-            problems.append(f"{flag}: sets {key}, which experiment {args.experiment!r} "
-                            "does not read")
     try:
-        cfg = load_config(args.config, args.experiment, overrides)
+        cfg = load_config(args.config, args.experiment, args.set)
     except ConfigError as e:
-        problems += e.problems
-    if problems:
-        for line in problems:
+        for line in e.problems:
             print(f"config error: {line}", file=sys.stderr)
         return 2
 

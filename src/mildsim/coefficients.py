@@ -16,6 +16,7 @@ positivity verdict machinery accepts.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -133,6 +134,7 @@ class CoefficientModel:
         coef = self.kernel_args()
         return coef, kernels.coefficient_scratch(coef, 1)
 
+    @np.errstate(over="ignore", invalid="ignore")  # coefficients too large give inf or NaN
     def coefficients(self, u: GridFunction) -> tuple[list, GridFunction]:
         """The diffusion modes and the full drift at the state u.
 
@@ -194,6 +196,7 @@ class PositivityReport:
         return self.estimated_c if np.isfinite(self.estimated_c) else 0.0
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def estimate_positivity_constant(
     model: CoefficientModel,
     n_samples: int = CHECK_SAMPLES,
@@ -205,7 +208,9 @@ def estimate_positivity_constant(
     slightly below zero, including one so shallow that ||h_-|| falls
     under L2_TOL; a functional value above FUNC_TOL there means the
     coefficients push down even at the zero boundary and no finite
-    constant exists (a violation).
+    constant exists (a violation).  So is a probe whose functional,
+    ||h_-|| or ratio is not finite, as when sigma times its integral
+    overflows.
     """
     g = model.grid
     rng = np.random.default_rng(seed)
@@ -233,11 +238,15 @@ def estimate_positivity_constant(
             nrm = norm(parts.negative, "l2")
             modes = [GridFunction(g, _row(s, i), _row(st, i)) for s, st in zip(sig, sigt)]
             val = _functional(parts, modes, GridFunction(g, _row(drift, i), _row(dtail, i)))
-            if nrm <= L2_TOL:
+            if not (math.isfinite(val) and math.isfinite(nrm)):
+                violations += 1  # no finite C is shown
+            elif nrm <= L2_TOL:
                 if val > FUNC_TOL:
                     violations += 1
-                continue
-            worst = max(worst, val / (nrm * nrm))
+            elif math.isfinite(ratio := val / (nrm * nrm)):
+                worst = max(worst, ratio)
+            else:
+                violations += 1
     if not np.isfinite(worst):
         worst = 0.0
     est = float("inf") if violations > 0 else max(worst, 0.0)

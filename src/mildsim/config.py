@@ -7,8 +7,7 @@ types (list element types included) and the missing-key errors, runs
 the checks that relate several keys, and reports every problem at once
 under its dotted path.  A key the chosen experiment does not read is an
 error.  The resolved ``Config`` holds every default, and None in each
-field the experiment does not read.  Builders turn its sections into
-grids, models and initial states.
+field the experiment does not read.
 """
 
 from __future__ import annotations
@@ -22,21 +21,16 @@ import typing
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 
-# numpy-free: validation loads no numerical module; the builders import
-# theirs when they are called
+# numpy-free: validation loads no numerical module
 from .spec import (BATTERY_TOL, CHECK_SAMPLES, CHECK_SEED, DEFAULT_ALPHA_CORRECTION,
                    DEFAULT_BLOW_THRESHOLD, DEFAULT_CHUNK_SIZE, DEFAULT_DECAY, DEFAULT_DRIFT,
                    DEFAULT_DRIFT_C, DEFAULT_LAM, DEFAULT_MODE_C, DEFAULT_SCHEME, DRIFT_KINDS,
                    MODE_TABLE, SCHEMES, VERDICTS, check_mode, hjm_drift, tail_weight,
                    whole_multiple)
 
-if typing.TYPE_CHECKING:
-    from .coefficients import CoefficientModel
-    from .grids import Grid, GridFunction
-
 __all__ = [
     "ConfigError", "EXPERIMENTS", "Config", "load_config", "parse_config", "apply_override",
-    "reads_key", "as_json", "build_grid", "build_modes", "build_initial", "build_model",
+    "as_json",
 ]
 
 EXPERIMENTS = ("simulate", "hjm", "coeff-check", "operator-tests", "lambda-study", "ito-check")
@@ -396,17 +390,6 @@ def parse_config(obj: dict, experiment: str | None = None) -> Config:
     return cfg
 
 
-def reads_key(experiment: str, dotted: str) -> bool:
-    """Whether the experiment reads the config key at a dotted path such as run.seed."""
-    cls = Config
-    for key in dotted.split("."):
-        f = next(f for f in fields(cls) if (f.metadata["key"] or f.name) == key)
-        if experiment not in f.metadata["read_by"]:
-            return False
-        cls = _required(_type_hints(cls)[f.name])
-    return True
-
-
 def as_json(obj):
     """A resolved config (or section) as JSON data, leaving out fields that are None."""
     if is_dataclass(obj):
@@ -457,47 +440,3 @@ def apply_override(obj: dict, dotted: str) -> None:
         raise ConfigError([f"override {dotted!r}: {parent} is not a section"])
     here[keys[-1]] = value
 
-
-def build_grid(g: GridConfig) -> Grid:
-    from .grids import Grid
-
-    return Grid.uniform(g.x_max, g.n_nodes, g.alpha)
-
-
-def _table(grid: Grid, table, tail) -> GridFunction:
-    import numpy as np
-
-    from .grids import GridFunction
-
-    vals = np.asarray(table, dtype=np.float64)
-    return GridFunction(grid, vals, tail if tail is not None else float(vals[-1]))
-
-
-def build_modes(m: ModelConfig, grid: Grid) -> tuple:
-    from .coefficients import ModeFunction
-
-    return tuple(
-        ModeFunction(mode.kind, mode.c, mode.cap, mode.decay,
-                     None if mode.table is None else _table(grid, mode.table, mode.tail))
-        for mode in m.modes
-    )
-
-
-def build_initial(init: InitialConfig, grid: Grid) -> GridFunction:
-    import numpy as np
-
-    from .grids import GridFunction
-
-    if init.flat is not None:
-        return GridFunction.constant(grid, init.flat)
-    if init.exp_decay is not None:
-        d = init.exp_decay
-        vals = d.base + d.amp * np.exp(-d.decay * grid.nodes)
-        return GridFunction(grid, vals, float(vals[-1]))
-    return _table(grid, init.table, init.tail)
-
-
-def build_model(m: ModelConfig, grid: Grid) -> CoefficientModel:
-    from .coefficients import CoefficientModel
-
-    return CoefficientModel(grid, build_modes(m, grid), m.drift, m.drift_c, m.alpha_correction)

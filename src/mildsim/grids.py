@@ -67,7 +67,10 @@ def hat_weights(nodes: np.ndarray, a: float) -> np.ndarray:
         zb, db = z[big], d[big]
         ez = np.exp(zb)
         i0 = db * (ez - 1.0) / zb
-        i1 = db * (ez / zb - (ez - 1.0) / (zb * zb))
+        # z * z overflows for |z| above about 1e154, where (e^z - 1) / z^2
+        # is 0 to double precision when z < 0, as it is for every norm
+        with np.errstate(over="ignore"):
+            i1 = db * (ez / zb - (ez - 1.0) / (zb * zb))
         left[big] = i0 - i1
         right[big] = i1
         del zb, db, ez, i0, i1

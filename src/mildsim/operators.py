@@ -108,8 +108,9 @@ def bumps(grid: Grid, params: list, nonneg: bool = False, out=None, tmp=None) ->
     t = np.empty_like(x) if tmp is None else tmp  # each bump, a * exp(-(x - c)^2 / (2 w^2))
     for c, w, a in params:
         np.subtract(x, c, out=t)
-        np.square(t, out=t)
-        np.divide(t, -(2.0 * w * w), out=t)
+        with np.errstate(over="ignore"):  # -inf from about 1e153 off c, where the bump is 0
+            np.square(t, out=t)
+            np.divide(t, -(2.0 * w * w), out=t)
         np.exp(t, out=t)
         t *= a
         vals += t

@@ -231,6 +231,9 @@ class ItoReport:
         return [float(col.sum()) for col in np.ascontiguousarray(self.residuals.T)]
 
 
+# values too large for a double, or an n so small that 1/n^2 is, leave inf
+# or NaN residuals, which fail the check
+@np.errstate(all="ignore")
 def ito_residual(
     n: float,
     v0: GridFunction,

@@ -228,12 +228,14 @@ def _sup_distances(grid, a, a_tails, b, b_tails) -> np.ndarray:
     the squared differences afterwards.  Each distance is bitwise
     norm(a - b, "l2"), since weighted_sum's row sums are its 1-D sums,
     and the supremum is Python's max starting from 0.0: NaN and zero
-    distances leave it at 0.0.
+    distances leave it at 0.0.  A distance too large for a double is
+    inf, or NaN where a weight that underflowed to 0 meets it.
     """
-    np.subtract(a, b, out=b)
-    np.multiply(b, b, out=b)
-    t = a_tails - b_tails
-    sq = weighted_sum(grid.weights, b) + grid.tail_weight * t * t
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.subtract(a, b, out=b)
+        np.multiply(b, b, out=b)
+        t = a_tails - b_tails
+        sq = weighted_sum(grid.weights, b) + grid.tail_weight * t * t
     d = np.sqrt(np.maximum(sq, 0.0))
     return np.where(d > 0.0, d, 0.0).max(axis=0, initial=0.0)
 

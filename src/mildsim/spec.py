@@ -76,9 +76,13 @@ def tail_weight(alpha: float, x_max: float, exp=math.exp) -> float:
     """The weight e^(-alpha*x_max)/alpha of the half line beyond x_max.
 
     Raises ValueError when it leaves no TAIL_HEADROOM below the float
-    range.  Grid.uniform passes numpy's exp, whose value its grids keep.
+    range, or when alpha*x_max overflows, so that the node weights
+    e^(-alpha*x) cannot be formed.  Grid.uniform passes numpy's exp,
+    whose value its grids keep.
     """
-    tw = float(exp(-alpha * x_max)) / float(alpha)  # Python floats: inf, no warning
+    if alpha * x_max == math.inf:  # Python floats: inf, no warning
+        raise ValueError("alpha*x_max overflows")
+    tw = float(exp(-alpha * x_max)) / float(alpha)
     if tw * TAIL_HEADROOM == math.inf:
         raise ValueError("the tail weight e^(-alpha*x_max)/alpha times 2**64 overflows")
     return tw

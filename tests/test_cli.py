@@ -8,22 +8,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import mildsim
-from mildsim import kernels
-from mildsim.cli import main
-from mildsim.config import (
-    EXPERIMENTS,
-    ConfigError,
-    apply_override,
-    as_json,
-    build_grid,
-    build_initial,
-    build_model,
-    parse_config,
-)
+from mildsim import cli, kernels
+from mildsim.cli import _model_and_initial, build_initial, main
+from mildsim.config import EXPERIMENTS, ConfigError, apply_override, as_json, parse_config
 from mildsim.grids import Grid
 
 
@@ -116,15 +107,16 @@ def test_apply_override():
 
 
 def test_builders():
+    cli._bind_run_names()  # the builders use the names a run binds
     cfg = parse_config(_hjm_cfg(), "hjm")
-    grid = build_grid(cfg.grid)
+    model, u0 = _model_and_initial(cfg)
+    grid = model.grid
     assert grid.n == 201
-    model = build_model(cfg.model, grid)
     # hjm experiment defaults: no-arbitrage drift with the weight
     # exponent compensated in the drift
     assert model.drift == "hjm"
     assert model.alpha_correction == 0.5
-    u0 = build_initial(cfg.model.initial, grid)
+    assert u0.grid is grid
     assert np.all(u0.values == 4e-4)
 
 
@@ -135,7 +127,8 @@ def _hjm_model(**model):
 
 
 def test_build_initial_forms():
-    grid = build_grid(parse_config(_hjm_cfg(), "hjm").grid)
+    cli._bind_run_names()
+    grid = Grid.uniform(1.0, 201, 0.5)
     cfg = _hjm_model(initial={"exp-decay": {"base": 0.02, "amp": 0.01, "decay": 2.0}})
     u = build_initial(cfg.model.initial, grid)
     assert u.values[0] == pytest.approx(0.03, rel=1e-15)
@@ -233,38 +226,23 @@ def test_cli_seed_shortcut_changes_output(tmp_path, capsys):
     path = _write_cfg(tmp_path, _hjm_cfg())
     out1, out2 = tmp_path / "a", tmp_path / "b"
     assert main(["hjm", "--config", path, "--out", str(out1)]) == 0
-    assert main(["hjm", "--config", path, "--out", str(out2), "--seed", "99"]) == 0
+    assert main(["hjm", "--config", path, "--out", str(out2), "--set", "run.seed=99"]) == 0
     m2 = _manifest(out2)
     assert m2["config"]["run"]["seed"] == 99
     assert (out1 / "ensemble.csv").read_bytes() != (out2 / "ensemble.csv").read_bytes()
     capsys.readouterr()
 
 
-# each shorthand flag, the key it sets and the experiments that read that key
-_SHORTHANDS = [("--seed", "run.seed", "5", ("simulate", "hjm", "lambda-study")),
-               ("--paths", "run.n_paths", "2", ("simulate", "hjm")),
-               ("--dt", "run.dt", "0.1", ("simulate", "hjm", "lambda-study"))]
-
-
-@pytest.mark.parametrize("experiment", EXPERIMENTS)
-@pytest.mark.parametrize("flag, key, value, readers", _SHORTHANDS, ids=[s[0] for s in _SHORTHANDS])
-def test_cli_shorthand_flag_names_itself_where_unread(tmp_path, capsys, experiment, flag, key,
-                                                     value, readers):
-    # a flag that sets a key the experiment does not read is named, with
-    # its key; it used to be reported as a config section the user never wrote
-    path = _write_cfg(tmp_path, _small_cfgs()[experiment])
+@pytest.mark.parametrize("flag, value", [("--seed", "5"), ("--paths", "2"), ("--dt", "0.1")])
+def test_cli_removed_shorthand_flag_exits_2(tmp_path, capsys, flag, value):
+    # --set run.seed=N is the one way to override a config value
+    path = _write_cfg(tmp_path, _hjm_cfg())
     out = tmp_path / "out"
-    rc = main([experiment, "--config", path, "--out", str(out), flag, value, "--validate-only"])
-    err = capsys.readouterr().err.splitlines()
-    if experiment in readers:
-        assert (rc, err) == (0, [])
-    else:
-        assert rc == 2 and not out.exists()
-        assert err == [f"config error: {flag}: sets {key}, which experiment {experiment!r} "
-                       "does not read"]
-        # a run without --validate-only stops at the same line
-        assert main([experiment, "--config", path, "--out", str(out), flag, value]) == 2
-        assert capsys.readouterr().err.splitlines() == err and not out.exists()
+    with pytest.raises(SystemExit) as ei:
+        main(["hjm", "--config", path, "--out", str(out), flag, value])
+    assert ei.value.code == 2 and not out.exists()
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        f"mildsim: error: unrecognized arguments: {flag} {value}")
 
 
 def test_cli_assert_on_verdict(tmp_path, capsys):
@@ -316,6 +294,20 @@ def test_cli_coeff_check(tmp_path, capsys):
     cfg["check"]["expect_admissible"] = True
     path2 = _write_cfg(tmp_path, cfg, "run2.json")
     assert main(["coeff-check", "--config", path2, "--out", str(out), "--assert"]) == 3
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("c, violations", [(1e150, 1), (1e155, 10), (1e300, 10)])
+def test_cli_coeff_check_overflowing_functional(tmp_path, capsys, c, violations):
+    # from c ~ 1e155 sigma times its integral overflows and the functional
+    # is NaN; each such probe is a violation (it read "admissible, C = 0")
+    cfg = _small_cfgs()["coeff-check"]
+    cfg["model"]["modes"][0]["c"] = c
+    path = _write_cfg(tmp_path, cfg)
+    out = tmp_path / "out"
+    assert main(["coeff-check", "--config", path, "--out", str(out), "--assert"]) == 3
+    res = _manifest(out)["results"]
+    assert (res["admissible"], res["estimated_c"], res["violations"]) == (False, "inf", violations)
     capsys.readouterr()
 
 
@@ -553,6 +545,9 @@ def _run_expecting_errors(tmp_path, capsys, experiment, cfg, overrides=()):
         # simulate's check only estimates c_const, so a given c_const leaves it unread
         pytest.param("simulate", ["run.c_const=0.5", 'check={"n_samples": 7, "seed": 3}'],
                      "check", id="simulate-run.c_const+check-check"),
+        # the node weights e^(-alpha*x) cannot be formed in doubles
+        pytest.param("ito-check", ["grid.x_max=1e300", "grid.alpha=1e300"], "grid.alpha",
+                     id="ito-check-grid.alpha*x_max-grid.alpha"),
     ],
 )
 def test_cli_semantic_errors_exit_2(tmp_path, capsys, experiment, override, path):
@@ -905,9 +900,65 @@ def _is_small(cfg):
     )
 
 
+# small configs with a value that overflows a double in the run: the
+# overrides, the exit code (None: not pinned), the pass flag and results
+# of the manifest.  Each outcome is defined, and no numpy warning escapes
+# (pyproject.toml makes one an error)
+_OVERFLOWS = {
+    "hjm-capped-mode": ("hjm", ['model.modes=[{"kind": "proportional-capped", "c": 1e300, '
+                                '"cap": 2e-4}]'], 4, False,
+                        {"c_const": 0.0, "verdict": "inconclusive", "check": {
+                            "estimated_c": "inf", "samples": 10, "violations": 2,
+                            "worst_ratio": 0.5}}),
+    "simulate-alpha": ("simulate", ["grid.alpha=1e300"], 0, True, {"n_aborted": 0}),
+    "lambda-study-flat": ("lambda-study", ["model.initial.flat=1e300"], None, False,
+                          {"mean_sup_distance": ["inf", "inf"]}),
+    "lambda-study-alpha-and-flat": ("lambda-study", ["grid.alpha=1e300",
+                                                     "model.initial.flat=1e300"], None, False, {}),
+    "ito-check-mode": ("ito-check", ['model.modes=[{"kind": "constant", "c": 1e300}]'], 0, False,
+                       {"sto_mean_abs": ["nan", "nan"], "sto_decreasing": False}),
+    "ito-check-hjm-drift": ("ito-check", ['model.modes=[{"kind": "constant", "c": 1e300}]',
+                                          "model.drift=hjm"], 0, False,
+                            {"det_total_abs": ["nan", "nan"], "sto_mean_abs": ["nan", "nan"]}),
+    "ito-check-tiny-n": ("ito-check", ["ito.n=1e-300"], 0, False, {"sto_decreasing": False}),
+    "operator-tests-x-max": ("operator-tests", ["grid.x_max=1e300"], 0, True, {}),
+}
+
+
+def _overflowing(name):
+    experiment, overrides = _OVERFLOWS[name][:2]
+    cfg = _small_cfgs()[experiment]
+    for item in overrides:
+        apply_override(cfg, item)
+    return experiment, cfg
+
+
+@pytest.mark.parametrize("name", sorted(_OVERFLOWS))
+def test_cli_overflowing_value_has_a_defined_outcome(tmp_path, capsys, name):
+    experiment, cfg = _overflowing(name)
+    rc, passed, results = _OVERFLOWS[name][2:]
+    out = tmp_path / "out"
+    got = main([experiment, "--config", _write_cfg(tmp_path, cfg), "--out", str(out)])
+    assert rc is None or got == rc
+    manifest = _manifest(out)
+    assert manifest["passed"] is passed
+    assert {k: manifest["results"][k] for k in results} == results
+    capsys.readouterr()
+
+
 @settings(max_examples=200, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
 @given(_mutants())
+@example(mutant=_overflowing("hjm-capped-mode"))
+@example(mutant=_overflowing("simulate-alpha"))
+@example(mutant=_overflowing("lambda-study-flat"))
+@example(mutant=_overflowing("lambda-study-alpha-and-flat"))
+@example(mutant=_overflowing("ito-check-mode"))
+@example(mutant=_overflowing("ito-check-hjm-drift"))
+@example(mutant=_overflowing("ito-check-tiny-n"))
+@example(mutant=_overflowing("operator-tests-x-max"))
+@example(mutant=("ito-check", dict(_small_cfgs()["ito-check"],
+                                   grid={"x_max": 1e300, "n_nodes": 11, "alpha": 1e300})))
 def test_no_json_config_raises(tmp_path, capsys, mutant):
     experiment, cfg = mutant
     path = _write_cfg(tmp_path, cfg)

@@ -370,6 +370,37 @@ def test_estimate_flat_vol_violates():
     assert rep.estimated_c == np.inf
 
 
+@pytest.mark.parametrize("kind, c, cap", [
+    ("constant", 1e155, None), ("constant", 1e300, None),
+    ("exponential-decay", 1e155, None), ("exponential-decay", 1e300, None),
+    ("proportional", 1e200, None), ("proportional", 1e300, None),
+    ("proportional-capped", 1e300, 2e-4), ("level-scaled", 1e300, 2e-4),
+])
+def test_estimate_with_an_overflowing_functional_is_inadmissible(kind, c, cap):
+    # sigma times its integral overflows, so the functional is inf or NaN
+    # (0 * inf on the negative set of a capped kind).  Such a probe shows
+    # no finite C: a violation, where it used to read "admissible, C = 0"
+    g = Grid.uniform(1.0, 11, 0.5)
+    model = CoefficientModel(g, modes=(ModeFunction(kind, c=c, cap=cap),), drift="hjm")
+    rep = estimate_positivity_constant(model, n_samples=5, seed=1)
+    assert rep.violations >= 1 and not rep.admissible
+    assert rep.estimated_c == np.inf and np.isfinite(rep.worst_ratio)
+
+
+@pytest.mark.parametrize("kind, cap", [("constant", None), ("proportional-capped", 2e-4)])
+def test_estimate_below_the_overflow_keeps_its_report(kind, cap):
+    # at c = 1e150 nothing overflows: the constant mode has its one
+    # violation at the shallow probe, and the capped mode stays admissible
+    g = Grid.uniform(1.0, 11, 0.5)
+    model = CoefficientModel(g, modes=(ModeFunction(kind, c=1e150, cap=cap),), drift="hjm")
+    rep = estimate_positivity_constant(model, n_samples=5, seed=1)
+    if cap is None:
+        assert (rep.violations, rep.estimated_c) == (1, np.inf)
+        assert rep.worst_ratio == 4.9921306131942524e+305
+    else:
+        assert (rep.violations, rep.estimated_c, rep.worst_ratio) == (0, 0.0, 0.0)
+
+
 def estimate_reference(model, n_samples, seed, l2_tol=1e-12, func_tol=1e-10):
     # the estimate before its probes were blocked: one probe at a time
     # through positivity_functional, the 1-D dots unchanged

@@ -48,6 +48,18 @@ def test_grid_rejects_an_overflowing_tail_weight():
     assert 0.0 < tail_weight(1e-300, 1e302) * TAIL_HEADROOM < np.inf
 
 
+def test_grid_rejects_an_overflowing_exponent():
+    # with alpha*x_max past the float range the node weights e^(-alpha*x)
+    # cannot be formed; just inside it, z*z overflowing in the hat weights
+    # is its limit 0, and no warning escapes
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="alpha\\*x_max overflows"):
+            Grid.uniform(1e300, 11, 1e300)
+        g = Grid.uniform(1.0, 11, 1e300)
+    assert np.all(np.isfinite(g.weights)) and g.tail_weight == 0.0
+
+
 def test_grid_basic_properties():
     g = Grid.uniform(10.0, 101, alpha=0.7)
     assert g.n == 101

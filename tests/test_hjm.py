@@ -78,6 +78,16 @@ def test_c_const_folds_infinite_estimate_to_zero():
     assert built2.report.c_const == built2.report.estimated_c
 
 
+def test_check_with_an_overflowing_functional_is_inadmissible():
+    # the check block of an hjm run takes the estimate's rule: a mode so
+    # large that sigma times its integral overflows is not admissible
+    capped = (ModeFunction("proportional-capped", c=1e300, cap=2e-4),)
+    built = build_hjm(capped, flat(1.0, 11, 0.5, 4e-4), check_samples=5)
+    assert built.report.violations >= 1 and built.report.c_const == 0.0
+    capped = (ModeFunction("proportional-capped", c=1e150, cap=2e-4),)
+    assert build_hjm(capped, flat(1.0, 11, 0.5, 4e-4), check_samples=5).report.admissible
+
+
 def _stats(frac_final, supermart_final, level=NEG_THRESHOLD):
     times = np.array([0.0, 1.0])
     return EnsembleStats(
