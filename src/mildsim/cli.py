@@ -26,9 +26,11 @@ import os
 import sys
 from dataclasses import asdict
 from pathlib import Path
+from types import SimpleNamespace
 
 from . import __version__
-from .config import EXPERIMENTS, Config, ConfigError, as_json, load_config
+from .config import EXPERIMENTS, ConfigError, as_json, load_config
+from .spec import hjm_drift
 
 # The numerical names the runners use, by module.  They are bound once a
 # config has passed validation, so that --validate-only and every exit-2
@@ -136,14 +138,14 @@ def build_modes(m, grid) -> tuple:
 def build_initial(init, grid) -> GridFunction:
     if init.flat is not None:
         return GridFunction.constant(grid, init.flat)
-    if init.exp_decay is not None:
-        d = init.exp_decay
+    d = getattr(init, "exp-decay")
+    if d is not None:
         vals = d.base + d.amp * np.exp(-d.decay * grid.nodes)
         return GridFunction(grid, vals, float(vals[-1]))
     return _table(grid, init.table, init.tail)
 
 
-def _model_and_initial(cfg: Config):
+def _model_and_initial(cfg: SimpleNamespace):
     """The model on cfg's grid, and its initial curve; None where the experiment reads none."""
     g, m = cfg.grid, cfg.model
     grid = Grid.uniform(g.x_max, g.n_nodes, g.alpha)
@@ -151,7 +153,7 @@ def _model_and_initial(cfg: Config):
     return model, None if m.initial is None else build_initial(m.initial, grid)
 
 
-def _exp_simulate(cfg: Config, outdir: Path) -> tuple[dict, bool, bool]:
+def _exp_simulate(cfg: SimpleNamespace, outdir: Path) -> tuple[dict, bool, bool]:
     model, u0 = _model_and_initial(cfg)
     suite = OperatorSuite(model.grid, shifted=True)
     r = cfg.run
@@ -174,7 +176,7 @@ def _exp_simulate(cfg: Config, outdir: Path) -> tuple[dict, bool, bool]:
     return {"results": results, "outputs": ["ensemble.csv"]}, not aborted, aborted
 
 
-def _exp_hjm(cfg: Config, outdir: Path) -> tuple[dict, bool, bool]:
+def _exp_hjm(cfg: SimpleNamespace, outdir: Path) -> tuple[dict, bool, bool]:
     g, m, r = cfg.grid, cfg.model, cfg.run
     grid = Grid.uniform(g.x_max, g.n_nodes, g.alpha)
     built = build_hjm(build_modes(m, grid), build_initial(m.initial, grid), m.alpha_in_drift,
@@ -196,10 +198,12 @@ def _exp_hjm(cfg: Config, outdir: Path) -> tuple[dict, bool, bool]:
     passed = not aborted
     if cfg.expect_verdict is not None:
         passed = passed and (verdict == cfg.expect_verdict)
-    return {"results": results, "outputs": ["ensemble.csv", "curve.csv"]}, passed, aborted
+    payload = {"results": results, "outputs": ["ensemble.csv", "curve.csv"],
+               "resolved": {"model": hjm_drift(g.alpha, m.alpha_in_drift)}}
+    return payload, passed, aborted
 
 
-def _exp_coeff_check(cfg: Config, outdir: Path) -> tuple[dict, bool, bool]:
+def _exp_coeff_check(cfg: SimpleNamespace, outdir: Path) -> tuple[dict, bool, bool]:
     model, _ = _model_and_initial(cfg)
     ck = cfg.check
     rep = estimate_positivity_constant(model, n_samples=ck.n_samples, seed=ck.seed)
@@ -207,7 +211,7 @@ def _exp_coeff_check(cfg: Config, outdir: Path) -> tuple[dict, bool, bool]:
     return {"results": results, "outputs": []}, rep.admissible == ck.expect_admissible, False
 
 
-def _exp_operator_tests(cfg: Config, outdir: Path) -> tuple[dict, bool, bool]:
+def _exp_operator_tests(cfg: SimpleNamespace, outdir: Path) -> tuple[dict, bool, bool]:
     # The resolvent sweeps import scipy.signal on first use.  Importing it
     # before the grid arrays keeps its long-lived objects from sitting
     # above them in the heap, which held peak memory 0.7 MB higher on
@@ -228,7 +232,7 @@ def _exp_operator_tests(cfg: Config, outdir: Path) -> tuple[dict, bool, bool]:
     return {"results": results, "outputs": ["operator_tests.csv"]}, passed, False
 
 
-def _exp_lambda_study(cfg: Config, outdir: Path) -> tuple[dict, bool, bool]:
+def _exp_lambda_study(cfg: SimpleNamespace, outdir: Path) -> tuple[dict, bool, bool]:
     model, u0 = _model_and_initial(cfg)
     suite = OperatorSuite(model.grid, shifted=True)
     r = cfg.run
@@ -236,7 +240,7 @@ def _exp_lambda_study(cfg: Config, outdir: Path) -> tuple[dict, bool, bool]:
     scfg = SolverConfig(r.dt, r.t_final, r.scheme, blow_threshold=r.blow_threshold)
     lams, n_seeds, seed0 = cfg.lambda_study.lams, cfg.lambda_study.n_seeds, r.seed
     streams = [NoiseConfig(seed0 + i) for i in range(n_seeds)]
-    study = lambda_convergence_study(u0, suite, model, scfg, streams, lams)
+    study, aborted = lambda_convergence_study(u0, suite, model, scfg, streams, lams)
     rows = [[seed0 + i, lam, d] for i, ds in enumerate(study) for lam, d in zip(lams, ds)]
     all_monotone = not (study[:, 1:] >= study[:, :-1]).any()
     sums = np.add.accumulate(study)[-1]  # the seeds in order, as a sequential sum
@@ -245,12 +249,13 @@ def _exp_lambda_study(cfg: Config, outdir: Path) -> tuple[dict, bool, bool]:
         "lams": list(lams),
         "mean_sup_distance": [float(s) / n_seeds for s in sums],
         "n_seeds": n_seeds,
+        "n_aborted": int(aborted.sum()),
         "all_seeds_monotone": all_monotone,
     }
-    return {"results": results, "outputs": ["lambda_study.csv"]}, all_monotone, False
+    return {"results": results, "outputs": ["lambda_study.csv"]}, all_monotone, aborted.any()
 
 
-def _exp_ito_check(cfg: Config, outdir: Path) -> tuple[dict, bool, bool]:
+def _exp_ito_check(cfg: SimpleNamespace, outdir: Path) -> tuple[dict, bool, bool]:
     model, u0 = _model_and_initial(cfg)
     it = cfg.ito
     n, dts, t_final, n_paths, seed = it.n, it.dt_values, it.t_final, it.n_paths, it.seed

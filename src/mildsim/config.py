@@ -1,35 +1,33 @@
-"""JSON run configuration: one typed, resolved config per run.
+"""JSON run configuration: one table of keys, one resolved config per run.
 
-Each config section is a frozen dataclass whose fields carry the type,
-the one default and the range check of each key, and the experiments
-that read it.  ``parse_config`` derives from them the allowed keys, the
-types (list element types included) and the missing-key errors, runs
-the checks that relate several keys, and reports every problem at once
-under its dotted path.  A key the chosen experiment does not read is an
-error.  The resolved ``Config`` holds every default, and None in each
-field the experiment does not read.
+``KEYS`` holds each config key under its dotted name, with its type, its
+one default, its range check and the experiments that read it.
+``parse_config`` walks a config object along that table, runs the rules
+that relate several keys, and reports every problem at once under its
+dotted path.  A key the chosen experiment does not read is an error, and
+so is one that a mode's kind or the initial curve's form does not read.
+The resolved config holds each section as a ``types.SimpleNamespace``
+with every default applied, and None for each key that is not read, so
+``as_json`` writes exactly the keys that are read and its output parses
+back to the same config.
 """
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 import sys
 import types
-import typing
-from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 
 # numpy-free: validation loads no numerical module
 from .spec import (BATTERY_TOL, CHECK_SAMPLES, CHECK_SEED, DEFAULT_ALPHA_CORRECTION,
                    DEFAULT_BLOW_THRESHOLD, DEFAULT_CHUNK_SIZE, DEFAULT_DECAY, DEFAULT_DRIFT,
                    DEFAULT_DRIFT_C, DEFAULT_LAM, DEFAULT_MODE_C, DEFAULT_SCHEME, DRIFT_KINDS,
-                   MODE_TABLE, SCHEMES, VERDICTS, check_mode, hjm_drift, tail_weight,
-                   whole_multiple)
+                   MODE_TABLE, SCHEMES, VERDICTS, check_mode, tail_weight, whole_multiple)
 
 __all__ = [
-    "ConfigError", "EXPERIMENTS", "Config", "load_config", "parse_config", "apply_override",
+    "ConfigError", "EXPERIMENTS", "KEYS", "load_config", "parse_config", "apply_override",
     "as_json",
 ]
 
@@ -58,223 +56,193 @@ def _one_of(choices):
     return (lambda v: v in choices, "must be one of " + ", ".join(choices))
 
 
-def _field(default=MISSING, check=None, *, read_by=EXPERIMENTS, by_experiment=None,
-           optional=False, key=None):
-    """A config key.  No default means required; an absent optional section
-    takes all its defaults.  by_experiment holds experiment-specific defaults."""
-    meta = {"check": check, "read_by": read_by, "by_experiment": by_experiment or {},
-            "optional": optional, "key": key}
-    return field(default=default, metadata=meta)
-
-
-@dataclass(frozen=True)
-class GridConfig:
-    x_max: float = _field(check=_POSITIVE)
-    n_nodes: int = _field(check=(lambda v: v >= 2, "must be at least 2"))
-    alpha: float = _field(check=_POSITIVE)
-
-    def _check(self, where, problems):
-        if self.x_max / (self.n_nodes - 1) < sys.float_info.min:
-            problems.append(f"{where}.x_max: the node spacing x_max/(n_nodes-1) underflows")
-        try:
-            tail_weight(self.alpha, self.x_max)
-        except ValueError as e:
-            problems.append(f"{where}.alpha: {e}")
-
-
-@dataclass(frozen=True)
-class ModeConfig:
-    kind: str = _field()
-    c: float = _field(DEFAULT_MODE_C)
-    cap: float | None = _field(None)
-    decay: float = _field(DEFAULT_DECAY)
-    table: tuple[float, ...] | None = _field(None)
-    tail: float | None = _field(None)
-
-    def _check(self, where, problems):
-        try:  # ModeFunction's own rule; here the table only has to be present
-            check_mode(self.kind, self.cap, self.table)
-        except ValueError as e:
-            problems.append(f"{where}: {e}")
-
-    def _reads(self):
-        if self.kind in MODE_TABLE:
-            return ("kind", *MODE_TABLE[self.kind][2]), f"mode kind {self.kind!r}"
-        return None
-
-
-@dataclass(frozen=True)
-class ExpDecayConfig:
-    base: float = _field(0.0)
-    amp: float = _field(1.0)
-    decay: float = _field(1.0)
-
-
-@dataclass(frozen=True)
-class InitialConfig:
-    flat: float | None = _field(None)
-    exp_decay: ExpDecayConfig | None = _field(None, key="exp-decay")
-    table: tuple[float, ...] | None = _field(None)
-    tail: float | None = _field(None)
-
-    def _check(self, where, problems):
-        if sum(x is not None for x in (self.flat, self.exp_decay, self.table)) != 1:
-            problems.append(f"{where}: give exactly one of flat, exp-decay, table")
-
-    def _reads(self):  # tail completes a table only
-        if self.flat is not None and self.exp_decay is None and self.table is None:
-            return ("flat",), "initial form 'flat'"
-        if self.exp_decay is not None and self.flat is None and self.table is None:
-            return ("exp-decay",), "initial form 'exp-decay'"
-        return None
-
-
+_ALL = EXPERIMENTS
 _NOT_HJM = ("simulate", "coeff-check", "lambda-study", "ito-check")
 _ENSEMBLES = ("simulate", "hjm")
+_REQUIRED = object()  # the default of a key that must be given
 
-
-@dataclass(frozen=True)
-class ModelConfig:
-    initial: InitialConfig | None = _field(
-        read_by=("simulate", "hjm", "lambda-study", "ito-check"))
-    modes: tuple[ModeConfig, ...] = _field(())
-    # the hjm experiment always uses the no-arbitrage drift (see parse_config)
-    drift: str = _field(DEFAULT_DRIFT, _one_of(DRIFT_KINDS), read_by=_NOT_HJM)
-    drift_c: float = _field(DEFAULT_DRIFT_C, read_by=_NOT_HJM)
-    alpha_correction: float = _field(DEFAULT_ALPHA_CORRECTION, read_by=_NOT_HJM)
-    alpha_in_drift: bool = _field(True, read_by=("hjm",))
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    dt: float = _field(check=_POSITIVE)
-    t_final: float = _field(check=_POSITIVE)
-    seed: int = _field(_RUN_SEED, _SEED)
-    scheme: str = _field(DEFAULT_SCHEME, _one_of(SCHEMES))
-    n_paths: int = _field(100, _AT_LEAST_ONE, read_by=_ENSEMBLES)
-    chunk_size: int = _field(DEFAULT_CHUNK_SIZE, _AT_LEAST_ONE, read_by=_ENSEMBLES)
-    blow_threshold: float = _field(DEFAULT_BLOW_THRESHOLD, _POSITIVE,
-                                   read_by=("simulate", "lambda-study"))
-    lam: float = _field(DEFAULT_LAM, _NONNEG, read_by=("simulate",))
+# Every config key: dotted key -> (type, default, range check, experiments
+# that read it).  dict is a section, [t] a list of t; a section that
+# defaults to {} takes all its defaults when absent, and a callable
+# default is the experiment's own.  Keys inside a section are read
+# wherever the section is.
+KEYS = {
+    "experiment": (str, _REQUIRED, None, _ALL),
+    "grid": (dict, _REQUIRED, None, _ALL),
+    "grid.x_max": (float, _REQUIRED, _POSITIVE, _ALL),
+    "grid.n_nodes": (int, _REQUIRED, (lambda v: v >= 2, "must be at least 2"), _ALL),
+    "grid.alpha": (float, _REQUIRED, _POSITIVE, _ALL),
+    "model": (dict, _REQUIRED, None, ("simulate", "hjm", "coeff-check", "lambda-study",
+                                      "ito-check")),
+    "model.initial": (dict, _REQUIRED, None, ("simulate", "hjm", "lambda-study", "ito-check")),
+    "model.initial.flat": (float, None, None, _ALL),
+    "model.initial.exp-decay": (dict, None, None, _ALL),
+    "model.initial.exp-decay.base": (float, 0.0, None, _ALL),
+    "model.initial.exp-decay.amp": (float, 1.0, None, _ALL),
+    "model.initial.exp-decay.decay": (float, 1.0, None, _ALL),
+    "model.initial.table": ([float], None, None, _ALL),
+    "model.initial.tail": (float, None, None, _ALL),
+    "model.modes": ([dict], (), None, _ALL),
+    "model.modes.kind": (str, _REQUIRED, None, _ALL),
+    "model.modes.c": (float, DEFAULT_MODE_C, None, _ALL),
+    "model.modes.cap": (float, None, None, _ALL),
+    "model.modes.decay": (float, DEFAULT_DECAY, None, _ALL),
+    "model.modes.table": ([float], None, None, _ALL),
+    "model.modes.tail": (float, None, None, _ALL),
+    # the hjm experiment always uses the no-arbitrage drift (spec.hjm_drift)
+    "model.drift": (str, DEFAULT_DRIFT, _one_of(DRIFT_KINDS), _NOT_HJM),
+    "model.drift_c": (float, DEFAULT_DRIFT_C, None, _NOT_HJM),
+    "model.alpha_correction": (float, DEFAULT_ALPHA_CORRECTION, None, _NOT_HJM),
+    "model.alpha_in_drift": (bool, True, None, ("hjm",)),
+    "run": (dict, _REQUIRED, None, ("simulate", "hjm", "lambda-study")),
+    "run.dt": (float, _REQUIRED, _POSITIVE, _ALL),
+    "run.t_final": (float, _REQUIRED, _POSITIVE, _ALL),
+    "run.seed": (int, _RUN_SEED, _SEED, _ALL),
+    "run.scheme": (str, DEFAULT_SCHEME, _one_of(SCHEMES), _ALL),
+    "run.n_paths": (int, 100, _AT_LEAST_ONE, _ENSEMBLES),
+    "run.chunk_size": (int, DEFAULT_CHUNK_SIZE, _AT_LEAST_ONE, _ENSEMBLES),
+    "run.blow_threshold": (float, DEFAULT_BLOW_THRESHOLD, _POSITIVE, ("simulate", "lambda-study")),
+    "run.lam": (float, DEFAULT_LAM, _NONNEG, ("simulate",)),
     # None: estimated by the coefficient check (simulate, see parse_config)
-    c_const: float | None = _field(None, read_by=("simulate",))
-
-    def _check(self, where, problems):
-        if whole_multiple(self.t_final, self.dt) is None:
-            problems.append(f"{where}.t_final: {self.t_final} is not a whole number "
-                            f"of steps of dt={self.dt}")
-
-
-@dataclass(frozen=True)
-class CheckConfig:
-    n_samples: int = _field(CHECK_SAMPLES, _NONNEG, by_experiment={"operator-tests": 100})
-    seed: int = _field(CHECK_SEED, _SEED)
-    tol: float = _field(BATTERY_TOL, _NONNEG, read_by=("operator-tests",))
-    expect_admissible: bool = _field(True, read_by=("coeff-check",))
-
-
-@dataclass(frozen=True)
-class LambdaStudyConfig:
-    lams: tuple[float, ...] = _field((0.2, 0.1, 0.05, 0.025), _POSITIVE_LIST)
-    n_seeds: int = _field(10, _AT_LEAST_ONE)
-
-
-@dataclass(frozen=True)
-class ItoConfig:
-    n: float = _field(50.0, _POSITIVE)
-    dt_values: tuple[float, ...] = _field((1e-2, 5e-3, 2.5e-3), _POSITIVE_LIST)
-    t_final: float = _field(1.0, _POSITIVE)
-    n_paths: int = _field(200, _AT_LEAST_ONE)
-    seed: int = _field(_RUN_SEED, _SEED)
-
-    def _check(self, where, problems):
-        for i, dt in enumerate(self.dt_values):
-            if whole_multiple(self.t_final, dt) is None:
-                problems.append(f"{where}.dt_values[{i}]: t_final={self.t_final} is not "
-                                f"a whole number of steps of {dt}")
-
-
-@dataclass(frozen=True)
-class OutputConfig:
-    dir: str | None = _field(None)
-
-
-@dataclass(frozen=True)
-class Config:
-    experiment: str = _field()
-    grid: GridConfig = _field()
-    model: ModelConfig | None = _field(
-        read_by=("simulate", "hjm", "coeff-check", "lambda-study", "ito-check"))
-    run: RunConfig | None = _field(read_by=("simulate", "hjm", "lambda-study"))
+    "run.c_const": (float, None, None, ("simulate",)),
     # simulate runs the coefficient check only when this section is given
-    check: CheckConfig | None = _field(
-        optional=True, by_experiment={"simulate": None},
-        read_by=("simulate", "hjm", "coeff-check", "operator-tests"))
-    lambda_study: LambdaStudyConfig | None = _field(read_by=("lambda-study",))
-    ito: ItoConfig | None = _field(read_by=("ito-check",))
-    output: OutputConfig = _field(optional=True)
-    expect_verdict: str | None = _field(None, _one_of(VERDICTS), read_by=("hjm",))
+    "check": (dict, lambda exp: None if exp == "simulate" else {}, None,
+              ("simulate", "hjm", "coeff-check", "operator-tests")),
+    "check.n_samples": (int, lambda exp: 100 if exp == "operator-tests" else CHECK_SAMPLES,
+                        _NONNEG, _ALL),
+    "check.seed": (int, CHECK_SEED, _SEED, _ALL),
+    "check.tol": (float, BATTERY_TOL, _NONNEG, ("operator-tests",)),
+    "check.expect_admissible": (bool, True, None, ("coeff-check",)),
+    "lambda_study": (dict, _REQUIRED, None, ("lambda-study",)),
+    "lambda_study.lams": ([float], (0.2, 0.1, 0.05, 0.025), _POSITIVE_LIST, _ALL),
+    "lambda_study.n_seeds": (int, 10, _AT_LEAST_ONE, _ALL),
+    "ito": (dict, _REQUIRED, None, ("ito-check",)),
+    "ito.n": (float, 50.0, _POSITIVE, _ALL),
+    "ito.dt_values": ([float], (1e-2, 5e-3, 2.5e-3), _POSITIVE_LIST, _ALL),
+    "ito.t_final": (float, 1.0, _POSITIVE, _ALL),
+    "ito.n_paths": (int, 200, _AT_LEAST_ONE, _ALL),
+    "ito.seed": (int, _RUN_SEED, _SEED, _ALL),
+    "output": (dict, {}, None, _ALL),
+    "output.dir": (str, None, None, _ALL),
+    "expect_verdict": (str, None, _one_of(VERDICTS), ("hjm",)),
+}
 
-    def _check(self, where, problems):
-        g = self.grid
-        spacing = g.x_max / (g.n_nodes - 1)
-        if self.run is not None and not whole_multiple(self.run.dt, spacing):
-            problems.append(f"run.dt: {self.run.dt} is not a whole number of "
-                            f"grid cells of {spacing}")
-        if self.model is not None:
-            tables = [(f"model.modes[{i}]", m) for i, m in enumerate(self.model.modes)]
-            if self.model.initial is not None:
-                tables.append(("model.initial", self.model.initial))
-            for path, sec in tables:
-                if sec.table is not None and len(sec.table) != g.n_nodes:
-                    problems.append(f"{path}.table: needs {g.n_nodes} values")
-        if self.run is not None and self.run.c_const is not None and self.check is not None:
-            problems.append("check: not read when run.c_const is given")
-        if self.lambda_study is not None and self.run.seed + self.lambda_study.n_seeds > _U64:
-            problems.append("lambda_study.n_seeds: run.seed + n_seeds exceeds 2**64")
-        for count, path, noun in self._oversized():
-            problems.append(f"{path}: {float(count):.3g} {noun} would need an array "
-                            f"of 2**63 bytes or more")
 
-    def _oversized(self):
-        """For each float64 array of 2**63 bytes or more that the run would
-        allocate, its largest count as (count, path, noun), each path once."""
-        nodes = (self.grid.n_nodes, "grid.n_nodes", "nodes")
-        arrays = [(nodes,)]
-        r = self.run
-        if r is not None:
-            steps = whole_multiple(r.t_final, r.dt)
-            # lambda-study: batches of seeds capped in bytes, of one seed at least
-            paths = (r.n_paths or 1, "run.n_paths", "paths")
-            modes = (len(self.model.modes), "model.modes", "modes")
-            arrays += [
-                (paths, (steps + 1, "run.dt", "steps")),  # records
-                (paths, nodes),  # final states
-                ((min(r.chunk_size or 1, paths[0]), "run.chunk_size", "paths per chunk"),
-                 (steps, "run.dt", "steps"), modes),  # noise increments
-            ]
-            if self.lambda_study is not None:  # a snapshot every step
-                arrays.append(((steps + 1, "run.dt", "steps"), nodes))
-        if self.ito is not None:
-            modes = (len(self.model.modes), "model.modes", "modes")
-            # the noisy paths run as one batch; without modes one path runs
-            paths = (self.ito.n_paths if self.model.modes else 1, "ito.n_paths", "paths")
-            arrays.append((paths, nodes))
-            for i, dt in enumerate(self.ito.dt_values):
-                steps = whole_multiple(self.ito.t_final, dt)
-                path = f"ito.dt_values[{i}]"
-                arrays += [((steps + 1, path, "steps"), paths),
-                           ((steps, path, "steps"), paths, modes)]
-        too_big = {}
-        for dims in arrays:
-            if 8 * math.prod(d[0] for d in dims) >= 1 << 63:
-                count, path, noun = max(dims)
-                too_big.setdefault(path, (count, path, noun))
-        return list(too_big.values())
+# The rules that relate several keys of a section, keyed by its section.
+# Each gets the parsed section, the raw object, the section's dotted path
+# and the problem list.
+def _check_grid(g, raw, where, problems):
+    if g.x_max / (g.n_nodes - 1) < sys.float_info.min:
+        problems.append(f"{where}.x_max: the node spacing x_max/(n_nodes-1) underflows")
+    try:
+        tail_weight(g.alpha, g.x_max)
+    except ValueError as e:
+        problems.append(f"{where}.alpha: {e}")
 
+
+def _reads_only(sec, raw, where, reads, reader, problems):
+    """Each key given in raw that reader does not read is a problem, and
+    each key of sec that it does not read resolves to None."""
+    problems += [f"{where}.{k}: not read by {reader}" for k in raw if k not in reads]
+    for k in vars(sec):
+        if k not in reads:
+            setattr(sec, k, None)
+
+
+def _check_mode(m, raw, where, problems):
+    try:  # ModeFunction's own rule; here the table only has to be present
+        check_mode(m.kind, m.cap, m.table)
+    except ValueError as e:
+        problems.append(f"{where}: {e}")
+    if m.kind in MODE_TABLE:
+        reads = ("kind", *MODE_TABLE[m.kind][2])
+        _reads_only(m, raw, where, reads, f"mode kind {m.kind!r}", problems)
+
+
+def _check_initial(init, raw, where, problems):
+    forms = [k for k in ("flat", "exp-decay", "table") if getattr(init, k) is not None]
+    if len(forms) != 1:
+        problems.append(f"{where}: give exactly one of flat, exp-decay, table")
+    elif forms != ["table"]:  # tail completes a table only
+        _reads_only(init, raw, where, forms, f"initial form {forms[0]!r}", problems)
+
+
+def _check_run(r, raw, where, problems):
+    if whole_multiple(r.t_final, r.dt) is None:
+        problems.append(f"{where}.t_final: {r.t_final} is not a whole number "
+                        f"of steps of dt={r.dt}")
+
+
+def _check_ito(it, raw, where, problems):
+    for i, dt in enumerate(it.dt_values):
+        if whole_multiple(it.t_final, dt) is None:
+            problems.append(f"{where}.dt_values[{i}]: t_final={it.t_final} is not "
+                            f"a whole number of steps of {dt}")
+
+
+def _check_config(cfg, raw, where, problems):
+    g = cfg.grid
+    spacing = g.x_max / (g.n_nodes - 1)
+    if cfg.run is not None and not whole_multiple(cfg.run.dt, spacing):
+        problems.append(f"run.dt: {cfg.run.dt} is not a whole number of "
+                        f"grid cells of {spacing}")
+    if cfg.model is not None:
+        tables = [(f"model.modes[{i}]", m) for i, m in enumerate(cfg.model.modes)]
+        if cfg.model.initial is not None:
+            tables.append(("model.initial", cfg.model.initial))
+        for path, sec in tables:
+            if sec.table is not None and len(sec.table) != g.n_nodes:
+                problems.append(f"{path}.table: needs {g.n_nodes} values")
+    if cfg.run is not None and cfg.run.c_const is not None and cfg.check is not None:
+        problems.append("check: not read when run.c_const is given")
+    if cfg.lambda_study is not None and cfg.run.seed + cfg.lambda_study.n_seeds > _U64:
+        problems.append("lambda_study.n_seeds: run.seed + n_seeds exceeds 2**64")
+    for count, path, noun in _oversized(cfg):
+        problems.append(f"{path}: {float(count):.3g} {noun} would need an array "
+                        f"of 2**63 bytes or more")
+
+
+def _oversized(cfg):
+    """For each float64 array of 2**63 bytes or more that the run would
+    allocate, its largest count as (count, path, noun), each path once."""
+    nodes = (cfg.grid.n_nodes, "grid.n_nodes", "nodes")
+    arrays = [(nodes,)]
+    r = cfg.run
+    if r is not None:
+        steps = whole_multiple(r.t_final, r.dt)
+        # lambda-study: batches of seeds capped in bytes, of one seed at least
+        paths = (r.n_paths or 1, "run.n_paths", "paths")
+        modes = (len(cfg.model.modes), "model.modes", "modes")
+        arrays += [
+            (paths, (steps + 1, "run.dt", "steps")),  # records
+            (paths, nodes),  # final states
+            ((min(r.chunk_size or 1, paths[0]), "run.chunk_size", "paths per chunk"),
+             (steps, "run.dt", "steps"), modes),  # noise increments
+        ]
+        if cfg.lambda_study is not None:  # a snapshot every step
+            arrays.append(((steps + 1, "run.dt", "steps"), nodes))
+    if cfg.ito is not None:
+        modes = (len(cfg.model.modes), "model.modes", "modes")
+        # the noisy paths run as one batch; without modes one path runs
+        paths = (cfg.ito.n_paths if cfg.model.modes else 1, "ito.n_paths", "paths")
+        arrays.append((paths, nodes))
+        for i, dt in enumerate(cfg.ito.dt_values):
+            steps = whole_multiple(cfg.ito.t_final, dt)
+            path = f"ito.dt_values[{i}]"
+            arrays += [((steps + 1, path, "steps"), paths),
+                       ((steps, path, "steps"), paths, modes)]
+    too_big = {}
+    for dims in arrays:
+        if 8 * math.prod(d[0] for d in dims) >= 1 << 63:
+            count, path, noun = max(dims)
+            too_big.setdefault(path, (count, path, noun))
+    return list(too_big.values())
+
+
+_RULES = {"grid": _check_grid, "model.modes": _check_mode, "model.initial": _check_initial,
+          "run": _check_run, "ito": _check_ito, "": _check_config}
 
 _BAD = object()
-_type_hints = functools.cache(typing.get_type_hints)  # the sections' field types
 
 
 def _bad(problems, message):
@@ -282,21 +250,15 @@ def _bad(problems, message):
     return _BAD
 
 
-def _required(tp):
-    """X for the type X | None; JSON null is never a valid value."""
-    return typing.get_args(tp)[0] if typing.get_origin(tp) is types.UnionType else tp
-
-
-def _value(tp, raw, path, exp, problems):
-    """raw as a value of type tp, or _BAD after recording why not."""
-    tp = _required(tp)
-    if is_dataclass(tp):
-        return _parse(tp, raw, path, exp, problems)
-    if typing.get_origin(tp) is tuple:
+def _value(key, tp, raw, path, exp, problems):
+    """raw as a value of type tp, or _BAD after recording why not; a
+    section's keys are KEYS' rows under key."""
+    if tp is dict:
+        return _parse(key, raw, path, exp, problems)
+    if isinstance(tp, list):
         if not isinstance(raw, list):
             return _bad(problems, f"{path}: expected a list")
-        elem = typing.get_args(tp)[0]
-        vals = [_value(elem, x, f"{path}[{i}]", exp, problems) for i, x in enumerate(raw)]
+        vals = [_value(key, tp[0], x, f"{path}[{i}]", exp, problems) for i, x in enumerate(raw)]
         return _BAD if any(v is _BAD for v in vals) else tuple(vals)
     if isinstance(raw, bool) and tp is not bool:
         return _bad(problems, f"{path}: expected {tp.__name__}")
@@ -314,56 +276,49 @@ def _value(tp, raw, path, exp, problems):
     return raw
 
 
-def _parse(cls, raw, where, exp, problems):
-    """An instance of the section cls from raw, or _BAD after recording why not."""
+def _parse(section, raw, where, exp, problems):
+    """The section of KEYS under section, from raw and named where, or
+    _BAD after recording why not."""
     if not isinstance(raw, dict):
         return _bad(problems, f"{where}: expected an object")
     n = len(problems)
-    hints = _type_hints(cls)
-    by_key = {f.metadata["key"] or f.name: f for f in fields(cls)}
-    problems += [f"{where}.{k}: unknown key" for k in raw if k not in by_key]
-    kw = {}
-    for key, f in by_key.items():
-        meta = f.metadata
-        path = f"{where}.{key}"
+    rows = {k.rpartition(".")[2]: row for k, row in KEYS.items() if k.rpartition(".")[0] == section}
+    problems += [f"{where}.{k}: unknown key" for k in raw if k not in rows]
+    sec = types.SimpleNamespace()
+    for name, (tp, default, check, read_by) in rows.items():
+        key = f"{section}.{name}" if section else name
+        path = f"{where}.{name}"
         # sections below the top level are named without the "config." prefix
         sub = path.removeprefix("config.")
-        read = exp in meta["read_by"]
-        if key in raw:
+        read = exp in read_by
+        if name in raw:
             if not read:
                 problems.append(f"{path}: not read by experiment {exp!r}")
                 continue
-            val = _value(hints[f.name], raw[key], sub, exp, problems)
+            val = _value(key, tp, raw[name], sub, exp, problems)
         elif not read:
             val = None
-        elif exp in meta["by_experiment"]:
-            val = meta["by_experiment"][exp]
-        elif f.default is not MISSING:
-            val = f.default
-        elif meta["optional"]:
-            val = _value(hints[f.name], {}, sub, exp, problems)
         else:
-            problems.append(f"{path}: missing")
-            continue
+            val = default(exp) if callable(default) else default
+            if val is _REQUIRED:
+                problems.append(f"{path}: missing")
+                continue
+            if tp is dict and val is not None:
+                val = _parse(key, val, sub, exp, problems)
         if val is _BAD:
             continue
-        if val is not None and meta["check"] and not meta["check"][0](val):
-            problems.append(f"{path}: {meta['check'][1]}")
+        if val is not None and check and not check[0](val):
+            problems.append(f"{path}: {check[1]}")
             continue
-        kw[f.name] = val
+        setattr(sec, name, val)
     if len(problems) > n:
         return _BAD
-    obj = cls(**kw)
-    if hasattr(obj, "_check"):
-        obj._check(where, problems)
-    # keys that the section's own values leave unread; keys given, not defaults
-    reads = obj._reads() if hasattr(obj, "_reads") else None
-    if reads is not None:
-        problems += [f"{where}.{k}: not read by {reads[1]}" for k in raw if k not in reads[0]]
-    return obj
+    if section in _RULES:
+        _RULES[section](sec, raw, where, problems)
+    return sec
 
 
-def parse_config(obj: dict, experiment: str | None = None) -> Config:
+def parse_config(obj: dict, experiment: str | None = None) -> types.SimpleNamespace:
     """Validate a config object and resolve it; raises ConfigError listing every problem."""
     if not isinstance(obj, dict):
         raise ConfigError(["top level: expected an object"])
@@ -379,28 +334,24 @@ def parse_config(obj: dict, experiment: str | None = None) -> Config:
         )
     if problems:
         raise ConfigError(problems)
-    cfg = _parse(Config, dict(obj, experiment=exp), "config", exp, problems)
+    cfg = _parse("", dict(obj, experiment=exp), "config", exp, problems)
     if problems:
         raise ConfigError(problems)
     if exp == "simulate" and cfg.run.c_const is None and cfg.check is None:
-        cfg = replace(cfg, run=replace(cfg.run, c_const=0.0))  # no discount
-    if exp == "hjm":
-        m = cfg.model
-        cfg = replace(cfg, model=replace(m, **hjm_drift(cfg.grid.alpha, m.alpha_in_drift)))
+        cfg.run.c_const = 0.0  # no discount
     return cfg
 
 
 def as_json(obj):
-    """A resolved config (or section) as JSON data, leaving out fields that are None."""
-    if is_dataclass(obj):
-        return {f.metadata["key"] or f.name: as_json(getattr(obj, f.name))
-                for f in fields(obj) if getattr(obj, f.name) is not None}
+    """A resolved config (or section) as JSON data: the keys that are read."""
+    if isinstance(obj, types.SimpleNamespace):
+        return {k: as_json(v) for k, v in vars(obj).items() if v is not None}
     if isinstance(obj, tuple):
         return [as_json(x) for x in obj]
     return obj
 
 
-def load_config(path: str, experiment: str | None = None, overrides=()) -> Config:
+def load_config(path: str, experiment: str | None = None, overrides=()) -> types.SimpleNamespace:
     """Read a JSON config file, apply KEY.PATH=VALUE overrides, parse it."""
     try:
         obj = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -439,4 +390,3 @@ def apply_override(obj: dict, dotted: str) -> None:
     if not isinstance(here, dict):
         raise ConfigError([f"override {dotted!r}: {parent} is not a section"])
     here[keys[-1]] = value
-

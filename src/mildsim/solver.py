@@ -247,13 +247,15 @@ def lambda_convergence_study(
     cfg: SolverConfig,
     noise_cfgs: Sequence[NoiseConfig],
     lams: tuple,
-) -> np.ndarray:
+) -> tuple[np.ndarray, np.ndarray]:
     """Couple regularized runs to the plain run through shared noise.
 
-    Returns a (streams, lams) array: row p, column j holds, for noise
-    stream p and lams[j] in the given orders, the supremum over recorded
-    times of the weighted L2 distance to the unregularized path driven
-    by the same increments.  The regularized runs start from the
+    Returns a (streams, lams) array and a (streams,) bool array.  Row p,
+    column j of the first holds, for noise stream p and lams[j] in the
+    given orders, the supremum over recorded times of the weighted L2
+    distance to the unregularized path driven by the same increments.
+    The second is True for each stream whose plain run or any of whose
+    regularized runs aborted.  The regularized runs start from the
     resolvent of u0 at their lam (see simulate_regularized).
 
     The streams run in batches, each one kernel call for the plain runs
@@ -270,14 +272,17 @@ def lambda_convergence_study(
     grid = u0.grid
     per_batch = max(1, STUDY_BYTES // (2 * 8 * (cfg.n_steps + 1) * grid.n))
     dist = np.empty((len(noise_cfgs), len(lams)))
+    aborted = np.empty(len(noise_cfgs), dtype=bool)
     for lo in range(0, len(noise_cfgs), per_batch):
         streams = noise_cfgs[lo : lo + per_batch]
         plain = kernels.outputs(len(streams), grid.n, cfg.n_steps, snapshots=True)
         _simulate_streams(u0, suite, model, cfg0, streams, plain)
+        aborted[lo : lo + len(streams)] = plain.aborted >= 0
         # every lam's run in turn; _sup_distances overwrites its snapshots
         reg = kernels.outputs(len(streams), grid.n, cfg.n_steps, snapshots=True)
         for j, start in enumerate(starts):
             _simulate_streams(start, suite, model, replace(cfg, lam=lams[j]), streams, reg)
+            aborted[lo : lo + len(streams)] |= reg.aborted >= 0
             dist[lo : lo + len(streams), j] = _sup_distances(
                 grid, plain.snapshots, plain.snapshot_tails, reg.snapshots, reg.snapshot_tails)
-    return dist
+    return dist, aborted

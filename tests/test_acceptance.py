@@ -263,7 +263,7 @@ def test_h_regularized_paths_converge():
     lams = (0.2, 0.1, 0.05, 0.025)
     good = 0
     streams = [NoiseConfig(seed) for seed in range(100, 120)]
-    for ds in lambda_convergence_study(u0, suite, model, cfg, streams, lams):
+    for ds in lambda_convergence_study(u0, suite, model, cfg, streams, lams)[0]:
         if all(d > 0.0 for d in ds) and all(ds[i] > ds[i + 1] for i in range(len(ds) - 1)):
             good += 1
     dt_s = time.perf_counter() - t0

@@ -1,5 +1,6 @@
 import copy
 import errno
+import importlib.util
 import json
 import os
 import subprocess
@@ -108,14 +109,20 @@ def test_apply_override():
 
 def test_builders():
     cli._bind_run_names()  # the builders use the names a run binds
+    # the hjm experiment reads no drift key: build_hjm makes its drift
+    # (test_hjm), and they resolve to None and stay out of the manifest
     cfg = parse_config(_hjm_cfg(), "hjm")
-    model, u0 = _model_and_initial(cfg)
+    m = cfg.model
+    assert (m.drift, m.drift_c, m.alpha_correction) == (None, None, None)
+    assert {"drift", "drift_c", "alpha_correction"}.isdisjoint(as_json(cfg)["model"])
+    # simulate reads them: the same model with the hjm drift given
+    sim = _hjm_cfg()
+    sim["experiment"] = "simulate"
+    sim["model"].update(drift="hjm", alpha_correction=0.5)
+    model, u0 = _model_and_initial(parse_config(sim))
     grid = model.grid
     assert grid.n == 201
-    # hjm experiment defaults: no-arbitrage drift with the weight
-    # exponent compensated in the drift
-    assert model.drift == "hjm"
-    assert model.alpha_correction == 0.5
+    assert (model.drift, model.drift_c, model.alpha_correction) == ("hjm", 0.0, 0.5)
     assert u0.grid is grid
     assert np.all(u0.values == 4e-4)
 
@@ -345,6 +352,7 @@ def test_cli_lambda_study(tmp_path, capsys):
     assert main(["lambda-study", "--config", path, "--out", str(out), "--assert"]) == 0
     manifest = _manifest(out)
     assert manifest["results"]["all_seeds_monotone"] is True
+    assert manifest["results"]["n_aborted"] == 0
     rows = (out / "lambda_study.csv").read_text().splitlines()
     assert len(rows) == 1 + 2 * 4
     capsys.readouterr()
@@ -372,6 +380,22 @@ def test_cli_ito_check(tmp_path, capsys):
     assert manifest["results"]["det_order"] >= 0.9
     assert manifest["results"]["sto_decreasing"] is True
     assert (out / "ito_check.csv").exists()
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("n_seeds", [1, 3])
+def test_cli_lambda_study_with_aborting_paths_exits_4(tmp_path, capsys, n_seeds):
+    # a 1e300 curve's energy passes run.blow_threshold at step 0, so every
+    # stream aborts; the study exits 4 and counts them, like the ensembles
+    cfg = _small_cfgs()["lambda-study"]
+    cfg["lambda_study"]["n_seeds"] = n_seeds
+    out = tmp_path / "out"
+    argv = ["lambda-study", "--config", _write_cfg(tmp_path, cfg), "--out", str(out),
+            "--set", "model.initial.flat=1e300"]
+    assert main(argv) == 4
+    assert capsys.readouterr().err == "at least one path aborted\n"
+    assert _manifest(out)["results"]["n_aborted"] == n_seeds
+    assert main(argv + ["--assert"]) == 4
     capsys.readouterr()
 
 
@@ -798,6 +822,32 @@ def test_small_configs_validate(tmp_path, capsys):
     capsys.readouterr()
 
 
+def _workload_cfgs(seed):
+    """The config of each experiment of the benchmark's workloads, by workload and experiment."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    mod = sys.modules[spec.name] = importlib.util.module_from_spec(spec)  # for its dataclass
+    spec.loader.exec_module(mod)
+    return {f"{w}-{e.name}": e.config for w in mod.WORKLOADS for e in mod.experiments(w, seed)}
+
+
+@pytest.mark.parametrize("cfg", [pytest.param(cfg, id=name) for name, cfg in
+                                 [*_small_cfgs().items(), *_workload_cfgs(7).items()]])
+def test_manifest_config_replays_byte_for_byte(tmp_path, capsys, cfg):
+    # a manifest's config block is a config: fed back, it gives the same
+    # files, manifest.json included
+    exp = cfg["experiment"]
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert main([exp, "--config", _write_cfg(tmp_path, cfg), "--out", str(first)]) == 0
+    replay = _write_cfg(tmp_path, _manifest(first)["config"], "replay.json")
+    assert main([exp, "--config", replay, "--out", str(second)]) == 0
+    names = sorted(p.name for p in first.iterdir())
+    assert names == sorted(p.name for p in second.iterdir())
+    for name in names:
+        assert (first / name).read_bytes() == (second / name).read_bytes(), name
+    capsys.readouterr()
+
+
 def test_parse_config_resolves_defaults():
     small = _small_cfgs()
     ops = parse_config(small["operator-tests"])
@@ -813,13 +863,20 @@ def test_parse_config_resolves_defaults():
     sim = parse_config(small["simulate"])
     assert sim.check.n_samples == 200 and sim.run.c_const is None
     hjm = parse_config(small["hjm"])
-    assert (hjm.model.drift, hjm.model.alpha_correction) == ("hjm", 0.5)
+    assert hjm.model.alpha_in_drift is True
     small["hjm"]["model"]["alpha_in_drift"] = False
-    assert parse_config(small["hjm"]).model.alpha_correction == 0.0
-    # fields an experiment does not read stay None and out of the manifest
+    assert parse_config(small["hjm"]).model.alpha_in_drift is False
+    # fields an experiment does not read stay None and out of the manifest;
+    # the hjm drift terms are in the manifest's resolved block (test_hjm)
     assert hjm.run.lam is None and hjm.lambda_study is None
+    assert (hjm.model.drift, hjm.model.drift_c, hjm.model.alpha_correction) == (None,) * 3
     assert "lam" not in as_json(hjm)["run"]
+    assert {"drift", "drift_c", "alpha_correction"}.isdisjoint(as_json(hjm)["model"])
     assert "run" not in as_json(parse_config(small["coeff-check"]))
+    # so do the keys a mode's kind does not read, defaults included
+    assert sim.model.modes[0].decay is None and hjm.model.modes[0].decay is None
+    assert as_json(hjm)["model"]["modes"] == [{"kind": "proportional-capped", "c": 8.0,
+                                               "cap": 2e-4}]
 
 
 # Property tests: mutate random fields of the small configs to random JSON.
@@ -849,10 +906,12 @@ def _leaf_paths(obj, prefix=()):
             yield from _leaf_paths(v, prefix + (i,))
 
 
-# per experiment, every key it reads (defaults included) and the list entries
+# per experiment, every key it reads (defaults included) and the list entries,
+# and some keys that the small configs leave unread
 _PATHS = {
     exp: sorted(set(_leaf_paths(as_json(parse_config(cfg))))
-                | {("expect_verdict",), ("run", "c_const"), ("model", "modes", 0, "cap")}, key=str)
+                | {("expect_verdict",), ("run", "c_const"), ("model", "modes", 0, "cap"),
+                   ("model", "modes", 0, "decay")}, key=str)
     for exp, cfg in _small_cfgs().items()
 }
 _ALL_PATHS = sorted({p for paths in _PATHS.values() for p in paths}, key=str)
@@ -911,8 +970,8 @@ _OVERFLOWS = {
                             "estimated_c": "inf", "samples": 10, "violations": 2,
                             "worst_ratio": 0.5}}),
     "simulate-alpha": ("simulate", ["grid.alpha=1e300"], 0, True, {"n_aborted": 0}),
-    "lambda-study-flat": ("lambda-study", ["model.initial.flat=1e300"], None, False,
-                          {"mean_sup_distance": ["inf", "inf"]}),
+    "lambda-study-flat": ("lambda-study", ["model.initial.flat=1e300"], 4, False,
+                          {"mean_sup_distance": ["inf", "inf"], "n_aborted": 1}),
     "lambda-study-alpha-and-flat": ("lambda-study", ["grid.alpha=1e300",
                                                      "model.initial.flat=1e300"], None, False, {}),
     "ito-check-mode": ("ito-check", ['model.modes=[{"kind": "constant", "c": 1e300}]'], 0, False,
@@ -968,3 +1027,23 @@ def test_no_json_config_raises(tmp_path, capsys, mutant):
         out = tmp_path / "out"
         assert main([experiment, "--config", path, "--out", str(out), "--assert"]) in (0, 3, 4)
     capsys.readouterr()
+
+
+@settings(max_examples=200, deadline=None)
+@given(_mutants())
+@example(mutant=("simulate", _small_cfgs()["simulate"]))
+@example(mutant=("hjm", _small_cfgs()["hjm"]))
+@example(mutant=("coeff-check", _small_cfgs()["coeff-check"]))
+@example(mutant=("operator-tests", _small_cfgs()["operator-tests"]))
+@example(mutant=("lambda-study", _small_cfgs()["lambda-study"]))
+@example(mutant=("ito-check", _small_cfgs()["ito-check"]))
+def test_resolved_config_parses_back_to_itself(mutant):
+    # as_json writes the keys that are read, defaults applied; as JSON text
+    # that parses to the same config, for every mutant that parses
+    experiment, cfg = mutant
+    try:
+        resolved = as_json(parse_config(cfg, experiment))
+    except ConfigError:
+        return
+    text = json.dumps(resolved, allow_nan=False)
+    assert as_json(parse_config(json.loads(text), experiment)) == resolved

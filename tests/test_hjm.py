@@ -56,10 +56,13 @@ def test_build_wiring_with_alpha_in_drift(tmp_path):
         path, out = tmp_path / "hjm.json", tmp_path / str(alpha_in_drift)
         path.write_text(json.dumps(cfg))
         assert main(["hjm", "--config", str(path), "--out", str(out)]) == 0
-        model = json.loads((out / "manifest.json").read_text())["config"]["model"]
+        manifest = json.loads((out / "manifest.json").read_text())
         m = built.model
-        assert (model["drift"], model["drift_c"], model["alpha_correction"]) == (
-            m.drift, m.drift_c, m.alpha_correction)
+        assert manifest["resolved"]["model"] == {
+            "drift": m.drift, "drift_c": m.drift_c, "alpha_correction": m.alpha_correction}
+        # the config block holds the keys the experiment reads, and no drift key
+        assert manifest["config"]["model"]["alpha_in_drift"] is alpha_in_drift
+        assert "drift" not in manifest["config"]["model"]
 
 
 def test_build_rejects_bad_modes():

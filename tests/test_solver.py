@@ -404,9 +404,10 @@ def _study_setup(n=401, scheme="shift-then-react", t_final=0.5):
 def test_lambda_study_distances_decrease():
     suite, model, u0, cfg = _study_setup()
     lams = (0.2, 0.1, 0.05, 0.025)
-    study = lambda_convergence_study(
+    study, aborted = lambda_convergence_study(
         u0, suite, model, cfg, [NoiseConfig(100), NoiseConfig(101)], lams)
     assert study.shape == (2, len(lams))
+    assert aborted.tolist() == [False, False]
     for ds in study:
         assert all(d > 0.0 for d in ds)
         assert all(b < a for a, b in zip(ds, ds[1:]))
@@ -452,7 +453,7 @@ def test_lambda_study_matches_per_seed_reference(scheme):
     suite, model, u0, cfg = _study_setup(n=201, scheme=scheme, t_final=0.25)
     lams = (0.2, 0.05, 0.0125)
     streams = [NoiseConfig(seed) for seed in (100, 3, 57, 101)]
-    study = lambda_convergence_study(u0, suite, model, cfg, streams, lams)
+    study, _ = lambda_convergence_study(u0, suite, model, cfg, streams, lams)
     want = [_reference_lambda_study(u0, suite, model, cfg, ncfg, lams) for ncfg in streams]
     assert _as_pairs(study, lams) == want
 
@@ -468,11 +469,34 @@ def test_lambda_study_with_aborting_paths_matches_reference():
     cfg = SolverConfig(dt=0.02, t_final=1.0, blow_threshold=60.0)
     lams = (0.2, 0.1)
     streams = [NoiseConfig(seed) for seed in range(8)]
-    study = lambda_convergence_study(u0, suite, model, cfg, streams, lams)
+    study, study_aborted = lambda_convergence_study(u0, suite, model, cfg, streams, lams)
     want = [_reference_lambda_study(u0, suite, model, cfg, ncfg, lams) for ncfg in streams]
     assert _as_pairs(study, lams) == want
     aborted = [simulate_path(u0, suite, model, cfg, ncfg).n_aborted > 0 for ncfg in streams]
     assert any(aborted) and not all(aborted)
+    # a stream counts as aborted when its plain run or any regularized run did
+    reg = [any(simulate_regularized(u0, suite, model, cfg, ncfg, lam).n_aborted for lam in lams)
+           for ncfg in streams]
+    assert study_aborted.tolist() == [a or r for a, r in zip(aborted, reg)]
+
+
+def test_lambda_study_flags_a_stream_whose_regularized_run_aborted(monkeypatch):
+    # the resolvent contracts, so a lam run seldom aborts where the plain
+    # run does not; one is made to: row 1 of the lam = 0.1 run, which the
+    # lam = 0.05 run after it resets
+    suite, model, u0, cfg = _study_setup(n=41, t_final=0.2)
+    run = solver._simulate_streams
+
+    def aborting(u0, suite, model, cfg, streams, out):
+        result = run(u0, suite, model, cfg, streams, out)
+        if cfg.lam == 0.1:
+            out.aborted[1] = 2
+        return result
+
+    monkeypatch.setattr(solver, "_simulate_streams", aborting)
+    streams = [NoiseConfig(seed) for seed in range(3)]
+    _, aborted = lambda_convergence_study(u0, suite, model, cfg, streams, (0.2, 0.1, 0.05))
+    assert aborted.tolist() == [False, True, False]
 
 
 def test_lambda_study_split_into_batches_matches_one_batch(monkeypatch):
@@ -483,13 +507,13 @@ def test_lambda_study_split_into_batches_matches_one_batch(monkeypatch):
     kernel = kernels.simulate_batch
     monkeypatch.setattr(kernels, "simulate_batch",
                         lambda *a: calls.append(a[2].shape[0]) or kernel(*a))
-    whole = lambda_convergence_study(u0, suite, model, cfg, streams, lams)
+    whole, _ = lambda_convergence_study(u0, suite, model, cfg, streams, lams)
     assert calls == [7] * 4  # the plain run, then one call per lam
     # room for the snapshots of three streams: batches of 3, 3 and 1
     snap_bytes = 2 * 8 * (cfg.n_steps + 1) * u0.grid.n
     monkeypatch.setattr(solver, "STUDY_BYTES", 3 * snap_bytes + 1)
     calls.clear()
-    cut = lambda_convergence_study(u0, suite, model, cfg, streams, lams)
+    cut, _ = lambda_convergence_study(u0, suite, model, cfg, streams, lams)
     assert calls == [3] * 4 + [3] * 4 + [1] * 4
     assert _as_pairs(cut, lams) == _as_pairs(whole, lams)
 
@@ -506,17 +530,19 @@ def test_lambda_study_batches_with_aborting_streams_match_one_batch(monkeypatch,
     streams = [NoiseConfig(seed) for seed in range(7)]
     aborted = [simulate_path(u0, suite, model, cfg, ncfg).n_aborted for ncfg in streams]
     assert sum(aborted) == 3
-    whole = lambda_convergence_study(u0, suite, model, cfg, streams, lams)
+    whole, whole_aborted = lambda_convergence_study(u0, suite, model, cfg, streams, lams)
     calls = []
     kernel = kernels.simulate_batch
     monkeypatch.setattr(kernels, "simulate_batch",
                         lambda *a: calls.append(a[2].shape[0]) or kernel(*a))
     snap_bytes = 2 * 8 * (cfg.n_steps + 1) * u0.grid.n
     monkeypatch.setattr(solver, "STUDY_BYTES", per_batch * snap_bytes)
-    cut = lambda_convergence_study(u0, suite, model, cfg, streams, lams)
+    cut, cut_aborted = lambda_convergence_study(u0, suite, model, cfg, streams, lams)
     sizes = [min(per_batch, 7 - lo) for lo in range(0, 7, per_batch)]
     assert calls == [size for size in sizes for _ in range(1 + len(lams))]
     assert cut.tobytes() == whole.tobytes()
+    assert cut_aborted.tolist() == whole_aborted.tolist()
+    assert all(whole_aborted[i] for i, n in enumerate(aborted) if n)
 
 
 @settings(max_examples=15, deadline=None)
@@ -528,8 +554,8 @@ def test_lambda_study_entries_follow_their_streams(picked, scheme):
     suite, model, u0, cfg = _study_setup(n=41, scheme=scheme, t_final=0.2)
     lams = (0.2, 0.05)
     streams = [NoiseConfig(seed) for seed in range(6)]
-    whole = _as_pairs(lambda_convergence_study(u0, suite, model, cfg, streams, lams), lams)
-    part = lambda_convergence_study(u0, suite, model, cfg, [streams[i] for i in picked], lams)
+    whole = _as_pairs(lambda_convergence_study(u0, suite, model, cfg, streams, lams)[0], lams)
+    part, _ = lambda_convergence_study(u0, suite, model, cfg, [streams[i] for i in picked], lams)
     assert _as_pairs(part, lams) == [whole[i] for i in picked]
 
 

@@ -8,6 +8,7 @@ import importlib.util
 import json
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -17,6 +18,7 @@ from test_cli import _small_cfgs
 
 import mildsim
 from mildsim import solver
+from mildsim.config import KEYS
 from mildsim.coefficients import CoefficientModel, ModeFunction
 from mildsim.grids import Grid, GridFunction
 from mildsim.operators import OperatorSuite
@@ -144,3 +146,18 @@ def test_public_names_resolve(module):
     # a stale name in an __all__ breaks only `from module import *`
     mod = importlib.import_module(module)
     assert [name for name in mod.__all__ if not hasattr(mod, name)] == []
+
+
+def test_readme_config_keys_are_rows_of_the_key_table():
+    # every dotted config key that README.md names in backticks, list
+    # indices dropped, is a row of config.KEYS, so the documented keys
+    # cannot drift from the parser; file names such as lambda_study.csv
+    # are not keys
+    sections = "|".join(k for k in KEYS if "." not in k and KEYS[k][0] is dict)
+    dotted = re.compile(rf"(?<![\w./-])(?:{sections})(?:\.[\w-]+|\[\w*\])+")
+    text = re.sub(r"```.*?```", "", (TESTS.parent / "README.md").read_text(), flags=re.S)
+    spans = re.findall(r"`([^`]+)`", text)
+    keys = {re.sub(r"\[\w*\]", "", k) for span in spans for k in dotted.findall(span)
+            if not re.search(r"\.(csv|json|py)$", k)}
+    assert len(keys) >= 20  # the parser's rules name that many
+    assert sorted(keys - KEYS.keys()) == []
