@@ -252,7 +252,8 @@ def _exp_lambda_study(cfg: SimpleNamespace, outdir: Path) -> tuple[dict, bool, b
         "n_aborted": int(aborted.sum()),
         "all_seeds_monotone": all_monotone,
     }
-    return {"results": results, "outputs": ["lambda_study.csv"]}, all_monotone, aborted.any()
+    passed = all_monotone and not aborted.any()
+    return {"results": results, "outputs": ["lambda_study.csv"]}, passed, aborted.any()
 
 
 def _exp_ito_check(cfg: SimpleNamespace, outdir: Path) -> tuple[dict, bool, bool]:

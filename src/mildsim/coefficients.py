@@ -18,7 +18,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -26,12 +25,10 @@ from . import kernels
 from .grids import Grid, GridFunction, lattice_parts, norm, weighted_inner
 from .operators import random_bumps
 from .spec import (CHECK_SAMPLES, CHECK_SEED, DEFAULT_ALPHA_CORRECTION, DEFAULT_DECAY,
-                   DEFAULT_DRIFT, DEFAULT_DRIFT_C, DEFAULT_MODE_C, DRIFT_KINDS, MODE_KINDS,
-                   MODE_TABLE, check_mode)
+                   DEFAULT_DRIFT, DEFAULT_DRIFT_C, DEFAULT_MODE_C, DRIFT_KINDS, MODE_TABLE,
+                   check_mode)
 
 __all__ = [
-    "MODE_KINDS",
-    "DRIFT_KINDS",
     "ModeFunction",
     "CoefficientModel",
     "positivity_functional",
@@ -41,12 +38,6 @@ __all__ = [
 
 L2_TOL = 1e-12  # a probe with ||h_-|| at most this lies on the zero boundary,
 FUNC_TOL = 1e-10  # where a functional above this is a violation
-
-_DRIFT_CODE = {
-    "zero": kernels.DRIFT_ZERO,
-    "linear-decay": kernels.DRIFT_DECAY,
-    "hjm": kernels.DRIFT_HJM,
-}
 
 
 @dataclass(frozen=True)
@@ -123,16 +114,10 @@ class CoefficientModel:
             profile_tails=ptails,
             level_codes=codes,
             caps=caps,
-            drift_code=_DRIFT_CODE[self.drift],
+            drift=self.drift,
             drift_c=float(self.drift_c),
             alpha_corr=float(self.alpha_correction),
         )
-
-    @cached_property
-    def _row_kernel(self) -> tuple[kernels.Coefficients, tuple]:
-        # coefficients' kernel record and one-row scratch, built once per model
-        coef = self.kernel_args()
-        return coef, kernels.coefficient_scratch(coef, 1)
 
     @np.errstate(over="ignore", invalid="ignore")  # coefficients too large give inf or NaN
     def coefficients(self, u: GridFunction) -> tuple[list, GridFunction]:
@@ -140,15 +125,14 @@ class CoefficientModel:
 
         One row of kernels.coefficient_rows, the function every step of
         the integrator evaluates, so the checks judge the coefficients
-        that drive the paths.  The rows are copied out of the model's
-        scratch, so results of earlier calls stay as they were.
+        that drive the paths.  Each call makes its own one-row scratch,
+        so results of earlier calls stay as they were.
         """
         g = self.grid
-        coef, scratch = self._row_kernel
         sig, sigt, drift, dtail = kernels.coefficient_rows(
-            coef, u.values[None, :], np.array([u.tail_value]), scratch)
-        modes = [GridFunction(g, s[0].copy(), st[0]) for s, st in zip(sig, sigt)]
-        return modes, GridFunction(g, drift[0].copy(), dtail[0])
+            self.kernel_args(), u.values[None, :], np.array([u.tail_value]))
+        modes = [GridFunction(g, s[0], st[0]) for s, st in zip(sig, sigt)]
+        return modes, GridFunction(g, drift[0], dtail[0])
 
 
 def positivity_functional(model: CoefficientModel, h: GridFunction) -> float:
@@ -220,7 +204,7 @@ def estimate_positivity_constant(
         (GridFunction.constant(g, -eps) for eps in (1.0, 0.1, 0.01, 0.001, eps_tiny)))
     # the coefficients are evaluated on blocks of probes, each block about
     # kernels.BLOCK_BYTES; each probe's row is the one it gives alone
-    coef, _ = model._row_kernel
+    coef = model.kernel_args()
     rows = max(1, kernels.BLOCK_BYTES // (8 * g.n))
     scratch = kernels.coefficient_scratch(coef, rows)
     block, tails = np.empty((rows, g.n)), np.empty(rows)

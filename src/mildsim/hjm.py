@@ -28,17 +28,14 @@ from .coefficients import (CoefficientModel, ModeFunction, PositivityReport,
 from .grids import GridFunction
 from .operators import OperatorSuite
 from .solver import EnsembleResult, EnsembleStats, SolverConfig, ensemble_stats, run_ensemble
-from .spec import (CHECK_SAMPLES, CHECK_SEED, DEFAULT_CHUNK_SIZE, DEFAULT_SCHEME, VERDICTS,
-                   hjm_drift)
+from .spec import CHECK_SAMPLES, CHECK_SEED, DEFAULT_CHUNK_SIZE, DEFAULT_SCHEME, hjm_drift
 
 __all__ = [
-    "hjm_drift",
     "BuiltHJM",
     "build_hjm",
     "simulate_forward_rates",
     "bond_curve",
     "positivity_verdict",
-    "VERDICTS",
     "NEG_THRESHOLD",
     "SUPERMART_TOL",
 ]

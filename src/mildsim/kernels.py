@@ -58,13 +58,7 @@ __all__ = [
     "BACKEND",
     "BLOCK_BYTES",
     "Coefficients",
-    "LEVEL_CONST",
-    "LEVEL_LINEAR",
-    "LEVEL_CAPPED",
     "Outputs",
-    "DRIFT_ZERO",
-    "DRIFT_DECAY",
-    "DRIFT_HJM",
     "coefficient_rows",
     "coefficient_scratch",
     "outputs",
@@ -72,11 +66,6 @@ __all__ = [
     "resolvent_sweep",
     "simulate_batch",
 ]
-
-# drift codes
-DRIFT_ZERO = 0
-DRIFT_DECAY = 1
-DRIFT_HJM = 2
 
 # bytes of one (rows, N) float64 array of an integrator row block; a
 # step's half dozen such arrays then fit in a 2 MiB L2 cache
@@ -100,9 +89,9 @@ class Coefficients(NamedTuple):
 
     Mode k is sigma_k(x, r) = profiles[k](x) * level(r), profile_tails[k]
     beyond the last node, and level_codes[k] picks level(r): 1, r, or
-    min(r+, caps[k]).  drift_code picks the drift: zero, -drift_c * r,
-    or the hjm drift, whose trapezoid runs on the node spacing; the
-    drift then adds alpha_corr times the state.
+    min(r+, caps[k]).  drift names the drift: zero, -drift_c * r
+    (linear-decay), or the hjm drift, whose trapezoid runs on the node
+    spacing; the drift then adds alpha_corr times the state.
     """
 
     spacing: float
@@ -110,7 +99,7 @@ class Coefficients(NamedTuple):
     profile_tails: np.ndarray  # (K,)
     level_codes: np.ndarray  # (K,) of LEVEL_*
     caps: np.ndarray  # (K,), read for LEVEL_CAPPED
-    drift_code: int  # DRIFT_*
+    drift: str  # one of spec.DRIFT_KINDS
     drift_c: float
     alpha_corr: float
 
@@ -344,7 +333,7 @@ def coefficient_scratch(coef, rows):
     is zero or hjm of constant modes only; it is tiled when alpha_corr
     adds the state to it, and one (1, N) row otherwise.
     """
-    spacing, profiles, profile_tails, level_codes, _, drift_code, _, alpha_corr = coef
+    spacing, profiles, profile_tails, level_codes, _, drift, _, alpha_corr = coef
     K, N = profiles.shape
     prof = [np.tile(p, (rows, 1)) for p in profiles]
     const = [level_codes[k] == LEVEL_CONST for k in range(K)]
@@ -353,9 +342,9 @@ def coefficient_scratch(coef, rows):
     buf, btail, tmp = np.empty((rows, N)), np.empty(rows), np.empty((rows, N))
     integ = np.zeros((rows, N))  # column 0 stays 0
     base = None
-    if drift_code == DRIFT_ZERO:
+    if drift == "zero":
         base = (np.zeros((1, N)), np.zeros(1))
-    elif drift_code == DRIFT_HJM and all(const):
+    elif drift == "hjm" and all(const):
         base = (np.empty((1, N)), np.empty(1))
         _hjm_drift([s[:1] for s in sig], sigt, spacing, *base, integ[:1], tmp[:1])
     if base is not None and alpha_corr != 0.0:
@@ -383,7 +372,7 @@ def coefficient_rows(coef, v, tail, scratch=None):
     new one; the integrator cuts it to each block's rows
     once, with _scratch_rows.
     """
-    spacing, _, profile_tails, level_codes, caps, drift_code, drift_c, alpha_corr = coef
+    spacing, _, profile_tails, level_codes, caps, kind, drift_c, alpha_corr = coef
     n = len(v)
     scratch = scratch or coefficient_scratch(coef, n)
     if len(scratch[4]) != n:
@@ -400,7 +389,7 @@ def coefficient_rows(coef, v, tail, scratch=None):
             sigt[k] = profile_tails[k] * tail.clip(0.0, caps[k])
     if base is not None:
         drift, dtail = base
-    elif drift_code == DRIFT_DECAY:
+    elif kind == "linear-decay":
         drift, dtail = np.multiply(v, -drift_c, out=buf), -drift_c * tail
     else:
         _hjm_drift(sig, sigt, spacing, buf, btail, integ, tmp)

@@ -32,10 +32,6 @@ from .spec import (DEFAULT_BLOW_THRESHOLD, DEFAULT_CHUNK_SIZE, DEFAULT_LAM, DEFA
                    whole_multiple)
 
 __all__ = [
-    "SCHEMES",
-    "DEFAULT_SCHEME",
-    "DEFAULT_CHUNK_SIZE",
-    "DEFAULT_BLOW_THRESHOLD",
     "DEFAULT_THRESHOLDS",
     "SolverConfig",
     "EnsembleResult",

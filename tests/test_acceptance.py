@@ -16,24 +16,15 @@ import time
 import numpy as np
 import pytest
 
-from mildsim import (
-    CoefficientModel,
-    Grid,
-    GridFunction,
-    ModeFunction,
-    NoiseConfig,
-    OperatorSuite,
-    SolverConfig,
-    build_hjm,
-    ito_residual,
-    lambda_convergence_study,
-    penalty_eval,
-    simulate_forward_rates,
-    smooth_energy,
-)
 from mildsim.cli import main as cli_main
-from mildsim.operators import run_contraction_battery, run_submarkov_battery
-from mildsim.smoothing import run_jensen_battery, run_pairing_battery
+from mildsim.coefficients import CoefficientModel, ModeFunction
+from mildsim.grids import Grid, GridFunction
+from mildsim.hjm import build_hjm, simulate_forward_rates
+from mildsim.noise import NoiseConfig
+from mildsim.operators import OperatorSuite, run_contraction_battery, run_submarkov_battery
+from mildsim.smoothing import (ito_residual, penalty_eval, run_jensen_battery,
+                               run_pairing_battery, smooth_energy)
+from mildsim.solver import SolverConfig, lambda_convergence_study
 
 
 @pytest.fixture(scope="module", autouse=True)

@@ -399,6 +399,29 @@ def test_cli_lambda_study_with_aborting_paths_exits_4(tmp_path, capsys, n_seeds)
     capsys.readouterr()
 
 
+def test_cli_lambda_study_fails_when_some_seeds_abort(tmp_path, capsys):
+    # a growing drift under proportional noise: 3 of the 8 seeds pass
+    # run.blow_threshold, and the others stay monotone in lambda; the
+    # study fails, as simulate and hjm do when a path aborts
+    cfg = {
+        "experiment": "lambda-study",
+        "grid": {"x_max": 2.0, "n_nodes": 101, "alpha": 0.5},
+        "model": {"modes": [{"kind": "proportional", "c": 3.0}], "drift": "linear-decay",
+                  "drift_c": -4.0, "initial": {"flat": 1.0}},
+        "run": {"dt": 0.02, "t_final": 1.0, "seed": 0, "blow_threshold": 60.0},
+        "lambda_study": {"lams": [0.2, 0.1], "n_seeds": 8},
+    }
+    out = tmp_path / "out"
+    assert main(["lambda-study", "--config", _write_cfg(tmp_path, cfg), "--out", str(out)]) == 4
+    captured = capsys.readouterr()
+    assert captured.out.startswith("experiment lambda-study: FAIL ")
+    assert captured.err == "at least one path aborted\n"
+    manifest = _manifest(out)
+    assert manifest["results"]["n_aborted"] == 3
+    assert manifest["results"]["all_seeds_monotone"] is True
+    assert manifest["passed"] is False
+
+
 NON_FINITE_CASES = {
     # the contraction battery's worst starts at -inf and no sample lowers it
     "operator-tests": ({"grid": {"x_max": 1.0, "n_nodes": 11, "alpha": 1.0},

@@ -3,15 +3,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mildsim import kernels
+from mildsim import kernels, spec
 from mildsim.coefficients import (
-    MODE_KINDS,
     CoefficientModel,
     ModeFunction,
     estimate_positivity_constant,
     positivity_functional,
 )
 from mildsim.grids import Grid, GridFunction, lattice_parts, norm, weighted_inner
+from mildsim.spec import MODE_KINDS
 
 # Reference coefficients, one state and one mode at a time.  The package
 # evaluates them only in kernels.coefficient_rows; the closed-form tests
@@ -23,9 +23,9 @@ def mode_reference(mode: ModeFunction, grid: Grid, u: GridFunction) -> GridFunct
     """sigma(x, u(x)) as a grid function."""
     prof, ptail = mode.profile(grid)
     code = mode.level_code
-    if code == kernels.LEVEL_CONST:
+    if code == spec.LEVEL_CONST:
         return GridFunction(grid, prof.copy(), ptail)
-    if code == kernels.LEVEL_LINEAR:
+    if code == spec.LEVEL_LINEAR:
         return GridFunction(grid, prof * u.values, ptail * u.tail_value)
     cap = float(mode.cap)
     lev = np.clip(u.values, 0.0, cap)

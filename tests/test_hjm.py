@@ -9,7 +9,6 @@ from mildsim.grids import Grid, GridFunction
 from mildsim.hjm import (
     NEG_THRESHOLD,
     SUPERMART_TOL,
-    VERDICTS,
     bond_curve,
     build_hjm,
     positivity_verdict,
@@ -17,6 +16,7 @@ from mildsim.hjm import (
 )
 from mildsim.noise import NoiseConfig
 from mildsim.solver import EnsembleStats, SolverConfig, simulate_path
+from mildsim.spec import VERDICTS
 from test_noise import step_once
 
 

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.signal import lfilter
 
-from mildsim import kernels
+from mildsim import kernels, spec
 from mildsim.coefficients import CoefficientModel, ModeFunction
 from mildsim.grids import Grid, GridFunction
 from mildsim.noise import NoiseConfig, gaussian_block
@@ -207,7 +207,7 @@ def _reference_simulate_batch(
 ):
     # the kernel before row blocking and hoisting: the whole batch
     # every step, every mode and the drift recomputed from scratch
-    spacing, profiles, profile_tails, level_codes, caps, drift_code, drift_c, alpha_corr = coef
+    spacing, profiles, profile_tails, level_codes, caps, drift, drift_c, alpha_corr = coef
     P, N = v0.shape
     n_steps, K = dW.shape[1], profiles.shape[0]
     S = n_steps + 1 if snapshots else 0
@@ -247,17 +247,17 @@ def _reference_simulate_batch(
             if scheme == 0:
                 tail = shift(tail)
             for k in range(K):
-                if level_codes[k] == kernels.LEVEL_CONST:
+                if level_codes[k] == spec.LEVEL_CONST:
                     sig[k], sigt[k] = profiles[k], profile_tails[k]
-                elif level_codes[k] == kernels.LEVEL_LINEAR:
+                elif level_codes[k] == spec.LEVEL_LINEAR:
                     sig[k], sigt[k] = v * profiles[k], profile_tails[k] * tail
                 else:
                     sig[k] = np.clip(v, 0.0, caps[k]) * profiles[k]
                     sigt[k] = profile_tails[k] * np.clip(tail, 0.0, caps[k])
             buf, btail = np.zeros((P, N)), np.zeros(P)
-            if drift_code == kernels.DRIFT_DECAY:
+            if drift == "linear-decay":
                 buf, btail = v * -drift_c, -drift_c * tail
-            elif drift_code == kernels.DRIFT_HJM:
+            elif drift == "hjm":
                 integ = np.zeros((P, N))
                 for k in range(K):
                     integ[:, 1:] = np.cumsum(0.5 * spacing * (sig[k][:, 1:] + sig[k][:, :-1]), axis=1)
@@ -366,9 +366,8 @@ def test_stride_one_snapshots_mask_only_aborted_rows(lam):
 
 
 @pytest.mark.parametrize("lam", [0.0, 0.05])
-@pytest.mark.parametrize("drift, modes", [
-    (kernels.DRIFT_ZERO, "constant"), (kernels.DRIFT_HJM, "constant"),
-    (kernels.DRIFT_ZERO, "mixed")])
+# drift: an index into spec.DRIFT_KINDS, 0 the zero drift and 2 the hjm one
+@pytest.mark.parametrize("drift, modes", [(0, "constant"), (2, "constant"), (0, "mixed")])
 def test_state_free_drift_is_swept_once_per_call(monkeypatch, lam, drift, modes):
     # With no weight correction a zero drift, or the hjm drift of constant
     # modes, is one state-free row: one resolvent sweep per call makes it,
@@ -377,7 +376,7 @@ def test_state_free_drift_is_swept_once_per_call(monkeypatch, lam, drift, modes)
     # are bitwise the reference's, which sweeps the drift every step.
     _, args = _rich_args(0, lam=lam, n_paths=7, modes=modes, alpha_corr=0.0)
     args = list(args)
-    args[7] = args[7]._replace(drift_code=drift)
+    args[7] = args[7]._replace(drift=spec.DRIFT_KINDS[drift])
     n_nodes, n_steps = args[0].shape[1], args[2].shape[1]
     monkeypatch.setattr(kernels, "BLOCK_BYTES", 3 * 8 * n_nodes)  # blocks of 3, 3 and 1 rows
     sweeps = []
@@ -390,7 +389,7 @@ def test_state_free_drift_is_swept_once_per_call(monkeypatch, lam, drift, modes)
     monkeypatch.setattr(kernels, "_sweep_rows", counting)
     out = _batch(*args)
     codes = args[7].level_codes
-    n_const = int((codes == kernels.LEVEL_CONST).sum())
+    n_const = int((codes == spec.LEVEL_CONST).sum())
     n_varying = len(codes) - n_const
     if lam == 0.0:
         assert sweeps == []
@@ -418,10 +417,10 @@ def test_simulate_batch_numpy_rows_follow_a_permutation(data, scheme, lam, modes
         assert np.take(a, perm, axis=axis).tobytes() == b.tobytes()
 
 
-def _modeless(g, drift_code=kernels.DRIFT_ZERO, drift_c=0.0):
+def _modeless(g, drift="zero", drift_c=0.0):
     # the Coefficients of no diffusion mode and no weight correction on g
     return kernels.Coefficients(g.spacing, np.zeros((0, g.n)), np.zeros(0),
-                                np.zeros(0, dtype=np.int64), np.zeros(0), drift_code, drift_c, 0.0)
+                                np.zeros(0, dtype=np.int64), np.zeros(0), drift, drift_c, 0.0)
 
 
 @settings(max_examples=60, deadline=None)
@@ -714,7 +713,7 @@ def _exploding_args(blow):
     tail0 = np.full(P, 0.1)
     dW = np.zeros((P, 60, 0))
     return (
-        v0, tail0, dW, 0, 1.0, 0.02, 0, _modeless(g, kernels.DRIFT_DECAY, -10.0), None,
+        v0, tail0, dW, 0, 1.0, 0.02, 0, _modeless(g, "linear-decay", -10.0), None,
         g.weights, g.tail_weight, blow,
     )
 

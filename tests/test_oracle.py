@@ -10,7 +10,9 @@ gaussian_block(NoiseConfig(seed, p), n, 1) * sqrt(dt):
 - Hull-White, one `exponential-decay` mode c e^{-a x} (Hull & White 1990;
   Brace & Musiela 1994): r(t, x) = r0 + int_x^{x+t} D + int_0^t c e^{-a(x+t-s)} dW_s,
   with D(y) = c^2 e^{-a y} (1 - e^{-a y}) / a and the stochastic integral
-  taken as the left-point sum over the kernel's increments.
+  taken as a Riemann sum over the kernel's increments.  shift-then-react
+  adds an increment after the step's shift, so its own sum is the
+  right-point one; react-then-shift adds it before, the left-point one.
 
 The comparison runs at dt = dx (a one-cell shift) on the nodes with
 x <= x_max - t, whose domain of dependence never reaches the constant tail.
@@ -28,7 +30,8 @@ from mildsim.coefficients import ModeFunction
 from mildsim.grids import Grid, GridFunction
 from mildsim.hjm import build_hjm
 from mildsim.noise import NoiseConfig, gaussian_block
-from mildsim.solver import DEFAULT_CHUNK_SIZE, SolverConfig, run_ensemble
+from mildsim.solver import SolverConfig, run_ensemble
+from mildsim.spec import DEFAULT_CHUNK_SIZE
 
 X_MAX, ALPHA, R0, T, SEED = 1.0, 0.5, 0.01, 0.4, 7
 DXS = (2e-3, 1e-3, 5e-4)
@@ -40,6 +43,12 @@ STR, RTS = "shift-then-react", "react-then-shift"
 # react-then-shift; without alpha in the drift both give c^2 t dt / 2
 HO_LEE_K = {(STR, True): 0.0170, (RTS, True): 0.179, (STR, False): 0.00801,
             (RTS, False): 0.00801}
+# the error over dt at DXS against each order's own Riemann sum, measured:
+# 1.06e-2, 1.09e-2 and 9.20e-3 for shift-then-react with alpha in the
+# drift, 0.143, 0.125 and 0.114 for react-then-shift; without alpha in the
+# drift 4.42e-3 for both, the drift's bias alone
+HULL_WHITE_K = {(STR, True): 0.0109, (RTS, True): 0.143, (STR, False): 0.00443,
+                (RTS, False): 0.00442}
 
 
 def _paths(mode, dx, scheme, alpha_in_drift, n_paths, chunk_size=DEFAULT_CHUNK_SIZE):
@@ -65,12 +74,12 @@ def _ho_lee_error(dx, scheme, alpha_in_drift, chunk_size=DEFAULT_CHUNK_SIZE):
 _plain_ho_lee_error = lru_cache(maxsize=None)(_ho_lee_error)
 
 
-def _hull_white_error(dx, a=1.0):
+def _hull_white_error(dx, scheme=STR, alpha_in_drift=True, right_point=False, a=1.0):
     mode = ModeFunction("exponential-decay", c=C, decay=a)
-    got, dW, x = _paths(mode, dx, STR, True, 32)
+    got, dW, x = _paths(mode, dx, scheme, alpha_in_drift, 32)
     e1, e2 = np.exp(-a * x) - np.exp(-a * (x + T)), np.exp(-2 * a * x) - np.exp(-2 * a * (x + T))
     drift = C * C / a * (e1 / a - e2 / (2.0 * a))
-    s = np.arange(dW.shape[1]) * dx
+    s = (np.arange(dW.shape[1]) + right_point) * dx
     exact = R0 + drift + dW @ (C * np.exp(-a * (x[None, :] + T - s[:, None])))
     return float(np.abs(got - exact).max())
 
@@ -118,4 +127,14 @@ def test_hull_white_paths_are_first_order_in_dt():
     # measured: 5.34e-4, 2.37e-4 and 1.08e-4
     errors = [_hull_white_error(dx) for dx in DXS]
     assert all(e <= 0.268 * dx for e, dx in zip(errors, DXS)), errors
+    assert min(_orders(errors)) >= 0.9, errors
+
+
+@pytest.mark.parametrize("alpha_in_drift", [True, False], ids=["alpha-in-drift", "alpha-dropped"])
+@pytest.mark.parametrize("scheme", [STR, RTS])
+def test_hull_white_paths_match_their_orders_own_sum(scheme, alpha_in_drift):
+    errors = [_hull_white_error(dx, scheme, alpha_in_drift, right_point=scheme == STR)
+              for dx in DXS]
+    k = HULL_WHITE_K[scheme, alpha_in_drift]
+    assert all(e <= k * dx for e, dx in zip(errors, DXS)), errors
     assert min(_orders(errors)) >= 0.9, errors

@@ -1,8 +1,9 @@
 """The benchmark's tooling: the names its tracer wraps must still exist and
 record spans, and the CLI must validate a config without loading numpy or
 scipy.  The package's public names, each module's __all__, must resolve
-too."""
+too, each in the one module that defines it."""
 
+import ast
 import importlib
 import importlib.util
 import json
@@ -139,13 +140,33 @@ def test_tracer_records_through_the_cli_lazy_names(tmp_path, install_first):
 
 
 # cli has no __all__: its public face is the command line
-@pytest.mark.parametrize("module", ["mildsim"] + [f"mildsim.{m.name}" for m in
-                                                  pkgutil.iter_modules(mildsim.__path__)
-                                                  if m.name != "cli"])
+PUBLIC_MODULES = ["mildsim"] + [f"mildsim.{m.name}" for m in pkgutil.iter_modules(mildsim.__path__)
+                                if m.name != "cli"]
+
+
+@pytest.mark.parametrize("module", PUBLIC_MODULES)
 def test_public_names_resolve(module):
     # a stale name in an __all__ breaks only `from module import *`
     mod = importlib.import_module(module)
     assert [name for name in mod.__all__ if not hasattr(mod, name)] == []
+
+
+@pytest.mark.parametrize("module", PUBLIC_MODULES)
+def test_public_names_have_one_home(module):
+    # every name in a module's __all__ is bound at its top level by an
+    # assignment, a def or a class, and not by an import: a public name
+    # is listed only by the module that defines it
+    mod = importlib.import_module(module)
+    defined, imported = set(), set()
+    for node in ast.parse(Path(mod.__file__).read_text()).body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            imported |= {(a.asname or a.name).split(".")[0] for a in node.names}
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            defined |= {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+    assert [name for name in mod.__all__ if name not in defined or name in imported] == []
 
 
 def test_readme_config_keys_are_rows_of_the_key_table():
