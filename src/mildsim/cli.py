@@ -157,7 +157,7 @@ def _exp_simulate(cfg: SimpleNamespace, outdir: Path) -> tuple[dict, bool, bool]
     model, u0 = _model_and_initial(cfg)
     suite = OperatorSuite(model.grid, shifted=True)
     r = cfg.run
-    scfg = SolverConfig(r.dt, r.t_final, r.scheme, r.lam, blow_threshold=r.blow_threshold)
+    scfg = SolverConfig(dt=r.dt, t_final=r.t_final, lam=r.lam, blow_threshold=r.blow_threshold)
     ens = run_ensemble(u0, suite, model, scfg, r.n_paths, r.seed, chunk_size=r.chunk_size)
     c_const = r.c_const
     if c_const is None:  # the check section asks for the estimate (parse_config)
@@ -182,7 +182,7 @@ def _exp_hjm(cfg: SimpleNamespace, outdir: Path) -> tuple[dict, bool, bool]:
     built = build_hjm(build_modes(m, grid), build_initial(m.initial, grid), m.alpha_in_drift,
                       cfg.check.n_samples, cfg.check.seed)
     ens, stats, verdict = simulate_forward_rates(built, r.dt, r.t_final, r.n_paths, r.seed,
-                                                 r.scheme, r.chunk_size)
+                                                 r.chunk_size)
     _write_stats(outdir / "ensemble.csv", stats)
     _write_csv(outdir / "curve.csv", _CURVE_HEADER, _curve_rows(ens))
     results = {
@@ -237,19 +237,22 @@ def _exp_lambda_study(cfg: SimpleNamespace, outdir: Path) -> tuple[dict, bool, b
     suite = OperatorSuite(model.grid, shifted=True)
     r = cfg.run
     # the study sets lam itself
-    scfg = SolverConfig(r.dt, r.t_final, r.scheme, blow_threshold=r.blow_threshold)
+    scfg = SolverConfig(dt=r.dt, t_final=r.t_final, blow_threshold=r.blow_threshold)
     lams, n_seeds, seed0 = cfg.lambda_study.lams, cfg.lambda_study.n_seeds, r.seed
     streams = [NoiseConfig(seed0 + i) for i in range(n_seeds)]
     study, aborted = lambda_convergence_study(u0, suite, model, scfg, streams, lams)
     rows = [[seed0 + i, lam, d] for i, ds in enumerate(study) for lam, d in zip(lams, ds)]
     all_monotone = not (study[:, 1:] >= study[:, :-1]).any()
-    sums = np.add.accumulate(study)[-1]  # the seeds in order, as a sequential sum
+    finished = study[~aborted]  # an aborted seed's distances end at its abort
+    # the finished seeds in order, as a sequential sum; NaN when none finished
+    sums = np.add.accumulate(finished)[-1] if len(finished) else [math.nan] * len(lams)
     _write_csv(outdir / "lambda_study.csv", ["seed", "lam", "sup_distance"], rows)
     results = {
         "lams": list(lams),
-        "mean_sup_distance": [float(s) / n_seeds for s in sums],
+        "mean_sup_distance": [float(s) / max(len(finished), 1) for s in sums],
         "n_seeds": n_seeds,
         "n_aborted": int(aborted.sum()),
+        "aborted_seeds": [seed0 + int(i) for i in np.flatnonzero(aborted)],
         "all_seeds_monotone": all_monotone,
     }
     passed = all_monotone and not aborted.any()

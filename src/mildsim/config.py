@@ -23,8 +23,8 @@ from pathlib import Path
 # numpy-free: validation loads no numerical module
 from .spec import (BATTERY_TOL, CHECK_SAMPLES, CHECK_SEED, DEFAULT_ALPHA_CORRECTION,
                    DEFAULT_BLOW_THRESHOLD, DEFAULT_CHUNK_SIZE, DEFAULT_DECAY, DEFAULT_DRIFT,
-                   DEFAULT_DRIFT_C, DEFAULT_LAM, DEFAULT_MODE_C, DEFAULT_SCHEME, DRIFT_KINDS,
-                   MODE_TABLE, SCHEMES, VERDICTS, check_mode, tail_weight, whole_multiple)
+                   DEFAULT_DRIFT_C, DEFAULT_LAM, DEFAULT_MODE_C, DRIFT_KINDS, MODE_TABLE,
+                   VERDICTS, check_mode, tail_weight, whole_multiple)
 
 __all__ = [
     "ConfigError", "EXPERIMENTS", "KEYS", "load_config", "parse_config", "apply_override",
@@ -98,7 +98,6 @@ KEYS = {
     "run.dt": (float, _REQUIRED, _POSITIVE, _ALL),
     "run.t_final": (float, _REQUIRED, _POSITIVE, _ALL),
     "run.seed": (int, _RUN_SEED, _SEED, _ALL),
-    "run.scheme": (str, DEFAULT_SCHEME, _one_of(SCHEMES), _ALL),
     "run.n_paths": (int, 100, _AT_LEAST_ONE, _ENSEMBLES),
     "run.chunk_size": (int, DEFAULT_CHUNK_SIZE, _AT_LEAST_ONE, _ENSEMBLES),
     "run.blow_threshold": (float, DEFAULT_BLOW_THRESHOLD, _POSITIVE, ("simulate", "lambda-study")),

@@ -8,7 +8,7 @@ stay inside the operator (damped shift plus a compensating +alpha*u
 drift term, the default) or be dropped entirely from both.  The two
 runs differ at first order in dt: at dt = 2e-3 the Ho-Lee oracle of
 tests/test_oracle.py reads an error of 3.36e-5 with alpha in the drift
-and 1.60e-5 without, under shift-then-react; the gap shrinks like dt.
+and 1.60e-5 without; the gap shrinks like dt.
 
 Building a model always runs the positivity diagnostics, and ensemble
 runs are summarized into a verdict: negativity that the theory rules
@@ -28,7 +28,7 @@ from .coefficients import (CoefficientModel, ModeFunction, PositivityReport,
 from .grids import GridFunction
 from .operators import OperatorSuite
 from .solver import EnsembleResult, EnsembleStats, SolverConfig, ensemble_stats, run_ensemble
-from .spec import CHECK_SAMPLES, CHECK_SEED, DEFAULT_CHUNK_SIZE, DEFAULT_SCHEME, hjm_drift
+from .spec import CHECK_SAMPLES, CHECK_SEED, DEFAULT_CHUNK_SIZE, hjm_drift
 
 __all__ = [
     "BuiltHJM",
@@ -90,11 +90,10 @@ def simulate_forward_rates(
     t_final: float,
     n_paths: int,
     seed: int,
-    scheme: str = DEFAULT_SCHEME,
     chunk_size: int = DEFAULT_CHUNK_SIZE,
 ) -> tuple[EnsembleResult, EnsembleStats, str]:
     """The ensemble of built's model, its statistics and their verdict."""
-    cfg = SolverConfig(dt=dt, t_final=t_final, scheme=scheme)
+    cfg = SolverConfig(dt=dt, t_final=t_final)
     ens = run_ensemble(
         built.u0, built.suite, built.model, cfg, n_paths, seed, chunk_size=chunk_size
     )

@@ -401,13 +401,12 @@ def coefficient_rows(coef, v, tail, scratch=None):
     return sig, sigt, drift, dtail
 
 
-def simulate_batch(v0, tail0, dW, m_shift, damp, dt, scheme, coef, res, weights, tail_weight,
+def simulate_batch(v0, tail0, dW, m_shift, damp, dt, coef, res, weights, tail_weight,
                    blow_threshold, out=None):
     """Advance a batch of paths through the splitting scheme.
 
-    scheme 0 applies the shift semigroup first and evaluates reactions
-    at the shifted state; scheme 1 evaluates reactions at the current
-    state and shifts afterwards.  coef is the step's Coefficients.  res
+    Each step applies the shift semigroup first and evaluates reactions
+    at the shifted state.  coef is the step's Coefficients.  res
     is None at lam = 0, and resolvent_coeffs' tuple at lam > 0: every
     drift row and diffusion column then passes through that resolvent
     before it touches the state.  Paths whose total weighted energy
@@ -433,7 +432,7 @@ def simulate_batch(v0, tail0, dW, m_shift, damp, dt, scheme, coef, res, weights,
         workers = min(_usable_cores(), n_blocks)
     if out is None:
         out = outputs(P, N, n_steps)
-    args = (v0, tail0, dW, m_shift, damp, dt, scheme, coef, res, weights, tail_weight,
+    args = (v0, tail0, dW, m_shift, damp, dt, coef, res, weights, tail_weight,
             blow_threshold)
     if workers > 1 and res is not None:
         from scipy.signal import lfilter  # noqa: F401  imported once, before the fork
@@ -521,7 +520,7 @@ def _simulate_rows(out, lo, hi, rows, args):
     that start at lo.  Every share of a call runs this, in the calling
     process or in a forked child.
     """
-    (v0, tail0, dW, m_shift, damp, dt, scheme, coef, res, weights, tail_weight,
+    (v0, tail0, dW, m_shift, damp, dt, coef, res, weights, tail_weight,
      blow_threshold) = args
     v, tail, neg_e, min_v, aborted, snaps, snap_tails = out
     N = v0.shape[1]
@@ -585,8 +584,7 @@ def _simulate_rows(out, lo, hi, rows, args):
                 snaps[0, lo_b:hi_b] = vb
                 snap_tails[0, lo_b:hi_b] = tb
             for j in range(n_steps):
-                if scheme == 0:
-                    tb = _shift(vb, tb, views, damp)
+                tb = _shift(vb, tb, views, damp)
                 _, sigt_b, drift, dtail = coefficient_rows(coef, vb, tb, scratch_b)
                 if res is not None:
                     for k in varying:
@@ -609,8 +607,6 @@ def _simulate_rows(out, lo, hi, rows, args):
                     tmp_b[...] = dw[:, None]
                     vb += np.multiply(tmp_b, noise_b[k], out=tmp_b)
                     tb = tb + noise_t[k] * dw
-                if scheme == 1:
-                    tb = _shift(vb, tb, views, damp)
                 neg_b[:, j + 1], min_b[:, j + 1], newly = _records(
                     vb, tb, active, everyone, w_b, tail_weight, blow_threshold, limits, tmp_b)
                 if len(newly):

@@ -3,9 +3,9 @@
 One step over dt first moves the state through the exact semigroup
 (a whole-node left shift with the weight damping), then adds the drift
 evaluated at the shifted state times dt and the diffusion modes times
-the Brownian increments.  The variant scheme evaluates reactions before
-shifting.  dt must be a whole multiple of the grid spacing so the shift
-never interpolates; with no reactions the scheme is exact to the bit.
+the Brownian increments; the scheme has this one split order.  dt
+must be a whole multiple of the grid spacing so the shift never
+interpolates; with no reactions the scheme is exact to the bit.
 
 With a positive regularization parameter lam every drift evaluation
 and every diffusion mode column is passed through the resolvent before
@@ -28,8 +28,7 @@ from .grids import Grid, GridFunction, norm, weighted_sum  # noqa: F401
 from .noise import NoiseConfig, gaussian_block
 from .operators import OperatorSuite
 from .smoothing import supermartingale_stat
-from .spec import (DEFAULT_BLOW_THRESHOLD, DEFAULT_CHUNK_SIZE, DEFAULT_LAM, DEFAULT_SCHEME, SCHEMES,
-                   whole_multiple)
+from .spec import DEFAULT_BLOW_THRESHOLD, DEFAULT_CHUNK_SIZE, DEFAULT_LAM, whole_multiple
 
 __all__ = [
     "DEFAULT_THRESHOLDS",
@@ -50,11 +49,10 @@ DEFAULT_THRESHOLDS = (-1e-6, -1e-3, -1e-2)  # levels of ensemble_stats' frac_bel
 STUDY_BYTES = 32 * 1024 * 1024
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class SolverConfig:
     dt: float
     t_final: float
-    scheme: str = DEFAULT_SCHEME
     lam: float = DEFAULT_LAM
     blow_threshold: float = DEFAULT_BLOW_THRESHOLD
 
@@ -63,8 +61,6 @@ class SolverConfig:
             raise ValueError("dt must be positive")
         if not (self.t_final > 0.0):
             raise ValueError("t_final must be positive")
-        if self.scheme not in SCHEMES:
-            raise ValueError(f"unknown scheme: {self.scheme!r}")
         if self.lam < 0.0:
             raise ValueError("lam must be nonnegative")
         if whole_multiple(self.t_final, self.dt) is None:
@@ -91,8 +87,7 @@ def _simulate_streams(u0, suite, model, cfg, streams, out):
     res = kernels.resolvent_coeffs(g.spacing, cfg.lam, suite.alpha_eff) if cfg.lam > 0.0 else None
     return kernels.simulate_batch(
         v0, t0, dW, suite.steps_for_time(cfg.dt), suite.damping(cfg.dt), float(cfg.dt),
-        SCHEMES.index(cfg.scheme), model.kernel_args(), res, g.weights, g.tail_weight,
-        float(cfg.blow_threshold), out)
+        model.kernel_args(), res, g.weights, g.tail_weight, float(cfg.blow_threshold), out)
 
 
 @dataclass

@@ -11,11 +11,11 @@ from __future__ import annotations
 import math
 
 __all__ = [
-    "LEVEL_CONST", "LEVEL_LINEAR", "LEVEL_CAPPED", "MODE_TABLE", "MODE_KINDS", "DRIFT_KINDS",
-    "SCHEMES", "VERDICTS", "CHECK_SAMPLES", "CHECK_SEED", "BATTERY_TOL", "DEFAULT_CHUNK_SIZE",
-    "DEFAULT_MODE_C", "DEFAULT_DECAY", "DEFAULT_DRIFT", "DEFAULT_DRIFT_C",
-    "DEFAULT_ALPHA_CORRECTION", "DEFAULT_SCHEME", "DEFAULT_LAM", "DEFAULT_BLOW_THRESHOLD",
-    "TAIL_HEADROOM", "check_mode", "tail_weight", "whole_multiple", "hjm_drift",
+    "LEVEL_CONST", "LEVEL_LINEAR", "LEVEL_CAPPED", "MODE_TABLE", "DRIFT_KINDS", "VERDICTS",
+    "CHECK_SAMPLES", "CHECK_SEED", "BATTERY_TOL", "DEFAULT_CHUNK_SIZE", "DEFAULT_MODE_C",
+    "DEFAULT_DECAY", "DEFAULT_DRIFT", "DEFAULT_DRIFT_C", "DEFAULT_ALPHA_CORRECTION", "DEFAULT_LAM",
+    "DEFAULT_BLOW_THRESHOLD", "TAIL_HEADROOM", "check_mode", "tail_weight", "whole_multiple",
+    "hjm_drift",
 ]
 
 # level codes: how a mode's spatial profile is scaled by the state
@@ -33,10 +33,8 @@ MODE_TABLE = {
     "level-scaled": (LEVEL_CAPPED, "decay", ("c", "cap", "decay")),
     "custom": (LEVEL_CONST, "table", ("c", "table", "tail")),
 }
-MODE_KINDS = tuple(MODE_TABLE)
 
 DRIFT_KINDS = ("zero", "linear-decay", "hjm")
-SCHEMES = ("shift-then-react", "react-then-shift")
 VERDICTS = ("consistent-with-theorem", "counterexample-regime", "inconclusive")
 
 CHECK_SAMPLES = 200  # random probes of the admissibility estimate, by default
@@ -50,7 +48,6 @@ DEFAULT_DECAY = 1.0  # ModeFunction.decay
 DEFAULT_DRIFT = "zero"  # CoefficientModel.drift
 DEFAULT_DRIFT_C = 0.0  # CoefficientModel.drift_c
 DEFAULT_ALPHA_CORRECTION = 0.0  # CoefficientModel.alpha_correction
-DEFAULT_SCHEME = SCHEMES[0]  # SolverConfig.scheme
 DEFAULT_LAM = 0.0  # SolverConfig.lam
 DEFAULT_BLOW_THRESHOLD = 1e12  # SolverConfig.blow_threshold: a path's energy above it aborts
 

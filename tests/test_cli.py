@@ -97,8 +97,8 @@ def test_apply_override():
     cfg = _hjm_cfg()
     apply_override(cfg, "run.dt=0.001")
     assert cfg["run"]["dt"] == 0.001
-    apply_override(cfg, "run.scheme=react-then-shift")
-    assert cfg["run"]["scheme"] == "react-then-shift"
+    apply_override(cfg, "expect_verdict=inconclusive")
+    assert cfg["expect_verdict"] == "inconclusive"
     apply_override(cfg, "model.alpha_in_drift=false")
     assert cfg["model"]["alpha_in_drift"] is False
     with pytest.raises(ConfigError):
@@ -402,7 +402,8 @@ def test_cli_lambda_study_with_aborting_paths_exits_4(tmp_path, capsys, n_seeds)
 def test_cli_lambda_study_fails_when_some_seeds_abort(tmp_path, capsys):
     # a growing drift under proportional noise: 3 of the 8 seeds pass
     # run.blow_threshold, and the others stay monotone in lambda; the
-    # study fails, as simulate and hjm do when a path aborts
+    # study fails, as simulate and hjm do when a path aborts, and its
+    # mean distances are over the seeds that finished
     cfg = {
         "experiment": "lambda-study",
         "grid": {"x_max": 2.0, "n_nodes": 101, "alpha": 0.5},
@@ -420,6 +421,16 @@ def test_cli_lambda_study_fails_when_some_seeds_abort(tmp_path, capsys):
     assert manifest["results"]["n_aborted"] == 3
     assert manifest["results"]["all_seeds_monotone"] is True
     assert manifest["passed"] is False
+    assert manifest["results"]["aborted_seeds"] == [1, 6, 7]
+    # the finished seeds' rows of the CSV, summed in seed order
+    rows = [line.split(",") for line in (out / "lambda_study.csv").read_text().splitlines()[1:]]
+    means = manifest["results"]["mean_sup_distance"]
+    for lam, mean in zip(cfg["lambda_study"]["lams"], means):
+        finished = [float(d) for seed, lm, d in rows
+                    if float(lm) == lam and int(float(seed)) not in (1, 6, 7)]
+        assert len(finished) == 5 and mean == sum(finished) / 5
+    # over all 8 seeds, the aborted ones included, they would read 0.775 and 0.423
+    assert means == pytest.approx([0.435, 0.240], abs=5e-4)
 
 
 NON_FINITE_CASES = {
@@ -566,7 +577,7 @@ def _run_expecting_errors(tmp_path, capsys, experiment, cfg, overrides=()):
         ("simulate", "run.dt=-0.1", "run.dt"),
         ("simulate", "run.t_final=0.25", "run.t_final"),
         ("simulate", "run.n_paths=0", "run.n_paths"),
-        ("simulate", "run.scheme=leapfrog", "run.scheme"),
+        ("lambda-study", "model.drift=leapfrog", "model.drift"),
         ("simulate", "run.lam=-0.1", "run.lam"),
         ("simulate", "run.seed=-1", "run.seed"),
         ("simulate", "model.drift=table", "model.drift"),
@@ -620,6 +631,16 @@ def test_cli_stream_base_is_an_unknown_key(tmp_path, capsys, experiment):
     cfg = _small_cfgs()[experiment]
     problems = _run_expecting_errors(tmp_path, capsys, experiment, cfg, ["run.stream_base=0"])
     assert problems == ["run.stream_base: unknown key"]
+
+
+@pytest.mark.parametrize("experiment", ["simulate", "hjm", "lambda-study"])
+def test_cli_scheme_is_an_unknown_key(tmp_path, capsys, experiment):
+    # the integrator has one split order, shift-then-react, so no key
+    # chooses it, at any value
+    cfg = _small_cfgs()[experiment]
+    problems = _run_expecting_errors(tmp_path, capsys, experiment, cfg,
+                                     ["run.scheme=shift-then-react"])
+    assert problems == ["run.scheme: unknown key"]
 
 
 @pytest.mark.parametrize("experiment", ["simulate", "coeff-check", "operator-tests"])
@@ -828,13 +849,15 @@ def test_mode_and_initial_keys_that_are_read_pass():
 
 
 def test_cli_reports_every_bad_field_of_a_section(tmp_path, capsys):
+    # and the bad field of another section beside them
     cfg = _small_cfgs()["simulate"]
-    cfg["run"].update({"chunk_size": 0, "n_paths": "many", "scheme": "leapfrog"})
+    cfg["run"].update({"chunk_size": 0, "n_paths": "many"})
+    cfg["model"]["drift"] = "leapfrog"
     problems = _run_expecting_errors(tmp_path, capsys, "simulate", cfg)
     assert sorted(problems) == [
+        "model.drift: must be one of zero, linear-decay, hjm",
         "run.chunk_size: must be at least 1",
         "run.n_paths: expected int",
-        "run.scheme: must be one of shift-then-react, react-then-shift",
     ]
 
 
@@ -881,7 +904,7 @@ def test_parse_config_resolves_defaults():
     # simulate runs the coefficient check only when the section is given
     sim = parse_config(small["simulate"])
     assert sim.check is None and sim.run.c_const == 0.0
-    assert sim.run.chunk_size == 2048 and sim.run.scheme == "shift-then-react"
+    assert sim.run.chunk_size == 2048
     small["simulate"]["check"] = {}
     sim = parse_config(small["simulate"])
     assert sim.check.n_samples == 200 and sim.run.c_const is None
@@ -994,7 +1017,8 @@ _OVERFLOWS = {
                             "worst_ratio": 0.5}}),
     "simulate-alpha": ("simulate", ["grid.alpha=1e300"], 0, True, {"n_aborted": 0}),
     "lambda-study-flat": ("lambda-study", ["model.initial.flat=1e300"], 4, False,
-                          {"mean_sup_distance": ["inf", "inf"], "n_aborted": 1}),
+                          {"mean_sup_distance": ["nan", "nan"], "n_aborted": 1,
+                           "aborted_seeds": [1]}),
     "lambda-study-alpha-and-flat": ("lambda-study", ["grid.alpha=1e300",
                                                      "model.initial.flat=1e300"], None, False, {}),
     "ito-check-mode": ("ito-check", ['model.modes=[{"kind": "constant", "c": 1e300}]'], 0, False,

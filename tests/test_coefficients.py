@@ -11,7 +11,7 @@ from mildsim.coefficients import (
     positivity_functional,
 )
 from mildsim.grids import Grid, GridFunction, lattice_parts, norm, weighted_inner
-from mildsim.spec import MODE_KINDS
+from mildsim.spec import MODE_TABLE
 
 # Reference coefficients, one state and one mode at a time.  The package
 # evaluates them only in kernels.coefficient_rows; the closed-form tests
@@ -244,7 +244,7 @@ def _bits(f: GridFunction) -> bytes:
 
 
 @pytest.mark.parametrize("drift, drift_c, alpha", DRIFTS)
-@pytest.mark.parametrize("kinds", [(k,) for k in MODE_KINDS] + [MODE_KINDS])
+@pytest.mark.parametrize("kinds", [(k,) for k in MODE_TABLE] + [tuple(MODE_TABLE)])
 def test_coefficients_match_references_bitwise(drift, drift_c, alpha, kinds):
     g = Grid.uniform(2.0, 301, 0.5)
     modes = _modes(g)
@@ -283,7 +283,7 @@ value = st.one_of(st.floats(-1.0, 1.0), st.sampled_from([0.0, 0.05, 0.2, 0.3]))
     rows=st.lists(st.lists(value, min_size=9, max_size=9), min_size=1, max_size=5),
     tails=st.lists(value, min_size=5, max_size=5),
     nans=st.lists(st.integers(0, 44), max_size=2),
-    kinds=st.lists(st.sampled_from(MODE_KINDS), min_size=1, max_size=3),
+    kinds=st.lists(st.sampled_from(tuple(MODE_TABLE)), min_size=1, max_size=3),
     drift=st.sampled_from(DRIFTS),
     spare=st.integers(0, 3),
 )

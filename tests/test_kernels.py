@@ -103,7 +103,7 @@ def test_resolvent_sweep_is_the_row_sweep(n, lam):
         assert ytail == reftail == tails[p]
 
 
-def _rich_args(scheme, lam=0.05, blow=1e12, n_paths=4, n_nodes=301, modes="mixed",
+def _rich_args(lam=0.05, blow=1e12, n_paths=4, n_nodes=301, modes="mixed",
                alpha_corr=None):
     # modes "mixed" has state-dependent levels; "constant" only constant
     # ones, whose diffusion columns and HJM drift the kernel hoists
@@ -131,7 +131,7 @@ def _rich_args(scheme, lam=0.05, blow=1e12, n_paths=4, n_nodes=301, modes="mixed
     ) * np.sqrt(0.01)
     res = kernels.resolvent_coeffs(g.spacing, lam, g.alpha) if lam > 0.0 else None
     args = (
-        v0, tail0, dW, 1, float(np.exp(-g.alpha * 0.01)), 0.01, scheme, model.kernel_args(), res,
+        v0, tail0, dW, 1, float(np.exp(-g.alpha * 0.01)), 0.01, model.kernel_args(), res,
         g.weights, g.tail_weight, blow,
     )
     return g, args
@@ -181,7 +181,7 @@ def test_simulate_batch_rows_cross_blow_threshold_from_below(monkeypatch, block_
 
 
 def test_simulate_batch_numpy_deterministic():
-    _, args = _rich_args(0)
+    _, args = _rich_args()
     out1 = _batch(*args)
     out2 = _batch(*args)
     for a, b in zip(out1, out2):
@@ -202,7 +202,7 @@ def _batch(*args):
 
 
 def _reference_simulate_batch(
-    v0, tail0, dW, m_shift, damp, dt, scheme, coef, res, weights, tail_weight, blow_threshold,
+    v0, tail0, dW, m_shift, damp, dt, coef, res, weights, tail_weight, blow_threshold,
     snapshots=True,
 ):
     # the kernel before row blocking and hoisting: the whole batch
@@ -244,8 +244,7 @@ def _reference_simulate_batch(
         if snapshots:
             snaps[0], snap_tails[0] = v, tail
         for j in range(n_steps):
-            if scheme == 0:
-                tail = shift(tail)
+            tail = shift(tail)
             for k in range(K):
                 if level_codes[k] == spec.LEVEL_CONST:
                     sig[k], sigt[k] = profiles[k], profile_tails[k]
@@ -274,8 +273,6 @@ def _reference_simulate_batch(
             for k in range(K):
                 v += sig[k] * dW[:, j, k][:, None]
                 tail = tail + sigt[k] * dW[:, j, k]
-            if scheme == 1:
-                tail = shift(tail)
             nege, mn, tot = records()
             bad = ~np.isfinite(tot) | (tot > blow_threshold)
             newly = bad & active
@@ -306,17 +303,17 @@ def _assert_rows_match_single_path_runs(args):
             assert np.array_equal(row, one, equal_nan=name != "aborted"), (name, p)
 
 
-@pytest.mark.parametrize("lam", [0.0, 0.05])
-@pytest.mark.parametrize("scheme", [0, 1])
-def test_simulate_batch_numpy_rows_match_single_path_runs(scheme, lam):
-    _, args = _rich_args(scheme, lam=lam)
+# these case ids, and the rich split cases', keep the leading 0 that
+# indexed the split order when the kernel had two, so that they stay stable
+@pytest.mark.parametrize("lam", [0.0, 0.05], ids=["0-0.0", "0-0.05"])
+def test_simulate_batch_numpy_rows_match_single_path_runs(lam):
+    _, args = _rich_args(lam=lam)
     _assert_rows_match_single_path_runs(args)
 
 
 @pytest.mark.parametrize("modes", ["constant", "mixed"])
-@pytest.mark.parametrize("lam", [0.0, 0.05])
-@pytest.mark.parametrize("scheme", [0, 1])
-def test_simulate_batch_numpy_block_boundaries(scheme, lam, modes):
+@pytest.mark.parametrize("lam", [0.0, 0.05], ids=["0-0.0", "0-0.05"])
+def test_simulate_batch_numpy_block_boundaries(lam, modes):
     # three full row blocks and a ragged fourth, which the flat trapezoid
     # and the tiled rows are sliced to; three paths, each in its own block,
     # start large enough to abort at different steps, and three others
@@ -324,7 +321,7 @@ def test_simulate_batch_numpy_block_boundaries(scheme, lam, modes):
     n_nodes = 2049
     rows = max(1, kernels.BLOCK_BYTES // (8 * n_nodes))
     n_paths = 3 * rows + rows // 2
-    _, args = _rich_args(scheme, lam=lam, blow=1e3, n_paths=n_paths,
+    _, args = _rich_args(lam=lam, blow=1e3, n_paths=n_paths,
                          n_nodes=n_nodes, modes=modes, alpha_corr=10.0)
     v0, tail0 = args[0], args[1]
     boosted = {1: 300.0, rows + 2: 100.0, 3 * rows + 1: 50.0}
@@ -349,7 +346,7 @@ def test_stride_one_snapshots_mask_only_aborted_rows(lam):
     # a snapshot every step and one row that aborts partway: its snapshots
     # turn NaN from the step after its abort on, every other row's stay
     # finite, and all are bitwise the reference's NaN masking
-    _, args = _rich_args(0, lam=lam, blow=1e3, n_paths=5, alpha_corr=10.0)
+    _, args = _rich_args(lam=lam, blow=1e3, n_paths=5, alpha_corr=10.0)
     args = list(args)
     args[0][2] *= 300.0
     args[1][2] *= 300.0
@@ -374,9 +371,9 @@ def test_state_free_drift_is_swept_once_per_call(monkeypatch, lam, drift, modes)
     # besides one per constant mode and one per state-dependent mode and
     # block step, however many blocks and steps there are.  The outputs
     # are bitwise the reference's, which sweeps the drift every step.
-    _, args = _rich_args(0, lam=lam, n_paths=7, modes=modes, alpha_corr=0.0)
+    _, args = _rich_args(lam=lam, n_paths=7, modes=modes, alpha_corr=0.0)
     args = list(args)
-    args[7] = args[7]._replace(drift=spec.DRIFT_KINDS[drift])
+    args[6] = args[6]._replace(drift=spec.DRIFT_KINDS[drift])
     n_nodes, n_steps = args[0].shape[1], args[2].shape[1]
     monkeypatch.setattr(kernels, "BLOCK_BYTES", 3 * 8 * n_nodes)  # blocks of 3, 3 and 1 rows
     sweeps = []
@@ -388,7 +385,7 @@ def test_state_free_drift_is_swept_once_per_call(monkeypatch, lam, drift, modes)
 
     monkeypatch.setattr(kernels, "_sweep_rows", counting)
     out = _batch(*args)
-    codes = args[7].level_codes
+    codes = args[6].level_codes
     n_const = int((codes == spec.LEVEL_CONST).sum())
     n_varying = len(codes) - n_const
     if lam == 0.0:
@@ -402,14 +399,14 @@ def test_state_free_drift_is_swept_once_per_call(monkeypatch, lam, drift, modes)
 
 
 @settings(max_examples=20, deadline=None)
-@given(data=st.data(), scheme=st.sampled_from([0, 1]), lam=st.sampled_from([0.0, 0.05]),
+@given(data=st.data(), lam=st.sampled_from([0.0, 0.05]),
        modes=st.sampled_from(["constant", "mixed"]))
-def test_simulate_batch_numpy_rows_follow_a_permutation(data, scheme, lam, modes):
+def test_simulate_batch_numpy_rows_follow_a_permutation(data, lam, modes):
     # reordering the paths of a batch reorders its results and changes no bit,
     # also when the batch spans several row blocks
     n_nodes = data.draw(st.sampled_from([301, 2049]), label="n_nodes")
     n_paths = data.draw(st.integers(1, 40), label="n_paths")
-    _, args = _rich_args(scheme, lam=lam, n_paths=n_paths, n_nodes=n_nodes, modes=modes)
+    _, args = _rich_args(lam=lam, n_paths=n_paths, n_nodes=n_nodes, modes=modes)
     perm = np.array(data.draw(st.permutations(range(n_paths)), label="perm"))
     ref = _batch(*args)
     got = _batch(args[0][perm], args[1][perm], args[2][perm], *args[3:])
@@ -435,8 +432,7 @@ def test_pure_transport_is_a_bitwise_shift(data, n_nodes, n_paths, n_steps, seed
     v0 = rng.normal(size=(n_paths, n_nodes))
     tail0 = rng.normal(size=n_paths)
     args = (
-        v0, tail0, np.zeros((n_paths, n_steps, 0)), m_shift, 1.0, 0.01,
-        data.draw(st.sampled_from([0, 1]), label="scheme"), _modeless(g), None,
+        v0, tail0, np.zeros((n_paths, n_steps, 0)), m_shift, 1.0, 0.01, _modeless(g), None,
         g.weights, g.tail_weight, 1e300,
     )
     out = kernels.simulate_batch(*args)
@@ -457,7 +453,7 @@ def test_simulate_batch_pure_shift_is_exact():
     n_steps = 7
     dW = np.zeros((1, n_steps, 0))
     args = (
-        v0, tail0, dW, 3, 1.0, 0.03, 0, _modeless(g), None,
+        v0, tail0, dW, 3, 1.0, 0.03, _modeless(g), None,
         g.weights, g.tail_weight, 1e12,
     )
     out = kernels.simulate_batch(*args)
@@ -663,7 +659,7 @@ def _capped_args(n_paths, n_steps, blow):
     v0[np.arange(n_paths) % 5 < 2, 100:200] = -1e-4
     return (
         v0, np.full(n_paths, 4e-4), dW, 2,
-        float(np.exp(-g.alpha * dt)), dt, 0, model.kernel_args(), None,
+        float(np.exp(-g.alpha * dt)), dt, model.kernel_args(), None,
         g.weights, g.tail_weight, blow,
     )
 
@@ -688,7 +684,7 @@ def test_simulate_batch_allocates_no_per_step_blocks(blow, lam):
     args = list(_capped_args(n_paths, n_steps, blow))
     if lam > 0.0:
         g = Grid.uniform(1.0, 1001, 0.5)
-        args[8] = kernels.resolvent_coeffs(g.spacing, lam, g.alpha)
+        args[7] = kernels.resolvent_coeffs(g.spacing, lam, g.alpha)
         # load scipy.signal before tracing
         kernels.resolvent_sweep(np.zeros(2), 0.0, (0.0, 0.0, 0.0, 1.0))
     N = args[0].shape[1]
@@ -713,7 +709,7 @@ def _exploding_args(blow):
     tail0 = np.full(P, 0.1)
     dW = np.zeros((P, 60, 0))
     return (
-        v0, tail0, dW, 0, 1.0, 0.02, 0, _modeless(g, "linear-decay", -10.0), None,
+        v0, tail0, dW, 0, 1.0, 0.02, _modeless(g, "linear-decay", -10.0), None,
         g.weights, g.tail_weight, blow,
     )
 
@@ -809,10 +805,9 @@ def _assert_no_child_left():
 
 
 SPLIT_CASES = [
-    *[pytest.param("rich", scheme, lam, id=f"rich-{scheme}-{lam}")
-      for scheme in (0, 1) for lam in (0.0, 0.05)],
-    *[pytest.param("capped", 0, blow, id=f"capped-{blow}") for blow in (1e12, 6e-7)],
-    *[pytest.param("exploding", 0, blow, id=f"exploding-{blow}") for blow in (1.0, 2.0)],
+    *[pytest.param("rich", lam, id=f"rich-0-{lam}") for lam in (0.0, 0.05)],
+    *[pytest.param("capped", blow, id=f"capped-{blow}") for blow in (1e12, 6e-7)],
+    *[pytest.param("exploding", blow, id=f"exploding-{blow}") for blow in (1.0, 2.0)],
 ]
 # the rows of the forked shares: rich is 10 rows in blocks of 3, 3, 3 and 1,
 # capped 256 rows in eight blocks of 32, exploding 3 rows in blocks of one
@@ -824,12 +819,12 @@ FORKED = {
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
-@pytest.mark.parametrize("case, scheme, param", SPLIT_CASES)
-def test_split_is_bitwise_the_serial_call(monkeypatch, workers, case, scheme, param):
+@pytest.mark.parametrize("case, param", SPLIT_CASES)
+def test_split_is_bitwise_the_serial_call(monkeypatch, workers, case, param):
     # Shares of uneven size, in one process or forked, give the same bytes
     # as the call in one process and as the plain whole-batch loop.
     if case == "rich":
-        _, args = _rich_args(scheme, lam=param, n_paths=10)
+        _, args = _rich_args(lam=param, n_paths=10)
         block_rows = 3
     elif case == "capped":
         args, block_rows = _capped_args(256, 12, param), None

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.random import Philox
 
-from mildsim import kernels, noise, spec
+from mildsim import kernels, noise
 from mildsim.coefficients import CoefficientModel, ModeFunction
 from mildsim.grids import Grid, GridFunction
 from mildsim.noise import NoiseConfig, Z_BOUND, gaussian_block, increment_block
@@ -49,8 +49,7 @@ def kernel_args(suite, model, cfg):
     assert model.grid.same(g)
     res = kernels.resolvent_coeffs(g.spacing, cfg.lam, suite.alpha_eff) if cfg.lam > 0.0 else None
     return (suite.steps_for_time(cfg.dt), suite.damping(cfg.dt), float(cfg.dt),
-            spec.SCHEMES.index(cfg.scheme), model.kernel_args(), res, g.weights, g.tail_weight,
-            float(cfg.blow_threshold))
+            model.kernel_args(), res, g.weights, g.tail_weight, float(cfg.blow_threshold))
 
 
 def step_once(u: GridFunction, suite, model, cfg, dw: np.ndarray) -> GridFunction:

@@ -31,11 +31,14 @@ def test_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(dt=0.01, t_final=0.0)
     with pytest.raises(ValueError):
-        SolverConfig(dt=0.01, t_final=1.0, scheme="leapfrog")
-    with pytest.raises(ValueError):
         SolverConfig(dt=0.01, t_final=1.0, lam=-0.1)
     with pytest.raises(ValueError):
         SolverConfig(dt=0.03, t_final=1.0)
+
+
+def test_config_takes_keywords_only():
+    with pytest.raises(TypeError):
+        SolverConfig(0.01, 1.0)
 
 
 def test_config_steps_and_snapshots():
@@ -68,16 +71,6 @@ def test_step_once_shift_then_react_composition():
     expect = su + cfg.dt * drift_reference(model, su) + apply_diffusion_increment(model, su, dw)
     np.testing.assert_allclose(got.values, expect.values, rtol=1e-13, atol=1e-16)
     assert got.tail_value == pytest.approx(expect.tail_value, rel=1e-13, abs=1e-16)
-
-
-def test_step_once_react_then_shift_composition():
-    grid, suite, model, u0 = _setup()
-    cfg = SolverConfig(dt=0.02, t_final=0.02, scheme="react-then-shift")
-    dw = np.array([-0.009, 0.004])
-    got = step_once(u0, suite, model, cfg, dw)
-    ru = u0 + cfg.dt * drift_reference(model, u0) + apply_diffusion_increment(model, u0, dw)
-    expect = suite.semigroup(ru, cfg.dt)
-    np.testing.assert_allclose(got.values, expect.values, rtol=1e-13, atol=1e-16)
 
 
 def test_step_once_regularized_composition():
@@ -143,18 +136,6 @@ def test_pure_transport_is_bitwise_shift():
     expect[: grid.n - m] = u0.values[m:]
     assert np.array_equal(path.final_values[0], expect)
     assert path.n_aborted == 0
-
-
-def test_schemes_differ_with_reactions():
-    grid, suite, model, u0 = _setup()
-    ncfg = NoiseConfig(5)
-    a = simulate_path(u0, suite, model, SolverConfig(dt=0.02, t_final=0.2), ncfg)
-    b = simulate_path(
-        u0, suite, model,
-        SolverConfig(dt=0.02, t_final=0.2, scheme="react-then-shift"), ncfg,
-    )
-    assert not np.array_equal(a.final_values[0], b.final_values[0])
-    assert np.isfinite(a.final_values[0]).all() and np.isfinite(b.final_values[0]).all()
 
 
 def _snapshot_run(u0, suite, model, cfg, n_paths, seed, chunk_size=None, stream_base=0):
@@ -256,14 +237,12 @@ _ENSEMBLE_FIELDS = ("neg_energy", "min_value", "final_values", "final_tails", "a
 
 
 @settings(max_examples=25, deadline=None)
-@given(data=st.data(), n_paths=st.integers(1, 9),
-       scheme=st.sampled_from(["shift-then-react", "react-then-shift"]),
-       lam=st.sampled_from([0.0, 0.1]))
-def test_ensemble_invariant_under_chunking_and_path_position(data, n_paths, scheme, lam):
+@given(data=st.data(), n_paths=st.integers(1, 9), lam=st.sampled_from([0.0, 0.1]))
+def test_ensemble_invariant_under_chunking_and_path_position(data, n_paths, lam):
     # a path's results depend on its noise stream only: not on how the
     # ensemble is cut into chunks, nor on which other paths run beside it
     grid, suite, model, u0 = _setup(n=41)
-    cfg = SolverConfig(dt=0.1, t_final=0.5, scheme=scheme, lam=lam)
+    cfg = SolverConfig(dt=0.1, t_final=0.5, lam=lam)
     chunk = data.draw(st.integers(1, n_paths), label="chunk_size")
     first = data.draw(st.integers(0, n_paths - 1), label="first")
     whole = run_ensemble(u0, suite, model, cfg, n_paths=n_paths, seed=5)
@@ -387,7 +366,7 @@ def test_regularized_smooths_initial_state(monkeypatch):
         simulate_regularized(u0, suite, model, cfg, NoiseConfig(2), 0.0)
 
 
-def _study_setup(n=401, scheme="shift-then-react", t_final=0.5):
+def _study_setup(n=401, t_final=0.5):
     grid = Grid.uniform(2.0, n, 0.5)
     suite = OperatorSuite(grid, shifted=True)
     model = CoefficientModel(
@@ -398,7 +377,7 @@ def _study_setup(n=401, scheme="shift-then-react", t_final=0.5):
     )
     u0 = GridFunction.from_callable(grid, lambda x: 0.02 + 0.01 * np.exp(-x))
     # one grid cell per step: 5e-3 on the 401-node grid
-    return suite, model, u0, SolverConfig(dt=2.0 / (n - 1), t_final=t_final, scheme=scheme)
+    return suite, model, u0, SolverConfig(dt=2.0 / (n - 1), t_final=t_final)
 
 
 def test_lambda_study_distances_decrease():
@@ -448,9 +427,8 @@ def _as_pairs(study, lams):
     return [[(float(lam), float(d)) for lam, d in zip(lams, ds)] for ds in study]
 
 
-@pytest.mark.parametrize("scheme", ["shift-then-react", "react-then-shift"])
-def test_lambda_study_matches_per_seed_reference(scheme):
-    suite, model, u0, cfg = _study_setup(n=201, scheme=scheme, t_final=0.25)
+def test_lambda_study_matches_per_seed_reference():
+    suite, model, u0, cfg = _study_setup(n=201, t_final=0.25)
     lams = (0.2, 0.05, 0.0125)
     streams = [NoiseConfig(seed) for seed in (100, 3, 57, 101)]
     study, _ = lambda_convergence_study(u0, suite, model, cfg, streams, lams)
@@ -546,12 +524,11 @@ def test_lambda_study_batches_with_aborting_streams_match_one_batch(monkeypatch,
 
 
 @settings(max_examples=15, deadline=None)
-@given(picked=st.lists(st.integers(0, 5), min_size=1, max_size=5),
-       scheme=st.sampled_from(["shift-then-react", "react-then-shift"]))
-def test_lambda_study_entries_follow_their_streams(picked, scheme):
+@given(picked=st.lists(st.integers(0, 5), min_size=1, max_size=5))
+def test_lambda_study_entries_follow_their_streams(picked):
     # permuting, repeating or dropping seeds moves each seed's entries
     # with it and changes none of them
-    suite, model, u0, cfg = _study_setup(n=41, scheme=scheme, t_final=0.2)
+    suite, model, u0, cfg = _study_setup(n=41, t_final=0.2)
     lams = (0.2, 0.05)
     streams = [NoiseConfig(seed) for seed in range(6)]
     whole = _as_pairs(lambda_convergence_study(u0, suite, model, cfg, streams, lams)[0], lams)

@@ -169,6 +169,21 @@ def test_public_names_have_one_home(module):
     assert [name for name in mod.__all__ if name not in defined or name in imported] == []
 
 
+def test_spec_names_are_read_by_the_package():
+    # every public name of spec is read somewhere in the package, as a
+    # name or an attribute: a name that only tests read, or that only
+    # __all__ lists, is not the package's to keep
+    read = set()
+    for path in Path(mildsim.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    spec = importlib.import_module("mildsim.spec")
+    assert [name for name in spec.__all__ if name not in read] == []
+
+
 def test_readme_config_keys_are_rows_of_the_key_table():
     # every dotted config key that README.md names in backticks, list
     # indices dropped, is a row of config.KEYS, so the documented keys
