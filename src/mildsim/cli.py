@@ -109,14 +109,14 @@ def _write_stats(path: Path, stats) -> None:
     _write_csv(path, header, np.column_stack(cols))
 
 
-def _curve_rows(ens):
+def _curve_rows(ens, grid):
     vals = ens.final_values[ens.aborted < 0]
     if len(vals) == 0:  # every path aborted
-        return np.column_stack([ens.grid.nodes] + [np.full(ens.grid.n, np.nan)] * 3)
+        return np.column_stack([grid.nodes] + [np.full(grid.n, np.nan)] * 3)
     mean = vals.mean(axis=0)
     p5 = np.percentile(vals, 5, axis=0)
     p95 = np.percentile(vals, 95, axis=0)
-    return np.column_stack([ens.grid.nodes, mean, p5, p95])
+    return np.column_stack([grid.nodes, mean, p5, p95])
 
 
 _CURVE_HEADER = ["x", "u_mean", "u_p5", "u_p95"]
@@ -163,7 +163,7 @@ def _exp_simulate(cfg: SimpleNamespace, outdir: Path) -> tuple[dict, bool, bool]
     if c_const is None:  # the check section asks for the estimate (parse_config)
         ck = cfg.check
         c_const = estimate_positivity_constant(model, n_samples=ck.n_samples, seed=ck.seed).c_const
-    stats = ensemble_stats(ens, c_const=c_const)
+    stats = ensemble_stats(ens, r.dt, c_const=c_const)
     _write_stats(outdir / "ensemble.csv", stats)
     results = {
         "n_paths": ens.n_paths,
@@ -184,7 +184,7 @@ def _exp_hjm(cfg: SimpleNamespace, outdir: Path) -> tuple[dict, bool, bool]:
     ens, stats, verdict = simulate_forward_rates(built, r.dt, r.t_final, r.n_paths, r.seed,
                                                  r.chunk_size)
     _write_stats(outdir / "ensemble.csv", stats)
-    _write_csv(outdir / "curve.csv", _CURVE_HEADER, _curve_rows(ens))
+    _write_csv(outdir / "curve.csv", _CURVE_HEADER, _curve_rows(ens, grid))
     results = {
         "verdict": verdict,
         "check": asdict(built.report),

@@ -26,8 +26,9 @@ import numpy as np
 from .coefficients import (CoefficientModel, ModeFunction, PositivityReport,
                            estimate_positivity_constant)
 from .grids import GridFunction
+from .kernels import Outputs
 from .operators import OperatorSuite
-from .solver import EnsembleResult, EnsembleStats, SolverConfig, ensemble_stats, run_ensemble
+from .solver import EnsembleStats, SolverConfig, ensemble_stats, run_ensemble
 from .spec import CHECK_SAMPLES, CHECK_SEED, DEFAULT_CHUNK_SIZE, hjm_drift
 
 __all__ = [
@@ -91,13 +92,13 @@ def simulate_forward_rates(
     n_paths: int,
     seed: int,
     chunk_size: int = DEFAULT_CHUNK_SIZE,
-) -> tuple[EnsembleResult, EnsembleStats, str]:
-    """The ensemble of built's model, its statistics and their verdict."""
+) -> tuple[Outputs, EnsembleStats, str]:
+    """run_ensemble's Outputs for built's model, its statistics at step dt, and their verdict."""
     cfg = SolverConfig(dt=dt, t_final=t_final)
     ens = run_ensemble(
         built.u0, built.suite, built.model, cfg, n_paths, seed, chunk_size=chunk_size
     )
-    stats = ensemble_stats(ens, c_const=built.report.c_const)
+    stats = ensemble_stats(ens, dt, c_const=built.report.c_const)
     return ens, stats, positivity_verdict(built.report, stats)
 
 

@@ -115,6 +115,14 @@ class Outputs(NamedTuple):
     snapshots: np.ndarray  # (n_steps + 1, P, N), or no rows
     snapshot_tails: np.ndarray  # (n_steps + 1, P), or no rows
 
+    @property
+    def n_paths(self) -> int:
+        return int(self.neg_energy.shape[0])
+
+    @property
+    def n_aborted(self) -> int:
+        return int((self.aborted >= 0).sum())
+
     def rows(self, lo, hi):
         """The views of paths lo:hi, in the same map."""
         return Outputs(*(a[lo:hi] for a in self[:5]), *(a[:, lo:hi] for a in self[5:]))

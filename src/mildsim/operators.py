@@ -87,11 +87,13 @@ class OperatorSuite:
     def yosida(self, f: GridFunction, lam: float, out=None, cells=None) -> GridFunction:
         """Bounded approximation (f - resolvent(f)) / lam of the generator.
 
-        out and cells are scratch rows as in resolvent.
+        out and cells are scratch rows as in resolvent.  The tail is in closed
+        form, since the difference loses it to rounding at tiny lam * alpha_eff.
         """
         d = f.minus(self.resolvent(f, lam, out, cells), out=out)
         d.values /= lam
-        return GridFunction(self.grid, d.values, d.tail_value / lam)
+        a = self.alpha_eff
+        return GridFunction(self.grid, d.values, f.tail_value * a / (1.0 + lam * a))
 
 
 def bump_params(grid: Grid, rng: np.random.Generator) -> list:

@@ -24,7 +24,7 @@ import numpy as np
 from . import kernels
 from .coefficients import CoefficientModel
 # norm is not called here any more, but perfbench/tracing.py wraps solver.norm
-from .grids import Grid, GridFunction, norm, weighted_sum  # noqa: F401
+from .grids import GridFunction, norm, weighted_sum  # noqa: F401
 from .noise import NoiseConfig, gaussian_block
 from .operators import OperatorSuite
 from .smoothing import supermartingale_stat
@@ -33,7 +33,6 @@ from .spec import DEFAULT_BLOW_THRESHOLD, DEFAULT_CHUNK_SIZE, DEFAULT_LAM, whole
 __all__ = [
     "DEFAULT_THRESHOLDS",
     "SolverConfig",
-    "EnsembleResult",
     "EnsembleStats",
     "simulate_path",
     "simulate_regularized",
@@ -90,33 +89,13 @@ def _simulate_streams(u0, suite, model, cfg, streams, out):
         model.kernel_args(), res, g.weights, g.tail_weight, float(cfg.blow_threshold), out)
 
 
-@dataclass
-class EnsembleResult:
-    grid: Grid
-    times: np.ndarray
-    # kernels.Outputs' records, in its order
-    final_values: np.ndarray
-    final_tails: np.ndarray
-    neg_energy: np.ndarray
-    min_value: np.ndarray
-    aborted: np.ndarray
-
-    @property
-    def n_paths(self) -> int:
-        return int(self.neg_energy.shape[0])
-
-    @property
-    def n_aborted(self) -> int:
-        return int((self.aborted >= 0).sum())
-
-
 def simulate_path(
     u0: GridFunction,
     suite: OperatorSuite,
     model: CoefficientModel,
     cfg: SolverConfig,
     noise_cfg: NoiseConfig,
-) -> EnsembleResult:
+) -> kernels.Outputs:
     """One path on noise_cfg's stream: the one-row ensemble of that seed and stream."""
     return run_ensemble(u0, suite, model, cfg, 1, noise_cfg.seed, noise_cfg.stream_id)
 
@@ -128,7 +107,7 @@ def simulate_regularized(
     cfg: SolverConfig,
     noise_cfg: NoiseConfig,
     lam: float,
-) -> EnsembleResult:
+) -> kernels.Outputs:
     """Run with resolvent-smoothed state and reactions at parameter lam.
 
     The initial state is smoothed once up front; during stepping every
@@ -149,12 +128,12 @@ def run_ensemble(
     seed: int,
     stream_base: int = 0,
     chunk_size: int = DEFAULT_CHUNK_SIZE,
-) -> EnsembleResult:
+) -> kernels.Outputs:
     """Simulate n_paths independent paths from the same initial state.
 
     Path p uses noise stream stream_base + p of the given seed, so
     results do not depend on chunk_size, and simulate_path reproduces
-    any one path alone.  Each chunk writes its rows of one Outputs.
+    any one path alone.  Each chunk writes its rows of the returned Outputs.
     """
     if n_paths < 1:
         raise ValueError("n_paths must be positive")
@@ -165,7 +144,7 @@ def run_ensemble(
         hi = min(lo + chunk_size, n_paths)
         streams = [NoiseConfig(seed, stream_base + i) for i in range(lo, hi)]
         _simulate_streams(u0, suite, model, cfg, streams, out.rows(lo, hi))
-    return EnsembleResult(u0.grid, np.arange(cfg.n_steps + 1) * cfg.dt, *out[:5])
+    return out
 
 
 @dataclass(frozen=True)
@@ -178,12 +157,13 @@ class EnsembleStats:
     frac_below: dict
 
 
-def ensemble_stats(ens: EnsembleResult, c_const: float = 0.0) -> EnsembleStats:
-    """Cross-path summaries; aborted paths drop out of every statistic.
+def ensemble_stats(ens: kernels.Outputs, dt: float, c_const: float = 0.0) -> EnsembleStats:
+    """Cross-path summaries of ens, a run at step dt; aborted paths drop out.
 
     frac_below maps each of DEFAULT_THRESHOLDS to the running fraction of paths
-    whose minimum so far has gone below it ("ever under" by time t).
+    whose minimum so far has gone below it ("ever under" by time t = k * dt).
     """
+    times = np.arange(ens.neg_energy.shape[1]) * dt
     have_aborts = (ens.aborted >= 0).any()
     mean = np.nanmean if have_aborts else np.mean
     pct = np.nanpercentile if have_aborts else np.percentile
@@ -202,11 +182,11 @@ def ensemble_stats(ens: EnsembleResult, c_const: float = 0.0) -> EnsembleStats:
                 np.where(np.isnan(run_min), np.nan, below.astype(np.float64)), axis=0
             )
     return EnsembleStats(
-        times=ens.times,
+        times=times,
         neg_energy_mean=neg_mean,
         neg_energy_p95=neg_p95,
         min_value_min=mins,
-        supermartingale_mean=supermartingale_stat(ens.times, neg_mean, c_const),
+        supermartingale_mean=supermartingale_stat(times, neg_mean, c_const),
         frac_below=frac,
     )
 

@@ -182,7 +182,7 @@ def test_f_capped_volatility_stays_positive():
     e_a = float(stats_a.neg_energy_mean[-1])
     e_b = float(stats_b.neg_energy_mean[-1])
     ratio_ok = e_b == 0.0 or e_a / e_b >= 1.8
-    s = (np.exp(-2.0 * built.report.c_const * ens_a.times)[None, :]
+    s = (np.exp(-2.0 * built.report.c_const * stats_a.times)[None, :]
          * ens_a.neg_energy)
     d = np.diff(s, axis=1)
     mean_inc = d.mean(axis=0)

@@ -334,6 +334,21 @@ def test_cli_operator_tests(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("alpha", [1e-15, 1e-20, 1e-100])
+def test_cli_operator_tests_at_small_alpha(tmp_path, capsys, alpha):
+    # the tail weight exp(-alpha x_max) / alpha magnifies any rounding in the Yosida tail
+    cfg = {
+        "experiment": "operator-tests",
+        "grid": {"x_max": 1.0, "n_nodes": 101, "alpha": alpha},
+        "check": {"n_samples": 20, "seed": 1},
+    }
+    path = _write_cfg(tmp_path, cfg)
+    out = tmp_path / "out"
+    assert main(["operator-tests", "--config", path, "--out", str(out), "--assert"]) == 0
+    assert _manifest(out)["results"]["monotone-pairing"]["n_violations"] == 0
+    capsys.readouterr()
+
+
 def test_cli_lambda_study(tmp_path, capsys):
     cfg = {
         "experiment": "lambda-study",

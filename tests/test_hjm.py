@@ -144,18 +144,26 @@ def test_forward_rate_run_flat_vol_goes_negative():
     assert verdict == "counterexample-regime"
 
 
-def test_alpha_placement_is_second_order():
-    # absorbing the weight exponent into the operator and compensating
-    # in the drift must agree with dropping it entirely, to O((alpha dt)^2)
+def _alpha_placement_gap(n_nodes, dt):
+    """Largest gap between the final states with alpha in the drift and with it dropped."""
     mode = (ModeFunction("constant", c=0.2),)
-    u0 = GridFunction.from_callable(Grid.uniform(0.02, 201, 0.01),
+    u0 = GridFunction.from_callable(Grid.uniform(0.02, n_nodes, 0.01),
                                     lambda x: 0.05 + 0.01 * np.sin(300.0 * x))
     a = build_hjm(mode, u0, alpha_in_drift=True, check_samples=5)
     b = build_hjm(mode, u0, alpha_in_drift=False, check_samples=5)
-    cfg = SolverConfig(dt=1e-4, t_final=1e-3)
+    cfg = SolverConfig(dt=dt, t_final=1e-3)
     pa = simulate_path(a.u0, a.suite, a.model, cfg, NoiseConfig(5))
     pb = simulate_path(b.u0, b.suite, b.model, cfg, NoiseConfig(5))
-    assert np.abs(pa.final_values[0] - pb.final_values[0]).max() < 1e-10
+    return np.abs(pa.final_values[0] - pb.final_values[0]).max()
+
+
+def test_alpha_placement_gap_is_first_order_in_dt():
+    # absorbing the weight exponent into the operator and compensating
+    # in the drift differs from dropping it entirely at first order in dt
+    e1 = _alpha_placement_gap(201, 1e-4)
+    e2 = _alpha_placement_gap(401, 5e-5)
+    assert e1 < 1e-10
+    assert 1.9 < e1 / e2 < 2.1
 
 
 def _mild_solution_error(n_nodes, dt, t_final=0.5):

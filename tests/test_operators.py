@@ -174,6 +174,16 @@ def test_yosida_constant(grid):
         assert np.abs(y.values - expect).max() < 1e-10
 
 
+@pytest.mark.parametrize("alpha", [1e-20, 1e-15, 0.5])
+def test_yosida_tail_is_the_closed_form(alpha):
+    # (f - f / (1 + lam alpha)) / lam loses the tail to rounding at tiny lam alpha
+    suite = OperatorSuite(Grid.uniform(1.0, 101, alpha), shifted=True)
+    f = GridFunction.constant(suite.grid, 0.7)
+    for lam in BATTERY_LAMS:
+        expect = 0.7 * alpha / (1.0 + lam * alpha)
+        assert suite.yosida(f, lam).tail_value == pytest.approx(expect, rel=1e-15, abs=0.0)
+
+
 def test_yosida_approaches_generator(grid):
     # on the eigenfunction the defect shrinks linearly in lam
     suite = OperatorSuite(grid, shifted=True)

@@ -8,12 +8,12 @@ from hypothesis import strategies as st
 from mildsim import kernels, solver
 from mildsim.coefficients import CoefficientModel, ModeFunction
 from mildsim.grids import Grid, GridFunction, lattice_parts, norm
+from mildsim.hjm import build_hjm, simulate_forward_rates
 from mildsim.noise import NoiseConfig
 from mildsim.operators import OperatorSuite
 from mildsim.smoothing import supermartingale_stat
 from mildsim.solver import (
     DEFAULT_THRESHOLDS,
-    EnsembleResult,
     SolverConfig,
     ensemble_stats,
     lambda_convergence_study,
@@ -163,10 +163,11 @@ def test_records_match_snapshots():
     assert path.neg_energy.tobytes() == alone.neg_energy.tobytes()
     assert path.min_value.tobytes() == alone.min_value.tobytes()
     assert len(path.snapshots) == cfg.n_steps + 1
+    times = ensemble_stats(alone, cfg.dt).times
     rows = zip(path.snapshots[:, 0], path.snapshot_tails[:, 0])
     for j, (values, tail) in enumerate(rows):
         snap = GridFunction(grid, values, tail)
-        assert alone.times[j] == pytest.approx(j * cfg.dt, rel=1e-15)
+        assert times[j] == pytest.approx(j * cfg.dt, rel=1e-15)
         e = norm(lattice_parts(snap).negative, "l2") ** 2
         assert path.neg_energy[0, j] == pytest.approx(e, rel=1e-12, abs=1e-300)
         m = min(float(snap.values.min()), snap.tail_value)
@@ -177,8 +178,9 @@ def test_supermartingale_method():
     grid, suite, model, u0 = _setup()
     cfg = SolverConfig(dt=0.02, t_final=0.1)
     path = simulate_path(u0, suite, model, cfg, NoiseConfig(9))
-    s = supermartingale_stat(path.times, path.neg_energy[0], 0.5)
-    assert np.allclose(s, np.exp(-1.0 * path.times) * path.neg_energy[0], rtol=1e-15)
+    times = ensemble_stats(path, cfg.dt).times
+    s = supermartingale_stat(times, path.neg_energy[0], 0.5)
+    assert np.allclose(s, np.exp(-1.0 * times) * path.neg_energy[0], rtol=1e-15)
 
 
 def _exploding(n_paths=2):
@@ -205,9 +207,28 @@ def test_ensemble_counts_aborts_and_stats_skip_them():
     grid, suite, model, u0, cfg = _exploding()
     ens = run_ensemble(u0, suite, model, cfg, n_paths=3, seed=1)
     assert ens.n_aborted == 3
-    stats = ensemble_stats(ens)
+    stats = ensemble_stats(ens, cfg.dt)
     assert np.isfinite(stats.neg_energy_mean[0])
     assert np.isnan(stats.neg_energy_mean[-1])
+
+
+def test_entry_points_return_the_kernel_outputs():
+    grid, suite, model, u0 = _setup(n=101)
+    cfg = SolverConfig(dt=0.02, t_final=0.1)
+    ens = run_ensemble(u0, suite, model, cfg, n_paths=3, seed=1)
+    path = simulate_path(u0, suite, model, cfg, NoiseConfig(1))
+    built = build_hjm((ModeFunction("constant", c=0.2),), u0, check_samples=5)
+    hjm_ens, hjm_stats, _ = simulate_forward_rates(built, 0.02, 0.1, 4, 1)
+    _, suite_x, model_x, u0_x, cfg_x = _exploding()
+    aborted = run_ensemble(u0_x, suite_x, model_x, cfg_x, n_paths=2, seed=1)
+    for out, n_paths, n_aborted in ((ens, 3, 0), (path, 1, 0), (hjm_ens, 4, 0), (aborted, 2, 2)):
+        assert isinstance(out, kernels.Outputs)
+        assert (out.n_paths, out.n_aborted) == (n_paths, n_aborted)
+        assert out.snapshots.shape[0] == 0 and out.snapshot_tails.shape[0] == 0
+    for out, c in ((ens, cfg), (path, cfg), (aborted, cfg_x)):
+        times = ensemble_stats(out, c.dt).times
+        assert times.tobytes() == (np.arange(c.n_steps + 1) * c.dt).tobytes()
+    assert hjm_stats.times.tobytes() == (np.arange(cfg.n_steps + 1) * 0.02).tobytes()
 
 
 def test_ensemble_chunking_invariance():
@@ -323,23 +344,21 @@ def test_ensemble_rejects_chunk_size_below_one(chunk_size):
 
 
 def test_ensemble_stats_frac_below_is_running():
-    times = np.array([0.0, 0.1, 0.2])
-    grid = Grid.uniform(1.0, 11, 1.0)
     min_value = np.array([
         [0.0, -2e-3, 0.0],
         [0.0, 0.0, 0.0],
         [0.0, np.nan, np.nan],
     ])
-    ens = EnsembleResult(
-        grid=grid,
-        times=times,
-        neg_energy=np.where(np.isnan(min_value), np.nan, np.abs(min_value)),
-        min_value=min_value,
+    ens = kernels.Outputs(
         final_values=np.zeros((3, 11)),
         final_tails=np.zeros(3),
+        neg_energy=np.where(np.isnan(min_value), np.nan, np.abs(min_value)),
+        min_value=min_value,
         aborted=np.array([-1, -1, 0], dtype=np.int64),
+        snapshots=np.zeros((0, 3, 11)),
+        snapshot_tails=np.zeros((0, 3)),
     )
-    stats = ensemble_stats(ens)
+    stats = ensemble_stats(ens, 0.1)
     assert sorted(stats.frac_below) == sorted(DEFAULT_THRESHOLDS)
     frac = stats.frac_below[-1e-3]
     # the dip at t=0.1 stays counted at t=0.2; the aborted path drops out
@@ -360,7 +379,7 @@ def test_regularized_smooths_initial_state(monkeypatch):
     path = simulate_regularized(u0, suite, model, cfg, NoiseConfig(2), lam)
     smoothed = suite.resolvent(u0, lam)
     (first, first_tail), = starts  # the state at step 0
-    assert path.times[0] == 0.0
+    assert ensemble_stats(path, cfg.dt).times[0] == 0.0
     assert np.array_equal(first[0], smoothed.values) and first_tail[0] == smoothed.tail_value
     with pytest.raises(ValueError):
         simulate_regularized(u0, suite, model, cfg, NoiseConfig(2), 0.0)

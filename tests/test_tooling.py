@@ -197,3 +197,17 @@ def test_readme_config_keys_are_rows_of_the_key_table():
             if not re.search(r"\.(csv|json|py)$", k)}
     assert len(keys) >= 20  # the parser's rules name that many
     assert sorted(keys - KEYS.keys()) == []
+
+
+def test_readme_code_names_resolve():
+    # every backticked module.name in README.md, module a package module
+    # written with or without its mildsim. prefix, is an attribute of that
+    # module, so the documented names cannot outlive the code
+    modules = {m.name for m in pkgutil.iter_modules(mildsim.__path__)}
+    text = re.sub(r"```.*?```", "", (TESTS.parent / "README.md").read_text(), flags=re.S)
+    named = re.compile(r"(?:mildsim\.)?(\w+)\.(\w+)\b")
+    names = {m.groups() for span in re.findall(r"`([^`]+)`", text)
+             if (m := named.match(span)) and m.group(1) in modules}
+    assert len(names) >= 25  # the README names that many
+    assert sorted(f"{mod}.{name}" for mod, name in names
+                  if not hasattr(importlib.import_module(f"mildsim.{mod}"), name)) == []
